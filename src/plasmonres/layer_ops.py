@@ -12,8 +12,9 @@ trigonometric polynomials by the circulant weight matrix of
 spectrally.
 
 The sphere needs no quadrature: all four operators are diagonal in the
-spherical-harmonic basis, and `sphere_operators` returns those diagonals
-(with cancellation-safe Bessel products at small wavenumber).
+spherical-harmonic basis, and `sphere_operators` returns them stored as
+their 1-D diagonals (with cancellation-safe Bessel products at small
+wavenumber), never as dense matrices.
 `sphere_diagonal_by_quadrature` provides an independent surface-quadrature
 route to the same numbers for validation.
 
@@ -67,12 +68,14 @@ _MAX_K_DIAM = 5.0
 @dataclass(frozen=True)
 class BoundaryOperator:
     """
-    Dense discrete boundary operator.
+    Discrete boundary operator.
 
-    matrix acts on vectors of nodal density values (2D) or on flattened
-    spherical-harmonic coefficients (sphere). kind names the operator,
-    wavenumber is 0 for static kernels. Matrices are frozen after
-    assembly and safe to share across threads.
+    A 2-D matrix is dense and acts on vectors of nodal density values
+    (2D curves). A 1-D matrix is a diagonal: the operator acts on
+    flattened spherical-harmonic coefficients (sphere) as
+    matrix * coefficients. kind names the operator, wavenumber is 0 for
+    static kernels. Matrices are frozen after assembly and safe to share
+    across threads.
     """
 
     matrix: np.ndarray
@@ -82,23 +85,14 @@ class BoundaryOperator:
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("operator matrix must be square")
+        if not (m.ndim == 1 or (m.ndim == 2 and m.shape[0] == m.shape[1])):
+            raise ValueError("operator matrix must be square or a 1-D diagonal")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     @property
     def n(self):
         return self.matrix.shape[0]
-
-    def apply(self, density):
-        """Apply to a density vector; validates length and finiteness."""
-        density = np.asarray(density)
-        if density.shape != (self.n,):
-            raise ValueError(f"density must have shape ({self.n},)")
-        if not np.all(np.isfinite(density)):
-            raise ValueError("density must be finite")
-        return self.matrix @ density
 
 
 def log_weight_matrix(n):
@@ -267,7 +261,7 @@ def assemble_R_Q(nodes, omega, d=2):
     R2 is assembled independently from the series remainder kernel with
     its own log splitting, so the d=2 closure above is a genuine
     two-route identity. Q2 is the operator difference quotient. For
-    d = 3 pass nodes = (L, R) and diagonal operators are returned.
+    d = 3 pass nodes = (L, R); the operators are 1-D diagonals.
     """
     omega = float(omega)
     if not 0 < omega <= OMEGA_MAX:
@@ -356,7 +350,8 @@ def sphere_degree_index(L):
 def sphere_operators(L, R, k=0.0):
     """
     Diagonal operators on the radius-R sphere over real spherical
-    harmonics flattened as (n, m), m = -n..n, n = 0..L:
+    harmonics flattened as (n, m), m = -n..n, n = 0..L, each stored as
+    its 1-D diagonal:
 
         S    -> -R/(2n+1)
         K*   ->  1/(2(2n+1))
@@ -377,17 +372,17 @@ def sphere_operators(L, R, k=0.0):
     deg = sphere_degree_index(L)
     s_diag = -R / (2.0 * deg + 1.0)
     kstar_diag = 1.0 / (2.0 * (2.0 * deg + 1.0))
-    s_op = BoundaryOperator(np.diag(s_diag), kind="S", wavenumber=0.0)
-    kstar_op = BoundaryOperator(np.diag(kstar_diag), kind="Kstar", wavenumber=0.0)
+    s_op = BoundaryOperator(s_diag, kind="S", wavenumber=0.0)
+    kstar_op = BoundaryOperator(kstar_diag, kind="Kstar", wavenumber=0.0)
     if k == 0:
         return s_op, kstar_op
     z = k * R
-    jh = np.array([sph_jh_product(n, z) for n in range(L + 1)])
-    jhp = np.array([sph_jh_product_deriv(n, z) for n in range(L + 1)])
+    jh = sph_jh_product(np.arange(L + 1), z)
+    jhp = sph_jh_product_deriv(np.arange(L + 1), z)
     sk_diag = -1j * k * R * R * jh[deg]
     kk_diag = -0.5j * k * k * R * R * jhp[deg]
-    sk_op = BoundaryOperator(np.diag(sk_diag), kind="S_omega", wavenumber=k)
-    kk_op = BoundaryOperator(np.diag(kk_diag), kind="Kstar_omega", wavenumber=k)
+    sk_op = BoundaryOperator(sk_diag, kind="S_omega", wavenumber=k)
+    kk_op = BoundaryOperator(kk_diag, kind="Kstar_omega", wavenumber=k)
     return s_op, kstar_op, sk_op, kk_op
 
 

@@ -23,8 +23,9 @@ reported c0 vanishes (within threshold) the stored scaling is m_0 = 1
 and the S~ patch sends phi_0 to the constant function m_0.
 
 Everything is dimension-uniform: the sphere realization is diagonal over
-spherical-harmonic coefficients and produces the same NPSpectrum record,
-so coefficient transforms and the transmission solvers are shared.
+spherical-harmonic coefficients and produces the same NPSpectrum record
+with its matrices stored as 1-D diagonals, so coefficient transforms and
+the transmission solvers are shared and act elementwise on the sphere.
 """
 
 from dataclasses import dataclass
@@ -81,7 +82,9 @@ class NPSpectrum:
     one_vec the representation of the constant function 1, so
     int phi dsigma = (wdiag * one_vec) @ phi in both realizations.
     stilde_traces holds S~[phi_n] as columns. degrees tags each slot
-    with its harmonic degree on the sphere (None in 2D).
+    with its harmonic degree on the sphere (None in 2D). On the sphere
+    densities, gram and stilde_traces are diagonal and stored as their
+    1-D diagonals.
     """
 
     lambdas: np.ndarray
@@ -106,6 +109,8 @@ class NPSpectrum:
 
     @property
     def phi0(self):
+        if self.densities.ndim == 1:
+            return np.where(np.arange(self.n) == 0, self.densities, 0.0)
         return self.densities[:, 0]
 
     def integrate(self, values):
@@ -274,7 +279,7 @@ def sphere_spectrum(L, R):
 
     Coefficients refer to the basis Yhat_nm = Y_nm / R, orthonormal in
     L^2 of the surface; the H*-orthonormal eigendensities are
-    beta_n Yhat_nm with beta_n = sqrt((2n+1)/R).
+    beta_n Yhat_nm with beta_n = sqrt((2n+1)/R), stored as 1-D diagonals.
     """
     if L < 4:
         raise ValueError("truncation degree L must be >= 4")
@@ -284,16 +289,15 @@ def sphere_spectrum(L, R):
     nslots = deg.size
     lam = 1.0 / (2.0 * (2.0 * deg + 1.0))
     beta = np.sqrt((2.0 * deg + 1.0) / R)
-    densities = np.diag(beta)
-    gram = np.diag(R / (2.0 * deg + 1.0))
+    gram = R / (2.0 * deg + 1.0)
     one_vec = np.zeros(nslots)
     one_vec[0] = R * np.sqrt(4.0 * np.pi)
     m0 = np.sqrt(4.0 * np.pi * R)
     c0_h = -1.0 / m0
-    stilde = np.diag(-np.sqrt(R / (2.0 * deg + 1.0)))
+    stilde = -np.sqrt(R / (2.0 * deg + 1.0))
     return NPSpectrum(
         lambdas=lam,
-        densities=densities,
+        densities=beta,
         gram=gram,
         wdiag=np.ones(nslots),
         one_vec=one_vec,
@@ -309,6 +313,11 @@ def sphere_spectrum(L, R):
     )
 
 
+def _matvec(mat, v):
+    """mat @ v, where a 1-D mat is a diagonal (the sphere)."""
+    return mat * v if mat.ndim == 1 else mat @ v
+
+
 def coeffs_hat(phi, spectrum):
     """
     H* coefficients phi_hat(n) = <phi, phi_n>_{H*} of a density.
@@ -319,7 +328,7 @@ def coeffs_hat(phi, spectrum):
     phi = np.asarray(phi)
     if phi.shape != (spectrum.n,):
         raise ValueError(f"density must have shape ({spectrum.n},)")
-    return spectrum.densities.T @ (spectrum.gram @ phi)
+    return _matvec(spectrum.densities.T, _matvec(spectrum.gram, phi))
 
 
 def coeffs_check(f, spectrum, tol=1e-6):
@@ -337,10 +346,10 @@ def coeffs_check(f, spectrum, tol=1e-6):
     if f.shape != (spectrum.n,):
         raise ValueError(f"trace must have shape ({spectrum.n},)")
     wf = spectrum.wdiag * f
-    fcheck = -(spectrum.densities.T @ wf)
+    fcheck = -_matvec(spectrum.densities.T, wf)
     kappa = (spectrum.phi0 @ wf) / spectrum.m0
     fcheck[0] = kappa / spectrum.ctilde0
-    recon = spectrum.stilde_traces @ fcheck
+    recon = _matvec(spectrum.stilde_traces, fcheck)
     resid = np.linalg.norm(recon - f)
     if resid > tol * max(np.linalg.norm(f), 1e-300):
         raise RuntimeError(f"S~ expansion residual {resid:.2e} exceeds tolerance")

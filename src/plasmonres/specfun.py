@@ -266,27 +266,30 @@ def _sph_series(n, z, with_deriv=False):
         j_n(z) =  z^n / (2n+1)!! * A(z),
         y_n(z) = -(2n-1)!! / z^{n+1} * B(z),
 
-    with A, B -> 1 as z -> 0. Returns (A, B) or (A, B, A', B').
+    with A, B -> 1 as z -> 0. Returns (A, B) or (A, B, A', B') of shape
+    n.shape + z.shape; each degree's series stops as it would alone.
     """
     z = np.asarray(z, dtype=complex)
+    n = np.asarray(n)
+    nz = n.reshape(n.shape + (1,) * z.ndim)
+    shape = n.shape + z.shape
     z2 = -0.5 * z * z
-    A = np.ones(z.shape, dtype=complex)
-    B = np.ones(z.shape, dtype=complex)
-    dA = np.zeros(z.shape, dtype=complex)
-    dB = np.zeros(z.shape, dtype=complex)
-    ca = np.ones(z.shape, dtype=complex)
-    cb = np.ones(z.shape, dtype=complex)
+    A, B, ca, cb = (np.ones(shape, dtype=complex) for _ in range(4))
+    dA, dB = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
+    live = np.ones(nz.shape, dtype=bool)
     for m in range(1, 60):
-        ca = ca * z2 / (m * (2 * n + 2 * m + 1))
-        cb = cb * z2 / (m * (2 * m - 2 * n - 1))
-        A = A + ca
-        B = B + cb
+        ca = ca * z2 / (m * (2 * nz + 2 * m + 1))
+        cb = cb * z2 / (m * (2 * m - 2 * nz - 1))
+        A = np.where(live, A + ca, A)
+        B = np.where(live, B + cb, B)
         if with_deriv:
             # d/dz of a term c_m z^{2m} is 2m c_m z^{2m-1}
             with np.errstate(divide="ignore", invalid="ignore"):
-                dA = dA + 2 * m * ca / z
-                dB = dB + 2 * m * cb / z
-        if max(np.max(np.abs(ca)), np.max(np.abs(cb))) < 1e-20:
+                dA = np.where(live, dA + 2 * m * ca / z, dA)
+                dB = np.where(live, dB + 2 * m * cb / z, dB)
+        size = np.maximum(np.abs(ca), np.abs(cb)).reshape(nz.shape + (-1,))
+        live &= ~(size.max(axis=-1) < 1e-20)
+        if not live.any():
             break
     if with_deriv:
         return A, B, dA, dB
@@ -294,94 +297,101 @@ def _sph_series(n, z, with_deriv=False):
 
 
 def _dfact(n):
-    """Double factorial (2n+1)!! as float."""
-    return float(np.prod(np.arange(2 * n + 1, 0, -2))) if n >= 0 else 1.0
+    """Double factorial (2n+1)!! as float, elementwise over n >= 0."""
+    n = np.asarray(n)
+    return np.cumprod(np.arange(1.0, 2.0 * n.max() + 2.0, 2.0))[n]
 
 
 def sph_jh_product(n, z):
     """
     j_n(z) h_n(z), stable down to |z| -> 0 (where it behaves like
-    -i / ((2n+1) z) and raw h_n overflows).
+    -i / ((2n+1) z) and raw h_n overflows). For an array of degrees n
+    the result has shape n.shape + z.shape.
     """
     z = np.asarray(z, dtype=complex)
+    nn = np.asarray(n)[..., None]
     small = np.abs(z) < _SPH_SERIES_CUT
-    out = np.empty(z.shape, dtype=complex)
+    out = np.empty(np.shape(n) + z.shape, dtype=complex)
     if np.any(small):
         zs = z[small]
         A, B = _sph_series(n, zs)
-        jy = -A * B / ((2 * n + 1) * zs)
-        jj = (zs ** n / _dfact(n)) ** 2 * A * A
-        out[small] = jj + 1j * jy
+        jy = -A * B / ((2 * nn + 1) * zs)
+        jj = (zs ** nn / _dfact(nn)) ** 2 * A * A
+        out[..., small] = jj + 1j * jy
     if np.any(~small):
         zl = z[~small]
-        jn = special.spherical_jn(n, zl)
-        out[~small] = jn * (jn + 1j * special.spherical_yn(n, zl))
+        jn = special.spherical_jn(nn, zl)
+        out[..., ~small] = jn * (jn + 1j * special.spherical_yn(nn, zl))
     return out if out.shape else complex(out)
 
 
 def sph_jh_product_deriv(n, z):
-    """d/dz of j_n(z) h_n(z), stable down to |z| -> 0."""
+    """d/dz of j_n(z) h_n(z), stable down to |z| -> 0; n as in sph_jh_product."""
     z = np.asarray(z, dtype=complex)
+    nn = np.asarray(n)[..., None]
     small = np.abs(z) < _SPH_SERIES_CUT
-    out = np.empty(z.shape, dtype=complex)
+    out = np.empty(np.shape(n) + z.shape, dtype=complex)
     if np.any(small):
         zs = z[small]
         A, B, dA, dB = _sph_series(n, zs, with_deriv=True)
-        c = 1.0 / (2 * n + 1)
+        c = 1.0 / (2 * nn + 1)
         # (j y)' from j y = -A B / ((2n+1) z)
         jy_d = -c * (dA * B + A * dB) / zs + c * A * B / (zs * zs)
         # (j^2)' = 2 j j'
-        jfac = zs ** n / _dfact(n)
+        jfac = zs ** nn / _dfact(nn)
         j = jfac * A
-        jp = jfac * (n * A / zs + dA)
-        out[small] = 2.0 * j * jp + 1j * jy_d
+        jp = jfac * (nn * A / zs + dA)
+        out[..., small] = 2.0 * j * jp + 1j * jy_d
     if np.any(~small):
         zl = z[~small]
-        jn = special.spherical_jn(n, zl)
-        yn = special.spherical_yn(n, zl)
-        jnp = special.spherical_jn(n, zl, derivative=True)
-        ynp = special.spherical_yn(n, zl, derivative=True)
-        out[~small] = jnp * (jn + 1j * yn) + jn * (jnp + 1j * ynp)
+        jn = special.spherical_jn(nn, zl)
+        yn = special.spherical_yn(nn, zl)
+        jnp = special.spherical_jn(nn, zl, derivative=True)
+        ynp = special.spherical_yn(nn, zl, derivative=True)
+        out[..., ~small] = jnp * (jn + 1j * yn) + jn * (jnp + 1j * ynp)
     return out if out.shape else complex(out)
 
 
 def sph_j_ratio(n, z_num, z_den):
     """
     j_n(z_num) / j_n(z_den), stable when both arguments are small
-    (the (z_num/z_den)^n prefactor is formed directly).
+    (the (z_num/z_den)^n prefactor is formed directly). For an array of
+    degrees n the result has shape n.shape + z_num.shape.
     """
     z_num = np.asarray(z_num, dtype=complex)
     z_den = complex(z_den)
+    nn = np.reshape(n, np.shape(n) + (1,) * z_num.ndim)
     if abs(z_den) < _SPH_SERIES_CUT:
         A_num, _ = _sph_series(n, z_num)
-        A_den, _ = _sph_series(n, z_den)
-        return (z_num / z_den) ** n * A_num / A_den
-    jd = special.spherical_jn(n, np.asarray(z_den, dtype=complex))
-    return special.spherical_jn(n, z_num) / jd
+        A_den, _ = _sph_series(nn, z_den)
+        return (z_num / z_den) ** nn * A_num / A_den
+    jd = special.spherical_jn(nn, np.asarray(z_den, dtype=complex))
+    return special.spherical_jn(nn, z_num) / jd
 
 
 def sph_j_ratio_deriv(n, z_num, z_den):
     """
-    j_n'(z_num) / j_n(z_den), stable when both arguments are small.
+    j_n'(z_num) / j_n(z_den), stable when both arguments are small; n as
+    in sph_j_ratio.
 
     From j_n(z) = z^n / (2n+1)!! * A(z) the derivative is
-    z^{n-1} (n A + z A') / (2n+1)!!, so the double factorials cancel
-    against the denominator and only the (z_num/z_den)^n size ratio
-    survives. z_num may not contain 0 when n = 0 (A'(0) is formed as
-    a 0/0 limit the series code does not take).
+    z^{n-1} (n A + z A') / (2n+1)!!, so the double factorials cancel and
+    the ratio is (z_num/z_den)^{n-1} (n A_num + z_num A_num') / (z_den A_den),
+    A_num' / A_den at n = 0: only the size ratio is raised to a power,
+    since z_num^{n-1} and z_den^n alone underflow at high degree. z_num
+    may not contain 0 when n = 0 (A'(0) is formed as a 0/0 limit the
+    series code does not take).
     """
     z_num = np.asarray(z_num, dtype=complex)
     z_den = complex(z_den)
+    nn = np.reshape(n, np.shape(n) + (1,) * z_num.ndim)
     if abs(z_den) < _SPH_SERIES_CUT:
         A_num, _, dA_num, _ = _sph_series(n, z_num, with_deriv=True)
-        A_den, _ = _sph_series(n, z_den)
-        if n == 0:
-            num = dA_num
-        else:
-            num = n * z_num ** (n - 1) * A_num + z_num ** n * dA_num
-        return num / (z_den ** n * A_den)
-    jd = special.spherical_jn(n, np.asarray(z_den, dtype=complex))
-    return special.spherical_jn(n, z_num, derivative=True) / jd
+        A_den, _ = _sph_series(nn, z_den)
+        ratio = (z_num / z_den) ** (nn - 1) * (nn * A_num + z_num * dA_num)
+        return np.where(nn == 0, dA_num / A_den, ratio / (z_den * A_den))
+    jd = special.spherical_jn(nn, np.asarray(z_den, dtype=complex))
+    return special.spherical_jn(nn, z_num, derivative=True) / jd
 
 
 def sph_jh_cross(n, z1, z2):

@@ -18,8 +18,9 @@ k_c the fourth-quadrant interior wavenumber.  Continuity of Dirichlet
 and Neumann data gives a 2x2 block system in (phi, psi).  Two routes
 solve it:
 
-* solve_direct assembles the full Helmholtz system and solves it
-  densely.  Valid at any frequency below the quadrature limit.
+* solve_direct solves the full Helmholtz system: densely in 2D, and
+  slot by slot as 2x2 systems on the sphere, where every block is
+  diagonal.  Valid at any frequency below the quadrature limit.
 * solve_spectral_2d / solve_spectral_3d solve the low-frequency
   leading-order system in closed form, diagonally in the
   Neumann-Poincare eigenbasis.  Mode n is divided by
@@ -63,7 +64,6 @@ from .specfun import (
     grad_gamma_helmholtz,
     sph_j_ratio,
     sph_j_ratio_deriv,
-    sph_jh_product,
     sph_jh_product_deriv,
     sph_jh_cross,
 )
@@ -299,17 +299,16 @@ def _dipole_coeffs_3d(L, radius, om, z0):
     differentiated in z0 (which is the same as -a . grad_x for an
     axial moment).  All Bessel factors enter as stable products.
     """
-    m_slots = (L + 1) ** 2
-    f = np.zeros(m_slots, dtype=complex)
-    g = np.zeros(m_slots, dtype=complex)
+    f = np.zeros((L + 1) ** 2, dtype=complex)
+    g = np.zeros((L + 1) ** 2, dtype=complex)
     zr = om * radius
     zz = om * z0
-    for n in range(L + 1):
-        cn = math.sqrt((2 * n + 1) / (4.0 * math.pi))
-        jhp = 0.5 * (sph_jh_product_deriv(n, zz) + 1j / (zz * zz))
-        idx = n * n + n
-        f[idx] = -1j * om * om * cn * radius * sph_j_ratio(n, zr, zz) * jhp
-        g[idx] = -1j * om ** 3 * cn * radius * sph_j_ratio_deriv(n, zr, zz) * jhp
+    n = np.arange(L + 1)
+    cn = np.sqrt((2 * n + 1) / (4.0 * math.pi))
+    jhp = 0.5 * (sph_jh_product_deriv(n, zz) + 1j / (zz * zz))
+    idx = n * n + n
+    f[idx] = -1j * om * om * cn * radius * sph_j_ratio(n, zr, zz) * jhp
+    g[idx] = -1j * om ** 3 * cn * radius * sph_j_ratio_deriv(n, zr, zz) * jhp
     return f, g
 
 
@@ -326,12 +325,22 @@ def assemble_system(problem, operators=None):
     The first row matches Dirichlet data, the second the flux
     eps_c d_nu u|- = eps_m d_nu u|+ (permittivities normalised by the
     background).  2D blocks are Nystrom matrices; 3D blocks are
-    diagonal in the spherical-harmonic basis.
+    diagonal in the spherical-harmonic basis, expanded with np.diag here
+    only: solve_direct never forms the dense sphere system.
 
     operators, when given, is the pre-assembled quadruple
     (S^{k_c}, K^{k_c}*, S^omega, K^omega*) matching the problem; the
     sweep harness passes cached ones. Wavenumbers are checked.
     """
+    blocks, (f, g) = _system_blocks(problem, operators)
+    if blocks[0].ndim == 1:
+        blocks = [np.diag(b) for b in blocks]
+    a_mat = np.vstack([np.hstack(blocks[:2]), np.hstack(blocks[2:])])
+    return a_mat, np.concatenate([f, g])
+
+
+def _system_blocks(problem, operators):
+    """Blocks (A11, A12, A21, A22) and data (f, g); sphere blocks are 1-D."""
     om = problem.omega
     kc = problem.kc
     epsd = problem.eps_eff + 1j * problem.delta_eff
@@ -341,44 +350,62 @@ def assemble_system(problem, operators=None):
             _require_wavenumber(op, want)
         s_in, k_in = s_in_op.matrix, k_in_op.matrix
         s_out, k_out = s_out_op.matrix, k_out_op.matrix
-        m = s_in.shape[0]
     elif problem.dim == 2:
         nd = problem.geometry
         s_in = assemble_S_omega(nd, kc).matrix
         s_out = assemble_S_omega(nd, om).matrix
         k_in = assemble_Kstar_omega(nd, kc).matrix
         k_out = assemble_Kstar_omega(nd, om).matrix
-        m = nd.n
     else:
         L, R = problem.geometry
         _, _, si, ki = sphere_operators(int(L), R, kc)
         _, _, so, ko = sphere_operators(int(L), R, om)
         s_in, s_out = si.matrix, so.matrix
         k_in, k_out = ki.matrix, ko.matrix
-        m = (int(L) + 1) ** 2
-    eye = np.eye(m)
-    top = np.hstack([s_in, -s_out])
-    bottom = np.hstack([epsd * (-0.5 * eye + k_in), -(0.5 * eye + k_out)])
-    a_mat = np.vstack([top, bottom])
-    f, g = dipole_traces(problem)
-    return a_mat, np.concatenate([f, g])
+    eye = np.eye(s_in.shape[0]) if s_in.ndim == 2 else 1.0
+    blocks = (s_in, -s_out, epsd * (-0.5 * eye + k_in), -(0.5 * eye + k_out))
+    return blocks, dipole_traces(problem)
+
+
+def _solve_slots(a11, a12, a21, a22, f, g):
+    """
+    Solve [[a11, a12], [a21, a22]] [x; y] = [f; g] elementwise by LU with
+    partial pivoting, exactly as getrf pivots the block-diagonal system:
+    the pivot has the larger |Re| + |Im|, ties going to the first row. A
+    singular slot gives non-finite values, which solve_direct rejects.
+    """
+    swap = np.abs(a21.real) + np.abs(a21.imag) > np.abs(a11.real) + np.abs(a11.imag)
+    top, bottom = (a11, a12, f), (a21, a22, g)
+    (p11, p12, pf), (q11, q12, qg) = np.where(swap, [bottom, top], [top, bottom])
+    lower = q11 / p11
+    y = (qg - lower * pf) / (q12 - lower * p12)
+    return (pf - p12 * y) / p11, y
 
 
 def solve_direct(problem, operators=None):
     """
-    Dense solve of the full Helmholtz transmission system.
+    Direct solve of the full Helmholtz transmission system: dense LU in
+    2D, one pivoted 2x2 solve per harmonic slot on the sphere (whose
+    blocks are diagonal), with the residual from the block diagonals.
 
     Raises RuntimeError when the relative residual exceeds 1e-8, which
     only happens if the system is degenerate beyond its natural 1/delta
-    conditioning. operators is passed through to assemble_system.
+    conditioning. operators is as for assemble_system.
     """
-    a_mat, rhs = assemble_system(problem, operators=operators)
-    x = np.linalg.solve(a_mat, rhs)
-    resid = float(np.linalg.norm(a_mat @ x - rhs) / np.linalg.norm(rhs))
-    if resid > _DIRECT_RESIDUAL_TOL:
+    if problem.dim == 3:
+        (a11, a12, a21, a22), (f, g) = _system_blocks(problem, operators)
+        phi, psi = _solve_slots(a11, a12, a21, a22, f, g)
+        ax = np.concatenate([a11 * phi + a12 * psi, a21 * phi + a22 * psi])
+        rhs = np.concatenate([f, g])
+    else:
+        a_mat, rhs = assemble_system(problem, operators=operators)
+        x = np.linalg.solve(a_mat, rhs)
+        ax = a_mat @ x
+        phi, psi = np.split(x, 2)
+    resid = float(np.linalg.norm(ax - rhs) / np.linalg.norm(rhs))
+    if not resid <= _DIRECT_RESIDUAL_TOL:
         raise RuntimeError(f"direct solve residual {resid:.3g} above tolerance")
-    m = rhs.size // 2
-    return SolutionPair(x[:m], x[m:], "direct", resid)
+    return SolutionPair(phi, psi, "direct", resid)
 
 
 def _denominators(lambdas, eps_c, delta):
@@ -416,8 +443,8 @@ def solve_spectral_3d(fcheck, ghat, eps_c, delta, spectrum):
     _guard_denominators(dvals)
     phi_hat = (np.asarray(ghat) - (0.5 + lam) * np.asarray(fcheck)) / dvals
     psi_hat = phi_hat - np.asarray(fcheck)
-    phi = spectrum.densities @ phi_hat
-    psi = spectrum.densities @ psi_hat
+    phi = spectrum.densities * phi_hat
+    psi = spectrum.densities * psi_hat
     return SolutionPair(phi, psi, "spectral", 0.0)
 
 
@@ -547,16 +574,12 @@ def _sphere_radial_table(spectrum, kc, n_quad=48):
     x, w = np.polynomial.legendre.leggauss(n_quad)
     r = 0.5 * radius * (x + 1.0)
     w = 0.5 * radius * w
-    l_max = int(spectrum.degrees.max())
-    i_mass = np.empty(l_max + 1)
-    i_grad = np.empty(l_max + 1)
-    for n in range(l_max + 1):
-        g = sph_j_ratio(n, kc * r, kc * radius)
-        gp = kc * sph_j_ratio_deriv(n, kc * r, kc * radius)
-        i_mass[n] = float(np.sum(w * np.abs(g) ** 2 * r * r))
-        i_grad[n] = float(
-            np.sum(w * (np.abs(gp) ** 2 + n * (n + 1) * np.abs(g / r) ** 2) * r * r)
-        )
+    n = np.arange(int(spectrum.degrees.max()) + 1)
+    g = sph_j_ratio(n, kc * r, kc * radius)
+    gp = kc * sph_j_ratio_deriv(n, kc * r, kc * radius)
+    i_mass = np.sum(w * np.abs(g) ** 2 * r * r, axis=1)
+    centrifugal = (n * (n + 1))[:, None] * np.abs(g / r) ** 2
+    i_grad = np.sum(w * (np.abs(gp) ** 2 + centrifugal) * r * r, axis=1)
     return i_mass, i_grad
 
 
@@ -566,7 +589,7 @@ def gradient_energy(phi, kc, operators, validate_interior=False):
 
     operators is the pair (S^{k_c}, K^{k_c}*) of Nystrom operators for
     a 2D boundary, or the NPSpectrum of the sphere (whose diagonal
-    operators are reconstructed internally).  The value comes from the
+    operators come from sphere_operators).  The value comes from the
     boundary Green identity; the |u|^2 volume term it needs is a small
     correction of relative size |k_c|^2 and is integrated on a coarse
     interior grid (2D) or exactly per radial mode (sphere).
@@ -582,13 +605,9 @@ def gradient_energy(phi, kc, operators, validate_interior=False):
             raise ValueError("NPSpectrum operators are only valid for the sphere")
         radius = spectrum.radius
         degrees = spectrum.degrees
-        zr = kc * radius
-        jh = np.array([sph_jh_product(n, zr) for n in range(degrees.max() + 1)])
-        jhp = np.array([sph_jh_product_deriv(n, zr) for n in range(degrees.max() + 1)])
-        s_diag = -1j * kc * radius ** 2 * jh[degrees]
-        k_diag = -0.5j * kc ** 2 * radius ** 2 * jhp[degrees]
-        u_trace = s_diag * phi
-        dnu = (-0.5 + k_diag) * phi
+        _, _, s_op, k_op = sphere_operators(int(degrees.max()), radius, kc)
+        u_trace = s_op.matrix * phi
+        dnu = (-0.5 + k_op.matrix) * phi
         e_b = float(np.real(np.sum(u_trace * np.conj(dnu))))
         i_mass, i_grad = _sphere_radial_table(spectrum, kc)
         t2 = np.abs(u_trace) ** 2 / radius ** 2
@@ -610,7 +629,7 @@ def gradient_energy(phi, kc, operators, validate_interior=False):
 def _check_energy_agreement(e_identity, e_exact):
     scale = max(abs(e_exact), abs(e_identity), 1e-300)
     rel = abs(e_identity - e_exact) / scale
-    if rel > _ENERGY_CROSS_TOL:
+    if not rel <= _ENERGY_CROSS_TOL:
         raise RuntimeError(
             f"energy cross-check failed: boundary identity {e_identity:.6g} vs "
             f"interior quadrature {e_exact:.6g} (relative gap {rel:.2%})"

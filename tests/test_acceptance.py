@@ -126,7 +126,7 @@ def test_criterion_02_sphere_spectrum_and_quadrature():
     for n, m in ((0, 0), (1, 0), (2, 1)):
         slot = n * n + n + m
         quad = sphere_diagonal_by_quadrature(n, m, 1.0, 0.0, which="Kstar")
-        errs.append(abs(quad - k0.matrix[slot, slot]))
+        errs.append(abs(quad - k0.matrix[slot]))
     err_quad = max(errs)
     assert err_quad <= 1e-8
     print(f"PASS criterion 02: sphere eigenvalues err {err_exact:.2e}, "

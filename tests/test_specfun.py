@@ -286,3 +286,54 @@ def test_sph_jh_cross_two_routes():
 
 def test_omega_cap_constant():
     assert OMEGA_MAX == 0.5
+
+
+# arguments on both sides of the series/direct switch at |z| = 0.5, along
+# the fourth-quadrant direction of an interior wavenumber k_c
+_KC_DIRECTION = compute_kc(1.0, -2.0, 0.3) / abs(compute_kc(1.0, -2.0, 0.3))
+_CUT_SIDES = (1e-7, 0.3, 0.49, 0.4999999, 0.5, 0.51, 2.0)
+
+
+def test_sph_bessel_degree_arrays_equal_per_degree_calls():
+    degrees = np.arange(41)
+    radii = 0.5 * (np.polynomial.legendre.leggauss(48)[0] + 1.0)
+    for size in _CUT_SIDES:
+        z = size * _KC_DIRECTION
+        for fn in (sph_jh_product, sph_jh_product_deriv):
+            each = np.array([fn(int(n), z) for n in degrees])
+            assert np.array_equal(fn(degrees, z), each)
+        for fn in (sph_j_ratio, sph_j_ratio_deriv):
+            for z_num in (0.5 * z, z * radii):
+                each = np.array([fn(int(n), z_num, z) for n in degrees])
+                assert np.array_equal(fn(degrees, z_num, z), each)
+
+
+def _mp_sph_j(mp, n, z):
+    # ascending hypergeometric form j_n(z) = z^n / (2n+1)!! 0F1(; n+3/2; -z^2/4)
+    return z ** n / mp.fac2(2 * n + 1) * mp.hyp0f1(n + 1.5, -z * z / 4)
+
+
+def test_sph_j_ratio_deriv_mpmath_high_degree():
+    # j_n'(z_num)/j_n(z_den) with j_n' = (n/z) j_n - j_{n+1}; at |z| ~ 1e-7
+    # the separate powers z_num^(n-1), z_den^n underflow from n ~ 44
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mpmath.workdps(40):
+        for size in (1e-7, 0.49, 0.51):
+            z_den = size * _KC_DIRECTION
+            for n in (40, 60, 100):
+                for frac in (0.3, 0.7, 0.95):
+                    zn, zd = mp.mpc(frac * z_den), mp.mpc(z_den)
+                    jp = n / zn * _mp_sph_j(mp, n, zn) - _mp_sph_j(mp, n + 1, zn)
+                    want = complex(jp / _mp_sph_j(mp, n, zd))
+                    got = sph_j_ratio_deriv(n, frac * z_den, z_den)
+                    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_sph_jh_product_square_term_high_degree():
+    # Re(j_n h_n) = j_n^2 on the real axis; (2n+1)!! passes 2^63 at n = 17
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for n in (17, 20, 40):
+            want = float(_mp_sph_j(mpmath.mp, n, mpmath.mpf(0.4)) ** 2)
+            assert abs(sph_jh_product(n, 0.4).real - want) <= 1e-12 * want

@@ -197,6 +197,21 @@ def test_sweep_invalid_fraction_forces_inconclusive(tmp_path, monkeypatch):
     assert result.verdict == "inconclusive"
 
 
+def test_sphere_slope_independent_of_degree(tmp_path):
+    # the 3D blow-up rate must not depend on the truncation degree; at
+    # L = 100 the small-argument Bessel ratios reach degrees whose raw
+    # powers of k_c r underflow
+    slopes = []
+    for L in (40, 100):
+        result = run_sweep(_sphere_config(
+            tmp_path, geometry=(L, 1.0), points_per_decade=2,
+            csv_path=str(tmp_path / f"L{L}.csv")))
+        assert result.verdict == "resonant"
+        assert result.invalid_fraction == 0.0
+        slopes.append(result.slope)
+    assert abs(slopes[1] - slopes[0]) <= 1e-9
+
+
 def test_resonant_cluster_triple_on_sphere():
     sph = sphere_spectrum(8, 1.0)
     cluster = sweep_module._resonant_cluster(sph, -2.0)
@@ -363,6 +378,19 @@ def test_plot_determinism_and_guards(tmp_path):
                          ",".join(["oops"] * len(CSV_COLUMNS)) + "\n")
     with pytest.raises(ValueError):
         emit_plot(str(malformed), str(tmp_path / "d.svg"))
+
+
+def test_python_m_entry_point():
+    package_root = str(Path(cli_module.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "plasmonres", "validate", "spectrum"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == 0
+    assert "passed" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_console_entry_point():

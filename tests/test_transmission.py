@@ -38,6 +38,7 @@ from plasmonres.transmission import (
     interior_gradient_energy,
     coupling_an,
 )
+from plasmonres import transmission as transmission_module
 from plasmonres.specfun import compute_kc, tau, tau_kc
 from plasmonres.sweep import scale_for_delta
 
@@ -198,6 +199,44 @@ def test_energy_interior_crosscheck():
     e_green = gradient_energy(sol.phi, pr.kc, ops, validate_interior=True)
     e_interior = interior_gradient_energy(sol.phi, pr.kc, ops)
     assert abs(e_green - e_interior) < 0.02 * abs(e_interior)
+
+
+def test_sphere_slot_solve_matches_dense_solve():
+    # per-slot 2x2 solves against LU on the dense 2(L+1)^2 system, at the
+    # resonant contrast eps = -2 and at eps = -0.1, where both rows pivot
+    axis = np.array([0.0, 0.0, 1.0])
+    for L in (8, 12):
+        for eps_c, s, delta in ((-2.0, 1e-5, 1e-3), (-2.0, 0.05, 0.05),
+                                (-0.1, 0.05, 0.05)):
+            pr = TransmissionProblem(dim=3, geometry=(L, 1.0), s=s, delta=delta,
+                                     eps_c=eps_c, omega0=1.0, a=axis, z=2.0 * axis)
+            x_dense = np.linalg.solve(*assemble_system(pr))
+            sol = solve_direct(pr)
+            x = np.concatenate([sol.phi, sol.psi])
+            assert np.linalg.norm(x - x_dense) <= 1e-12 * np.linalg.norm(x_dense)
+            assert sol.residual <= 1e-10
+
+
+def test_slot_solver_pivots_like_lu():
+    # a tiny or zero leading entry in either row must not hurt the solve
+    rng = np.random.default_rng(7)
+    a11, a12, a21, a22, f, g = (rng.standard_normal(64) + 1j * rng.standard_normal(64)
+                                for _ in range(6))
+    a11[::2] *= 1e-14
+    a21[1::4] = 0.0
+    x, y = transmission_module._solve_slots(a11, a12, a21, a22, f, g)
+    for i in range(64):
+        ref = np.linalg.solve([[a11[i], a12[i]], [a21[i], a22[i]]], [f[i], g[i]])
+        assert np.allclose([x[i], y[i]], ref, rtol=1e-12, atol=0.0)
+    # a singular slot comes back non-finite, which solve_direct rejects
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x, y = transmission_module._solve_slots(a11 * 0.0, a12, a21 * 0.0, a22, f, g)
+    assert not np.all(np.isfinite(x))
+
+
+def test_energy_check_rejects_nan():
+    with pytest.raises(RuntimeError):
+        transmission_module._check_energy_agreement(1.0, float("nan"))
 
 
 def test_energy_sphere_route_self_checks():
