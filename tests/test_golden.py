@@ -1,0 +1,127 @@
+"""
+Golden pins: small 2D sweeps whose CSV cells must not drift.
+
+Each pinned CSV under tests/golden/ was written by the code before a
+refactor of the 2D pipeline. A sweep must reproduce every cell except
+wall_time_ms to 1e-12 relative (the solver column exactly).
+
+The sweeps run as `python -m plasmonres sweep` in a fresh interpreter
+with two OpenBLAS threads, the setting the pins were written with:
+other thread counts reorder BLAS reductions and move the
+cancellation-prone cells (the ellipse's phi0_hat_abs, the kite's
+a_n_abs) by a few 1e-11 relative, and they pick another basis of the
+circle's degenerate eigenspace, whose a_n_abs is a maximum over that
+basis. Update a pin only together with an explanation of the drift;
+rewrite all of them with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import csv
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import plasmonres
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+REL_TOL = 1e-12
+IGNORED = ("wall_time_ms",)
+BLAS_THREADS = "2"
+
+
+def _sweep(geometry, eps_c, omega0, a, z, workers=1):
+    # 5 grid points over two decades, both solvers
+    return {"dim": 2, "geometry": geometry, "eps_c": eps_c, "omega0": omega0,
+            "a": a, "z": z, "delta_max": 1e-2, "delta_min": 1e-4,
+            "points_per_decade": 2, "solver": "both", "workers": workers}
+
+
+PINS = {
+    "ellipse-n64": _sweep({"kind": "ellipse", "a": 2.0, "b": 1.0, "n": 64},
+                          -2.0, 1.0, [1.0, 0.0], [3.0, 0.0]),
+    # omega reaches 0.43: the high-frequency side of every 2D kernel
+    "kite-n256": _sweep({"kind": "kite", "n": 256},
+                        -3.0, 100.0, [1.0, 0.0], [2.5, 0.0], workers=2),
+    "circle-n128": _sweep({"kind": "circle", "radius": 1.5, "n": 128},
+                          -2.0, 1.0, [1.0, 0.0], [3.0, 0.0]),
+}
+
+
+def _read(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def cell_drift(rows, pinned):
+    """Cells of rows that differ from pinned beyond REL_TOL; empty when equal."""
+    if len(rows) != len(pinned):
+        return [f"{len(rows)} rows, pinned {len(pinned)}"]
+    out = []
+    for i, (row, ref) in enumerate(zip(rows, pinned)):
+        if list(row) != list(ref):
+            out.append(f"row {i}: columns {list(row)}, pinned {list(ref)}")
+            continue
+        for key in row:
+            if key in IGNORED:
+                continue
+            a, b = row[key], ref[key]
+            if key == "solver":
+                same = a == b
+            else:
+                x, y = float(a), float(b)
+                same = x == y or (math.isfinite(x) and math.isfinite(y)
+                                  and abs(x - y) <= REL_TOL * max(abs(x), abs(y)))
+            if not same:
+                out.append(f"row {i} {key}: {a}, pinned {b}")
+    return out
+
+
+def _run_pin(name, csv_path):
+    """Sweep one pin through the CLI in a fresh interpreter; returns its rows."""
+    config_path = Path(csv_path).with_suffix(".json")
+    config_path.write_text(json.dumps(dict(PINS[name], csv_path=str(csv_path))))
+    package_root = str(Path(plasmonres.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=BLAS_THREADS,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "plasmonres", "sweep", "--config", str(config_path)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    config_path.unlink()
+    return _read(csv_path)
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_sweep_matches_golden_pin(name, tmp_path):
+    rows = _run_pin(name, tmp_path / f"{name}.csv")
+    assert cell_drift(rows, _read(GOLDEN_DIR / f"{name}.csv")) == []
+
+
+def test_cell_drift_comparator():
+    pinned = [{"delta": "0.01", "energy_norm": "2.0", "solver": "direct",
+               "wall_time_ms": "1.000"}]
+    same = [dict(pinned[0], wall_time_ms="9.999")]
+    assert cell_drift(same, pinned) == []
+    tiny = [dict(pinned[0], energy_norm=repr(2.0 * (1 + 5e-13)))]
+    assert cell_drift(tiny, pinned) == []
+    moved = [dict(pinned[0], energy_norm=repr(2.0 * (1 + 5e-12)))]
+    assert len(cell_drift(moved, pinned)) == 1
+    assert len(cell_drift([dict(pinned[0], energy_norm="nan")], pinned)) == 1
+    assert len(cell_drift([dict(pinned[0], solver="spectral")], pinned)) == 1
+    assert len(cell_drift(pinned + pinned, pinned)) == 1
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for pin in sorted(PINS):
+        _run_pin(pin, GOLDEN_DIR / f"{pin}.csv")
+        print(f"wrote {GOLDEN_DIR / pin}.csv")
