@@ -24,13 +24,14 @@ import sys
 import numpy as np
 
 from .geometry import make_curve, quadrature_nodes
-from .layer_ops import assemble_S, assemble_Kstar, assemble_S_omega
+from .layer_ops import assemble_S, assemble_Kstar, assemble_S_omega, \
+    assemble_Kstar_omega
 from .np_spectrum import build_gram, np_eigendecomposition, sphere_spectrum, \
     coeffs_hat, coeffs_check
 from .transmission import TransmissionProblem, dipole_traces, solve_direct, \
     solve_spectral_2d, solve_spectral_3d, gradient_energy, \
     interior_gradient_energy
-from .sweep import SweepConfig, run_sweep, fit_blowup_rate, _helmholtz_pair
+from .sweep import SweepConfig, run_sweep, fit_blowup_rate
 
 __all__ = [
     "main",
@@ -233,7 +234,7 @@ def _suite_energy():
     # tied mode at small real wavenumber: energy must match the
     # quasi-static mode energy (1/2 - lambda_1) of a unit mode
     k_small = 0.005
-    ops = _helmholtz_pair(nodes, k_small)
+    ops = (assemble_S_omega(nodes, k_small), assemble_Kstar_omega(nodes, k_small))
     phi1 = spec.densities[:, 1]
     e_num = gradient_energy(phi1, k_small, ops)
     e_ref = 0.5 - spec.lambdas[1]
@@ -242,7 +243,7 @@ def _suite_energy():
     problem = TransmissionProblem(dim=2, geometry=nodes, s=0.1, delta=0.05,
                                   eps_c=-2.0, omega0=1.0, a=[1.0, 0.0], z=[3.0, 0.0])
     kc = problem.kc
-    ops_kc = _helmholtz_pair(nodes, kc)
+    ops_kc = (assemble_S_omega(nodes, kc), assemble_Kstar_omega(nodes, kc))
     sol = solve_direct(problem)
     e_b = gradient_energy(sol.phi, kc, ops_kc)
     e_i = interior_gradient_energy(sol.phi, kc, ops_kc)
@@ -433,7 +434,8 @@ def _cmd_solve(args):
         nodes = geometry
         gram, _, _ = build_gram(assemble_S(nodes), nodes)
         spec = np_eigendecomposition(assemble_Kstar(nodes), gram)
-        energy_ops = _helmholtz_pair(nodes, problem.kc)
+        energy_ops = (assemble_S_omega(nodes, problem.kc),
+                      assemble_Kstar_omega(nodes, problem.kc))
     else:
         L, radius = geometry
         spec = sphere_spectrum(int(L), radius)

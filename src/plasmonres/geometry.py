@@ -10,18 +10,31 @@ spectrally in a spherical-harmonic basis and needs no surface mesh.
 Interior point sets are regular grids clipped to the domain with a
 buffer distance from the boundary; they serve as independent quadrature
 for volume-integral cross checks.
+
+Everything a node set's kernels need that does not depend on the
+wavenumber is derived from the nodes once and kept on the NodeSet:
+`NodeSet.pairwise` (node-to-node distances, log factors, quadrature
+weights) and `NodeSet.interior` (the interior volume quadrature with the
+distances from its points to the nodes). A sweep over the loss then
+only evaluates wavenumber-dependent functions.
 """
 
-import numpy as np
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 __all__ = [
     "BoundaryCurve",
     "NodeSet",
     "InteriorPointSet",
+    "PairwiseGeometry",
+    "TargetSet",
+    "InteriorQuadrature",
     "make_curve",
     "quadrature_nodes",
     "interior_points",
+    "log_weight_matrix",
 ]
 
 _2D_KINDS = ("circle", "ellipse", "kite")
@@ -119,6 +132,16 @@ class NodeSet:
         """Maximum arclength spacing between adjacent nodes."""
         return float(np.max(self.jacobians)) * 2.0 * np.pi / self.n
 
+    @cached_property
+    def pairwise(self):
+        """Node-to-node geometry (PairwiseGeometry), built on first use."""
+        return PairwiseGeometry.of(self)
+
+    @cached_property
+    def interior(self):
+        """Interior volume quadrature (InteriorQuadrature), built on first use."""
+        return InteriorQuadrature.of(self)
+
 
 @dataclass(frozen=True)
 class InteriorPointSet:
@@ -127,6 +150,121 @@ class InteriorPointSet:
     points: np.ndarray   # shape (M, 2)
     weights: np.ndarray  # cell areas, shape (M,)
     buffer: float
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class PairwiseGeometry:
+    """
+    Node-to-node geometry shared by every kernel matrix on a NodeSet.
+
+    r[i, j] = |x_i - x_j| with a unit diagonal, exactly symmetric
+    (x_i - x_j = -(x_j - x_i) in IEEE arithmetic); logsin[i, j] =
+    ln(4 sin^2((t_i - t_j)/2)) with a zero diagonal; nu_dot[i, j] =
+    nu_i . (x_i - x_j) and nu_dot_r = nu_dot / r; upper indexes the
+    strict upper triangle; log_weights is log_weight_matrix(n). The
+    arrays are read-only.
+    """
+
+    r: np.ndarray
+    logsin: np.ndarray
+    nu_dot: np.ndarray
+    nu_dot_r: np.ndarray
+    upper: tuple
+    log_weights: np.ndarray
+
+    @classmethod
+    def of(cls, nodes):
+        x = nodes.points
+        dx = x[:, None, :] - x[None, :, :]
+        r = np.sqrt(np.sum(dx * dx, axis=-1))
+        np.fill_diagonal(r, 1.0)
+        t = nodes.t
+        s2 = 4.0 * np.sin(0.5 * (t[:, None] - t[None, :])) ** 2
+        np.fill_diagonal(s2, 1.0)
+        logsin = np.log(s2)
+        np.fill_diagonal(logsin, 0.0)
+        nu_dot = np.einsum("id,ijd->ij", nodes.normals, dx)
+        nu_dot_r = nu_dot / r
+        upper = np.triu_indices(nodes.n, 1)
+        log_weights = log_weight_matrix(nodes.n)
+        _read_only(r, logsin, nu_dot, nu_dot_r, log_weights, *upper)
+        return cls(r, logsin, nu_dot, nu_dot_r, upper, log_weights)
+
+
+@dataclass(frozen=True)
+class TargetSet:
+    """
+    Points off a NodeSet's boundary, with what every single-layer
+    evaluation on them needs from the geometry: log_r[i, j] = ln |p_i -
+    x_j|, r2[i, j] = |p_i - x_j|^2 and the largest distance r_max.
+    weights are the points' volume quadrature weights, or None. The
+    arrays are read-only.
+    """
+
+    points: np.ndarray
+    weights: np.ndarray
+    log_r: np.ndarray
+    r2: np.ndarray
+    r_max: float
+
+    @classmethod
+    def of(cls, nodes, points, weights=None):
+        """
+        Distances from points, shape (m, 2), to the nodes. Points closer
+        than twice the node spacing to a node are rejected: the
+        quadrature cannot resolve the kernel there.
+        """
+        points = np.array(points, dtype=float, ndmin=2)
+        if points.shape[1] != 2:
+            raise ValueError("points must have shape (m, 2)")
+        dx = points[:, None, :] - nodes.points[None, :, :]
+        r2 = np.sum(dx * dx, axis=-1)
+        r = np.sqrt(r2)
+        buffer = 2.0 * nodes.spacing
+        if np.any(r.min(axis=1) < buffer):
+            raise ValueError(
+                f"evaluation point within {buffer:.3g} of the boundary; "
+                "near-boundary evaluation is unsupported"
+            )
+        log_r = np.log(r)
+        _read_only(points, log_r, r2)
+        if weights is not None:
+            weights = np.array(weights, dtype=float)
+            _read_only(weights)
+        return cls(points, weights, log_r, r2, float(r.max(initial=0.0)))
+
+
+@dataclass(frozen=True)
+class InteriorQuadrature:
+    """
+    Volume quadrature of the domain a NodeSet bounds, at its node
+    spacing h_b: a collar of width `collar` = 2.5 h_b along the
+    boundary, closed by the trapezoid rule between the nodes and the
+    `edge` points x - collar nu, and two regular grids behind the
+    collar, `coarse` (step 2 h_b) and `fine` (step 1.5 h_b). All three
+    are TargetSets of the nodes.
+    """
+
+    collar: float
+    edge: TargetSet
+    coarse: TargetSet
+    fine: TargetSet
+
+    @classmethod
+    def of(cls, nodes):
+        b = 2.5 * nodes.spacing
+
+        def grid(h):
+            g = interior_points(nodes.curve, h, buffer=b)
+            return TargetSet.of(nodes, g.points, g.weights)
+
+        edge = TargetSet.of(nodes, nodes.points - b * nodes.normals)
+        return cls(b, edge, grid(2.0 * nodes.spacing), grid(1.5 * nodes.spacing))
 
 
 def make_curve(kind, **params):
@@ -229,3 +367,22 @@ def interior_points(curve, h, buffer, n_boundary=512):
     if pts.shape[0] == 0:
         raise ValueError(f"no interior points at distance >= {buffer}; buffer exceeds inradius")
     return InteriorPointSet(pts, np.full(pts.shape[0], h * h), float(buffer))
+
+
+def log_weight_matrix(n):
+    """
+    Circulant quadrature matrix R with
+
+        sum_j R[i, j] f(t_j)  ~  int_0^{2pi} ln(4 sin^2((t_i - s)/2)) f(s) ds,
+
+    exact for trigonometric polynomials of degree < n/2. Requires even n.
+    """
+    if n % 2 != 0 or n < 4:
+        raise ValueError("n must be even and >= 4")
+    j = np.arange(n)
+    dt = 2.0 * np.pi * j / n
+    m = np.arange(1, n // 2)
+    rvec = -(4.0 * np.pi / n) * (np.cos(np.outer(dt, m)) / m).sum(axis=1)
+    rvec -= (4.0 * np.pi / n**2) * np.cos(n * dt / 2.0)
+    idx = (j[:, None] - j[None, :]) % n
+    return rvec[idx]

@@ -11,6 +11,27 @@ trigonometric polynomials by the circulant weight matrix of
 `log_weight_matrix`. On analytic curves the resulting matrices converge
 spectrally.
 
+Everything that does not depend on the wavenumber (distances, the log
+factor, nu . (x - y), the weight matrix) is built once per NodeSet
+(`NodeSet.pairwise`). The Helmholtz matrices evaluate their Bessel and
+Hankel values on the strict upper triangle of the distance matrix only
+and mirror them: r is exactly symmetric and every diagonal entry is
+overwritten, so the result is bit-identical to the full evaluation.
+The boundary matrices stay on Hankel values rather than a low-frequency
+series on purpose: a 1-ulp change of the Hankel values in them moves
+the resonant ellipse sweep's energy_norm by about 1e-11 relative and its
+phi0_hat_abs by about 6e-10, above the 1e-12 that sweep cells are
+pinned to.
+
+Off-boundary potentials (`eval_potential`, and `eval_potential_on` for
+a prebuilt TargetSet such as the interior quadrature of
+`NodeSet.interior`) sum the Helmholtz kernel from its low-frequency
+series in ln r and r^2 (`gamma_helmholtz_series`) whenever |k| r_max
+over the target set is at most 0.5, and from Hankel values above that.
+The two agree to a few 1e-16 relative at the switch. In a sweep these
+potentials only enter the |u|^2 volume term of the energy, at most
+about 1e-5 of it, so the series route leaves the pinned cells in place.
+
 The sphere needs no quadrature: all four operators are diagonal in the
 spherical-harmonic basis, and `sphere_operators` returns them stored as
 their 1-D diagonals (with cancellation-safe Bessel products at small
@@ -31,18 +52,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .geometry import NodeSet
+from .geometry import NodeSet, TargetSet, log_weight_matrix
 from .specfun import (
     EULER_GAMMA,
     OMEGA_MAX,
-    gamma_helmholtz,
-    gamma_laplace,
+    gamma_helmholtz_series,
     grad_gamma_helmholtz,
     grad_gamma_laplace,
     remainder_kernel_radial,
     sph_jh_product,
     sph_jh_product_deriv,
-    tau,
 )
 
 __all__ = [
@@ -54,6 +73,7 @@ __all__ = [
     "assemble_Kstar_omega",
     "assemble_R_Q",
     "eval_potential",
+    "eval_potential_on",
     "sphere_operators",
     "sphere_quadrature",
     "real_sph_harm",
@@ -63,6 +83,10 @@ __all__ = [
 
 # largest wavenumber-diameter product the node counts used here resolve
 _MAX_K_DIAM = 5.0
+
+# largest |k| r_max over a target set for which off-boundary potentials
+# are summed from the low-frequency series of the kernel
+_SERIES_KR_MAX = 0.5
 
 
 @dataclass(frozen=True)
@@ -95,36 +119,17 @@ class BoundaryOperator:
         return self.matrix.shape[0]
 
 
-def log_weight_matrix(n):
+def _mirrored(fn, pairwise):
     """
-    Circulant quadrature matrix R with
-
-        sum_j R[i, j] f(t_j)  ~  int_0^{2pi} ln(4 sin^2((t_i - s)/2)) f(s) ds,
-
-    exact for trigonometric polynomials of degree < n/2. Requires even n.
+    fn(r) on the node pairs, evaluated on the strict upper triangle and
+    mirrored; the diagonal is zero and left for the caller to overwrite.
     """
-    if n % 2 != 0 or n < 4:
-        raise ValueError("n must be even and >= 4")
-    j = np.arange(n)
-    dt = 2.0 * np.pi * j / n
-    m = np.arange(1, n // 2)
-    rvec = -(4.0 * np.pi / n) * (np.cos(np.outer(dt, m)) / m).sum(axis=1)
-    rvec -= (4.0 * np.pi / n**2) * np.cos(n * dt / 2.0)
-    idx = (j[:, None] - j[None, :]) % n
-    return rvec[idx]
-
-
-def _pairwise(nodes):
-    """Distance matrix, displacement tensor, and the log factor ln(4 sin^2)."""
-    x = nodes.points
-    dx = x[:, None, :] - x[None, :, :]
-    r = np.sqrt(np.sum(dx * dx, axis=-1))
-    t = nodes.t
-    s2 = 4.0 * np.sin(0.5 * (t[:, None] - t[None, :])) ** 2
-    np.fill_diagonal(s2, 1.0)
-    logsin = np.log(s2)
-    np.fill_diagonal(logsin, 0.0)
-    return r, dx, logsin
+    upper = pairwise.upper
+    vals = fn(pairwise.r[upper])
+    out = np.zeros(pairwise.r.shape, dtype=vals.dtype)
+    out[upper] = vals
+    out[upper[1], upper[0]] = vals
+    return out
 
 
 def _require_2d(nodes):
@@ -152,13 +157,12 @@ def assemble_S(nodes):
     """Static single-layer matrix, log-singular product quadrature."""
     nodes = _require_2d(nodes)
     n = nodes.n
-    r, _, logsin = _pairwise(nodes)
+    pw = nodes.pairwise
     jac = nodes.jacobians
     m1 = np.broadcast_to(jac / (4.0 * np.pi), (n, n)).copy()
-    np.fill_diagonal(r, 1.0)
-    m2 = (np.log(r * r) - logsin) * jac / (4.0 * np.pi)
+    m2 = (np.log(pw.r * pw.r) - pw.logsin) * jac / (4.0 * np.pi)
     np.fill_diagonal(m2, np.log(jac) * jac / (2.0 * np.pi))
-    mat = log_weight_matrix(n) * m1 + (2.0 * np.pi / n) * m2
+    mat = pw.log_weights * m1 + (2.0 * np.pi / n) * m2
     return BoundaryOperator(mat, kind="S", wavenumber=0.0, nodes=nodes)
 
 
@@ -171,10 +175,8 @@ def assemble_Kstar(nodes):
     """
     nodes = _require_2d(nodes)
     n = nodes.n
-    r, dx, _ = _pairwise(nodes)
-    np.fill_diagonal(r, 1.0)
-    nu_dot = np.einsum("id,ijd->ij", nodes.normals, dx)
-    kern = nu_dot / (2.0 * np.pi * r * r) * nodes.jacobians
+    pw = nodes.pairwise
+    kern = pw.nu_dot / (2.0 * np.pi * pw.r * pw.r) * nodes.jacobians
     np.fill_diagonal(kern, nodes.curvatures * nodes.jacobians / (4.0 * np.pi))
     mat = (2.0 * np.pi / n) * kern
     return BoundaryOperator(mat, kind="Kstar", wavenumber=0.0, nodes=nodes)
@@ -191,16 +193,15 @@ def assemble_S_omega(nodes, k):
     nodes = _require_2d(nodes)
     k = _check_wavenumber(nodes, k)
     n = nodes.n
-    r, _, logsin = _pairwise(nodes)
+    pw = nodes.pairwise
     jac = nodes.jacobians
-    np.fill_diagonal(r, 1.0)
-    m1 = special.jv(0, k * r) * jac / (4.0 * np.pi)
+    m1 = _mirrored(lambda r: special.jv(0, k * r), pw) * jac / (4.0 * np.pi)
     np.fill_diagonal(m1, jac / (4.0 * np.pi))
-    gam = -0.25j * special.hankel1(0, k * r)
-    m2 = gam * jac - m1 * logsin
+    gam = -0.25j * _mirrored(lambda r: special.hankel1(0, k * r), pw)
+    m2 = gam * jac - m1 * pw.logsin
     diag = (-0.25j + (EULER_GAMMA + np.log(k * jac / 2.0)) / (2.0 * np.pi)) * jac
     np.fill_diagonal(m2, diag)
-    mat = log_weight_matrix(n) * m1 + (2.0 * np.pi / n) * m2
+    mat = pw.log_weights * m1 + (2.0 * np.pi / n) * m2
     return BoundaryOperator(mat, kind="S_omega", wavenumber=k, nodes=nodes)
 
 
@@ -215,17 +216,15 @@ def assemble_Kstar_omega(nodes, k):
     nodes = _require_2d(nodes)
     k = _check_wavenumber(nodes, k)
     n = nodes.n
-    r, dx, logsin = _pairwise(nodes)
+    pw = nodes.pairwise
     jac = nodes.jacobians
-    np.fill_diagonal(r, 1.0)
-    nu_dot = np.einsum("id,ijd->ij", nodes.normals, dx)
-    c = nu_dot / r
-    m1 = -(k / (4.0 * np.pi)) * special.jv(1, k * r) * c * jac
+    c = pw.nu_dot_r
+    m1 = -(k / (4.0 * np.pi)) * _mirrored(lambda r: special.jv(1, k * r), pw) * c * jac
     np.fill_diagonal(m1, 0.0)
-    kern = 0.25j * k * special.hankel1(1, k * r) * c * jac
-    m2 = kern - m1 * logsin
+    kern = 0.25j * k * _mirrored(lambda r: special.hankel1(1, k * r), pw) * c * jac
+    m2 = kern - m1 * pw.logsin
     np.fill_diagonal(m2, nodes.curvatures * jac / (4.0 * np.pi))
-    mat = log_weight_matrix(n) * m1 + (2.0 * np.pi / n) * m2
+    mat = pw.log_weights * m1 + (2.0 * np.pi / n) * m2
     return BoundaryOperator(mat, kind="Kstar_omega", wavenumber=k, nodes=nodes)
 
 
@@ -280,17 +279,16 @@ def assemble_R_Q(nodes, omega, d=2):
     nodes = _require_2d(nodes)
     n = nodes.n
     scale = omega * omega * np.log(omega)
-    r, _, logsin = _pairwise(nodes)
+    pw = nodes.pairwise
     jac = nodes.jacobians
     # R2: log coefficient (1/4pi)(J0(w r) - 1)|x'|/scale vanishes on the
     # diagonal, and so does the smooth part (the expansion is exact there)
-    np.fill_diagonal(r, 1.0)
-    m1 = _j0m1(omega * r) * jac / (4.0 * np.pi) / scale
+    m1 = _j0m1(omega * pw.r) * jac / (4.0 * np.pi) / scale
     np.fill_diagonal(m1, 0.0)
-    k2 = remainder_kernel_radial(r, omega, 2)
-    m2 = k2 * jac - m1 * logsin
+    k2 = remainder_kernel_radial(pw.r, omega, 2)
+    m2 = k2 * jac - m1 * pw.logsin
     np.fill_diagonal(m2, 0.0)
-    r2 = log_weight_matrix(n) * m1 + (2.0 * np.pi / n) * m2
+    r2 = pw.log_weights * m1 + (2.0 * np.pi / n) * m2
     q2 = (
         assemble_Kstar_omega(nodes, omega).matrix - assemble_Kstar(nodes).matrix
     ) / scale
@@ -303,34 +301,38 @@ def assemble_R_Q(nodes, omega, d=2):
 def eval_potential(nodes, density, k, points, want_gradient=False):
     """
     Single-layer potential S^k[phi] (and optionally its gradient) at
-    points off the boundary, by direct quadrature.
+    points off the boundary, by direct quadrature: eval_potential_on for
+    the TargetSet of the points.
 
     Accuracy degrades near the boundary; points closer than twice the
     node spacing are rejected.
     """
     nodes = _require_2d(nodes)
+    return eval_potential_on(nodes, TargetSet.of(nodes, points), density, k,
+                             want_gradient)
+
+
+def eval_potential_on(nodes, targets, density, k, want_gradient=False):
+    """
+    Single-layer potential S^k[phi] (and optionally its gradient) on a
+    TargetSet of the nodes. The kernel is ln r / 2pi for k = 0; for
+    k != 0 it comes from the low-frequency series while |k| r_max <=
+    _SERIES_KR_MAX (0.5), and from Hankel values above that.
+    """
     density = np.asarray(density)
     if density.shape != (nodes.n,):
         raise ValueError(f"density must have shape ({nodes.n},)")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != 2:
-        raise ValueError("points must have shape (m, 2)")
-    dx = points[:, None, :] - nodes.points[None, :, :]
-    dist = np.sqrt(np.sum(dx * dx, axis=-1))
-    buffer = 2.0 * nodes.spacing
-    if np.any(dist.min(axis=1) < buffer):
-        raise ValueError(
-            f"evaluation point within {buffer:.3g} of the boundary; "
-            "near-boundary evaluation is unsupported"
-        )
     wphi = nodes.weights * density
     if k == 0:
-        kernel = gamma_laplace(dx, 2)
+        kernel = targets.log_r / (2.0 * np.pi)
+    elif abs(k) * targets.r_max <= _SERIES_KR_MAX:
+        kernel = gamma_helmholtz_series(targets.log_r, targets.r2, k)
     else:
-        kernel = gamma_helmholtz(dx, k, 2)
+        kernel = -0.25j * special.hankel1(0, k * np.sqrt(targets.r2))
     values = kernel @ wphi
     if not want_gradient:
         return values
+    dx = targets.points[:, None, :] - nodes.points[None, :, :]
     if k == 0:
         gk = grad_gamma_laplace(dx, 2)
     else:

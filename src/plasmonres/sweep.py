@@ -24,17 +24,15 @@ a sweep writes byte-identical CSV on repeated runs apart from the
 wall_time_ms column.
 """
 
+import contextlib
 import csv
-import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from .geometry import NodeSet
 from .layer_ops import assemble_S, assemble_Kstar, assemble_S_omega, \
     assemble_Kstar_omega, sphere_operators
 from .np_spectrum import build_gram, np_eigendecomposition, sphere_spectrum, \
@@ -51,7 +49,6 @@ __all__ = [
     "run_sweep",
     "fit_blowup_rate",
     "scale_for_delta",
-    "clear_operator_cache",
 ]
 
 # exact CSV schema; column order is part of the output contract
@@ -80,12 +77,6 @@ _BOUNDED_RATIO = 2.0
 _MAX_INVALID_FRACTION = 0.3
 _MIN_FIT_ROWS = 5
 _MIN_FIT_DECADES = 2.0
-
-# shared operator cache: key -> BoundaryOperator (or sphere operator
-# tuple), entries immutable, inserts first-wins under the lock
-_OPERATOR_CACHE = OrderedDict()
-_CACHE_LOCK = threading.Lock()
-_CACHE_MAX = 64
 
 
 def scale_for_delta(delta, coupling_c, dim):
@@ -230,56 +221,16 @@ class SweepResult:
     csv_path: str
 
 
-# ------------------------------------------------------- operator cache
-
-
-def _geometry_key(geometry):
-    if isinstance(geometry, NodeSet):
-        c = geometry.curve
-        return (c.kind, tuple(sorted(c.params.items())), geometry.n)
-    L, radius = geometry
-    return ("sphere", float(radius), int(L))
-
-
-def _cached(key, builder):
-    with _CACHE_LOCK:
-        if key in _OPERATOR_CACHE:
-            return _OPERATOR_CACHE[key]
-    value = builder()
-    with _CACHE_LOCK:
-        if key not in _OPERATOR_CACHE:
-            _OPERATOR_CACHE[key] = value
-            while len(_OPERATOR_CACHE) > _CACHE_MAX:
-                _OPERATOR_CACHE.popitem(last=False)
-        return _OPERATOR_CACHE[key]
-
-
-def _helmholtz_pair(nodes, k):
-    gk = _geometry_key(nodes)
-    s_op = _cached((gk, "S_omega", complex(k)),
-                   lambda: assemble_S_omega(nodes, k))
-    k_op = _cached((gk, "Kstar_omega", complex(k)),
-                   lambda: assemble_Kstar_omega(nodes, k))
-    return s_op, k_op
-
-
-def _sphere_ops(L, radius, k):
-    key = (("sphere", float(radius), int(L)), "ops", complex(k))
-    return _cached(key, lambda: sphere_operators(int(L), float(radius), k))
-
-
-def clear_operator_cache():
-    """Drop all cached operators (mainly for memory-sensitive callers)."""
-    with _CACHE_LOCK:
-        _OPERATOR_CACHE.clear()
-
-
 # -------------------------------------------------------- sweep driver
 
 
 @dataclass(frozen=True)
 class _SweepContext:
-    """Static per-sweep data shared read-only across workers."""
+    """
+    Static per-sweep data shared read-only across workers. In 2D the
+    node set also carries its wavenumber-free kernel geometry and
+    interior quadrature, built here before any worker starts.
+    """
 
     spectrum: object
     cluster: tuple
@@ -292,6 +243,10 @@ def _build_context(config):
         k0 = assemble_Kstar(nodes)
         gram, _, _ = build_gram(s0, nodes)
         spectrum = np_eigendecomposition(k0, gram)
+        # a boundary too coarse for its interior quadrature is left to
+        # fail each point's rows with this error
+        with contextlib.suppress(ValueError):
+            nodes.interior
     else:
         L, radius = config.geometry
         spectrum = sphere_spectrum(int(L), float(radius))
@@ -336,7 +291,8 @@ def _sweep_point(config, ctx, delta):
             an, _ = coupling_an(config.z, config.a, slot, spectrum, om)
             a_n_abs = max(a_n_abs, abs(an))
         if config.dim == 2:
-            s_in, k_in = _helmholtz_pair(config.geometry, kc)
+            s_in = assemble_S_omega(config.geometry, kc)
+            k_in = assemble_Kstar_omega(config.geometry, kc)
             energy_ops = (s_in, k_in)
         else:
             energy_ops = spectrum
@@ -349,12 +305,13 @@ def _sweep_point(config, ctx, delta):
         try:
             if name == "direct":
                 if config.dim == 2:
-                    s_out, k_out = _helmholtz_pair(config.geometry, om)
+                    s_out = assemble_S_omega(config.geometry, om)
+                    k_out = assemble_Kstar_omega(config.geometry, om)
                     ops = (s_in, k_in, s_out, k_out)
                 else:
                     L, radius = config.geometry
-                    _, _, si, ki = _sphere_ops(L, radius, kc)
-                    _, _, so, ko = _sphere_ops(L, radius, om)
+                    _, _, si, ki = sphere_operators(int(L), float(radius), kc)
+                    _, _, so, ko = sphere_operators(int(L), float(radius), om)
                     ops = (si, ki, so, ko)
                 sol = solve_direct(problem, operators=ops)
             else:

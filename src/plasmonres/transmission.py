@@ -52,6 +52,7 @@ from .layer_ops import (
     assemble_S_omega,
     assemble_Kstar_omega,
     eval_potential,
+    eval_potential_on,
     sphere_operators,
 )
 from .np_spectrum import NPSpectrum
@@ -515,15 +516,14 @@ def _collar_integral(nodes, b, f_bdry, f_edge):
     return float(np.sum(nodes.weights * 0.5 * b * (f_bdry + inner)))
 
 
-def _volume_l2(nodes, phi, kc, u_trace, b, h):
+def _volume_l2(nodes, phi, kc, u_trace):
     """int |u|^2 over the inclusion, coarse grid plus boundary collar."""
-    grid = interior_points(nodes.curve, h, buffer=b)
-    u_in = eval_potential(nodes, phi, kc, grid.points)
-    v_bulk = float(np.sum(grid.weights * np.abs(u_in) ** 2))
-    edge_pts = nodes.points - b * nodes.normals
-    u_edge = eval_potential(nodes, phi, kc, edge_pts)
+    quad = nodes.interior
+    u_in = eval_potential_on(nodes, quad.coarse, phi, kc)
+    v_bulk = float(np.sum(quad.coarse.weights * np.abs(u_in) ** 2))
+    u_edge = eval_potential_on(nodes, quad.edge, phi, kc)
     v_collar = _collar_integral(
-        nodes, b, np.abs(u_trace) ** 2, np.abs(u_edge) ** 2
+        nodes, quad.collar, np.abs(u_trace) ** 2, np.abs(u_edge) ** 2
     )
     return v_bulk + v_collar
 
@@ -533,9 +533,7 @@ def _energy_boundary_2d(phi, kc, s_op, k_op):
     u_trace = s_op.matrix @ phi
     dnu = -0.5 * phi + k_op.matrix @ phi
     e_b = float(np.real(np.sum(nodes.weights * u_trace * np.conj(dnu))))
-    b = 2.5 * nodes.spacing
-    vol = _volume_l2(nodes, phi, kc, u_trace, b, h=2.0 * nodes.spacing)
-    return e_b + np.real(kc * kc) * vol, u_trace, dnu
+    return e_b + np.real(kc * kc) * _volume_l2(nodes, phi, kc, u_trace)
 
 
 def interior_gradient_energy(phi, kc, operators):
@@ -551,12 +549,12 @@ def interior_gradient_energy(phi, kc, operators):
     u_trace = s_op.matrix @ phi
     dnu = -0.5 * phi + k_op.matrix @ phi
     dtu = _fft_tangential_deriv(u_trace, nodes)
-    b = 2.5 * nodes.spacing
+    quad = nodes.interior
+    b = quad.collar
     grid = interior_points(nodes.curve, min(nodes.spacing, b / 2.5), buffer=b)
     _, grads = eval_potential(nodes, phi, kc, grid.points, want_gradient=True)
     e_bulk = float(np.sum(grid.weights * np.sum(np.abs(grads) ** 2, axis=1)))
-    edge_pts = nodes.points - b * nodes.normals
-    _, g_edge = eval_potential(nodes, phi, kc, edge_pts, want_gradient=True)
+    _, g_edge = eval_potential_on(nodes, quad.edge, phi, kc, want_gradient=True)
     f_bdry = np.abs(dnu) ** 2 + np.abs(dtu) ** 2
     f_edge = np.sum(np.abs(g_edge) ** 2, axis=1)
     return e_bulk + _collar_integral(nodes, b, f_bdry, f_edge)
@@ -619,7 +617,7 @@ def gradient_energy(phi, kc, operators, validate_interior=False):
     s_op, k_op = operators
     _require_wavenumber(s_op, kc)
     _require_wavenumber(k_op, kc)
-    e_identity, _, _ = _energy_boundary_2d(phi, kc, s_op, k_op)
+    e_identity = _energy_boundary_2d(phi, kc, s_op, k_op)
     if validate_interior:
         e_exact = interior_gradient_energy(phi, kc, operators)
         _check_energy_agreement(e_identity, e_exact)
@@ -671,39 +669,29 @@ def coupling_an(z, a, n, spectrum, omega):
 
 def _coupling_an_2d(z, a, n, spectrum, omega):
     nodes = spectrum.nodes
+    quad = nodes.interior
     z = np.asarray(z, dtype=float).reshape(2)
     a = np.asarray(a, dtype=float).reshape(2)
     a = a / np.linalg.norm(a)
     phi_n = spectrum.densities[:, n]
-    y = nodes.points - z[None, :]
-    f_nodes = -(grad_gamma_helmholtz(y, omega, 2) @ a)
-    surface = complex(np.sum(nodes.weights * f_nodes * phi_n))
-    b = 2.5 * nodes.spacing
-    grid = interior_points(nodes.curve, 1.5 * nodes.spacing, buffer=b)
-    s_in = eval_potential(nodes, phi_n, 0.0, grid.points)
-    yg = grid.points - z[None, :]
-    f_in = -(grad_gamma_helmholtz(yg, omega, 2) @ a)
-    vol = complex(np.sum(grid.weights * f_in * s_in))
+    f_bdry = -(grad_gamma_helmholtz(nodes.points - z[None, :], omega, 2) @ a)
+    surface = complex(np.sum(nodes.weights * f_bdry * phi_n))
+    s_in = eval_potential_on(nodes, quad.fine, phi_n, 0.0)
+    f_in = -(grad_gamma_helmholtz(quad.fine.points - z[None, :], omega, 2) @ a)
+    vol = complex(np.sum(quad.fine.weights * f_in * s_in))
     # collar: F_z stays smooth up to the boundary and S[phi_n] has a
-    # continuous trace, so a trapezoid strip closes the volume integral
-    s_bdry = _single_layer_trace(spectrum, n)
-    edge_pts = nodes.points - b * nodes.normals
-    s_edge = eval_potential(nodes, phi_n, 0.0, edge_pts)
-    ye = nodes.points - z[None, :]
-    f_bdry = -(grad_gamma_helmholtz(ye, omega, 2) @ a)
-    ye2 = edge_pts - z[None, :]
-    f_edge = -(grad_gamma_helmholtz(ye2, omega, 2) @ a)
+    # continuous trace (the stored S~ column for n >= 1), so a trapezoid
+    # strip closes the volume integral
+    b = quad.collar
+    s_edge = eval_potential_on(nodes, quad.edge, phi_n, 0.0)
+    f_edge = -(grad_gamma_helmholtz(quad.edge.points - z[None, :], omega, 2) @ a)
     inner = f_edge * s_edge * (1.0 - b * nodes.curvatures)
+    s_bdry = spectrum.stilde_traces[:, n]
     vol += complex(np.sum(nodes.weights * 0.5 * b * (f_bdry * s_bdry + inner)))
     a_n = surface + omega * omega * vol
     _, g0 = eval_potential(nodes, phi_n, 0.0, z[None, :], want_gradient=True)
     a_n0 = complex(g0[0] @ a)
     return a_n, a_n0
-
-
-def _single_layer_trace(spectrum, n):
-    """Boundary trace of S[phi_n]; equals the stored S~ column for n >= 1."""
-    return spectrum.stilde_traces[:, n]
 
 
 def _coupling_an_3d(z, a, n, spectrum, omega):

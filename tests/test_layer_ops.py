@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from plasmonres.geometry import make_curve, quadrature_nodes
+from plasmonres import layer_ops
+from plasmonres.geometry import make_curve, quadrature_nodes, log_weight_matrix
 from plasmonres.layer_ops import (
     assemble_S,
     assemble_Kstar,
@@ -16,11 +17,17 @@ from plasmonres.layer_ops import (
     assemble_Kstar_omega,
     assemble_R_Q,
     eval_potential,
+    eval_potential_on,
     sphere_operators,
     sphere_degree_index,
     sphere_diagonal_by_quadrature,
 )
-from plasmonres.specfun import tau
+from plasmonres.specfun import (
+    EULER_GAMMA,
+    compute_kc,
+    gamma_helmholtz_series,
+    tau,
+)
 
 # Bessel-product eigenvalue of the unit-circle Helmholtz single layer
 # on e^{it} at k = 0.5: -(i pi / 2) J_1(0.5) H_1(0.5), frozen
@@ -82,6 +89,65 @@ def test_helmholtz_adjoint_circle_mode_two_routes():
         hnp = special.h1vp(n, k)
         lam_formula = -1j * np.pi * k / 4.0 * (jnp * hn + jn * hnp)
         assert np.max(np.abs(lam_matrix - lam_formula)) < 1e-10
+
+
+def _full_helmholtz_matrices(nodes, k):
+    """S^k and K^k*, every Bessel and Hankel value taken on the full r matrix."""
+    k = complex(k)
+    n = nodes.n
+    jac = nodes.jacobians
+    dx = nodes.points[:, None, :] - nodes.points[None, :, :]
+    r = np.sqrt(np.sum(dx * dx, axis=-1))
+    np.fill_diagonal(r, 1.0)
+    t = nodes.t
+    s2 = 4.0 * np.sin(0.5 * (t[:, None] - t[None, :])) ** 2
+    np.fill_diagonal(s2, 1.0)
+    logsin = np.log(s2)
+    np.fill_diagonal(logsin, 0.0)
+    weights = log_weight_matrix(n)
+
+    m1 = special.jv(0, k * r) * jac / (4.0 * np.pi)
+    np.fill_diagonal(m1, jac / (4.0 * np.pi))
+    m2 = -0.25j * special.hankel1(0, k * r) * jac - m1 * logsin
+    np.fill_diagonal(m2, (-0.25j + (EULER_GAMMA + np.log(k * jac / 2.0))
+                          / (2.0 * np.pi)) * jac)
+    s_mat = weights * m1 + (2.0 * np.pi / n) * m2
+
+    c = np.einsum("id,ijd->ij", nodes.normals, dx) / r
+    m1 = -(k / (4.0 * np.pi)) * special.jv(1, k * r) * c * jac
+    np.fill_diagonal(m1, 0.0)
+    m2 = 0.25j * k * special.hankel1(1, k * r) * c * jac - m1 * logsin
+    np.fill_diagonal(m2, nodes.curvatures * jac / (4.0 * np.pi))
+    k_mat = weights * m1 + (2.0 * np.pi / n) * m2
+    return s_mat, k_mat
+
+
+@pytest.mark.parametrize("kind, params", [("ellipse", {"a": 2.0, "b": 1.0}),
+                                          ("kite", {})])
+def test_mirrored_helmholtz_assembly_bit_identical(kind, params):
+    # the assemblers evaluate Bessel/Hankel values on the upper triangle
+    # only; the distance matrix is exactly symmetric, so nothing moves
+    nodes = quadrature_nodes(make_curve(kind, **params), 96)
+    for k in (0.3, compute_kc(0.3, -3.0, 1e-2)):
+        s_full, k_full = _full_helmholtz_matrices(nodes, k)
+        assert np.array_equal(assemble_S_omega(nodes, k).matrix, s_full)
+        assert np.array_equal(assemble_Kstar_omega(nodes, k).matrix, k_full)
+
+
+def test_potential_series_and_hankel_routes_agree_at_the_cut():
+    nodes = quadrature_nodes(make_curve("ellipse", a=2.0, b=1.0), 128)
+    targets = nodes.interior.coarse
+    density = np.cos(2.0 * nodes.t) + 0.3j * np.sin(nodes.t)
+    wphi = nodes.weights * density
+    cut = layer_ops._SERIES_KR_MAX
+    for direction in (1.0, np.exp(-1.2j)):
+        for side in (1.0 - 1e-9, 1.0 + 1e-9):
+            k = side * cut / targets.r_max * direction
+            series = gamma_helmholtz_series(targets.log_r, targets.r2, k) @ wphi
+            hankel = (-0.25j * special.hankel1(0, k * np.sqrt(targets.r2))) @ wphi
+            routed = eval_potential_on(nodes, targets, density, k)
+            assert np.array_equal(routed, series if side < 1.0 else hankel)
+            assert np.max(np.abs(series - hankel)) <= 1e-13 * np.max(np.abs(hankel))
 
 
 def test_weighted_symmetry_and_plemelj():

@@ -18,6 +18,7 @@ from plasmonres.specfun import (
     OMEGA_MAX,
     gamma_laplace,
     gamma_helmholtz,
+    gamma_helmholtz_series,
     grad_gamma_laplace,
     grad_gamma_helmholtz,
     hankel_first_kind,
@@ -337,3 +338,19 @@ def test_sph_jh_product_square_term_high_degree():
         for n in (17, 20, 40):
             want = float(_mp_sph_j(mpmath.mp, n, mpmath.mpf(0.4)) ** 2)
             assert abs(sph_jh_product(n, 0.4).real - want) <= 1e-12 * want
+
+
+def test_gamma_helmholtz_series_mpmath_oracle():
+    # the separated low-frequency kernel at |k| r = 1e-3 and just below
+    # the series cut of the off-boundary potentials, real and complex k
+    from plasmonres.layer_ops import _SERIES_KR_MAX
+
+    mpmath = pytest.importorskip("mpmath")
+    for k in (0.4, 0.4 * np.exp(-0.3j), compute_kc(0.4, -2.0, 1e-2)):
+        for kr in (1e-3, _SERIES_KR_MAX * (1.0 - 1e-6)):
+            r = np.array([kr / abs(k)])
+            got = gamma_helmholtz_series(np.log(r), r * r, k)[0]
+            with mpmath.workdps(40):
+                kk = mpmath.mpc(complex(k).real, complex(k).imag)
+                want = complex(-0.25j * mpmath.hankel1(0, kk * mpmath.mpf(r[0])))
+            assert abs(got - want) <= 1e-14 * abs(want)

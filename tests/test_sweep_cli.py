@@ -5,11 +5,13 @@ exit codes.
 """
 
 import csv
+import gc
 import json
 import os
 import shutil
 import subprocess
 import sys
+import weakref
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -23,10 +25,13 @@ from plasmonres.sweep import (
     run_sweep,
     fit_blowup_rate,
     scale_for_delta,
-    clear_operator_cache,
 )
 from plasmonres import sweep as sweep_module
 from plasmonres import cli as cli_module
+from plasmonres import geometry as geometry_module
+from plasmonres import transmission as transmission_module
+from plasmonres.geometry import make_curve, quadrature_nodes
+from plasmonres.layer_ops import BoundaryOperator
 from plasmonres.cli import (
     main,
     validate,
@@ -117,7 +122,6 @@ def test_delta_grid_shape(tmp_path):
 
 
 def test_sweep_3d_resonant_csv_contract(tmp_path):
-    clear_operator_cache()
     cfg = _sphere_config(tmp_path, solver="both")
     result = run_sweep(cfg)
     assert result.verdict == "resonant"
@@ -162,7 +166,6 @@ def test_sweep_3d_bounded_off_resonance(tmp_path):
 
 
 def test_sweep_2d_verdict_stable_under_refinement(tmp_path):
-    from plasmonres.geometry import make_curve, quadrature_nodes
     verdicts, slopes = [], []
     for n in (96, 192):
         nodes = quadrature_nodes(make_curve("ellipse", a=2.0, b=1.0), n)
@@ -219,11 +222,59 @@ def test_resonant_cluster_triple_on_sphere():
     assert all(abs(sph.lambdas[i] - 1.0 / 6.0) < 1e-12 for i in cluster)
 
 
-def test_operator_cache_bounded(tmp_path):
-    clear_operator_cache()
-    cfg = _sphere_config(tmp_path)
-    run_sweep(cfg)
-    assert 0 < len(sweep_module._OPERATOR_CACHE) <= sweep_module._CACHE_MAX
+def _ellipse_config(tmp_path, **overrides):
+    nodes = quadrature_nodes(make_curve("ellipse", a=2.0, b=1.0), 64)
+    base = dict(dim=2, geometry=nodes, eps_c=-2.0, omega0=1.0,
+                a=(1.0, 0.0), z=(3.0, 0.0), csv_path=str(tmp_path / "e.csv"),
+                delta_max=1e-2, delta_min=1e-4, points_per_decade=2)
+    base.update(overrides)
+    return SweepConfig(**base)
+
+
+def test_repeated_sweeps_retain_no_operators(tmp_path, monkeypatch):
+    # Two sweeps of one config in one process write identical cells,
+    # and every operator a sweep assembles is garbage once it returns:
+    # no module-level state holds on to one.
+    built = []
+    for name in ("assemble_S_omega", "assemble_Kstar_omega", "sphere_operators"):
+        def recording(*args, _original=getattr(sweep_module, name), **kwargs):
+            out = _original(*args, **kwargs)
+            built.extend(weakref.ref(op) for op in
+                         (out if isinstance(out, tuple) else (out,)))
+            return out
+        monkeypatch.setattr(sweep_module, name, recording)
+    for make in (_sphere_config, _ellipse_config):
+        paths = [tmp_path / f"{make.__name__}-{i}.csv" for i in (1, 2)]
+        for path in paths:
+            run_sweep(make(tmp_path, csv_path=str(path)))
+        assert _masked_csv(paths[0]) == _masked_csv(paths[1])
+    gc.collect()
+    assert len(built) > 0
+    assert all(ref() is None for ref in built)
+    modules = [m for n, m in sys.modules.items()
+               if n == "plasmonres" or n.startswith("plasmonres.")]
+    for module in modules:
+        for value in vars(module).values():
+            assert not isinstance(value, BoundaryOperator)
+
+
+@pytest.mark.parametrize("points_per_decade", (1, 4))
+def test_2d_sweep_builds_interior_grids_once(tmp_path, monkeypatch,
+                                             points_per_decade):
+    calls = []
+    original = geometry_module.interior_points
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (geometry_module, transmission_module):
+        monkeypatch.setattr(module, "interior_points", counting)
+    cfg = _ellipse_config(tmp_path, points_per_decade=points_per_decade)
+    result = run_sweep(cfg)
+    assert len(result.rows) == 2 * len(cfg.delta_grid())
+    assert result.invalid_fraction == 0.0
+    assert len(calls) <= 2
 
 
 # ---------------------------------------------------------------- CLI
