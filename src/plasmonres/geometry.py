@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 __all__ = [
     "BoundaryCurve",
@@ -360,8 +361,6 @@ def interior_points(curve, h, buffer, n_boundary=512):
     inside = _inside_polygon(pts, poly)
     pts = pts[inside]
     if pts.size:
-        from scipy.spatial import cKDTree
-
         dist, _ = cKDTree(poly).query(pts)
         pts = pts[dist >= buffer]
     if pts.shape[0] == 0:

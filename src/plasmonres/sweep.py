@@ -31,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .layer_ops import assemble_S, assemble_Kstar, assemble_S_omega, \
     assemble_Kstar_omega, sphere_operators
@@ -295,7 +295,9 @@ def _sweep_point(config, ctx, delta):
             k_in = assemble_Kstar_omega(config.geometry, kc)
             energy_ops = (s_in, k_in)
         else:
-            energy_ops = spectrum
+            L, radius = config.geometry
+            _, _, s_in, k_in = sphere_operators(int(L), float(radius), kc)
+            energy_ops = (spectrum, s_in, k_in)
     except (ValueError, RuntimeError, np.linalg.LinAlgError):
         return [_failed_row(delta, s, om, name) for name in selected]
 
@@ -307,13 +309,9 @@ def _sweep_point(config, ctx, delta):
                 if config.dim == 2:
                     s_out = assemble_S_omega(config.geometry, om)
                     k_out = assemble_Kstar_omega(config.geometry, om)
-                    ops = (s_in, k_in, s_out, k_out)
                 else:
-                    L, radius = config.geometry
-                    _, _, si, ki = sphere_operators(int(L), float(radius), kc)
-                    _, _, so, ko = sphere_operators(int(L), float(radius), om)
-                    ops = (si, ki, so, ko)
-                sol = solve_direct(problem, operators=ops)
+                    _, _, s_out, k_out = sphere_operators(int(L), float(radius), om)
+                sol = solve_direct(problem, operators=(s_in, k_in, s_out, k_out))
             else:
                 fcheck = coeffs_check(f, spectrum)
                 ghat = coeffs_hat(g, spectrum)
@@ -450,5 +448,6 @@ def fit_blowup_rate(rows):
     rss = float(np.sum((y - (intercept + slope * x)) ** 2))
     dof = len(pts) - 2
     se = np.sqrt(max(rss, 0.0) / dof / sxx)
-    half = float(stats.t.ppf(0.975, dof) * se)
+    # stdtrit(dof, p) is the routine behind scipy.stats.t.ppf(p, dof)
+    half = float(stdtrit(dof, 0.975) * se)
     return slope, (slope - half, slope + half)

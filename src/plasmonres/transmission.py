@@ -287,30 +287,36 @@ def dipole_traces(problem, nodes=None):
         return f, dnf
     L, radius = problem.geometry
     z0 = float(np.dot(problem.a, problem.z))
-    return _dipole_coeffs_3d(int(L), radius, om, z0)
+    n = np.arange(int(L) + 1)
+    cn, jhp = _dipole_factors_3d(n, om, z0)
+    f = np.zeros(n.size ** 2, dtype=complex)
+    g = np.zeros(n.size ** 2, dtype=complex)
+    idx = n * n + n
+    f[idx] = _dipole_trace_3d(n, radius, om, z0, cn, jhp)
+    g[idx] = (-1j * om ** 3 * cn * radius
+              * sph_j_ratio_deriv(n, om * radius, om * z0) * jhp)
+    return f, g
 
 
-def _dipole_coeffs_3d(L, radius, om, z0):
+def _dipole_factors_3d(n, om, z0):
     """
-    Spherical-harmonic coefficients of the axial dipole's trace and
-    normal derivative, from the outgoing addition theorem
+    Degree factors of the axial dipole's coefficients on Y_n0, from the
+    outgoing addition theorem
 
         Gamma^om(x - z) = -i om sum_n j_n(om r) h_n(om z0) c_n Y_n0(xhat),
 
-    differentiated in z0 (which is the same as -a . grad_x for an
-    axial moment).  All Bessel factors enter as stable products.
+    differentiated in z0 (which is the same as -a . grad_x for an axial
+    moment): c_n and j_n(om z0) h_n'(om z0), the latter as a stable
+    Bessel product.  n is a degree or an array of degrees.
     """
-    f = np.zeros((L + 1) ** 2, dtype=complex)
-    g = np.zeros((L + 1) ** 2, dtype=complex)
-    zr = om * radius
     zz = om * z0
-    n = np.arange(L + 1)
     cn = np.sqrt((2 * n + 1) / (4.0 * math.pi))
-    jhp = 0.5 * (sph_jh_product_deriv(n, zz) + 1j / (zz * zz))
-    idx = n * n + n
-    f[idx] = -1j * om * om * cn * radius * sph_j_ratio(n, zr, zz) * jhp
-    g[idx] = -1j * om ** 3 * cn * radius * sph_j_ratio_deriv(n, zr, zz) * jhp
-    return f, g
+    return cn, 0.5 * (sph_jh_product_deriv(n, zz) + 1j / (zz * zz))
+
+
+def _dipole_trace_3d(n, radius, om, z0, cn, jhp):
+    """Y_n0 coefficients of F_z at degrees n, given _dipole_factors_3d(n, om, z0)."""
+    return -1j * om * om * cn * radius * sph_j_ratio(n, om * radius, om * z0) * jhp
 
 
 # ----------------------------------------------------------------- solvers
@@ -586,24 +592,31 @@ def gradient_energy(phi, kc, operators, validate_interior=False):
     ||grad u||^2_{L^2} of the interior field u = S^{k_c}[phi].
 
     operators is the pair (S^{k_c}, K^{k_c}*) of Nystrom operators for
-    a 2D boundary, or the NPSpectrum of the sphere (whose diagonal
-    operators come from sphere_operators).  The value comes from the
-    boundary Green identity; the |u|^2 volume term it needs is a small
-    correction of relative size |k_c|^2 and is integrated on a coarse
-    interior grid (2D) or exactly per radial mode (sphere).
+    a 2D boundary.  For the sphere it is the triple (spectrum, S^{k_c},
+    K^{k_c}*) with the diagonal operators of sphere_operators, or the
+    NPSpectrum alone, in which case those diagonals are built here.
+    The value comes from the boundary Green identity; the |u|^2 volume
+    term it needs is a small correction of relative size |k_c|^2 and is
+    integrated on a coarse interior grid (2D) or exactly per radial mode
+    (sphere).
 
     The sphere route always cross-checks the identity against the
     exact radial-mode energy; 2D does the interior-quadrature
     cross-check only when validate_interior is set, since it costs more
     than the solve.  Disagreement beyond 5% raises RuntimeError.
     """
-    if isinstance(operators, NPSpectrum):
-        spectrum = operators
+    spectrum = operators if isinstance(operators, NPSpectrum) else operators[0]
+    if isinstance(spectrum, NPSpectrum):
         if spectrum.dim != 3:
             raise ValueError("NPSpectrum operators are only valid for the sphere")
         radius = spectrum.radius
         degrees = spectrum.degrees
-        _, _, s_op, k_op = sphere_operators(int(degrees.max()), radius, kc)
+        if spectrum is operators:
+            _, _, s_op, k_op = sphere_operators(int(degrees.max()), radius, kc)
+        else:
+            _, s_op, k_op = operators
+            _require_wavenumber(s_op, kc)
+            _require_wavenumber(k_op, kc)
         u_trace = s_op.matrix * phi
         dnu = (-0.5 + k_op.matrix) * phi
         e_b = float(np.real(np.sum(u_trace * np.conj(dnu))))
@@ -636,7 +649,7 @@ def _check_energy_agreement(e_identity, e_exact):
 
 def _require_wavenumber(op, kc):
     if not isinstance(op, BoundaryOperator):
-        raise TypeError("2D operators must be BoundaryOperator instances")
+        raise TypeError("operators must be BoundaryOperator instances")
     if abs(complex(op.wavenumber) - complex(kc)) > 1e-12 * max(1.0, abs(kc)):
         raise ValueError(
             f"operator assembled at wavenumber {op.wavenumber}, expected {kc}"
@@ -708,9 +721,8 @@ def _coupling_an_3d(z, a, n, spectrum, omega):
         # off-axis harmonics are orthogonal to an axial dipole
         return 0.0 + 0.0j, 0.0 + 0.0j
     beta = math.sqrt((2 * deg + 1) / radius)
-    cn = math.sqrt((2 * deg + 1) / (4.0 * math.pi))
-    f, _ = _dipole_coeffs_3d(int(spectrum.degrees.max()), radius, omega, z0)
-    surface = complex(f[pole_slot] * beta)
+    cn, jhp = _dipole_factors_3d(deg, omega, z0)
+    surface = complex(_dipole_trace_3d(deg, radius, omega, z0, cn, jhp) * beta)
     x, w = np.polynomial.legendre.leggauss(48)
     r = 0.5 * radius * (x + 1.0)
     w = 0.5 * radius * w

@@ -150,6 +150,21 @@ def test_potential_series_and_hankel_routes_agree_at_the_cut():
             assert np.max(np.abs(series - hankel)) <= 1e-13 * np.max(np.abs(hankel))
 
 
+def test_j0m1_mpmath_at_the_series_cut():
+    # J0(z) - 1: series below |z| = 0.5, jv above; real and
+    # fourth-quadrant complex arguments keep their dtype
+    mpmath = pytest.importorskip("mpmath")
+    for direction in (1.0, np.exp(-0.4j), np.exp(-1.2j), -1j):
+        z = np.array([1e-6, 0.3, 0.49, 0.4999999, 0.5, 0.5000001, 0.51, 1.0]) * direction
+        got = layer_ops._j0m1(z)
+        assert got.dtype == z.dtype
+        for zi, gi in zip(z, got):
+            zi = complex(zi)
+            with mpmath.workdps(40):
+                want = complex(mpmath.besselj(0, mpmath.mpc(zi.real, zi.imag)) - 1)
+            assert abs(gi - want) <= 1e-13 * abs(want)
+
+
 def test_weighted_symmetry_and_plemelj():
     # W S is symmetric; the adjoint identity K S = S K* with
     # K = W^{-1} K*^T W closes the Calderon structure

@@ -354,3 +354,18 @@ def test_gamma_helmholtz_series_mpmath_oracle():
                 kk = mpmath.mpc(complex(k).real, complex(k).imag)
                 want = complex(-0.25j * mpmath.hankel1(0, kk * mpmath.mpf(r[0])))
             assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_expm1_over_z_mpmath_at_the_series_cut():
+    # series below |z| = 0.25, exp(z) - 1 divided above, 1 at z = 0
+    mpmath = pytest.importorskip("mpmath")
+    from plasmonres.specfun import _expm1_over_z
+
+    assert _expm1_over_z(0.0) == 1.0
+    for direction in (1.0, -1.0, 1j, -1j, np.exp(0.7j), np.exp(-2.5j)):
+        for size in (1e-8, 0.1, 0.2499999, 0.25, 0.2500001, 0.3, 1.0):
+            z = complex(size * direction)
+            with mpmath.workdps(40):
+                zz = mpmath.mpc(z.real, z.imag)
+                want = complex(mpmath.expm1(zz) / zz)
+            assert abs(_expm1_over_z(z) - want) <= 1e-13 * abs(want)

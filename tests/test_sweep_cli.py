@@ -68,6 +68,25 @@ def test_fit_flat_and_modulated():
     assert -1.1 < slope < -0.9
 
 
+def test_fit_interval_uses_the_student_t_quantile():
+    # the half-width is t_{0.975, dof} * se with the quantile of
+    # scipy.stats, bit for bit, although the package does not import it
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(3)
+    for dof in range(3, 61):
+        d = _deltas(1e-5, 1e-2, dof + 2)
+        e = (1.0 + 0.05 * rng.standard_normal(d.size)) / d
+        slope, interval = fit_blowup_rate(list(zip(d, e)))
+        x, y = np.log(d), np.log(e)
+        xc = x - x.mean()
+        sxx = float(xc @ xc)
+        intercept = float(y.mean() - slope * x.mean())
+        rss = float(np.sum((y - (intercept + slope * x)) ** 2))
+        se = np.sqrt(rss / dof / sxx)
+        half = float(stats.t.ppf(0.975, dof) * se)
+        assert interval == (slope - half, slope + half)
+
+
 def test_fit_guards():
     with pytest.raises(ValueError):
         fit_blowup_rate([(d, 1.0 / d) for d in _deltas(1e-3, 1e-2, 4)])
@@ -220,6 +239,28 @@ def test_resonant_cluster_triple_on_sphere():
     cluster = sweep_module._resonant_cluster(sph, -2.0)
     assert len(cluster) == 3
     assert all(abs(sph.lambdas[i] - 1.0 / 6.0) < 1e-12 for i in cluster)
+
+
+def test_sphere_sweep_builds_diagonals_once_per_point(tmp_path, monkeypatch):
+    # one S^k/K^k* diagonal pair at k_c and one at omega per grid point,
+    # shared by the direct solve and both energies
+    wavenumbers = []
+    original = sweep_module.sphere_operators
+
+    def counting(L, R, k=0.0):
+        wavenumbers.append(k)
+        return original(L, R, k)
+
+    for module in (sweep_module, transmission_module):
+        monkeypatch.setattr(module, "sphere_operators", counting)
+    cfg = _sphere_config(tmp_path)
+    result = run_sweep(cfg)
+    grid = cfg.delta_grid()
+    assert result.invalid_fraction == 0.0
+    assert len(wavenumbers) == 2 * len(grid)
+    for i, delta in enumerate(grid):
+        problem = cfg.problem_at(float(delta))
+        assert wavenumbers[2 * i:2 * i + 2] == [problem.kc, problem.omega]
 
 
 def _ellipse_config(tmp_path, **overrides):

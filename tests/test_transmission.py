@@ -295,6 +295,21 @@ def test_coupling_sphere_distance_law():
         assert abs(near / far - 2.0 ** (deg + 2)) < 1e-10
 
 
+def test_coupling_sphere_trace_at_one_degree_equals_full_trace():
+    # coupling_an evaluates the dipole trace at the pole slot's degree
+    # only; that value is bit-identical to the slot of the full trace
+    axis = np.array([0.0, 0.0, 1.0])
+    for om in (1e-7, 0.05, 0.4):
+        for z0 in (1.2, 3.0):
+            pr = TransmissionProblem(dim=3, geometry=(40, 1.0), s=om, delta=1e-3,
+                                     eps_c=-2.0, omega0=1.0, a=axis, z=z0 * axis)
+            f, _ = dipole_traces(pr)
+            for deg in (1, 2, 17, 40):
+                factors = transmission_module._dipole_factors_3d(deg, om, z0)
+                one = transmission_module._dipole_trace_3d(deg, 1.0, om, z0, *factors)
+                assert one == f[deg * deg + deg]
+
+
 def test_coupling_parity_null():
     # an even mode paired with an odd incident pattern: the x-axis
     # dipole pointing in y sees the cosine-sector slot at machine zero
