@@ -24,13 +24,12 @@ import sys
 import numpy as np
 
 from .geometry import make_curve, quadrature_nodes
-from .layer_ops import assemble_S, assemble_Kstar, assemble_S_omega, \
-    assemble_Kstar_omega
-from .np_spectrum import build_gram, np_eigendecomposition, sphere_spectrum, \
-    coeffs_hat, coeffs_check
+from .layer_ops import InteriorKernels, assemble_S, assemble_Kstar, \
+    assemble_S_omega
+from .np_spectrum import sphere_spectrum, spectrum_of, coeffs_hat, coeffs_check
 from .transmission import TransmissionProblem, dipole_traces, solve_direct, \
     solve_spectral_2d, solve_spectral_3d, gradient_energy, \
-    interior_gradient_energy
+    interior_gradient_energy, helmholtz_operators
 from .sweep import SweepConfig, run_sweep, fit_blowup_rate
 
 __all__ = [
@@ -187,9 +186,7 @@ def _check(name, measured, tolerance):
 
 def _suite_spectrum():
     checks = []
-    nodes = quadrature_nodes(make_curve("ellipse", a=2.0, b=1.0), 256)
-    gram, _, _ = build_gram(assemble_S(nodes), nodes)
-    spec = np_eigendecomposition(assemble_Kstar(nodes), gram)
+    spec = spectrum_of(quadrature_nodes(make_curve("ellipse", a=2.0, b=1.0), 256))
     expected = []
     for n in range(1, 5):
         v = 0.5 * (1.0 / 3.0) ** n
@@ -229,12 +226,11 @@ def _suite_layer():
 def _suite_energy():
     checks = []
     nodes = quadrature_nodes(make_curve("ellipse", a=2.0, b=1.0), 192)
-    gram, _, _ = build_gram(assemble_S(nodes), nodes)
-    spec = np_eigendecomposition(assemble_Kstar(nodes), gram)
+    spec = spectrum_of(nodes)
     # tied mode at small real wavenumber: energy must match the
     # quasi-static mode energy (1/2 - lambda_1) of a unit mode
     k_small = 0.005
-    ops = (assemble_S_omega(nodes, k_small), assemble_Kstar_omega(nodes, k_small))
+    ops = helmholtz_operators(nodes, k_small)
     phi1 = spec.densities[:, 1]
     e_num = gradient_energy(phi1, k_small, ops)
     e_ref = 0.5 - spec.lambdas[1]
@@ -243,7 +239,7 @@ def _suite_energy():
     problem = TransmissionProblem(dim=2, geometry=nodes, s=0.1, delta=0.05,
                                   eps_c=-2.0, omega0=1.0, a=[1.0, 0.0], z=[3.0, 0.0])
     kc = problem.kc
-    ops_kc = (assemble_S_omega(nodes, kc), assemble_Kstar_omega(nodes, kc))
+    ops_kc = helmholtz_operators(nodes, kc)
     sol = solve_direct(problem)
     e_b = gradient_energy(sol.phi, kc, ops_kc)
     e_i = interior_gradient_energy(sol.phi, kc, ops_kc)
@@ -400,12 +396,7 @@ def emit_plot(csv_path, svg_path):
 def _cmd_spectrum(args):
     kind, params = _parse_geometry_arg(args.geometry)
     dim = 3 if kind == "sphere" else 2
-    if dim == 2:
-        nodes = quadrature_nodes(make_curve(kind, **params), int(args.nodes))
-        gram, _, _ = build_gram(assemble_S(nodes), nodes)
-        spec = np_eigendecomposition(assemble_Kstar(nodes), gram)
-    else:
-        spec = sphere_spectrum(int(args.degree), params.get("radius", 1.0))
+    spec = spectrum_of(_build_geometry(dim, kind, params, args.nodes, args.degree))
     lam = spec.lambdas
     cluster = np.zeros(lam.size, dtype=int)
     for i in range(1, lam.size):
@@ -430,34 +421,30 @@ def _cmd_solve(args):
     problem = TransmissionProblem(dim=args.dim, geometry=geometry, s=args.scale,
                                   delta=args.delta, eps_c=args.eps_c,
                                   omega0=args.omega0, a=a, z=z, eps_m=args.eps_m)
-    if args.dim == 2:
-        nodes = geometry
-        gram, _, _ = build_gram(assemble_S(nodes), nodes)
-        spec = np_eigendecomposition(assemble_Kstar(nodes), gram)
-        energy_ops = (assemble_S_omega(nodes, problem.kc),
-                      assemble_Kstar_omega(nodes, problem.kc))
-    else:
-        L, radius = geometry
-        spec = sphere_spectrum(int(L), radius)
-        energy_ops = spec
+    kc, om = problem.kc, problem.omega
+    spec = spectrum_of(geometry)
+    s_in, k_in = helmholtz_operators(geometry, kc)
+    energy_ops = ((s_in, k_in, InteriorKernels(geometry, kc))
+                  if args.dim == 2 else (spec, s_in, k_in))
     print(f"dim={args.dim} geometry={args.geometry} eps_c={args.eps_c!r} "
           f"eps_m={args.eps_m!r} delta={args.delta!r} s={args.scale!r} "
           f"omega={problem.omega!r}")
     selected = ("direct", "spectral") if args.solver == "both" else (args.solver,)
     for name in selected:
         if name == "direct":
-            sol = solve_direct(problem)
+            operators = (s_in, k_in, *helmholtz_operators(geometry, om))
+            sol = solve_direct(problem, operators=operators)
         else:
             f, g = dipole_traces(problem)
             fcheck = coeffs_check(f, spec)
             ghat = coeffs_hat(g, spec)
             if args.dim == 2:
                 sol = solve_spectral_2d(fcheck, ghat, problem.eps_eff,
-                                        problem.delta_eff, problem.omega, spec)
+                                        problem.delta_eff, om, spec)
             else:
                 sol = solve_spectral_3d(fcheck, ghat, problem.eps_eff,
                                         problem.delta_eff, spec)
-        energy = gradient_energy(sol.phi, problem.kc, energy_ops)
+        energy = gradient_energy(sol.phi, kc, energy_ops)
         phi0 = abs(coeffs_hat(sol.phi, spec)[0])
         print(f"solver={name} energy_norm={float(np.sqrt(energy))!r} "
               f"phi0_hat_abs={float(phi0)!r} residual={float(sol.residual)!r}")

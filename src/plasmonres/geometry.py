@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "BoundaryCurve",
@@ -164,18 +163,20 @@ class PairwiseGeometry:
     Node-to-node geometry shared by every kernel matrix on a NodeSet.
 
     r[i, j] = |x_i - x_j| with a unit diagonal, exactly symmetric
-    (x_i - x_j = -(x_j - x_i) in IEEE arithmetic); logsin[i, j] =
-    ln(4 sin^2((t_i - t_j)/2)) with a zero diagonal; nu_dot[i, j] =
-    nu_i . (x_i - x_j) and nu_dot_r = nu_dot / r; upper indexes the
-    strict upper triangle; log_weights is log_weight_matrix(n). The
-    arrays are read-only.
+    (x_i - x_j = -(x_j - x_i) in IEEE arithmetic); r_distinct[r_index]
+    equals r off the diagonal, with r_distinct the sorted distinct
+    distances and r_index int32 (its diagonal points anywhere);
+    logsin[i, j] = ln(4 sin^2((t_i - t_j)/2)) with a zero diagonal;
+    nu_dot[i, j] = nu_i . (x_i - x_j) and nu_dot_r = nu_dot / r;
+    log_weights is log_weight_matrix(n). The arrays are read-only.
     """
 
     r: np.ndarray
+    r_distinct: np.ndarray
+    r_index: np.ndarray
     logsin: np.ndarray
     nu_dot: np.ndarray
     nu_dot_r: np.ndarray
-    upper: tuple
     log_weights: np.ndarray
 
     @classmethod
@@ -192,9 +193,12 @@ class PairwiseGeometry:
         nu_dot = np.einsum("id,ijd->ij", nodes.normals, dx)
         nu_dot_r = nu_dot / r
         upper = np.triu_indices(nodes.n, 1)
+        r_distinct, inverse = np.unique(r[upper], return_inverse=True)
+        r_index = np.zeros(r.shape, dtype=np.int32)
+        r_index[upper] = r_index.T[upper] = inverse
         log_weights = log_weight_matrix(nodes.n)
-        _read_only(r, logsin, nu_dot, nu_dot_r, log_weights, *upper)
-        return cls(r, logsin, nu_dot, nu_dot_r, upper, log_weights)
+        _read_only(r, r_distinct, r_index, logsin, nu_dot, nu_dot_r, log_weights)
+        return cls(r, r_distinct, r_index, logsin, nu_dot, nu_dot_r, log_weights)
 
 
 @dataclass(frozen=True)
@@ -358,11 +362,11 @@ def interior_points(curve, h, buffer, n_boundary=512):
     gy = np.arange(lo[1] + h / 2, hi[1], h)
     xx, yy = np.meshgrid(gx, gy, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-    inside = _inside_polygon(pts, poly)
-    pts = pts[inside]
-    if pts.size:
-        dist, _ = cKDTree(poly).query(pts)
-        pts = pts[dist >= buffer]
+    pts = pts[_inside_polygon(pts, poly)]
+    # nearest-vertex squared distance, 256 points per block (~1 MB temporaries)
+    d2 = [np.min((p[:, :1] - poly[:, 0]) ** 2 + (p[:, 1:] - poly[:, 1]) ** 2, axis=1)
+          for p in np.split(pts, range(256, pts.shape[0], 256))]
+    pts = pts[np.sqrt(np.concatenate(d2)) >= buffer]
     if pts.shape[0] == 0:
         raise ValueError(f"no interior points at distance >= {buffer}; buffer exceeds inradius")
     return InteriorPointSet(pts, np.full(pts.shape[0], h * h), float(buffer))

@@ -14,8 +14,9 @@ spectrally.
 Everything that does not depend on the wavenumber (distances, the log
 factor, nu . (x - y), the weight matrix) is built once per NodeSet
 (`NodeSet.pairwise`). The Helmholtz matrices evaluate their Bessel and
-Hankel values on the strict upper triangle of the distance matrix only
-and mirror them: r is exactly symmetric and every diagonal entry is
+Hankel values once per distinct node distance (`r_distinct`) and
+gather them into the matrix through `r_index`: equal distances give
+equal values, r is exactly symmetric and every diagonal entry is
 overwritten, so the result is bit-identical to the full evaluation.
 The boundary matrices stay on Hankel values rather than a low-frequency
 series on purpose: a 1-ulp change of the Hankel values in them moves
@@ -47,7 +48,7 @@ derivatives of S[phi] are (+1/2 I + K*)phi outside and (-1/2 I + K*)phi
 inside.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -74,6 +75,7 @@ __all__ = [
     "assemble_R_Q",
     "eval_potential",
     "eval_potential_on",
+    "InteriorKernels",
     "sphere_operators",
     "sphere_quadrature",
     "real_sph_harm",
@@ -117,19 +119,6 @@ class BoundaryOperator:
     @property
     def n(self):
         return self.matrix.shape[0]
-
-
-def _mirrored(fn, pairwise):
-    """
-    fn(r) on the node pairs, evaluated on the strict upper triangle and
-    mirrored; the diagonal is zero and left for the caller to overwrite.
-    """
-    upper = pairwise.upper
-    vals = fn(pairwise.r[upper])
-    out = np.zeros(pairwise.r.shape, dtype=vals.dtype)
-    out[upper] = vals
-    out[upper[1], upper[0]] = vals
-    return out
 
 
 def _require_2d(nodes):
@@ -195,9 +184,9 @@ def assemble_S_omega(nodes, k):
     n = nodes.n
     pw = nodes.pairwise
     jac = nodes.jacobians
-    m1 = _mirrored(lambda r: special.jv(0, k * r), pw) * jac / (4.0 * np.pi)
+    m1 = special.jv(0, k * pw.r_distinct)[pw.r_index] * jac / (4.0 * np.pi)
     np.fill_diagonal(m1, jac / (4.0 * np.pi))
-    gam = -0.25j * _mirrored(lambda r: special.hankel1(0, k * r), pw)
+    gam = -0.25j * special.hankel1(0, k * pw.r_distinct)[pw.r_index]
     m2 = gam * jac - m1 * pw.logsin
     diag = (-0.25j + (EULER_GAMMA + np.log(k * jac / 2.0)) / (2.0 * np.pi)) * jac
     np.fill_diagonal(m2, diag)
@@ -219,9 +208,9 @@ def assemble_Kstar_omega(nodes, k):
     pw = nodes.pairwise
     jac = nodes.jacobians
     c = pw.nu_dot_r
-    m1 = -(k / (4.0 * np.pi)) * _mirrored(lambda r: special.jv(1, k * r), pw) * c * jac
+    m1 = -(k / (4.0 * np.pi)) * special.jv(1, k * pw.r_distinct)[pw.r_index] * c * jac
     np.fill_diagonal(m1, 0.0)
-    kern = 0.25j * k * _mirrored(lambda r: special.hankel1(1, k * r), pw) * c * jac
+    kern = 0.25j * k * special.hankel1(1, k * pw.r_distinct)[pw.r_index] * c * jac
     m2 = kern - m1 * pw.logsin
     np.fill_diagonal(m2, nodes.curvatures * jac / (4.0 * np.pi))
     mat = pw.log_weights * m1 + (2.0 * np.pi / n) * m2
@@ -312,24 +301,52 @@ def eval_potential(nodes, density, k, points, want_gradient=False):
                              want_gradient)
 
 
+def _potential_kernel(targets, k):
+    """
+    Kernel matrix Gamma^k(p_i - x_j) from a TargetSet to its nodes:
+    ln r / 2pi for k = 0; for k != 0 the low-frequency series while
+    |k| r_max <= _SERIES_KR_MAX (0.5), and Hankel values above that.
+    """
+    if k == 0:
+        return targets.log_r / (2.0 * np.pi)
+    if abs(k) * targets.r_max <= _SERIES_KR_MAX:
+        return gamma_helmholtz_series(targets.log_r, targets.r2, k)
+    return -0.25j * special.hankel1(0, k * np.sqrt(targets.r2))
+
+
+@dataclass(eq=False)
+class InteriorKernels:
+    """
+    _potential_kernel at wavenumber k on the coarse grid and the collar
+    edge of nodes.interior, built on the first call of tables(). A
+    sweep keeps one per grid point for the energies of its direct and
+    spectral densities, so each kernel is evaluated once per point and
+    freed with it.
+    """
+
+    nodes: NodeSet
+    k: complex
+    _tables: tuple = field(default=None, init=False, repr=False)
+
+    def tables(self):
+        """(coarse, edge) kernel matrices."""
+        if self._tables is None:
+            quad = self.nodes.interior
+            self._tables = (_potential_kernel(quad.coarse, self.k),
+                            _potential_kernel(quad.edge, self.k))
+        return self._tables
+
+
 def eval_potential_on(nodes, targets, density, k, want_gradient=False):
     """
     Single-layer potential S^k[phi] (and optionally its gradient) on a
-    TargetSet of the nodes. The kernel is ln r / 2pi for k = 0; for
-    k != 0 it comes from the low-frequency series while |k| r_max <=
-    _SERIES_KR_MAX (0.5), and from Hankel values above that.
+    TargetSet of the nodes, with the kernel of _potential_kernel.
     """
     density = np.asarray(density)
     if density.shape != (nodes.n,):
         raise ValueError(f"density must have shape ({nodes.n},)")
     wphi = nodes.weights * density
-    if k == 0:
-        kernel = targets.log_r / (2.0 * np.pi)
-    elif abs(k) * targets.r_max <= _SERIES_KR_MAX:
-        kernel = gamma_helmholtz_series(targets.log_r, targets.r2, k)
-    else:
-        kernel = -0.25j * special.hankel1(0, k * np.sqrt(targets.r2))
-    values = kernel @ wphi
+    values = _potential_kernel(targets, k) @ wphi
     if not want_gradient:
         return values
     dx = targets.points[:, None, :] - nodes.points[None, :, :]

@@ -34,7 +34,8 @@ import numpy as np
 from scipy import linalg
 
 from .geometry import NodeSet
-from .layer_ops import BoundaryOperator, sphere_degree_index
+from .layer_ops import BoundaryOperator, assemble_Kstar, assemble_S, \
+    sphere_degree_index
 
 __all__ = [
     "GramOperator",
@@ -42,6 +43,7 @@ __all__ = [
     "build_gram",
     "np_eigendecomposition",
     "sphere_spectrum",
+    "spectrum_of",
     "coeffs_hat",
     "coeffs_check",
 ]
@@ -311,6 +313,15 @@ def sphere_spectrum(L, R):
         degrees=deg,
         radius=R,
     )
+
+
+def spectrum_of(geometry):
+    """NPSpectrum of a problem geometry: a 2D NodeSet, or a sphere (L, R)."""
+    if isinstance(geometry, NodeSet):
+        gram, _, _ = build_gram(assemble_S(geometry), geometry)
+        return np_eigendecomposition(assemble_Kstar(geometry), gram)
+    L, radius = geometry
+    return sphere_spectrum(int(L), float(radius))
 
 
 def _matvec(mat, v):

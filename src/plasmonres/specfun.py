@@ -188,12 +188,6 @@ def compute_kc(omega, eps_c, delta):
     return -1j * (omega / np.sqrt(abs(eps_c))) * (1.0 - 1j * delta / (2.0 * eps_c))
 
 
-def _harmonic_numbers(m_max):
-    h = np.zeros(m_max + 1)
-    h[1:] = np.cumsum(1.0 / np.arange(1, m_max + 1))
-    return h
-
-
 def remainder_kernel(x, omega, d):
     """
     Remainder kernel of the low-frequency expansion of the Helmholtz

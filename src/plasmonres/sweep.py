@@ -33,10 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtrit
 
-from .layer_ops import assemble_S, assemble_Kstar, assemble_S_omega, \
-    assemble_Kstar_omega, sphere_operators
-from .np_spectrum import build_gram, np_eigendecomposition, sphere_spectrum, \
-    coeffs_hat, coeffs_check
+from .layer_ops import InteriorKernels, assemble_S_omega, assemble_Kstar_omega, \
+    sphere_operators
+from .np_spectrum import spectrum_of, coeffs_hat, coeffs_check
 from .transmission import TransmissionProblem, plasmon_lambda, dipole_traces, \
     solve_direct, solve_spectral_2d, solve_spectral_3d, gradient_energy, \
     coupling_an
@@ -237,19 +236,12 @@ class _SweepContext:
 
 
 def _build_context(config):
+    spectrum = spectrum_of(config.geometry)
     if config.dim == 2:
-        nodes = config.geometry
-        s0 = assemble_S(nodes)
-        k0 = assemble_Kstar(nodes)
-        gram, _, _ = build_gram(s0, nodes)
-        spectrum = np_eigendecomposition(k0, gram)
         # a boundary too coarse for its interior quadrature is left to
         # fail each point's rows with this error
         with contextlib.suppress(ValueError):
-            nodes.interior
-    else:
-        L, radius = config.geometry
-        spectrum = sphere_spectrum(int(L), float(radius))
+            config.geometry.interior
     cluster = _resonant_cluster(spectrum, config.eps_c / config.eps_m)
     return _SweepContext(spectrum=spectrum, cluster=cluster)
 
@@ -293,7 +285,7 @@ def _sweep_point(config, ctx, delta):
         if config.dim == 2:
             s_in = assemble_S_omega(config.geometry, kc)
             k_in = assemble_Kstar_omega(config.geometry, kc)
-            energy_ops = (s_in, k_in)
+            energy_ops = (s_in, k_in, InteriorKernels(config.geometry, kc))
         else:
             L, radius = config.geometry
             _, _, s_in, k_in = sphere_operators(int(L), float(radius), kc)

@@ -49,6 +49,7 @@ import numpy as np
 from .geometry import NodeSet, interior_points, _inside_polygon
 from .layer_ops import (
     BoundaryOperator,
+    InteriorKernels,
     assemble_S_omega,
     assemble_Kstar_omega,
     eval_potential,
@@ -75,6 +76,7 @@ __all__ = [
     "plasmon_lambda",
     "plasmon_epsilon",
     "dipole_traces",
+    "helmholtz_operators",
     "assemble_system",
     "solve_direct",
     "solve_spectral_2d",
@@ -336,8 +338,8 @@ def assemble_system(problem, operators=None):
     only: solve_direct never forms the dense sphere system.
 
     operators, when given, is the pre-assembled quadruple
-    (S^{k_c}, K^{k_c}*, S^omega, K^omega*) matching the problem; the
-    sweep harness passes cached ones. Wavenumbers are checked.
+    (S^{k_c}, K^{k_c}*, S^omega, K^omega*) matching the problem, pairs
+    as helmholtz_operators builds them. Wavenumbers are checked.
     """
     blocks, (f, g) = _system_blocks(problem, operators)
     if blocks[0].ndim == 1:
@@ -346,29 +348,25 @@ def assemble_system(problem, operators=None):
     return a_mat, np.concatenate([f, g])
 
 
+def helmholtz_operators(geometry, k):
+    """(S^k, K^k*) on a NodeSet (Nystrom matrices) or a sphere (L, R) (diagonals)."""
+    if isinstance(geometry, NodeSet):
+        return assemble_S_omega(geometry, k), assemble_Kstar_omega(geometry, k)
+    L, R = geometry
+    return sphere_operators(int(L), R, k)[2:]
+
+
 def _system_blocks(problem, operators):
     """Blocks (A11, A12, A21, A22) and data (f, g); sphere blocks are 1-D."""
     om = problem.omega
     kc = problem.kc
     epsd = problem.eps_eff + 1j * problem.delta_eff
-    if operators is not None:
-        s_in_op, k_in_op, s_out_op, k_out_op = operators
-        for op, want in ((s_in_op, kc), (k_in_op, kc), (s_out_op, om), (k_out_op, om)):
-            _require_wavenumber(op, want)
-        s_in, k_in = s_in_op.matrix, k_in_op.matrix
-        s_out, k_out = s_out_op.matrix, k_out_op.matrix
-    elif problem.dim == 2:
-        nd = problem.geometry
-        s_in = assemble_S_omega(nd, kc).matrix
-        s_out = assemble_S_omega(nd, om).matrix
-        k_in = assemble_Kstar_omega(nd, kc).matrix
-        k_out = assemble_Kstar_omega(nd, om).matrix
-    else:
-        L, R = problem.geometry
-        _, _, si, ki = sphere_operators(int(L), R, kc)
-        _, _, so, ko = sphere_operators(int(L), R, om)
-        s_in, s_out = si.matrix, so.matrix
-        k_in, k_out = ki.matrix, ko.matrix
+    if operators is None:
+        operators = (*helmholtz_operators(problem.geometry, kc),
+                     *helmholtz_operators(problem.geometry, om))
+    for op, want in zip(operators, (kc, kc, om, om)):
+        _require_wavenumber(op, want)
+    s_in, k_in, s_out, k_out = (op.matrix for op in operators)
     eye = np.eye(s_in.shape[0]) if s_in.ndim == 2 else 1.0
     blocks = (s_in, -s_out, epsd * (-0.5 * eye + k_in), -(0.5 * eye + k_out))
     return blocks, dipole_traces(problem)
@@ -522,26 +520,6 @@ def _collar_integral(nodes, b, f_bdry, f_edge):
     return float(np.sum(nodes.weights * 0.5 * b * (f_bdry + inner)))
 
 
-def _volume_l2(nodes, phi, kc, u_trace):
-    """int |u|^2 over the inclusion, coarse grid plus boundary collar."""
-    quad = nodes.interior
-    u_in = eval_potential_on(nodes, quad.coarse, phi, kc)
-    v_bulk = float(np.sum(quad.coarse.weights * np.abs(u_in) ** 2))
-    u_edge = eval_potential_on(nodes, quad.edge, phi, kc)
-    v_collar = _collar_integral(
-        nodes, quad.collar, np.abs(u_trace) ** 2, np.abs(u_edge) ** 2
-    )
-    return v_bulk + v_collar
-
-
-def _energy_boundary_2d(phi, kc, s_op, k_op):
-    nodes = s_op.nodes
-    u_trace = s_op.matrix @ phi
-    dnu = -0.5 * phi + k_op.matrix @ phi
-    e_b = float(np.real(np.sum(nodes.weights * u_trace * np.conj(dnu))))
-    return e_b + np.real(kc * kc) * _volume_l2(nodes, phi, kc, u_trace)
-
-
 def interior_gradient_energy(phi, kc, operators):
     """
     Ground-truth int |grad u|^2 over the inclusion by interior
@@ -550,7 +528,7 @@ def interior_gradient_energy(phi, kc, operators):
     (normal part) and spectral differentiation of the trace
     (tangential part).
     """
-    s_op, k_op = operators
+    s_op, k_op = operators[:2]
     nodes = s_op.nodes
     u_trace = s_op.matrix @ phi
     dnu = -0.5 * phi + k_op.matrix @ phi
@@ -592,9 +570,11 @@ def gradient_energy(phi, kc, operators, validate_interior=False):
     ||grad u||^2_{L^2} of the interior field u = S^{k_c}[phi].
 
     operators is the pair (S^{k_c}, K^{k_c}*) of Nystrom operators for
-    a 2D boundary.  For the sphere it is the triple (spectrum, S^{k_c},
-    K^{k_c}*) with the diagonal operators of sphere_operators, or the
-    NPSpectrum alone, in which case those diagonals are built here.
+    a 2D boundary, optionally followed by the InteriorKernels of their
+    nodes at k_c, which the energies of one grid point share.  For the
+    sphere it is the triple (spectrum, S^{k_c}, K^{k_c}*) with the
+    diagonal operators of sphere_operators, or the NPSpectrum alone, in
+    which case those diagonals are built here.
     The value comes from the boundary Green identity; the |u|^2 volume
     term it needs is a small correction of relative size |k_c|^2 and is
     integrated on a coarse interior grid (2D) or exactly per radial mode
@@ -612,11 +592,11 @@ def gradient_energy(phi, kc, operators, validate_interior=False):
         radius = spectrum.radius
         degrees = spectrum.degrees
         if spectrum is operators:
-            _, _, s_op, k_op = sphere_operators(int(degrees.max()), radius, kc)
+            s_op, k_op = helmholtz_operators((degrees.max(), radius), kc)
         else:
             _, s_op, k_op = operators
-            _require_wavenumber(s_op, kc)
-            _require_wavenumber(k_op, kc)
+        _require_wavenumber(s_op, kc)
+        _require_wavenumber(k_op, kc)
         u_trace = s_op.matrix * phi
         dnu = (-0.5 + k_op.matrix) * phi
         e_b = float(np.real(np.sum(u_trace * np.conj(dnu))))
@@ -627,10 +607,24 @@ def gradient_energy(phi, kc, operators, validate_interior=False):
         e_exact = float(np.sum(t2 * i_grad[degrees]))
         _check_energy_agreement(e_identity, e_exact)
         return e_identity
-    s_op, k_op = operators
+    s_op, k_op, *kernels = operators
     _require_wavenumber(s_op, kc)
     _require_wavenumber(k_op, kc)
-    e_identity = _energy_boundary_2d(phi, kc, s_op, k_op)
+    nodes = s_op.nodes
+    kernels = kernels[0] if kernels else InteriorKernels(nodes, kc)
+    if kernels.nodes is not nodes or kernels.k != kc:
+        raise ValueError("interior kernels do not match the operators")
+    u_trace = s_op.matrix @ phi
+    dnu = -0.5 * phi + k_op.matrix @ phi
+    e_b = float(np.real(np.sum(nodes.weights * u_trace * np.conj(dnu))))
+    # int |u|^2: coarse grid plus boundary collar
+    quad = nodes.interior
+    coarse, edge = kernels.tables()
+    wphi = nodes.weights * phi
+    v_bulk = float(np.sum(quad.coarse.weights * np.abs(coarse @ wphi) ** 2))
+    v_collar = _collar_integral(nodes, quad.collar, np.abs(u_trace) ** 2,
+                                np.abs(edge @ wphi) ** 2)
+    e_identity = e_b + np.real(kc * kc) * (v_bulk + v_collar)
     if validate_interior:
         e_exact = interior_gradient_energy(phi, kc, operators)
         _check_energy_agreement(e_identity, e_exact)

@@ -49,6 +49,20 @@ def test_kite_perimeter_spectrally_converged():
     assert abs(p1 - p2) < 1e-10
 
 
+@pytest.mark.parametrize("kind, params", [("circle", {"radius": 1.5}),
+                                          ("ellipse", {"a": 2.0, "b": 1.0}),
+                                          ("kite", {})])
+def test_pairwise_distinct_distances_index_r(kind, params):
+    nodes = quadrature_nodes(make_curve(kind, **params), 64)
+    pw = nodes.pairwise
+    off = ~np.eye(nodes.n, dtype=bool)
+    assert pw.r_index.dtype == np.int32
+    assert np.array_equal(pw.r_distinct[pw.r_index][off], pw.r[off])
+    assert np.all(np.diff(pw.r_distinct) > 0)
+    assert not pw.r_distinct.flags.writeable
+    assert not pw.r_index.flags.writeable
+
+
 def test_quadrature_nodes_validation():
     curve = make_curve("circle", radius=1.0)
     with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ import plasmonres
 _PACKAGE_ROOT = str(Path(plasmonres.__file__).resolve().parents[1])
 
 _UNUSED_SUBPACKAGES = ("scipy.stats", "scipy.optimize", "scipy.interpolate",
-                       "scipy.ndimage")
+                       "scipy.ndimage", "scipy.spatial", "scipy.sparse")
 
 _SWEEP_SCRIPT = """
 import json, sys

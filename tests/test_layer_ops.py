@@ -122,16 +122,50 @@ def _full_helmholtz_matrices(nodes, k):
     return s_mat, k_mat
 
 
-@pytest.mark.parametrize("kind, params", [("ellipse", {"a": 2.0, "b": 1.0}),
-                                          ("kite", {})])
-def test_mirrored_helmholtz_assembly_bit_identical(kind, params):
-    # the assemblers evaluate Bessel/Hankel values on the upper triangle
-    # only; the distance matrix is exactly symmetric, so nothing moves
-    nodes = quadrature_nodes(make_curve(kind, **params), 96)
+_DISTINCT_CASES = [("ellipse", {"a": 2.0, "b": 1.0}, 96), ("kite", {}, 96),
+                   ("circle", {"radius": 1.5}, 128)]
+
+
+@pytest.mark.parametrize("kind, params, n", _DISTINCT_CASES)
+def test_distinct_distance_helmholtz_assembly_bit_identical(kind, params, n):
+    # the assemblers evaluate Bessel/Hankel values once per distinct
+    # node distance; equal distances give equal values, so nothing moves
+    nodes = quadrature_nodes(make_curve(kind, **params), n)
     for k in (0.3, compute_kc(0.3, -3.0, 1e-2)):
         s_full, k_full = _full_helmholtz_matrices(nodes, k)
         assert np.array_equal(assemble_S_omega(nodes, k).matrix, s_full)
         assert np.array_equal(assemble_Kstar_omega(nodes, k).matrix, k_full)
+
+
+class _CountingSpecial:
+    """scipy.special, recording the argument size of each jv/hankel1 call."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(special, name)
+
+    def jv(self, order, z):
+        self.sizes.append(np.size(z))
+        return special.jv(order, z)
+
+    def hankel1(self, order, z):
+        self.sizes.append(np.size(z))
+        return special.hankel1(order, z)
+
+
+@pytest.mark.parametrize("kind, params, n", _DISTINCT_CASES)
+def test_helmholtz_tables_evaluate_each_distinct_distance_once(
+        monkeypatch, kind, params, n):
+    nodes = quadrature_nodes(make_curve(kind, **params), n)
+    counting = _CountingSpecial()
+    monkeypatch.setattr(layer_ops, "special", counting)
+    k = compute_kc(0.3, -3.0, 1e-2)
+    assemble_S_omega(nodes, k)
+    assemble_Kstar_omega(nodes, k)
+    assert counting.sizes == [nodes.pairwise.r_distinct.size] * 4
+    assert nodes.pairwise.r_distinct.size < n * (n - 1) // 2
 
 
 def test_potential_series_and_hankel_routes_agree_at_the_cut():

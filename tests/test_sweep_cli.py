@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 from plasmonres.sweep import (
     SweepConfig,
@@ -29,6 +30,7 @@ from plasmonres.sweep import (
 from plasmonres import sweep as sweep_module
 from plasmonres import cli as cli_module
 from plasmonres import geometry as geometry_module
+from plasmonres import layer_ops
 from plasmonres import transmission as transmission_module
 from plasmonres.geometry import make_curve, quadrature_nodes
 from plasmonres.layer_ops import BoundaryOperator
@@ -274,8 +276,8 @@ def _ellipse_config(tmp_path, **overrides):
 
 def test_repeated_sweeps_retain_no_operators(tmp_path, monkeypatch):
     # Two sweeps of one config in one process write identical cells,
-    # and every operator a sweep assembles is garbage once it returns:
-    # no module-level state holds on to one.
+    # and every operator and interior-kernel holder a sweep builds is
+    # garbage once it returns: no module-level state holds on to one.
     built = []
     for name in ("assemble_S_omega", "assemble_Kstar_omega", "sphere_operators"):
         def recording(*args, _original=getattr(sweep_module, name), **kwargs):
@@ -284,6 +286,12 @@ def test_repeated_sweeps_retain_no_operators(tmp_path, monkeypatch):
                          (out if isinstance(out, tuple) else (out,)))
             return out
         monkeypatch.setattr(sweep_module, name, recording)
+
+    def recording_kernels(*args, _original=sweep_module.InteriorKernels):
+        out = _original(*args)
+        built.append(weakref.ref(out))
+        return out
+    monkeypatch.setattr(sweep_module, "InteriorKernels", recording_kernels)
     for make in (_sphere_config, _ellipse_config):
         paths = [tmp_path / f"{make.__name__}-{i}.csv" for i in (1, 2)]
         for path in paths:
@@ -316,6 +324,60 @@ def test_2d_sweep_builds_interior_grids_once(tmp_path, monkeypatch,
     assert len(result.rows) == 2 * len(cfg.delta_grid())
     assert result.invalid_fraction == 0.0
     assert len(calls) <= 2
+
+
+def _record_interior_kernels(monkeypatch):
+    """
+    Record every off-boundary kernel a 2D sweep evaluates: 'series' for
+    a gamma_helmholtz_series call, 'hankel' for a hankel1 call on a
+    target-by-node array (the boundary tables take 1-D arguments).
+    """
+    builds = []
+    series = layer_ops.gamma_helmholtz_series
+
+    def counting_series(*args):
+        builds.append("series")
+        return series(*args)
+
+    class CountingSpecial:
+        def __getattr__(self, name):
+            return getattr(special, name)
+
+        def hankel1(self, order, z):
+            if np.ndim(z) == 2:
+                builds.append("hankel")
+            return special.hankel1(order, z)
+
+    monkeypatch.setattr(layer_ops, "gamma_helmholtz_series", counting_series)
+    monkeypatch.setattr(layer_ops, "special", CountingSpecial())
+    return builds
+
+
+def _kite_hankel_config(tmp_path):
+    # omega 0.41-0.43: |k_c| r_max is above the series cut on both targets
+    nodes = quadrature_nodes(make_curve("kite"), 256)
+    return SweepConfig(dim=2, geometry=nodes, eps_c=-3.0, omega0=100.0,
+                       a=(1.0, 0.0), z=(2.5, 0.0), csv_path=str(tmp_path / "k.csv"),
+                       delta_max=1e-2, delta_min=9e-3)
+
+
+@pytest.mark.parametrize("make, route", [(_ellipse_config, "series"),
+                                         (_kite_hankel_config, "hankel")])
+def test_2d_sweep_builds_interior_kernels_once_per_point(tmp_path, monkeypatch,
+                                                          make, route):
+    # the direct and spectral energies of a grid point share one k_c
+    # kernel on the coarse grid and one on the collar edge
+    cfg = make(tmp_path)
+    quad = cfg.geometry.interior
+    grid = cfg.delta_grid()
+    for delta in grid:
+        kr = abs(cfg.problem_at(float(delta)).kc) * np.array(
+            [quad.coarse.r_max, quad.edge.r_max])
+        assert np.all((kr > layer_ops._SERIES_KR_MAX) == (route == "hankel"))
+    builds = _record_interior_kernels(monkeypatch)
+    result = run_sweep(cfg)
+    assert result.invalid_fraction == 0.0
+    assert builds == [route] * (2 * len(grid))
 
 
 # ---------------------------------------------------------------- CLI
