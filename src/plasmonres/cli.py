@@ -240,7 +240,8 @@ def _suite_energy():
                                   eps_c=-2.0, omega0=1.0, a=[1.0, 0.0], z=[3.0, 0.0])
     kc = problem.kc
     ops_kc = helmholtz_operators(nodes, kc)
-    sol = solve_direct(problem)
+    sol = solve_direct(problem, operators=(
+        *ops_kc, *helmholtz_operators(nodes, problem.omega)))
     e_b = gradient_energy(sol.phi, kc, ops_kc)
     e_i = interior_gradient_energy(sol.phi, kc, ops_kc)
     checks.append(_check("green_identity_vs_interior", abs(e_b - e_i) / abs(e_i), 0.02))

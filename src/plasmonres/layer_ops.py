@@ -18,6 +18,11 @@ Hankel values once per distinct node distance (`r_distinct`) and
 gather them into the matrix through `r_index`: equal distances give
 equal values, r is exactly symmetric and every diagonal entry is
 overwritten, so the result is bit-identical to the full evaluation.
+Each matrix reads two such tables (J0 and H0 for S^k, J1 and H1 for
+K^k*). An assembler evaluates them itself unless it is handed them;
+`helmholtz_tables` starts the four tables of a wavenumber on an
+executor, so a caller with idle cores can evaluate them while it does
+other work and then build the matrices from them, to the same bits.
 The boundary matrices stay on Hankel values rather than a low-frequency
 series on purpose: a 1-ulp change of the Hankel values in them moves
 the resonant ellipse sweep's energy_norm by about 1e-11 relative and its
@@ -72,6 +77,7 @@ __all__ = [
     "assemble_Kstar",
     "assemble_S_omega",
     "assemble_Kstar_omega",
+    "helmholtz_tables",
     "assemble_R_Q",
     "eval_potential",
     "eval_potential_on",
@@ -171,22 +177,56 @@ def assemble_Kstar(nodes):
     return BoundaryOperator(mat, kind="Kstar", wavenumber=0.0, nodes=nodes)
 
 
-def assemble_S_omega(nodes, k):
+# (scipy.special function, order) of the distinct-distance tables that
+# S^k reads and that K^k* reads
+_S_TABLES = (("jv", 0), ("hankel1", 0))
+_KSTAR_TABLES = (("jv", 1), ("hankel1", 1))
+
+
+def _distance_table(nodes, k, name, order):
+    """
+    special.<name>(order, k r) over the distinct node distances
+    r_distinct. k is passed as complex: for a real k scipy would take
+    its real-argument routine, whose values differ in the last bits.
+    """
+    return getattr(special, name)(order, complex(k) * nodes.pairwise.r_distinct)
+
+
+def helmholtz_tables(nodes, k, submit):
+    """
+    Start the Bessel/Hankel tables of S^k and K^k* with an executor's
+    submit, one task per table; returns their futures as
+    ((J0, H0), (J1, H1)), the tables arguments of assemble_S_omega and
+    assemble_Kstar_omega. A k that fails the resolution check raises
+    ValueError and submits nothing.
+    """
+    nodes = _require_2d(nodes)
+    k = _check_wavenumber(nodes, k)
+    return tuple(tuple(submit(_distance_table, nodes, k, name, order)
+                       for name, order in spec)
+                 for spec in (_S_TABLES, _KSTAR_TABLES))
+
+
+def assemble_S_omega(nodes, k, tables=None):
     """
     Helmholtz single-layer matrix at (possibly complex) wavenumber k.
 
     Splitting: the log coefficient is (1/4pi) J0(k r) |x'(s)|; the smooth
     part is recovered by subtraction with the analytic diagonal limit
-    [-i/4 + (1/2pi)(gamma + ln(k |x'(t)|/2))] |x'(t)|.
+    [-i/4 + (1/2pi)(gamma + ln(k |x'(t)|/2))] |x'(t)|. tables is the
+    (J0, H0) pair of helmholtz_tables at this k, evaluated here when
+    omitted.
     """
     nodes = _require_2d(nodes)
     k = _check_wavenumber(nodes, k)
     n = nodes.n
     pw = nodes.pairwise
     jac = nodes.jacobians
-    m1 = special.jv(0, k * pw.r_distinct)[pw.r_index] * jac / (4.0 * np.pi)
+    j0 = _distance_table(nodes, k, *_S_TABLES[0]) if tables is None else tables[0]
+    m1 = j0[pw.r_index] * jac / (4.0 * np.pi)
     np.fill_diagonal(m1, jac / (4.0 * np.pi))
-    gam = -0.25j * special.hankel1(0, k * pw.r_distinct)[pw.r_index]
+    h0 = _distance_table(nodes, k, *_S_TABLES[1]) if tables is None else tables[1]
+    gam = -0.25j * h0[pw.r_index]
     m2 = gam * jac - m1 * pw.logsin
     diag = (-0.25j + (EULER_GAMMA + np.log(k * jac / 2.0)) / (2.0 * np.pi)) * jac
     np.fill_diagonal(m2, diag)
@@ -194,13 +234,15 @@ def assemble_S_omega(nodes, k):
     return BoundaryOperator(mat, kind="S_omega", wavenumber=k, nodes=nodes)
 
 
-def assemble_Kstar_omega(nodes, k):
+def assemble_Kstar_omega(nodes, k, tables=None):
     """
     Helmholtz adjoint-NP matrix at wavenumber k.
 
     Kernel (ik/4) H1(k r) (nu(t).(x(t)-x(s)))/r |x'(s)|; log coefficient
     -(k/4pi) J1(k r) (nu.dx/r) |x'(s)|, vanishing on the diagonal, where
-    the smooth part has the static limit kappa |x'| / (4 pi).
+    the smooth part has the static limit kappa |x'| / (4 pi). tables is
+    the (J1, H1) pair of helmholtz_tables at this k, evaluated here
+    when omitted.
     """
     nodes = _require_2d(nodes)
     k = _check_wavenumber(nodes, k)
@@ -208,9 +250,11 @@ def assemble_Kstar_omega(nodes, k):
     pw = nodes.pairwise
     jac = nodes.jacobians
     c = pw.nu_dot_r
-    m1 = -(k / (4.0 * np.pi)) * special.jv(1, k * pw.r_distinct)[pw.r_index] * c * jac
+    j1 = _distance_table(nodes, k, *_KSTAR_TABLES[0]) if tables is None else tables[0]
+    m1 = -(k / (4.0 * np.pi)) * j1[pw.r_index] * c * jac
     np.fill_diagonal(m1, 0.0)
-    kern = 0.25j * k * special.hankel1(1, k * pw.r_distinct)[pw.r_index] * c * jac
+    h1 = _distance_table(nodes, k, *_KSTAR_TABLES[1]) if tables is None else tables[1]
+    kern = 0.25j * k * h1[pw.r_index] * c * jac
     m2 = kern - m1 * pw.logsin
     np.fill_diagonal(m2, nodes.curvatures * jac / (4.0 * np.pi))
     mat = pw.log_weights * m1 + (2.0 * np.pi / n) * m2

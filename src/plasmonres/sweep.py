@@ -26,6 +26,7 @@ wall_time_ms column.
 
 import contextlib
 import csv
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .layer_ops import InteriorKernels, assemble_S_omega, assemble_Kstar_omega, \
-    sphere_operators
+    helmholtz_tables, sphere_operators
 from .np_spectrum import spectrum_of, coeffs_hat, coeffs_check
 from .transmission import TransmissionProblem, plasmon_lambda, dipole_traces, \
     solve_direct, solve_spectral_2d, solve_spectral_3d, gradient_energy, \
@@ -228,14 +229,26 @@ class _SweepContext:
     """
     Static per-sweep data shared read-only across workers. In 2D the
     node set also carries its wavenumber-free kernel geometry and
-    interior quadrature, built here before any worker starts.
+    interior quadrature, built here before any worker starts. tables
+    is the executor that evaluates the Bessel/Hankel tables of a 2D
+    point's Helmholtz matrices (layer_ops.helmholtz_tables), or None
+    when no core is spare; run_sweep owns and closes it.
     """
 
     spectrum: object
     cluster: tuple
+    tables: object
 
 
-def _build_context(config):
+def _cores():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _build_context(config, tables):
     spectrum = spectrum_of(config.geometry)
     if config.dim == 2:
         # a boundary too coarse for its interior quadrature is left to
@@ -243,7 +256,7 @@ def _build_context(config):
         with contextlib.suppress(ValueError):
             config.geometry.interior
     cluster = _resonant_cluster(spectrum, config.eps_c / config.eps_m)
-    return _SweepContext(spectrum=spectrum, cluster=cluster)
+    return _SweepContext(spectrum=spectrum, cluster=cluster, tables=tables)
 
 
 def _resonant_cluster(spectrum, eps_eff):
@@ -268,8 +281,27 @@ def _failed_row(delta, s, om, solver_name, a_n_abs=np.nan):
                     solver_name, np.nan, 0.0)
 
 
+def _start_tables(ctx, nodes, k):
+    """
+    helmholtz_tables(nodes, k) on ctx.tables; (None, None) without an
+    executor, so that the assemblers evaluate the tables themselves.
+    """
+    if ctx.tables is None:
+        return None, None
+    return helmholtz_tables(nodes, k, ctx.tables.submit)
+
+
+def _ready(futures):
+    """The tables behind a pair of futures, or None for no pair."""
+    return None if futures is None else tuple(f.result() for f in futures)
+
+
 def _sweep_point(config, ctx, delta):
-    """All rows for one grid point, direct before spectral."""
+    """
+    All rows for one grid point, direct before spectral. The k_c tables,
+    and the omega tables of a direct row, start first; a wavenumber that
+    fails its check starts none and fails at its assembly, as in serial.
+    """
     s = config.scale_for(delta)
     selected = ("direct", "spectral") if config.solver == "both" else (config.solver,)
     problem = config.problem_at(delta)
@@ -277,14 +309,19 @@ def _sweep_point(config, ctx, delta):
     kc = problem.kc
     spectrum = ctx.spectrum
     try:
+        kc_tables = _start_tables(ctx, config.geometry, kc)
+        om_tables = None, None
+        if "direct" in selected:
+            with contextlib.suppress(ValueError):
+                om_tables = _start_tables(ctx, config.geometry, om)
         f, g = dipole_traces(problem)
         a_n_abs = 0.0
         for slot in ctx.cluster:
             an, _ = coupling_an(config.z, config.a, slot, spectrum, om)
             a_n_abs = max(a_n_abs, abs(an))
         if config.dim == 2:
-            s_in = assemble_S_omega(config.geometry, kc)
-            k_in = assemble_Kstar_omega(config.geometry, kc)
+            s_in = assemble_S_omega(config.geometry, kc, _ready(kc_tables[0]))
+            k_in = assemble_Kstar_omega(config.geometry, kc, _ready(kc_tables[1]))
             energy_ops = (s_in, k_in, InteriorKernels(config.geometry, kc))
         else:
             L, radius = config.geometry
@@ -299,8 +336,9 @@ def _sweep_point(config, ctx, delta):
         try:
             if name == "direct":
                 if config.dim == 2:
-                    s_out = assemble_S_omega(config.geometry, om)
-                    k_out = assemble_Kstar_omega(config.geometry, om)
+                    s_out = assemble_S_omega(config.geometry, om, _ready(om_tables[0]))
+                    k_out = assemble_Kstar_omega(config.geometry, om,
+                                                 _ready(om_tables[1]))
                 else:
                     _, _, s_out, k_out = sphere_operators(int(L), float(radius), om)
                 sol = solve_direct(problem, operators=(s_in, k_in, s_out, k_out))
@@ -359,19 +397,28 @@ def run_sweep(config):
 
     Points run on a worker pool of config.workers threads; results are
     assembled in grid order so the output does not depend on
-    scheduling. The slope is fitted over the valid rows of one solver
-    (direct when available, else spectral) so mixed direct/spectral
-    sweeps do not double-count grid points. More than 30% invalid rows
-    forces the 'inconclusive' verdict.
+    scheduling. In 2D, when the CPUs of the process leave
+    spare = cores // workers >= 2 per point in flight, one executor of
+    spare threads evaluates the points' Bessel/Hankel tables for the
+    whole sweep and is shut down, its work finished, before this
+    returns; the tables are bit-identical to those of the serial path.
+    The slope is fitted over the valid rows of one solver (direct when
+    available, else spectral) so mixed direct/spectral sweeps do not
+    double-count grid points. More than 30% invalid rows forces the
+    'inconclusive' verdict.
     """
-    ctx = _build_context(config)
     grid = config.delta_grid()
-    if int(config.workers) == 1:
-        per_point = [_sweep_point(config, ctx, float(d)) for d in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=int(config.workers)) as pool:
-            per_point = list(pool.map(
-                lambda d: _sweep_point(config, ctx, float(d)), grid))
+    workers = int(config.workers)
+    spare = _cores() // workers
+    pooled = config.dim == 2 and spare >= 2
+    with ThreadPoolExecutor(spare) if pooled else contextlib.nullcontext() as tables:
+        ctx = _build_context(config, tables)
+        if workers == 1:
+            per_point = [_sweep_point(config, ctx, float(d)) for d in grid]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                per_point = list(pool.map(
+                    lambda d: _sweep_point(config, ctx, float(d)), grid))
     rows = tuple(r for point in per_point for r in point)
     _write_csv(config.csv_path, rows)
 

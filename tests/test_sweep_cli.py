@@ -11,7 +11,9 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -353,12 +355,14 @@ def _record_interior_kernels(monkeypatch):
     return builds
 
 
-def _kite_hankel_config(tmp_path):
+def _kite_hankel_config(tmp_path, **overrides):
     # omega 0.41-0.43: |k_c| r_max is above the series cut on both targets
     nodes = quadrature_nodes(make_curve("kite"), 256)
-    return SweepConfig(dim=2, geometry=nodes, eps_c=-3.0, omega0=100.0,
-                       a=(1.0, 0.0), z=(2.5, 0.0), csv_path=str(tmp_path / "k.csv"),
-                       delta_max=1e-2, delta_min=9e-3)
+    base = dict(dim=2, geometry=nodes, eps_c=-3.0, omega0=100.0,
+                a=(1.0, 0.0), z=(2.5, 0.0), csv_path=str(tmp_path / "k.csv"),
+                delta_max=1e-2, delta_min=9e-3)
+    base.update(overrides)
+    return SweepConfig(**base)
 
 
 @pytest.mark.parametrize("make, route", [(_ellipse_config, "series"),
@@ -378,6 +382,128 @@ def test_2d_sweep_builds_interior_kernels_once_per_point(tmp_path, monkeypatch,
     result = run_sweep(cfg)
     assert result.invalid_fraction == 0.0
     assert builds == [route] * (2 * len(grid))
+
+
+def _run_on_cores(monkeypatch, cfg, cores):
+    """
+    run_sweep as if the process had `cores` CPUs. Returns the result
+    and the table executor of each point's context, and checks that no
+    thread the sweep started outlives it.
+    """
+    executors = []
+    with monkeypatch.context() as m:
+        original = sweep_module._sweep_point
+
+        def recording(config, ctx, delta):
+            executors.append(ctx.tables)
+            return original(config, ctx, delta)
+
+        m.setattr(sweep_module, "_cores", lambda: cores)
+        m.setattr(sweep_module, "_sweep_point", recording)
+        before = set(threading.enumerate())
+        result = run_sweep(cfg)
+        assert set(threading.enumerate()) <= before
+    return result, executors
+
+
+@pytest.mark.parametrize("make", (_ellipse_config, _kite_hankel_config))
+def test_pooled_and_serial_2d_sweeps_agree(tmp_path, monkeypatch, make):
+    # with a spare core the Bessel/Hankel tables are evaluated on the
+    # table executor's threads, otherwise by the assemblers on the
+    # point's thread; every cell but wall_time_ms is the same
+    table = layer_ops._distance_table
+    paths = {}
+    for cores in (1, 2):
+        threads = []
+
+        def tabulating(*args):
+            threads.append(threading.current_thread())
+            return table(*args)
+
+        monkeypatch.setattr(layer_ops, "_distance_table", tabulating)
+        cfg = make(tmp_path, csv_path=str(tmp_path / f"cores{cores}.csv"))
+        result, executors = _run_on_cores(monkeypatch, cfg, cores)
+        assert result.invalid_fraction == 0.0
+        assert len(threads) == 8 * len(cfg.delta_grid())
+        pooled = cores == 2
+        assert all((ex is not None) == pooled for ex in executors)
+        assert all((t is threading.main_thread()) != pooled for t in threads)
+        paths[cores] = cfg.csv_path
+    assert _masked_csv(paths[1]) == _masked_csv(paths[2])
+
+
+@pytest.mark.parametrize("cores", (1, 2))
+@pytest.mark.parametrize("stage", ("check", "table"))
+@pytest.mark.parametrize("failing", ("kc", "omega"))
+def test_wavenumber_failures_fail_their_rows(tmp_path, monkeypatch, failing, stage,
+                                             cores):
+    # a k_c that fails its resolution check or its tables fails both rows
+    # of the point, an omega only the direct row; the other rows keep
+    # their cells, and a wavenumber that fails its check is never tabulated
+    reference = _ellipse_config(tmp_path, csv_path=str(tmp_path / "ref.csv"))
+    run_sweep(reference)
+    grid = reference.delta_grid()
+    assert all(reference.problem_at(float(d)).kc.imag != 0 for d in grid)
+
+    def fails(k):
+        # omega is real, k_c is not
+        return (complex(k).imag == 0) == (failing == "omega")
+
+    evaluated = []
+    check, table = layer_ops._check_wavenumber, layer_ops._distance_table
+
+    def checking(nodes, k):
+        if stage == "check" and fails(k):
+            raise ValueError("unresolved wavenumber")
+        return check(nodes, k)
+
+    def tabulating(nodes, k, name, order):
+        evaluated.append(k)
+        if stage == "table" and fails(k):
+            raise ValueError("table failed")
+        return table(nodes, k, name, order)
+
+    monkeypatch.setattr(layer_ops, "_check_wavenumber", checking)
+    monkeypatch.setattr(layer_ops, "_distance_table", tabulating)
+    cfg = _ellipse_config(tmp_path)
+    result, _ = _run_on_cores(monkeypatch, cfg, cores)
+    rows = _masked_csv(cfg.csv_path)[1:]
+    expected = _masked_csv(reference.csv_path)[1:]
+    assert len(rows) == len(expected) == 2 * len(grid)
+    for row, ref in zip(rows, expected):
+        if failing == "kc" or row[6] == "direct":
+            assert row[:3] == ref[:3] and row[6] == ref[6]
+            assert row[3] == row[4] == row[7] == "nan"
+            assert row[5] == ("nan" if failing == "kc" else ref[5])
+        else:
+            assert row == ref
+    assert result.invalid_fraction == (1.0 if failing == "kc" else 0.5)
+    if stage == "check":
+        assert not any(fails(k) for k in evaluated)
+
+
+@pytest.mark.parametrize("dim, workers, cores, pooled", [
+    (2, 1, 2, True), (2, 2, 2, False), (2, 3, 4, False), (2, 2, 4, True),
+    (3, 1, 4, False)])
+def test_table_executor_only_with_spare_cores(tmp_path, monkeypatch, dim,
+                                              workers, cores, pooled):
+    # a table executor of cores // workers threads exists only for a 2D
+    # sweep with at least two CPUs spare per point in flight
+    created = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            created.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(sweep_module, "ThreadPoolExecutor", Recording)
+    make = _ellipse_config if dim == 2 else _sphere_config
+    result, executors = _run_on_cores(monkeypatch, make(tmp_path, workers=workers),
+                                      cores)
+    assert result.invalid_fraction == 0.0
+    assert all((ex is not None) == pooled for ex in executors)
+    expected = ([cores // workers] if pooled else []) + ([workers] if workers > 1 else [])
+    assert created == expected
 
 
 # ---------------------------------------------------------------- CLI
