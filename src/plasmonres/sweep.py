@@ -231,8 +231,8 @@ class _SweepContext:
     node set also carries its wavenumber-free kernel geometry and
     interior quadrature, built here before any worker starts. tables
     is the executor that evaluates the Bessel/Hankel tables of a 2D
-    point's Helmholtz matrices (layer_ops.helmholtz_tables), or None
-    when no core is spare; run_sweep owns and closes it.
+    point's Helmholtz matrices (layer_ops.helmholtz_tables) in a serial
+    2D sweep with a second CPU, else None; run_sweep owns and closes it.
     """
 
     spectrum: object
@@ -397,11 +397,13 @@ def run_sweep(config):
 
     Points run on a worker pool of config.workers threads; results are
     assembled in grid order so the output does not depend on
-    scheduling. In 2D, when the CPUs of the process leave
-    spare = cores // workers >= 2 per point in flight, one executor of
-    spare threads evaluates the points' Bessel/Hankel tables for the
-    whole sweep and is shut down, its work finished, before this
-    returns; the tables are bit-identical to those of the serial path.
+    scheduling. A 2D sweep with workers=1 on a process with at least
+    two CPUs evaluates its points' Bessel/Hankel tables on one executor
+    of two threads for the whole sweep, shut down, its work finished,
+    before this returns; the tables are bit-identical to those of the
+    serial path. That is the one configuration measured; with more
+    points in flight the table threads would run beside other points'
+    LU, so those sweeps, and the sphere, keep one thread per point.
     The slope is fitted over the valid rows of one solver (direct when
     available, else spectral) so mixed direct/spectral sweeps do not
     double-count grid points. More than 30% invalid rows forces the
@@ -409,9 +411,8 @@ def run_sweep(config):
     """
     grid = config.delta_grid()
     workers = int(config.workers)
-    spare = _cores() // workers
-    pooled = config.dim == 2 and spare >= 2
-    with ThreadPoolExecutor(spare) if pooled else contextlib.nullcontext() as tables:
+    pooled = config.dim == 2 and workers == 1 and _cores() >= 2
+    with ThreadPoolExecutor(2) if pooled else contextlib.nullcontext() as tables:
         ctx = _build_context(config, tables)
         if workers == 1:
             per_point = [_sweep_point(config, ctx, float(d)) for d in grid]

@@ -483,12 +483,12 @@ def test_wavenumber_failures_fail_their_rows(tmp_path, monkeypatch, failing, sta
 
 
 @pytest.mark.parametrize("dim, workers, cores, pooled", [
-    (2, 1, 2, True), (2, 2, 2, False), (2, 3, 4, False), (2, 2, 4, True),
-    (3, 1, 4, False)])
-def test_table_executor_only_with_spare_cores(tmp_path, monkeypatch, dim,
-                                              workers, cores, pooled):
-    # a table executor of cores // workers threads exists only for a 2D
-    # sweep with at least two CPUs spare per point in flight
+    (2, 1, 2, True), (2, 1, 8, True), (2, 1, 1, False), (2, 2, 2, False),
+    (2, 2, 8, False), (3, 1, 4, False)])
+def test_table_executor_only_in_serial_2d_sweeps(tmp_path, monkeypatch, dim,
+                                                 workers, cores, pooled):
+    # a table executor of two threads exists only for a 2D sweep with
+    # one point in flight on a process with at least two CPUs
     created = []
 
     class Recording(ThreadPoolExecutor):
@@ -502,7 +502,7 @@ def test_table_executor_only_with_spare_cores(tmp_path, monkeypatch, dim,
                                       cores)
     assert result.invalid_fraction == 0.0
     assert all((ex is not None) == pooled for ex in executors)
-    expected = ([cores // workers] if pooled else []) + ([workers] if workers > 1 else [])
+    expected = ([2] if pooled else []) + ([workers] if workers > 1 else [])
     assert created == expected
 
 
