@@ -549,6 +549,73 @@ def test_cli_solve_both_routes(capsys):
     assert abs(vals[0] - vals[1]) < 1e-3 * abs(vals[0])
 
 
+def _vector_arg(v):
+    return ",".join(repr(float(c)) for c in v)
+
+
+@pytest.mark.parametrize("solver", ("direct", "spectral"))
+@pytest.mark.parametrize("make, geometry", [
+    (_ellipse_config, ["--geometry", "ellipse:2,1", "--nodes", "64"]),
+    (_sphere_config, ["--geometry", "sphere:1.0", "--degree", "8"])])
+def test_cli_solve_prints_the_sweep_row(tmp_path, capsys, make, geometry, solver):
+    # `plasmonres solve` at a sweep's grid point prints, digit for digit,
+    # the energy_norm, phi0_hat_abs and residual cells the sweep writes
+    cfg = make(tmp_path)
+    run_sweep(cfg)
+    with open(cfg.csv_path, newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["solver"] == solver]
+    row = min(rows, key=lambda r: abs(np.log(float(r["delta"]) / 1e-3)))
+    capsys.readouterr()
+    rc = main(["solve", "--dim", str(cfg.dim), *geometry,
+               "--eps-c", repr(cfg.eps_c), "--eps-m", repr(cfg.eps_m),
+               "--omega0", repr(cfg.omega0),
+               "--delta", repr(float(row["delta"])), "--scale", repr(float(row["s"])),
+               "--dipole-a", _vector_arg(cfg.a), "--dipole-z", _vector_arg(cfg.z),
+               "--solver", solver])
+    assert rc == EXIT_OK
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("solver=")]
+    assert lines == [f"solver={solver} energy_norm={row['energy_norm']} "
+                     f"phi0_hat_abs={row['phi0_hat_abs']} residual={row['residual']}"]
+
+
+_CLI_ELLIPSE_SOLVE = ["solve", "--dim", "2", "--geometry", "ellipse:2,1", "--nodes", "64",
+                      "--eps-c", "-2", "--delta", "1e-3", "--scale", "1e-3",
+                      "--dipole-a", "1,0", "--dipole-z", "3,0"]
+
+
+@pytest.mark.parametrize("solver", ("direct", "spectral"))
+def test_cli_solve_unresolved_wavenumber_exits_2(capsys, solver):
+    # |k| diam = 6 on the radius-6 circle is above what 128 nodes resolve
+    rc = main(["solve", "--dim", "2", "--geometry", "circle:6", "--nodes", "128",
+               "--eps-c", "-2", "--delta", "1e-3", "--scale", "0.5",
+               "--dipole-a", "1,0", "--dipole-z", "9,0", "--solver", solver])
+    assert rc == EXIT_CONFIG
+    assert "energy_norm=nan" not in capsys.readouterr().out
+
+
+_CLI_SPHERE_SOLVE = ["solve", "--dim", "3", "--geometry", "sphere:1.0", "--degree", "8",
+                     "--eps-c", "-2", "--delta", "1e-3", "--scale", "1e-5",
+                     "--dipole-a", "0,0,1", "--dipole-z", "0,0,2"]
+
+
+@pytest.mark.parametrize("args, solver, target, error", [
+    (_CLI_ELLIPSE_SOLVE, "direct", "assemble_system", RuntimeError),
+    (_CLI_ELLIPSE_SOLVE, "spectral", "_guard_denominators", RuntimeError),
+    (_CLI_SPHERE_SOLVE, "direct", "_solve_slots", RuntimeError),
+    (_CLI_SPHERE_SOLVE, "spectral", "_guard_denominators", RuntimeError)])
+def test_cli_solve_numerical_failure_exits_3(capsys, monkeypatch, args, solver, target,
+                                             error):
+    # an error raised inside a row's solve exits 3 and prints no row
+    def failing(*args, **kwargs):
+        raise error("synthetic failure")
+
+    monkeypatch.setattr(transmission_module, target, failing)
+    assert main(args + ["--solver", solver]) == EXIT_NUMERICAL
+    out = capsys.readouterr().out
+    assert "energy_norm=nan" not in out
+    assert f"solver={solver}" not in out
+
+
 def test_cli_sweep_from_json(tmp_path, capsys):
     csv_path = tmp_path / "out.csv"
     svg_path = tmp_path / "out.svg"
