@@ -11,21 +11,15 @@ z^-(n + 2).
 
 import numpy as np
 
-from plasmonres.np_spectrum import sphere_spectrum, coeffs_hat, coeffs_check
-from plasmonres.transmission import (
-    TransmissionProblem,
-    dipole_traces,
-    solve_direct,
-    solve_spectral_3d,
-    gradient_energy,
-    coupling_an,
-)
+from plasmonres.np_spectrum import sphere_spectrum
+from plasmonres.sweep import PointContext, solve_point
+from plasmonres.transmission import TransmissionProblem, coupling_an
 
 DEGREE, RADIUS, COUPLING_C = 12, 1.0, 0.01
 
 
 def compare_solvers():
-    spectrum = sphere_spectrum(DEGREE, RADIUS)
+    ctx = PointContext(sphere_spectrum(DEGREE, RADIUS))
     axis = np.array([0.0, 0.0, 1.0])
     print(f"{'delta':>10} {'direct':>14} {'spectral':>14} {'rel gap':>10} {'bound':>8}")
     for delta in (1e-2, 1e-3, 1e-4, 1e-5):
@@ -34,14 +28,11 @@ def compare_solvers():
             dim=3, geometry=(DEGREE, RADIUS), s=s, delta=delta, eps_c=-2.0,
             omega0=1.0, a=axis, z=2.0 * axis,
         )
-        direct = solve_direct(problem)
-        f, g = dipole_traces(problem)
-        spectral = solve_spectral_3d(coeffs_check(f, spectrum),
-                                     coeffs_hat(g, spectrum),
-                                     problem.eps_eff, problem.delta_eff,
-                                     spectrum)
-        e_d = np.sqrt(gradient_energy(direct.phi, problem.kc, spectrum))
-        e_s = np.sqrt(gradient_energy(spectral.phi, problem.kc, spectrum))
+        rows, errors = solve_point(problem, ctx, ("direct", "spectral"))
+        for error in errors:
+            if error is not None:
+                raise error
+        e_d, e_s = (row.energy_norm for row in rows)
         gap = abs(e_d - e_s) / e_d
         print(f"{delta:>10.1e} {e_d:>14.6e} {e_s:>14.6e} {gap:>10.2e} "
               f"{10.0 * s / delta:>8.2f}")

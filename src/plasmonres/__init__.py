@@ -43,6 +43,7 @@ from .layer_ops import (
     assemble_Kstar_omega,
     assemble_R_Q,
     eval_potential,
+    eval_gradient,
     sphere_operators,
 )
 from .np_spectrum import (
@@ -105,6 +106,7 @@ __all__ = [
     "assemble_Kstar_omega",
     "assemble_R_Q",
     "eval_potential",
+    "eval_gradient",
     "sphere_operators",
     "GramOperator",
     "NPSpectrum",

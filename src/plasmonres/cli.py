@@ -26,11 +26,11 @@ import numpy as np
 from .geometry import make_curve, quadrature_nodes
 from .layer_ops import InteriorKernels, assemble_S, assemble_Kstar, \
     assemble_S_omega
-from .np_spectrum import sphere_spectrum, spectrum_of, coeffs_hat, coeffs_check
-from .transmission import TransmissionProblem, dipole_traces, solve_direct, \
-    solve_spectral_2d, solve_spectral_3d, gradient_energy, \
+from .np_spectrum import sphere_spectrum, spectrum_of
+from .transmission import TransmissionProblem, solve_direct, gradient_energy, \
     interior_gradient_energy, helmholtz_operators
-from .sweep import SweepConfig, run_sweep, fit_blowup_rate
+from .sweep import PointContext, SweepConfig, run_sweep, fit_blowup_rate, \
+    solve_point
 
 __all__ = [
     "main",
@@ -117,6 +117,8 @@ _GEOMETRY_KEYS = {
     "kite": {"kind", "n"},
     "sphere": {"kind", "radius", "degree"},
 }
+# config and geometry keys whose values must be integers, never rounded to one
+_INT_KEYS = ("dim", "points_per_decade", "workers", "n", "degree")
 
 
 def load_sweep_config(source):
@@ -124,8 +126,9 @@ def load_sweep_config(source):
     Build a SweepConfig from a JSON file path or an already-parsed
     dict. Keys are the snake_case SweepConfig field names; geometry is
     an object like {"kind": "ellipse", "a": 2, "b": 1, "n": 256} or
-    {"kind": "sphere", "radius": 1, "degree": 12}. Unknown keys raise
-    ConfigError.
+    {"kind": "sphere", "radius": 1, "degree": 12}. Unknown keys, and a
+    dim, points_per_decade, workers, n or degree that is not an integer
+    (a bool included), raise ConfigError.
     """
     if isinstance(source, dict):
         data = dict(source)
@@ -156,6 +159,10 @@ def load_sweep_config(source):
     if bad:
         raise ConfigError(f"unknown geometry keys for {kind}: {', '.join(bad)}")
 
+    for key, value in [*data.items(), *geom.items()]:
+        if key in _INT_KEYS and (isinstance(value, bool)
+                                 or not isinstance(value, (int, np.integer))):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
     dim = int(data["dim"])
     params = {k: geom[k] for k in geom if k in ("radius", "a", "b")}
     geometry = _build_geometry(dim, kind, params,
@@ -230,7 +237,7 @@ def _suite_energy():
     # tied mode at small real wavenumber: energy must match the
     # quasi-static mode energy (1/2 - lambda_1) of a unit mode
     k_small = 0.005
-    ops = helmholtz_operators(nodes, k_small)
+    ops = (*helmholtz_operators(nodes, k_small), InteriorKernels(nodes, k_small))
     phi1 = spec.densities[:, 1]
     e_num = gradient_energy(phi1, k_small, ops)
     e_ref = 0.5 - spec.lambdas[1]
@@ -242,7 +249,7 @@ def _suite_energy():
     ops_kc = helmholtz_operators(nodes, kc)
     sol = solve_direct(problem, operators=(
         *ops_kc, *helmholtz_operators(nodes, problem.omega)))
-    e_b = gradient_energy(sol.phi, kc, ops_kc)
+    e_b = gradient_energy(sol.phi, kc, (*ops_kc, InteriorKernels(nodes, kc)))
     e_i = interior_gradient_energy(sol.phi, kc, ops_kc)
     checks.append(_check("green_identity_vs_interior", abs(e_b - e_i) / abs(e_i), 0.02))
     return checks
@@ -422,33 +429,16 @@ def _cmd_solve(args):
     problem = TransmissionProblem(dim=args.dim, geometry=geometry, s=args.scale,
                                   delta=args.delta, eps_c=args.eps_c,
                                   omega0=args.omega0, a=a, z=z, eps_m=args.eps_m)
-    kc, om = problem.kc, problem.omega
-    spec = spectrum_of(geometry)
-    s_in, k_in = helmholtz_operators(geometry, kc)
-    energy_ops = ((s_in, k_in, InteriorKernels(geometry, kc))
-                  if args.dim == 2 else (spec, s_in, k_in))
+    selected = ("direct", "spectral") if args.solver == "both" else (args.solver,)
+    rows, errors = solve_point(problem, PointContext(spectrum_of(geometry)), selected)
     print(f"dim={args.dim} geometry={args.geometry} eps_c={args.eps_c!r} "
           f"eps_m={args.eps_m!r} delta={args.delta!r} s={args.scale!r} "
           f"omega={problem.omega!r}")
-    selected = ("direct", "spectral") if args.solver == "both" else (args.solver,)
-    for name in selected:
-        if name == "direct":
-            operators = (s_in, k_in, *helmholtz_operators(geometry, om))
-            sol = solve_direct(problem, operators=operators)
-        else:
-            f, g = dipole_traces(problem)
-            fcheck = coeffs_check(f, spec)
-            ghat = coeffs_hat(g, spec)
-            if args.dim == 2:
-                sol = solve_spectral_2d(fcheck, ghat, problem.eps_eff,
-                                        problem.delta_eff, om, spec)
-            else:
-                sol = solve_spectral_3d(fcheck, ghat, problem.eps_eff,
-                                        problem.delta_eff, spec)
-        energy = gradient_energy(sol.phi, kc, energy_ops)
-        phi0 = abs(coeffs_hat(sol.phi, spec)[0])
-        print(f"solver={name} energy_norm={float(np.sqrt(energy))!r} "
-              f"phi0_hat_abs={float(phi0)!r} residual={float(sol.residual)!r}")
+    for row, error in zip(rows, errors):
+        if error is not None:
+            raise error
+        print(f"solver={row.solver} energy_norm={row.energy_norm!r} "
+              f"phi0_hat_abs={row.phi0_hat_abs!r} residual={row.residual!r}")
     return EXIT_OK
 
 
@@ -543,12 +533,13 @@ def main(argv=None):
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # LinAlgError is a ValueError, so it is caught first
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ConfigError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

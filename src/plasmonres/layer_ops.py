@@ -37,6 +37,7 @@ over the target set is at most 0.5, and from Hankel values above that.
 The two agree to a few 1e-16 relative at the switch. In a sweep these
 potentials only enter the |u|^2 volume term of the energy, at most
 about 1e-5 of it, so the series route leaves the pinned cells in place.
+Their gradients (`eval_gradient`) sum the kernel gradient directly.
 
 The sphere needs no quadrature: all four operators are diagonal in the
 spherical-harmonic basis, and `sphere_operators` returns them stored as
@@ -81,6 +82,7 @@ __all__ = [
     "assemble_R_Q",
     "eval_potential",
     "eval_potential_on",
+    "eval_gradient",
     "InteriorKernels",
     "sphere_operators",
     "sphere_quadrature",
@@ -331,18 +333,37 @@ def assemble_R_Q(nodes, omega, d=2):
     )
 
 
-def eval_potential(nodes, density, k, points, want_gradient=False):
+def eval_potential(nodes, density, k, points):
     """
-    Single-layer potential S^k[phi] (and optionally its gradient) at
-    points off the boundary, by direct quadrature: eval_potential_on for
-    the TargetSet of the points.
+    Single-layer potential S^k[phi] at points off the boundary, by direct
+    quadrature: eval_potential_on for the TargetSet of the points.
 
     Accuracy degrades near the boundary; points closer than twice the
     node spacing are rejected.
     """
     nodes = _require_2d(nodes)
-    return eval_potential_on(nodes, TargetSet.of(nodes, points), density, k,
-                             want_gradient)
+    return eval_potential_on(nodes, TargetSet.of(nodes, points), density, k)
+
+
+def eval_gradient(nodes, density, k, points):
+    """
+    Gradient of the single-layer potential S^k[phi] at points off the
+    boundary, shape (m, 2), by direct quadrature of the kernel gradient.
+    Points are rejected as by eval_potential.
+    """
+    nodes = _require_2d(nodes)
+    targets = TargetSet.of(nodes, points)
+    wphi = nodes.weights * _checked_density(nodes, density)
+    dx = targets.points[:, None, :] - nodes.points[None, :, :]
+    gk = grad_gamma_laplace(dx, 2) if k == 0 else grad_gamma_helmholtz(dx, k, 2)
+    return np.einsum("mjd,j->md", gk, wphi)
+
+
+def _checked_density(nodes, density):
+    density = np.asarray(density)
+    if density.shape != (nodes.n,):
+        raise ValueError(f"density must have shape ({nodes.n},)")
+    return density
 
 
 def _potential_kernel(targets, k):
@@ -381,25 +402,13 @@ class InteriorKernels:
         return self._tables
 
 
-def eval_potential_on(nodes, targets, density, k, want_gradient=False):
+def eval_potential_on(nodes, targets, density, k):
     """
-    Single-layer potential S^k[phi] (and optionally its gradient) on a
-    TargetSet of the nodes, with the kernel of _potential_kernel.
+    Single-layer potential S^k[phi] on a TargetSet of the nodes, with the
+    kernel of _potential_kernel.
     """
-    density = np.asarray(density)
-    if density.shape != (nodes.n,):
-        raise ValueError(f"density must have shape ({nodes.n},)")
-    wphi = nodes.weights * density
-    values = _potential_kernel(targets, k) @ wphi
-    if not want_gradient:
-        return values
-    dx = targets.points[:, None, :] - nodes.points[None, :, :]
-    if k == 0:
-        gk = grad_gamma_laplace(dx, 2)
-    else:
-        gk = grad_gamma_helmholtz(dx, k, 2)
-    grads = np.einsum("mjd,j->md", gk, wphi)
-    return values, grads
+    wphi = nodes.weights * _checked_density(nodes, density)
+    return _potential_kernel(targets, k) @ wphi
 
 
 # ---------------------------------------------------------------- sphere

@@ -34,13 +34,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtrit
 
-from .layer_ops import InteriorKernels, assemble_S_omega, assemble_Kstar_omega, \
-    helmholtz_tables, sphere_operators
+# assemble_S_omega is bound here only for perfbench/selftest.py, which reads it
+from .layer_ops import InteriorKernels, assemble_S_omega, helmholtz_tables  # noqa: F401
 from .np_spectrum import spectrum_of, coeffs_hat, coeffs_check
 from .transmission import TransmissionProblem, plasmon_lambda, dipole_traces, \
     solve_direct, solve_spectral_2d, solve_spectral_3d, gradient_energy, \
-    coupling_an
+    coupling_an, helmholtz_operators
 
+# solve_point stays out of __all__: perfbench's tracer wraps every __all__
+# function, and a span per point would hide the spans it times below it
 __all__ = [
     "SweepConfig",
     "SweepRow",
@@ -225,19 +227,20 @@ class SweepResult:
 
 
 @dataclass(frozen=True)
-class _SweepContext:
+class PointContext:
     """
-    Static per-sweep data shared read-only across workers. In 2D the
-    node set also carries its wavenumber-free kernel geometry and
-    interior quadrature, built here before any worker starts. tables
-    is the executor that evaluates the Bessel/Hankel tables of a 2D
-    point's Helmholtz matrices (layer_ops.helmholtz_tables) in a serial
-    2D sweep with a second CPU, else None; run_sweep owns and closes it.
+    What solve_point needs besides the problem: the NP spectrum of its
+    geometry, the resonant cluster whose largest |a_n| fills the a_n_abs
+    column (empty: no coupling work, a_n_abs 0), and an executor for a
+    2D point's Bessel/Hankel tables (layer_ops.helmholtz_tables), or
+    None for the assemblers to evaluate them. run_sweep builds one per
+    sweep, shared read-only across workers; it sets tables only in a
+    serial 2D sweep with a second CPU, and owns and closes it.
     """
 
     spectrum: object
-    cluster: tuple
-    tables: object
+    cluster: tuple = ()
+    tables: object = None
 
 
 def _cores():
@@ -256,7 +259,7 @@ def _build_context(config, tables):
         with contextlib.suppress(ValueError):
             config.geometry.interior
     cluster = _resonant_cluster(spectrum, config.eps_c / config.eps_m)
-    return _SweepContext(spectrum=spectrum, cluster=cluster, tables=tables)
+    return PointContext(spectrum=spectrum, cluster=cluster, tables=tables)
 
 
 def _resonant_cluster(spectrum, eps_eff):
@@ -276,92 +279,75 @@ def _resonant_cluster(spectrum, eps_eff):
     return tuple(slots[:_CLUSTER_CAP])
 
 
-def _failed_row(delta, s, om, solver_name, a_n_abs=np.nan):
-    return SweepRow(delta, s, om, np.nan, np.nan, a_n_abs,
-                    solver_name, np.nan, 0.0)
+# the errors that fail a row rather than the sweep
+_ROW_ERRORS = (ValueError, RuntimeError, np.linalg.LinAlgError)
 
 
-def _start_tables(ctx, nodes, k):
+def _failed_row(problem, solver_name, a_n_abs=np.nan):
+    return SweepRow(problem.delta, problem.s, problem.omega, np.nan, np.nan,
+                    a_n_abs, solver_name, np.nan, 0.0)
+
+
+def solve_point(problem, ctx, solvers):
     """
-    helmholtz_tables(nodes, k) on ctx.tables; (None, None) without an
-    executor, so that the assemblers evaluate the tables themselves.
+    The rows of one transmission problem, one per solver named in
+    solvers ("direct", "spectral"), in that order; ctx is a
+    PointContext. Returns (rows, errors): per row the exception that
+    failed it, its traceback dropped so that it keeps none of the
+    point's matrices alive, or None. A failed row has NaN cells; an
+    error before the solves fails every row, a_n_abs included.
+    With a table executor the k_c tables start first, then the omega
+    tables of a direct row, and run while the traces and coupling are
+    computed; an omega that fails its check starts no tables and fails
+    the direct row at its assembly.
     """
-    if ctx.tables is None:
-        return None, None
-    return helmholtz_tables(nodes, k, ctx.tables.submit)
-
-
-def _ready(futures):
-    """The tables behind a pair of futures, or None for no pair."""
-    return None if futures is None else tuple(f.result() for f in futures)
-
-
-def _sweep_point(config, ctx, delta):
-    """
-    All rows for one grid point, direct before spectral. The k_c tables,
-    and the omega tables of a direct row, start first; a wavenumber that
-    fails its check starts none and fails at its assembly, as in serial.
-    """
-    s = config.scale_for(delta)
-    selected = ("direct", "spectral") if config.solver == "both" else (config.solver,)
-    problem = config.problem_at(delta)
-    om = problem.omega
-    kc = problem.kc
+    geometry, kc, om = problem.geometry, problem.kc, problem.omega
     spectrum = ctx.spectrum
     try:
-        kc_tables = _start_tables(ctx, config.geometry, kc)
-        om_tables = None, None
-        if "direct" in selected:
-            with contextlib.suppress(ValueError):
-                om_tables = _start_tables(ctx, config.geometry, om)
+        kc_tables = om_tables = None
+        if ctx.tables is not None:
+            kc_tables = helmholtz_tables(geometry, kc, ctx.tables.submit)
+            if "direct" in solvers:
+                with contextlib.suppress(ValueError):
+                    om_tables = helmholtz_tables(geometry, om, ctx.tables.submit)
         f, g = dipole_traces(problem)
         a_n_abs = 0.0
         for slot in ctx.cluster:
-            an, _ = coupling_an(config.z, config.a, slot, spectrum, om)
+            an, _ = coupling_an(problem.z, problem.a, slot, spectrum, om)
             a_n_abs = max(a_n_abs, abs(an))
-        if config.dim == 2:
-            s_in = assemble_S_omega(config.geometry, kc, _ready(kc_tables[0]))
-            k_in = assemble_Kstar_omega(config.geometry, kc, _ready(kc_tables[1]))
-            energy_ops = (s_in, k_in, InteriorKernels(config.geometry, kc))
-        else:
-            L, radius = config.geometry
-            _, _, s_in, k_in = sphere_operators(int(L), float(radius), kc)
-            energy_ops = (spectrum, s_in, k_in)
-    except (ValueError, RuntimeError, np.linalg.LinAlgError):
-        return [_failed_row(delta, s, om, name) for name in selected]
+        s_in, k_in = helmholtz_operators(geometry, kc, kc_tables)
+        energy_ops = ((s_in, k_in, InteriorKernels(geometry, kc)) if problem.dim == 2
+                      else (spectrum, s_in, k_in))
+    except _ROW_ERRORS as exc:
+        return ([_failed_row(problem, name) for name in solvers],
+                [exc.with_traceback(None)] * len(solvers))
 
-    rows = []
-    for name in selected:
+    rows, errors = [], []
+    for name in solvers:
         t0 = time.perf_counter()
         try:
             if name == "direct":
-                if config.dim == 2:
-                    s_out = assemble_S_omega(config.geometry, om, _ready(om_tables[0]))
-                    k_out = assemble_Kstar_omega(config.geometry, om,
-                                                 _ready(om_tables[1]))
-                else:
-                    _, _, s_out, k_out = sphere_operators(int(L), float(radius), om)
-                sol = solve_direct(problem, operators=(s_in, k_in, s_out, k_out))
+                sol = solve_direct(problem, operators=(
+                    s_in, k_in, *helmholtz_operators(geometry, om, om_tables)))
+            elif problem.dim == 2:
+                sol = solve_spectral_2d(coeffs_check(f, spectrum), coeffs_hat(g, spectrum),
+                                        problem.eps_eff, problem.delta_eff, om, spectrum)
             else:
-                fcheck = coeffs_check(f, spectrum)
-                ghat = coeffs_hat(g, spectrum)
-                if config.dim == 2:
-                    sol = solve_spectral_2d(fcheck, ghat, problem.eps_eff,
-                                            problem.delta_eff, om, spectrum)
-                else:
-                    sol = solve_spectral_3d(fcheck, ghat, problem.eps_eff,
-                                            problem.delta_eff, spectrum)
+                sol = solve_spectral_3d(coeffs_check(f, spectrum), coeffs_hat(g, spectrum),
+                                        problem.eps_eff, problem.delta_eff, spectrum)
             energy = gradient_energy(sol.phi, kc, energy_ops)
             if not np.isfinite(energy) or energy <= 0:
                 raise RuntimeError(f"non-physical energy {energy!r}")
             phi0 = abs(coeffs_hat(sol.phi, spectrum)[0])
             wall = (time.perf_counter() - t0) * 1000.0
-            rows.append(SweepRow(delta, s, om, float(np.sqrt(energy)),
+            rows.append(SweepRow(problem.delta, problem.s, om, float(np.sqrt(energy)),
                                  float(phi0), float(a_n_abs), name,
                                  float(sol.residual), wall))
-        except (ValueError, RuntimeError, np.linalg.LinAlgError):
-            rows.append(_failed_row(delta, s, om, name, a_n_abs=a_n_abs))
-    return rows
+            errors.append(None)
+        except _ROW_ERRORS as exc:
+            rows.append(_failed_row(problem, name, a_n_abs=a_n_abs))
+            errors.append(exc.with_traceback(None))
+    return rows, errors
 
 
 def _row_valid(row):
@@ -411,15 +397,19 @@ def run_sweep(config):
     """
     grid = config.delta_grid()
     workers = int(config.workers)
+    solvers = ("direct", "spectral") if config.solver == "both" else (config.solver,)
     pooled = config.dim == 2 and workers == 1 and _cores() >= 2
     with ThreadPoolExecutor(2) if pooled else contextlib.nullcontext() as tables:
         ctx = _build_context(config, tables)
+
+        def point_rows(delta):
+            return solve_point(config.problem_at(float(delta)), ctx, solvers)[0]
+
         if workers == 1:
-            per_point = [_sweep_point(config, ctx, float(d)) for d in grid]
+            per_point = [point_rows(d) for d in grid]
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                per_point = list(pool.map(
-                    lambda d: _sweep_point(config, ctx, float(d)), grid))
+                per_point = list(pool.map(point_rows, grid))
     rows = tuple(r for point in per_point for r in point)
     _write_csv(config.csv_path, rows)
 

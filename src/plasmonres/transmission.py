@@ -36,9 +36,10 @@ solve it:
 gradient_energy integrates |grad u|^2 over the inclusion from boundary
 data via the Green identity
 
-    int |grad u|^2 = Re{ oint u conj(d_nu u|-) dsigma } + Re{k_c^2} int |u|^2,
+    int |grad u|^2 = Re{ oint u conj(d_nu u|-) dsigma } + Re{k_c^2} int |u|^2;
 
-cross-validated against interior quadrature on demand.
+interior_gradient_energy is the independent interior-quadrature value
+it is checked against in 2D.
 """
 
 import math
@@ -52,7 +53,7 @@ from .layer_ops import (
     InteriorKernels,
     assemble_S_omega,
     assemble_Kstar_omega,
-    eval_potential,
+    eval_gradient,
     eval_potential_on,
     sphere_operators,
 )
@@ -99,6 +100,9 @@ _DIRECT_RESIDUAL_TOL = 1e-8
 _ENERGY_CROSS_TOL = 0.05
 
 _SPHERE_MARGIN = 1.05
+
+_ENERGY_FORMS = ("energy operators must be (S^kc, K^kc*, InteriorKernels) in 2D "
+                 "or (spectrum, S^kc, K^kc*) on the sphere")
 
 
 def plasmon_lambda(t):
@@ -348,12 +352,20 @@ def assemble_system(problem, operators=None):
     return a_mat, np.concatenate([f, g])
 
 
-def helmholtz_operators(geometry, k):
-    """(S^k, K^k*) on a NodeSet (Nystrom matrices) or a sphere (L, R) (diagonals)."""
+def helmholtz_operators(geometry, k, tables=None):
+    """
+    (S^k, K^k*) on a NodeSet (Nystrom matrices) or a sphere (L, R)
+    (diagonals). tables, 2D only, is what layer_ops.helmholtz_tables
+    started at this k: S^k is built as soon as its two tables are
+    ready, while those of K^k* may still run.
+    """
     if isinstance(geometry, NodeSet):
-        return assemble_S_omega(geometry, k), assemble_Kstar_omega(geometry, k)
+        def ready(i):
+            return None if tables is None else tuple(f.result() for f in tables[i])
+        return (assemble_S_omega(geometry, k, ready(0)),
+                assemble_Kstar_omega(geometry, k, ready(1)))
     L, R = geometry
-    return sphere_operators(int(L), R, k)[2:]
+    return sphere_operators(int(L), float(R), k)[2:]
 
 
 def _system_blocks(problem, operators):
@@ -536,9 +548,9 @@ def interior_gradient_energy(phi, kc, operators):
     quad = nodes.interior
     b = quad.collar
     grid = interior_points(nodes.curve, min(nodes.spacing, b / 2.5), buffer=b)
-    _, grads = eval_potential(nodes, phi, kc, grid.points, want_gradient=True)
+    grads = eval_gradient(nodes, phi, kc, grid.points)
     e_bulk = float(np.sum(grid.weights * np.sum(np.abs(grads) ** 2, axis=1)))
-    _, g_edge = eval_potential_on(nodes, quad.edge, phi, kc, want_gradient=True)
+    g_edge = eval_gradient(nodes, phi, kc, quad.edge.points)
     f_bdry = np.abs(dnu) ** 2 + np.abs(dtu) ** 2
     f_edge = np.sum(np.abs(g_edge) ** 2, axis=1)
     return e_bulk + _collar_integral(nodes, b, f_bdry, f_edge)
@@ -565,53 +577,32 @@ def _sphere_radial_table(spectrum, kc, n_quad=48):
     return i_mass, i_grad
 
 
-def gradient_energy(phi, kc, operators, validate_interior=False):
+def gradient_energy(phi, kc, operators):
     """
     ||grad u||^2_{L^2} of the interior field u = S^{k_c}[phi].
 
-    operators is the pair (S^{k_c}, K^{k_c}*) of Nystrom operators for
-    a 2D boundary, optionally followed by the InteriorKernels of their
-    nodes at k_c, which the energies of one grid point share.  For the
-    sphere it is the triple (spectrum, S^{k_c}, K^{k_c}*) with the
-    diagonal operators of sphere_operators, or the NPSpectrum alone, in
-    which case those diagonals are built here.
+    operators is (S^{k_c}, K^{k_c}*, InteriorKernels) for a 2D boundary:
+    the Nystrom pair and the interior kernels of its nodes at k_c, which
+    the energies of one grid point share. For the sphere it is
+    (spectrum, S^{k_c}, K^{k_c}*) with the diagonals of
+    sphere_operators. Any other form raises TypeError.
     The value comes from the boundary Green identity; the |u|^2 volume
     term it needs is a small correction of relative size |k_c|^2 and is
     integrated on a coarse interior grid (2D) or exactly per radial mode
-    (sphere).
-
-    The sphere route always cross-checks the identity against the
-    exact radial-mode energy; 2D does the interior-quadrature
-    cross-check only when validate_interior is set, since it costs more
-    than the solve.  Disagreement beyond 5% raises RuntimeError.
+    (sphere). The sphere route also cross-checks the identity against
+    the exact radial-mode energy and raises RuntimeError on a
+    disagreement beyond 5%.
     """
-    spectrum = operators if isinstance(operators, NPSpectrum) else operators[0]
-    if isinstance(spectrum, NPSpectrum):
-        if spectrum.dim != 3:
-            raise ValueError("NPSpectrum operators are only valid for the sphere")
-        radius = spectrum.radius
-        degrees = spectrum.degrees
-        if spectrum is operators:
-            s_op, k_op = helmholtz_operators((degrees.max(), radius), kc)
-        else:
-            _, s_op, k_op = operators
-        _require_wavenumber(s_op, kc)
-        _require_wavenumber(k_op, kc)
-        u_trace = s_op.matrix * phi
-        dnu = (-0.5 + k_op.matrix) * phi
-        e_b = float(np.real(np.sum(u_trace * np.conj(dnu))))
-        i_mass, i_grad = _sphere_radial_table(spectrum, kc)
-        t2 = np.abs(u_trace) ** 2 / radius ** 2
-        vol = float(np.sum(t2 * i_mass[degrees]))
-        e_identity = e_b + np.real(kc * kc) * vol
-        e_exact = float(np.sum(t2 * i_grad[degrees]))
-        _check_energy_agreement(e_identity, e_exact)
-        return e_identity
-    s_op, k_op, *kernels = operators
+    if isinstance(operators, NPSpectrum) or len(operators) != 3:
+        raise TypeError(_ENERGY_FORMS)
+    if isinstance(operators[0], NPSpectrum):
+        return _sphere_energy(phi, kc, *operators)
+    s_op, k_op, kernels = operators
+    if not isinstance(kernels, InteriorKernels):
+        raise TypeError(_ENERGY_FORMS)
     _require_wavenumber(s_op, kc)
     _require_wavenumber(k_op, kc)
     nodes = s_op.nodes
-    kernels = kernels[0] if kernels else InteriorKernels(nodes, kc)
     if kernels.nodes is not nodes or kernels.k != kc:
         raise ValueError("interior kernels do not match the operators")
     u_trace = s_op.matrix @ phi
@@ -624,10 +615,26 @@ def gradient_energy(phi, kc, operators, validate_interior=False):
     v_bulk = float(np.sum(quad.coarse.weights * np.abs(coarse @ wphi) ** 2))
     v_collar = _collar_integral(nodes, quad.collar, np.abs(u_trace) ** 2,
                                 np.abs(edge @ wphi) ** 2)
-    e_identity = e_b + np.real(kc * kc) * (v_bulk + v_collar)
-    if validate_interior:
-        e_exact = interior_gradient_energy(phi, kc, operators)
-        _check_energy_agreement(e_identity, e_exact)
+    return e_b + np.real(kc * kc) * (v_bulk + v_collar)
+
+
+def _sphere_energy(phi, kc, spectrum, s_op, k_op):
+    """gradient_energy on the sphere, from its (spectrum, S, K*) form."""
+    if spectrum.dim != 3:
+        raise ValueError("NPSpectrum operators are only valid for the sphere")
+    _require_wavenumber(s_op, kc)
+    _require_wavenumber(k_op, kc)
+    radius = spectrum.radius
+    degrees = spectrum.degrees
+    u_trace = s_op.matrix * phi
+    dnu = (-0.5 + k_op.matrix) * phi
+    e_b = float(np.real(np.sum(u_trace * np.conj(dnu))))
+    i_mass, i_grad = _sphere_radial_table(spectrum, kc)
+    t2 = np.abs(u_trace) ** 2 / radius ** 2
+    vol = float(np.sum(t2 * i_mass[degrees]))
+    e_identity = e_b + np.real(kc * kc) * vol
+    e_exact = float(np.sum(t2 * i_grad[degrees]))
+    _check_energy_agreement(e_identity, e_exact)
     return e_identity
 
 
@@ -696,8 +703,7 @@ def _coupling_an_2d(z, a, n, spectrum, omega):
     s_bdry = spectrum.stilde_traces[:, n]
     vol += complex(np.sum(nodes.weights * 0.5 * b * (f_bdry * s_bdry + inner)))
     a_n = surface + omega * omega * vol
-    _, g0 = eval_potential(nodes, phi_n, 0.0, z[None, :], want_gradient=True)
-    a_n0 = complex(g0[0] @ a)
+    a_n0 = complex(eval_gradient(nodes, phi_n, 0.0, z[None, :])[0] @ a)
     return a_n, a_n0
 
 

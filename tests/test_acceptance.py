@@ -20,6 +20,7 @@ from plasmonres.layer_ops import (
     assemble_Kstar,
     assemble_S_omega,
     assemble_Kstar_omega,
+    InteriorKernels,
     sphere_operators,
     sphere_degree_index,
     sphere_diagonal_by_quadrature,
@@ -208,7 +209,8 @@ def comparability_data():
     rng = np.random.default_rng(2026)
     records = []
     for om in (0.1, 0.01):
-        ops = (assemble_S_omega(nodes, om), assemble_Kstar_omega(nodes, om))
+        ops = (assemble_S_omega(nodes, om), assemble_Kstar_omega(nodes, om),
+               InteriorKernels(nodes, om))
         for _ in range(20):
             coef = np.zeros(nodes.n)
             coef[:12] = rng.standard_normal(12)

@@ -18,6 +18,7 @@ from plasmonres.layer_ops import (
     assemble_R_Q,
     eval_potential,
     eval_potential_on,
+    eval_gradient,
     sphere_operators,
     sphere_degree_index,
     sphere_diagonal_by_quadrature,
@@ -272,8 +273,8 @@ def test_eval_potential_exterior_harmonic():
     # the value is -1/4 and the x-gradient is exactly 1/8
     nodes = _circle()
     ct = np.cos(nodes.t)
-    val, grad = eval_potential(nodes, ct, 0.0, np.array([[2.0, 0.0]]),
-                               want_gradient=True)
+    val = eval_potential(nodes, ct, 0.0, np.array([[2.0, 0.0]]))
+    grad = eval_gradient(nodes, ct, 0.0, np.array([[2.0, 0.0]]))
     assert abs(val[0] + 0.25) < 1e-12
     assert abs(grad[0, 0] - 0.125) < 1e-12
     assert abs(grad[0, 1]) < 1e-12
@@ -295,7 +296,8 @@ def test_eval_potential_interior_and_jump_relations():
     th = np.pi / 5.0
     for r, sign in ((0.85, -1.0), (1.15, 1.0)):
         pt = r * np.array([[np.cos(th), np.sin(th)]])
-        val, grad = eval_potential(nodes, c3, 0.0, pt, want_gradient=True)
+        val = eval_potential(nodes, c3, 0.0, pt)
+        grad = eval_gradient(nodes, c3, 0.0, pt)
         radial = grad[0] @ np.array([np.cos(th), np.sin(th)])
         if sign < 0:
             assert abs(val[0] + r ** 3 * np.cos(3 * th) / 6.0) < 1e-10
@@ -311,8 +313,10 @@ def test_eval_potential_interior_and_jump_relations():
 
 def test_eval_potential_rejects_near_boundary_points():
     nodes = _circle(64)
-    with pytest.raises(ValueError):
-        eval_potential(nodes, np.ones(64), 0.0, np.array([[1.0 + 0.5 * nodes.spacing, 0.0]]))
+    near = np.array([[1.0 + 0.5 * nodes.spacing, 0.0]])
+    for evaluate in (eval_potential, eval_gradient):
+        with pytest.raises(ValueError):
+            evaluate(nodes, np.ones(64), 0.0, near)
 
 
 def test_helmholtz_potential_exterior_closed_form():
@@ -323,7 +327,8 @@ def test_helmholtz_potential_exterior_closed_form():
     phi = np.exp(1j * n * nodes.t)
     r, th = 2.0, 0.7
     pt = r * np.array([[np.cos(th), np.sin(th)]])
-    val, grad = eval_potential(nodes, phi, k, pt, want_gradient=True)
+    val = eval_potential(nodes, phi, k, pt)
+    grad = eval_gradient(nodes, phi, k, pt)
     coef = -1j * np.pi / 2.0 * special.jv(n, k)
     u_exact = coef * special.hankel1(n, k * r) * np.exp(1j * n * th)
     assert abs(val[0] - u_exact) < 1e-10

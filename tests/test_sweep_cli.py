@@ -47,7 +47,7 @@ from plasmonres.cli import (
     EXIT_NUMERICAL,
     EXIT_VALIDATION,
 )
-from plasmonres.np_spectrum import sphere_spectrum
+from plasmonres.np_spectrum import sphere_spectrum, spectrum_of
 
 
 def _deltas(lo, hi, n):
@@ -207,16 +207,16 @@ def test_sweep_2d_verdict_stable_under_refinement(tmp_path):
 
 
 def test_sweep_invalid_fraction_forces_inconclusive(tmp_path, monkeypatch):
-    original = sweep_module._sweep_point
+    original = sweep_module.solve_point
 
-    def flaky(config, ctx, delta):
-        if delta < 3e-4:
-            s = config.scale_for(delta)
-            return [sweep_module._failed_row(delta, s, config.omega0 * s, name)
-                    for name in ("direct", "spectral")]
-        return original(config, ctx, delta)
+    def flaky(problem, ctx, solvers):
+        if problem.delta < 3e-4:
+            error = RuntimeError("synthetic failure")
+            return ([sweep_module._failed_row(problem, name) for name in solvers],
+                    [error] * len(solvers))
+        return original(problem, ctx, solvers)
 
-    monkeypatch.setattr(sweep_module, "_sweep_point", flaky)
+    monkeypatch.setattr(sweep_module, "solve_point", flaky)
     cfg = _sphere_config(tmp_path, delta_min=1e-5, points_per_decade=4)
     result = run_sweep(cfg)
     assert result.invalid_fraction > 0.3
@@ -249,14 +249,13 @@ def test_sphere_sweep_builds_diagonals_once_per_point(tmp_path, monkeypatch):
     # one S^k/K^k* diagonal pair at k_c and one at omega per grid point,
     # shared by the direct solve and both energies
     wavenumbers = []
-    original = sweep_module.sphere_operators
+    original = transmission_module.sphere_operators
 
     def counting(L, R, k=0.0):
         wavenumbers.append(k)
         return original(L, R, k)
 
-    for module in (sweep_module, transmission_module):
-        monkeypatch.setattr(module, "sphere_operators", counting)
+    monkeypatch.setattr(transmission_module, "sphere_operators", counting)
     cfg = _sphere_config(tmp_path)
     result = run_sweep(cfg)
     grid = cfg.delta_grid()
@@ -281,13 +280,12 @@ def test_repeated_sweeps_retain_no_operators(tmp_path, monkeypatch):
     # and every operator and interior-kernel holder a sweep builds is
     # garbage once it returns: no module-level state holds on to one.
     built = []
-    for name in ("assemble_S_omega", "assemble_Kstar_omega", "sphere_operators"):
-        def recording(*args, _original=getattr(sweep_module, name), **kwargs):
-            out = _original(*args, **kwargs)
-            built.extend(weakref.ref(op) for op in
-                         (out if isinstance(out, tuple) else (out,)))
-            return out
-        monkeypatch.setattr(sweep_module, name, recording)
+
+    def recording(*args, _original=sweep_module.helmholtz_operators):
+        out = _original(*args)
+        built.extend(weakref.ref(op) for op in out)
+        return out
+    monkeypatch.setattr(sweep_module, "helmholtz_operators", recording)
 
     def recording_kernels(*args, _original=sweep_module.InteriorKernels):
         out = _original(*args)
@@ -392,14 +390,14 @@ def _run_on_cores(monkeypatch, cfg, cores):
     """
     executors = []
     with monkeypatch.context() as m:
-        original = sweep_module._sweep_point
+        original = sweep_module.solve_point
 
-        def recording(config, ctx, delta):
+        def recording(problem, ctx, solvers):
             executors.append(ctx.tables)
-            return original(config, ctx, delta)
+            return original(problem, ctx, solvers)
 
         m.setattr(sweep_module, "_cores", lambda: cores)
-        m.setattr(sweep_module, "_sweep_point", recording)
+        m.setattr(sweep_module, "solve_point", recording)
         before = set(threading.enumerate())
         result = run_sweep(cfg)
         assert set(threading.enumerate()) <= before
@@ -557,9 +555,18 @@ def _vector_arg(v):
 @pytest.mark.parametrize("make, geometry", [
     (_ellipse_config, ["--geometry", "ellipse:2,1", "--nodes", "64"]),
     (_sphere_config, ["--geometry", "sphere:1.0", "--degree", "8"])])
-def test_cli_solve_prints_the_sweep_row(tmp_path, capsys, make, geometry, solver):
+def test_cli_solve_prints_the_sweep_row(tmp_path, capsys, monkeypatch, make, geometry,
+                                       solver):
     # `plasmonres solve` at a sweep's grid point prints, digit for digit,
-    # the energy_norm, phi0_hat_abs and residual cells the sweep writes
+    # the energy_norm, phi0_hat_abs and residual cells the sweep writes;
+    # it solves through solve_point, with no coupling work and no tables
+    calls = []
+
+    def recording(problem, ctx, solvers, _original=cli_module.solve_point):
+        calls.append((ctx.cluster, ctx.tables, solvers))
+        return _original(problem, ctx, solvers)
+
+    monkeypatch.setattr(cli_module, "solve_point", recording)
     cfg = make(tmp_path)
     run_sweep(cfg)
     with open(cfg.csv_path, newline="") as fh:
@@ -576,6 +583,7 @@ def test_cli_solve_prints_the_sweep_row(tmp_path, capsys, make, geometry, solver
     lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("solver=")]
     assert lines == [f"solver={solver} energy_norm={row['energy_norm']} "
                      f"phi0_hat_abs={row['phi0_hat_abs']} residual={row['residual']}"]
+    assert calls == [((), None, (solver,))]
 
 
 _CLI_ELLIPSE_SOLVE = ["solve", "--dim", "2", "--geometry", "ellipse:2,1", "--nodes", "64",
@@ -602,7 +610,9 @@ _CLI_SPHERE_SOLVE = ["solve", "--dim", "3", "--geometry", "sphere:1.0", "--degre
     (_CLI_ELLIPSE_SOLVE, "direct", "assemble_system", RuntimeError),
     (_CLI_ELLIPSE_SOLVE, "spectral", "_guard_denominators", RuntimeError),
     (_CLI_SPHERE_SOLVE, "direct", "_solve_slots", RuntimeError),
-    (_CLI_SPHERE_SOLVE, "spectral", "_guard_denominators", RuntimeError)])
+    (_CLI_SPHERE_SOLVE, "spectral", "_guard_denominators", RuntimeError),
+    (_CLI_ELLIPSE_SOLVE, "direct", "assemble_system", np.linalg.LinAlgError),
+    (_CLI_SPHERE_SOLVE, "spectral", "_guard_denominators", np.linalg.LinAlgError)])
 def test_cli_solve_numerical_failure_exits_3(capsys, monkeypatch, args, solver, target,
                                              error):
     # an error raised inside a row's solve exits 3 and prints no row
@@ -614,6 +624,67 @@ def test_cli_solve_numerical_failure_exits_3(capsys, monkeypatch, args, solver, 
     out = capsys.readouterr().out
     assert "energy_norm=nan" not in out
     assert f"solver={solver}" not in out
+
+
+@pytest.mark.parametrize("args", (_CLI_ELLIPSE_SOLVE, _CLI_SPHERE_SOLVE))
+def test_cli_solve_rejects_non_physical_energy(capsys, monkeypatch, args):
+    # solve shares the sweep's row check: a NaN energy exits 3, unprinted
+    monkeypatch.setattr(sweep_module, "gradient_energy", lambda *a: float("nan"))
+    assert main(args) == EXIT_NUMERICAL
+    assert "energy_norm=" not in capsys.readouterr().out
+
+
+def test_solve_point_errors_hold_no_frames(tmp_path, monkeypatch):
+    # a failed row's error comes back without its traceback, so keeping
+    # the error keeps none of the point's operators alive
+    built = []
+
+    def recording(*args, _original=sweep_module.helmholtz_operators):
+        out = _original(*args)
+        built.extend(weakref.ref(op) for op in out)
+        return out
+
+    def singular(problem, operators):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(sweep_module, "helmholtz_operators", recording)
+    monkeypatch.setattr(sweep_module, "solve_direct", singular)
+    cfg = _ellipse_config(tmp_path)
+    ctx = sweep_module.PointContext(spectrum_of(cfg.geometry))
+    rows, errors = sweep_module.solve_point(cfg.problem_at(1e-3), ctx,
+                                            ("direct", "spectral"))
+    assert isinstance(errors[0], np.linalg.LinAlgError) and errors[1] is None
+    assert errors[0].__traceback__ is None
+    assert np.isnan(rows[0].energy_norm) and rows[1].energy_norm > 0
+    gc.collect()
+    assert len(built) == 4
+    assert all(ref() is None for ref in built)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dim", 2.9), ("dim", "3"), ("dim", 3.0), ("dim", True),
+    ("n", 64.8), ("n", "64"), ("degree", 12.7), ("degree", False),
+    ("points_per_decade", 4.5), ("points_per_decade", "4"),
+    ("workers", 1.9), ("workers", True)])
+def test_cli_config_rejects_non_integer_fields(tmp_path, field, value):
+    # an integer field is never rounded: 2.9 must not run as dim 2
+    geometry = ({"kind": "ellipse", "a": 2.0, "b": 1.0, "n": 64} if field == "n"
+                else {"kind": "sphere", "radius": 1.0, "degree": 8})
+    config = {"dim": 2 if field == "n" else 3, "geometry": geometry,
+              "eps_c": -2.0, "omega0": 1.0, "csv_path": str(tmp_path / "x.csv"),
+              "a": [1.0, 0.0] if field == "n" else [0.0, 0.0, 1.0],
+              "z": [3.0, 0.0] if field == "n" else [0.0, 0.0, 2.0]}
+    load_sweep_config(config)
+    if field in geometry:
+        config["geometry"] = dict(geometry, **{field: value})
+    else:
+        config[field] = value
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        load_sweep_config(config)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_sweep_from_json(tmp_path, capsys):

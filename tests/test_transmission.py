@@ -16,6 +16,7 @@ from plasmonres.layer_ops import (
     assemble_S_omega,
     assemble_Kstar_omega,
     eval_potential,
+    InteriorKernels,
 )
 from plasmonres.np_spectrum import (
     build_gram,
@@ -35,6 +36,7 @@ from plasmonres.transmission import (
     solve_spectral_2d,
     solve_spectral_3d,
     gradient_energy,
+    helmholtz_operators,
     interior_gradient_energy,
     coupling_an,
 )
@@ -56,7 +58,12 @@ def _circle_spectrum(radius, n=128):
 
 
 def _energy_ops(nodes, kc):
-    return (assemble_S_omega(nodes, kc), assemble_Kstar_omega(nodes, kc))
+    return (assemble_S_omega(nodes, kc), assemble_Kstar_omega(nodes, kc),
+            InteriorKernels(nodes, kc))
+
+
+def _sphere_energy_ops(spectrum, kc):
+    return (spectrum, *helmholtz_operators((spectrum.degrees.max(), spectrum.radius), kc))
 
 
 def test_plasmon_contrast_map():
@@ -173,8 +180,9 @@ def test_direct_vs_spectral_3d():
     f, g = dipole_traces(pr)
     ss = solve_spectral_3d(coeffs_check(f, sph), coeffs_hat(g, sph),
                            pr.eps_eff, pr.delta_eff, sph)
-    e_d = np.sqrt(gradient_energy(sd.phi, pr.kc, sph))
-    e_s = np.sqrt(gradient_energy(ss.phi, pr.kc, sph))
+    ops = _sphere_energy_ops(sph, pr.kc)
+    e_d = np.sqrt(gradient_energy(sd.phi, pr.kc, ops))
+    e_s = np.sqrt(gradient_energy(ss.phi, pr.kc, ops))
     assert abs(e_d - e_s) / e_d < 10.0 * s / delta
 
 
@@ -196,7 +204,7 @@ def test_energy_interior_crosscheck():
                              z=np.array([3.0, 0.0]))
     sol = solve_direct(pr)
     ops = _energy_ops(nodes, pr.kc)
-    e_green = gradient_energy(sol.phi, pr.kc, ops, validate_interior=True)
+    e_green = gradient_energy(sol.phi, pr.kc, ops)
     e_interior = interior_gradient_energy(sol.phi, pr.kc, ops)
     assert abs(e_green - e_interior) < 0.02 * abs(e_interior)
 
@@ -245,8 +253,26 @@ def test_energy_sphere_route_self_checks():
                              eps_c=-2.0, omega0=1.0, a=np.array([0.0, 0.0, 1.0]),
                              z=np.array([0.0, 0.0, 2.0]))
     sol = solve_direct(pr)
-    e = gradient_energy(sol.phi, pr.kc, sph)
+    e = gradient_energy(sol.phi, pr.kc, _sphere_energy_ops(sph, pr.kc))
     assert np.isfinite(e) and e > 0.0
+
+
+def test_energy_takes_one_operator_form_per_dimension():
+    # 2D takes (S, K*, InteriorKernels), the sphere (spectrum, S, K*);
+    # the bare pair and the bare spectrum are no longer accepted
+    nodes, _ = _ellipse_spectrum(128)
+    k = 0.01
+    phi = np.cos(nodes.t)
+    ops = _energy_ops(nodes, k)
+    assert gradient_energy(phi, k, ops) > 0.0
+    sph = sphere_spectrum(8, 1.0)
+    sph_ops = _sphere_energy_ops(sph, k)
+    coef = np.zeros(sph.n)
+    coef[2] = 1.0
+    assert gradient_energy(coef, k, sph_ops) > 0.0
+    for bad in (ops[:2], sph, sph_ops[1:], (*ops[:2], sph), ops + (None,)):
+        with pytest.raises(TypeError):
+            gradient_energy(phi if bad is not sph else coef, k, bad)
 
 
 def test_energy_zero_density():
