@@ -63,7 +63,8 @@ def _energy_ops(nodes, kc):
 
 
 def _sphere_energy_ops(spectrum, kc):
-    return (spectrum, *helmholtz_operators((spectrum.degrees.max(), spectrum.radius), kc))
+    geometry = (spectrum.degrees.max(), spectrum.radius)
+    return (spectrum, *helmholtz_operators(geometry, kc))
 
 
 def test_plasmon_contrast_map():
@@ -259,7 +260,7 @@ def test_energy_sphere_route_self_checks():
 
 def test_energy_takes_one_operator_form_per_dimension():
     # 2D takes (S, K*, InteriorKernels), the sphere (spectrum, S, K*);
-    # the bare pair and the bare spectrum are no longer accepted
+    # any other form, the bare pair and the bare spectrum included, raises
     nodes, _ = _ellipse_spectrum(128)
     k = 0.01
     phi = np.cos(nodes.t)
