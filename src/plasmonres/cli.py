@@ -30,7 +30,7 @@ from .np_spectrum import sphere_spectrum, spectrum_of
 from .transmission import TransmissionProblem, solve_direct, gradient_energy, \
     interior_gradient_energy, helmholtz_operators
 from .sweep import PointContext, SweepConfig, run_sweep, fit_blowup_rate, \
-    solve_point
+    solve_point, is_integer
 
 __all__ = [
     "main",
@@ -117,8 +117,9 @@ _GEOMETRY_KEYS = {
     "kite": {"kind", "n"},
     "sphere": {"kind", "radius", "degree"},
 }
-# config and geometry keys whose values must be integers, never rounded to one
-_INT_KEYS = ("dim", "points_per_decade", "workers", "n", "degree")
+# keys read here that must be integers, never rounded to one; SweepConfig
+# checks its own (dim, read here first to pick the geometry, included)
+_INT_KEYS = ("dim", "n", "degree")
 
 
 def load_sweep_config(source):
@@ -160,8 +161,7 @@ def load_sweep_config(source):
         raise ConfigError(f"unknown geometry keys for {kind}: {', '.join(bad)}")
 
     for key, value in [*data.items(), *geom.items()]:
-        if key in _INT_KEYS and (isinstance(value, bool)
-                                 or not isinstance(value, (int, np.integer))):
+        if key in _INT_KEYS and not is_integer(value):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
     dim = int(data["dim"])
     params = {k: geom[k] for k in geom if k in ("radius", "a", "b")}

@@ -19,10 +19,11 @@ gather them into the matrix through `r_index`: equal distances give
 equal values, r is exactly symmetric and every diagonal entry is
 overwritten, so the result is bit-identical to the full evaluation.
 Each matrix reads two such tables (J0 and H0 for S^k, J1 and H1 for
-K^k*). An assembler evaluates them itself unless it is handed them;
-`helmholtz_tables` starts the four tables of a wavenumber on an
-executor, so a caller with idle cores can evaluate them while it does
-other work and then build the matrices from them, to the same bits.
+K^k*). The real factors are applied in place, but each complex-scalar
+product stays written as scalar * fresh gather: numpy turns that
+expression into an in-place product only for arrays of at least
+256 KiB, and the two operand orders differ in the last bit, so any
+other spelling would move the bits at some node counts.
 The boundary matrices stay on Hankel values rather than a low-frequency
 series on purpose: a 1-ulp change of the Hankel values in them moves
 the resonant ellipse sweep's energy_norm by about 1e-11 relative and its
@@ -78,14 +79,12 @@ __all__ = [
     "assemble_Kstar",
     "assemble_S_omega",
     "assemble_Kstar_omega",
-    "helmholtz_tables",
     "assemble_R_Q",
     "eval_potential",
     "eval_potential_on",
     "eval_gradient",
     "InteriorKernels",
     "sphere_operators",
-    "sphere_quadrature",
     "real_sph_harm",
     "sphere_diagonal_by_quadrature",
     "sphere_degree_index",
@@ -150,6 +149,14 @@ def _check_wavenumber(nodes, k):
     return k
 
 
+def _weighted_sum(pw, m1, m2):
+    """log_weights * m1 + (2 pi / n) m2, with m1 and m2 overwritten."""
+    m1 *= pw.log_weights
+    m2 *= 2.0 * np.pi / m1.shape[0]
+    m1 += m2
+    return m1
+
+
 def assemble_S(nodes):
     """Static single-layer matrix, log-singular product quadrature."""
     nodes = _require_2d(nodes)
@@ -159,8 +166,8 @@ def assemble_S(nodes):
     m1 = np.broadcast_to(jac / (4.0 * np.pi), (n, n)).copy()
     m2 = (np.log(pw.r * pw.r) - pw.logsin) * jac / (4.0 * np.pi)
     np.fill_diagonal(m2, np.log(jac) * jac / (2.0 * np.pi))
-    mat = pw.log_weights * m1 + (2.0 * np.pi / n) * m2
-    return BoundaryOperator(mat, kind="S", wavenumber=0.0, nodes=nodes)
+    return BoundaryOperator(_weighted_sum(pw, m1, m2), kind="S", wavenumber=0.0,
+                            nodes=nodes)
 
 
 def assemble_Kstar(nodes):
@@ -179,12 +186,6 @@ def assemble_Kstar(nodes):
     return BoundaryOperator(mat, kind="Kstar", wavenumber=0.0, nodes=nodes)
 
 
-# (scipy.special function, order) of the distinct-distance tables that
-# S^k reads and that K^k* reads
-_S_TABLES = (("jv", 0), ("hankel1", 0))
-_KSTAR_TABLES = (("jv", 1), ("hankel1", 1))
-
-
 def _distance_table(nodes, k, name, order):
     """
     special.<name>(order, k r) over the distinct node distances
@@ -194,73 +195,54 @@ def _distance_table(nodes, k, name, order):
     return getattr(special, name)(order, complex(k) * nodes.pairwise.r_distinct)
 
 
-def helmholtz_tables(nodes, k, submit):
-    """
-    Start the Bessel/Hankel tables of S^k and K^k* with an executor's
-    submit, one task per table; returns their futures as
-    ((J0, H0), (J1, H1)), the tables arguments of assemble_S_omega and
-    assemble_Kstar_omega. A k that fails the resolution check raises
-    ValueError and submits nothing.
-    """
-    nodes = _require_2d(nodes)
-    k = _check_wavenumber(nodes, k)
-    return tuple(tuple(submit(_distance_table, nodes, k, name, order)
-                       for name, order in spec)
-                 for spec in (_S_TABLES, _KSTAR_TABLES))
-
-
-def assemble_S_omega(nodes, k, tables=None):
+def assemble_S_omega(nodes, k):
     """
     Helmholtz single-layer matrix at (possibly complex) wavenumber k.
 
     Splitting: the log coefficient is (1/4pi) J0(k r) |x'(s)|; the smooth
     part is recovered by subtraction with the analytic diagonal limit
-    [-i/4 + (1/2pi)(gamma + ln(k |x'(t)|/2))] |x'(t)|. tables is the
-    (J0, H0) pair of helmholtz_tables at this k, evaluated here when
-    omitted.
+    [-i/4 + (1/2pi)(gamma + ln(k |x'(t)|/2))] |x'(t)|.
     """
     nodes = _require_2d(nodes)
     k = _check_wavenumber(nodes, k)
-    n = nodes.n
     pw = nodes.pairwise
     jac = nodes.jacobians
-    j0 = _distance_table(nodes, k, *_S_TABLES[0]) if tables is None else tables[0]
-    m1 = j0[pw.r_index] * jac / (4.0 * np.pi)
+    m1 = _distance_table(nodes, k, "jv", 0)[pw.r_index]
+    m1 *= jac
+    m1 /= 4.0 * np.pi
     np.fill_diagonal(m1, jac / (4.0 * np.pi))
-    h0 = _distance_table(nodes, k, *_S_TABLES[1]) if tables is None else tables[1]
-    gam = -0.25j * h0[pw.r_index]
-    m2 = gam * jac - m1 * pw.logsin
+    m2 = -0.25j * _distance_table(nodes, k, "hankel1", 0)[pw.r_index]
+    m2 *= jac
+    m2 -= m1 * pw.logsin
     diag = (-0.25j + (EULER_GAMMA + np.log(k * jac / 2.0)) / (2.0 * np.pi)) * jac
     np.fill_diagonal(m2, diag)
-    mat = pw.log_weights * m1 + (2.0 * np.pi / n) * m2
-    return BoundaryOperator(mat, kind="S_omega", wavenumber=k, nodes=nodes)
+    return BoundaryOperator(_weighted_sum(pw, m1, m2), kind="S_omega", wavenumber=k,
+                            nodes=nodes)
 
 
-def assemble_Kstar_omega(nodes, k, tables=None):
+def assemble_Kstar_omega(nodes, k):
     """
     Helmholtz adjoint-NP matrix at wavenumber k.
 
     Kernel (ik/4) H1(k r) (nu(t).(x(t)-x(s)))/r |x'(s)|; log coefficient
     -(k/4pi) J1(k r) (nu.dx/r) |x'(s)|, vanishing on the diagonal, where
-    the smooth part has the static limit kappa |x'| / (4 pi). tables is
-    the (J1, H1) pair of helmholtz_tables at this k, evaluated here
-    when omitted.
+    the smooth part has the static limit kappa |x'| / (4 pi).
     """
     nodes = _require_2d(nodes)
     k = _check_wavenumber(nodes, k)
-    n = nodes.n
     pw = nodes.pairwise
     jac = nodes.jacobians
-    c = pw.nu_dot_r
-    j1 = _distance_table(nodes, k, *_KSTAR_TABLES[0]) if tables is None else tables[0]
-    m1 = -(k / (4.0 * np.pi)) * j1[pw.r_index] * c * jac
+    m1 = -(k / (4.0 * np.pi)) * _distance_table(nodes, k, "jv", 1)[pw.r_index]
+    m1 *= pw.nu_dot_r
+    m1 *= jac
     np.fill_diagonal(m1, 0.0)
-    h1 = _distance_table(nodes, k, *_KSTAR_TABLES[1]) if tables is None else tables[1]
-    kern = 0.25j * k * h1[pw.r_index] * c * jac
-    m2 = kern - m1 * pw.logsin
+    m2 = 0.25j * k * _distance_table(nodes, k, "hankel1", 1)[pw.r_index]
+    m2 *= pw.nu_dot_r
+    m2 *= jac
+    m2 -= m1 * pw.logsin
     np.fill_diagonal(m2, nodes.curvatures * jac / (4.0 * np.pi))
-    mat = pw.log_weights * m1 + (2.0 * np.pi / n) * m2
-    return BoundaryOperator(mat, kind="Kstar_omega", wavenumber=k, nodes=nodes)
+    return BoundaryOperator(_weighted_sum(pw, m1, m2), kind="Kstar_omega", wavenumber=k,
+                            nodes=nodes)
 
 
 def _j0m1(z):
@@ -456,23 +438,6 @@ def sphere_operators(L, R, k=0.0):
     sk_op = BoundaryOperator(sk_diag, kind="S_omega", wavenumber=k)
     kk_op = BoundaryOperator(kk_diag, kind="Kstar_omega", wavenumber=k)
     return s_op, kstar_op, sk_op, kk_op
-
-
-def sphere_quadrature(n_theta, n_phi, radius=1.0):
-    """
-    Product Gauss-Legendre x uniform-azimuth surface quadrature on the
-    radius-R sphere. Exact for spherical polynomials of degree
-    < min(2 n_theta, n_phi). Returns (points, weights).
-    """
-    u, wu = np.polynomial.legendre.leggauss(n_theta)
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    st = np.sqrt(1.0 - u * u)
-    pts = np.empty((n_theta * n_phi, 3))
-    pts[:, 0] = np.outer(st, np.cos(phi)).ravel()
-    pts[:, 1] = np.outer(st, np.sin(phi)).ravel()
-    pts[:, 2] = np.outer(u, np.ones(n_phi)).ravel()
-    w = np.outer(wu, np.full(n_phi, 2.0 * np.pi / n_phi)).ravel()
-    return radius * pts, radius * radius * w
 
 
 def real_sph_harm(n, m, points):

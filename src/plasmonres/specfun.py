@@ -26,7 +26,6 @@ __all__ = [
     "grad_gamma_helmholtz",
     "tau",
     "tau_kc",
-    "remainder_kernel",
     "remainder_kernel_radial",
     "compute_kc",
     "spherical_bessel",
@@ -188,10 +187,10 @@ def compute_kc(omega, eps_c, delta):
     return -1j * (omega / np.sqrt(abs(eps_c))) * (1.0 - 1j * delta / (2.0 * eps_c))
 
 
-def remainder_kernel(x, omega, d):
+def remainder_kernel_radial(r, omega, d):
     """
     Remainder kernel of the low-frequency expansion of the Helmholtz
-    fundamental solution:
+    fundamental solution, as a function of the distance r = |x|:
 
         d=2:  K2(x) = [Gamma^w(x) - Gamma(x) - tau(w)] / (w^2 ln w)
         d=3:  K3(x) = [Gamma^w(x) - Gamma(x)] / w
@@ -199,13 +198,6 @@ def remainder_kernel(x, omega, d):
     Both are evaluated by power series where the direct difference would
     cancel catastrophically. K3 is bounded at x = 0 with value -i/(4 pi).
     """
-    x = np.asarray(x, dtype=float)
-    r = np.sqrt(np.sum(x * x, axis=-1))
-    return remainder_kernel_radial(r, omega, d)
-
-
-def remainder_kernel_radial(r, omega, d):
-    """Same remainder kernel as a function of the distance r = |x|."""
     omega = float(omega)
     if not 0 < omega <= OMEGA_MAX:
         raise ValueError(f"omega must lie in (0, {OMEGA_MAX}]")

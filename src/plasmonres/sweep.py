@@ -34,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtrit
 
-# assemble_S_omega is bound here only for perfbench/selftest.py, which reads it
-from .layer_ops import InteriorKernels, assemble_S_omega, helmholtz_tables  # noqa: F401
+from .layer_ops import InteriorKernels, assemble_S_omega, assemble_Kstar_omega
 from .np_spectrum import spectrum_of, coeffs_hat, coeffs_check
 from .transmission import TransmissionProblem, plasmon_lambda, dipole_traces, \
     solve_direct, solve_spectral_2d, solve_spectral_3d, gradient_energy, \
@@ -108,6 +107,11 @@ def scale_for_delta(delta, coupling_c, dim):
     return float(s)
 
 
+def is_integer(value):
+    """True for an int or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """
@@ -119,9 +123,10 @@ class SweepConfig:
     exactly as TransmissionProblem takes it. The grid runs from
     delta_max down to delta_min geometrically with points_per_decade
     points per factor of 10. coupling_c must keep the scale in the
-    s << delta regime, so it is capped at 0.1. plot_path is carried
-    for front ends that render the CSV; run_sweep itself only writes
-    the CSV.
+    s << delta regime, so it is capped at 0.1. dim, points_per_decade
+    and workers must be integers (is_integer), never rounded to one.
+    plot_path is carried for front ends that render the CSV; run_sweep
+    itself only writes the CSV.
     """
 
     dim: int
@@ -141,6 +146,9 @@ class SweepConfig:
     plot_path: str = None
 
     def __post_init__(self):
+        for name in ("dim", "points_per_decade", "workers"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.dim not in (2, 3):
             raise ValueError("dim must be 2 or 3")
         if self.solver not in _SOLVERS:
@@ -149,9 +157,9 @@ class SweepConfig:
             raise ValueError("coupling_c must lie in (0, 0.1]")
         if not 0 < self.delta_min < self.delta_max:
             raise ValueError("need 0 < delta_min < delta_max")
-        if int(self.points_per_decade) < 1:
+        if self.points_per_decade < 1:
             raise ValueError("points_per_decade must be at least 1")
-        if int(self.workers) < 1:
+        if self.workers < 1:
             raise ValueError("workers must be at least 1")
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
         object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
@@ -230,17 +238,13 @@ class SweepResult:
 class PointContext:
     """
     What solve_point needs besides the problem: the NP spectrum of its
-    geometry, the resonant cluster whose largest |a_n| fills the a_n_abs
-    column (empty: no coupling work, a_n_abs 0), and an executor for a
-    2D point's Bessel/Hankel tables (layer_ops.helmholtz_tables), or
-    None for the assemblers to evaluate them. run_sweep builds one per
-    sweep, shared read-only across workers; it sets tables only in a
-    serial 2D sweep with a second CPU, and owns and closes it.
+    geometry and the resonant cluster whose largest |a_n| fills the
+    a_n_abs column (empty: no coupling work, a_n_abs 0). run_sweep
+    builds one per sweep, shared read-only across workers.
     """
 
     spectrum: object
     cluster: tuple = ()
-    tables: object = None
 
 
 def _cores():
@@ -251,7 +255,7 @@ def _cores():
         return os.cpu_count() or 1
 
 
-def _build_context(config, tables):
+def _build_context(config):
     spectrum = spectrum_of(config.geometry)
     if config.dim == 2:
         # a boundary too coarse for its interior quadrature is left to
@@ -259,7 +263,7 @@ def _build_context(config, tables):
         with contextlib.suppress(ValueError):
             config.geometry.interior
     cluster = _resonant_cluster(spectrum, config.eps_c / config.eps_m)
-    return PointContext(spectrum=spectrum, cluster=cluster, tables=tables)
+    return PointContext(spectrum=spectrum, cluster=cluster)
 
 
 def _resonant_cluster(spectrum, eps_eff):
@@ -288,7 +292,25 @@ def _failed_row(problem, solver_name, a_n_abs=np.nan):
                     a_n_abs, solver_name, np.nan, 0.0)
 
 
-def solve_point(problem, ctx, solvers):
+def _start_operators(pool, problem, solvers):
+    """
+    Futures of a 2D point's (S^{k_c}, K^{k_c}*) and, when solvers has a
+    direct row, (S^omega, K^omega*) (else None), submitted in that order.
+    """
+    def start(k):
+        return (pool.submit(assemble_S_omega, problem.geometry, k),
+                pool.submit(assemble_Kstar_omega, problem.geometry, k))
+    return start(problem.kc), start(problem.omega) if "direct" in solvers else None
+
+
+def _operators(geometry, k, futures):
+    """(S^k, K^k*): the results of futures when given, else built here."""
+    if futures is None:
+        return helmholtz_operators(geometry, k)
+    return tuple(f.result() for f in futures)
+
+
+def solve_point(problem, ctx, solvers, operators=None):
     """
     The rows of one transmission problem, one per solver named in
     solvers ("direct", "spectral"), in that order; ctx is a
@@ -296,26 +318,20 @@ def solve_point(problem, ctx, solvers):
     failed it, its traceback dropped so that it keeps none of the
     point's matrices alive, or None. A failed row has NaN cells; an
     error before the solves fails every row, a_n_abs included.
-    With a table executor the k_c tables start first, then the omega
-    tables of a direct row, and run while the traces and coupling are
-    computed; an omega that fails its check starts no tables and fails
-    the direct row at its assembly.
+    operators is what _start_operators returned for this problem, or
+    None to assemble here; either way a k_c whose operators fail fails
+    every row, an omega only the direct row.
     """
     geometry, kc, om = problem.geometry, problem.kc, problem.omega
+    kc_futures, om_futures = operators or (None, None)
     spectrum = ctx.spectrum
     try:
-        kc_tables = om_tables = None
-        if ctx.tables is not None:
-            kc_tables = helmholtz_tables(geometry, kc, ctx.tables.submit)
-            if "direct" in solvers:
-                with contextlib.suppress(ValueError):
-                    om_tables = helmholtz_tables(geometry, om, ctx.tables.submit)
         f, g = dipole_traces(problem)
         a_n_abs = 0.0
         for slot in ctx.cluster:
             an, _ = coupling_an(problem.z, problem.a, slot, spectrum, om)
             a_n_abs = max(a_n_abs, abs(an))
-        s_in, k_in = helmholtz_operators(geometry, kc, kc_tables)
+        s_in, k_in = _operators(geometry, kc, kc_futures)
         energy_ops = ((s_in, k_in, InteriorKernels(geometry, kc)) if problem.dim == 2
                       else (spectrum, s_in, k_in))
     except _ROW_ERRORS as exc:
@@ -328,7 +344,7 @@ def solve_point(problem, ctx, solvers):
         try:
             if name == "direct":
                 sol = solve_direct(problem, operators=(
-                    s_in, k_in, *helmholtz_operators(geometry, om, om_tables)))
+                    s_in, k_in, *_operators(geometry, om, om_futures)))
             elif problem.dim == 2:
                 sol = solve_spectral_2d(coeffs_check(f, spectrum), coeffs_hat(g, spectrum),
                                         problem.eps_eff, problem.delta_eff, om, spectrum)
@@ -377,6 +393,31 @@ def _write_csv(path, rows):
             ])
 
 
+def _solve_ahead(problems, ctx, solvers):
+    """
+    Rows of each problem in order, with a pool of two threads building
+    the Helmholtz operators one point ahead: the tasks of point i+1 are
+    submitted before point i is solved, so the FIFO pool finishes point
+    i first and then builds point i+1 beside point i's LU, energies and
+    spectral row. An exception that escapes a point cancels the queued
+    look-ahead and drops every future before it propagates; the pool is
+    shut down, its running tasks finished, before this returns.
+    """
+    rows = []
+    with ThreadPoolExecutor(2) as pool:
+        started = [_start_operators(pool, problems[0], solvers)]
+        try:
+            for i, problem in enumerate(problems):
+                if i + 1 < len(problems):
+                    started.append(_start_operators(pool, problems[i + 1], solvers))
+                rows.append(solve_point(problem, ctx, solvers, started.pop(0))[0])
+        except BaseException:
+            started.clear()
+            pool.shutdown(cancel_futures=True)
+            raise
+    return rows
+
+
 def run_sweep(config):
     """
     Execute the sweep, write the CSV, fit the blow-up rate, classify.
@@ -384,32 +425,31 @@ def run_sweep(config):
     Points run on a worker pool of config.workers threads; results are
     assembled in grid order so the output does not depend on
     scheduling. A 2D sweep with workers=1 on a process with at least
-    two CPUs evaluates its points' Bessel/Hankel tables on one executor
-    of two threads for the whole sweep, shut down, its work finished,
-    before this returns; the tables are bit-identical to those of the
-    serial path. That is the one configuration measured; with more
-    points in flight the table threads would run beside other points'
-    LU, so those sweeps, and the sphere, keep one thread per point.
+    two CPUs builds its points' S^k and K^k* on one pool of two threads
+    for the whole sweep, one point ahead (_solve_ahead); the operators
+    are those of the serial path, bit for bit. That is the one
+    configuration measured; with more points in flight the pool would
+    run beside other points' LU, so those sweeps, and the sphere,
+    assemble on the point's own thread.
     The slope is fitted over the valid rows of one solver (direct when
     available, else spectral) so mixed direct/spectral sweeps do not
     double-count grid points. More than 30% invalid rows forces the
     'inconclusive' verdict.
     """
     grid = config.delta_grid()
-    workers = int(config.workers)
     solvers = ("direct", "spectral") if config.solver == "both" else (config.solver,)
-    pooled = config.dim == 2 and workers == 1 and _cores() >= 2
-    with ThreadPoolExecutor(2) if pooled else contextlib.nullcontext() as tables:
-        ctx = _build_context(config, tables)
+    ctx = _build_context(config)
 
-        def point_rows(delta):
-            return solve_point(config.problem_at(float(delta)), ctx, solvers)[0]
+    def point_rows(delta):
+        return solve_point(config.problem_at(float(delta)), ctx, solvers)[0]
 
-        if workers == 1:
-            per_point = [point_rows(d) for d in grid]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                per_point = list(pool.map(point_rows, grid))
+    if config.workers > 1:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            per_point = list(pool.map(point_rows, grid))
+    elif config.dim == 2 and _cores() >= 2:
+        per_point = _solve_ahead([config.problem_at(float(d)) for d in grid], ctx, solvers)
+    else:
+        per_point = [point_rows(d) for d in grid]
     rows = tuple(r for point in per_point for r in point)
     _write_csv(config.csv_path, rows)
 

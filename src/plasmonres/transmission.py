@@ -348,22 +348,19 @@ def assemble_system(problem, operators=None):
     blocks, (f, g) = _system_blocks(problem, operators)
     if blocks[0].ndim == 1:
         blocks = [np.diag(b) for b in blocks]
-    a_mat = np.vstack([np.hstack(blocks[:2]), np.hstack(blocks[2:])])
+    m = blocks[0].shape[0]
+    a_mat = np.empty((2 * m, 2 * m), dtype=np.result_type(*blocks))
+    a_mat[:m, :m], a_mat[:m, m:], a_mat[m:, :m], a_mat[m:, m:] = blocks
     return a_mat, np.concatenate([f, g])
 
 
-def helmholtz_operators(geometry, k, tables=None):
+def helmholtz_operators(geometry, k):
     """
     (S^k, K^k*) on a NodeSet (Nystrom matrices) or a sphere (L, R)
-    (diagonals). tables, 2D only, is what layer_ops.helmholtz_tables
-    started at this k: S^k is built as soon as its two tables are
-    ready, while those of K^k* may still run.
+    (diagonals).
     """
     if isinstance(geometry, NodeSet):
-        def ready(i):
-            return None if tables is None else tuple(f.result() for f in tables[i])
-        return (assemble_S_omega(geometry, k, ready(0)),
-                assemble_Kstar_omega(geometry, k, ready(1)))
+        return assemble_S_omega(geometry, k), assemble_Kstar_omega(geometry, k)
     L, R = geometry
     return sphere_operators(int(L), float(R), k)[2:]
 

@@ -124,13 +124,19 @@ def _full_helmholtz_matrices(nodes, k):
 
 
 _DISTINCT_CASES = [("ellipse", {"a": 2.0, "b": 1.0}, 96), ("kite", {}, 96),
-                   ("circle", {"radius": 1.5}, 128)]
+                   ("circle", {"radius": 1.5}, 128),
+                   ("ellipse", {"a": 2.0, "b": 1.0}, 64),
+                   ("ellipse", {"a": 2.0, "b": 1.0}, 256)]
 
 
 @pytest.mark.parametrize("kind, params, n", _DISTINCT_CASES)
 def test_distinct_distance_helmholtz_assembly_bit_identical(kind, params, n):
     # the assemblers evaluate Bessel/Hankel values once per distinct
-    # node distance; equal distances give equal values, so nothing moves
+    # node distance; equal distances give equal values, so nothing moves.
+    # They also apply their real factors in place, while numpy makes
+    # scalar * temporary in place only from 256 KiB (N = 128) on: the
+    # node counts on both sides of that cut hold their complex-scalar
+    # products to the operand order of the out-of-place expressions
     nodes = quadrature_nodes(make_curve(kind, **params), n)
     for k in (0.3, compute_kc(0.3, -3.0, 1e-2)):
         s_full, k_full = _full_helmholtz_matrices(nodes, k)

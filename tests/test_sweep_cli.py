@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from importlib.metadata import EntryPoint
@@ -286,6 +287,13 @@ def test_repeated_sweeps_retain_no_operators(tmp_path, monkeypatch):
         built.extend(weakref.ref(op) for op in out)
         return out
     monkeypatch.setattr(sweep_module, "helmholtz_operators", recording)
+    # the look-ahead pool of a serial 2D sweep calls the assemblers directly
+    for name in ("assemble_S_omega", "assemble_Kstar_omega"):
+        def recording_one(*args, _original=getattr(sweep_module, name)):
+            out = _original(*args)
+            built.append(weakref.ref(out))
+            return out
+        monkeypatch.setattr(sweep_module, name, recording_one)
 
     def recording_kernels(*args, _original=sweep_module.InteriorKernels):
         out = _original(*args)
@@ -385,30 +393,33 @@ def test_2d_sweep_builds_interior_kernels_once_per_point(tmp_path, monkeypatch,
 def _run_on_cores(monkeypatch, cfg, cores):
     """
     run_sweep as if the process had `cores` CPUs. Returns the result
-    and the table executor of each point's context, and checks that no
-    thread the sweep started outlives it.
+    and, per point, the operator futures the look-ahead pool handed to
+    solve_point (None without a pool), and checks that no thread the
+    sweep started outlives it, also when it raises.
     """
     executors = []
     with monkeypatch.context() as m:
         original = sweep_module.solve_point
 
-        def recording(problem, ctx, solvers):
-            executors.append(ctx.tables)
-            return original(problem, ctx, solvers)
+        def recording(problem, ctx, solvers, *rest):
+            executors.append(rest[0] if rest else None)
+            return original(problem, ctx, solvers, *rest)
 
         m.setattr(sweep_module, "_cores", lambda: cores)
         m.setattr(sweep_module, "solve_point", recording)
         before = set(threading.enumerate())
-        result = run_sweep(cfg)
-        assert set(threading.enumerate()) <= before
+        try:
+            result = run_sweep(cfg)
+        finally:
+            assert set(threading.enumerate()) <= before
     return result, executors
 
 
 @pytest.mark.parametrize("make", (_ellipse_config, _kite_hankel_config))
 def test_pooled_and_serial_2d_sweeps_agree(tmp_path, monkeypatch, make):
-    # with a spare core the Bessel/Hankel tables are evaluated on the
-    # table executor's threads, otherwise by the assemblers on the
-    # point's thread; every cell but wall_time_ms is the same
+    # with a spare core the operators, and so their Bessel/Hankel
+    # tables, are built on the look-ahead pool's threads, otherwise on
+    # the point's thread; every cell but wall_time_ms is the same
     table = layer_ops._distance_table
     paths = {}
     for cores in (1, 2):
@@ -478,6 +489,39 @@ def test_wavenumber_failures_fail_their_rows(tmp_path, monkeypatch, failing, sta
     assert result.invalid_fraction == (1.0 if failing == "kc" else 0.5)
     if stage == "check":
         assert not any(fails(k) for k in evaluated)
+
+
+def test_look_ahead_pool_closes_on_a_sweep_error(tmp_path, monkeypatch):
+    # a non-row error at the third point propagates out of run_sweep; no
+    # pool thread outlives the sweep, and the operators already built
+    # one point ahead, for the fourth point, are not retained, not even
+    # by the traceback the error still holds
+    cfg = _ellipse_config(tmp_path)
+    third, fourth = (cfg.problem_at(float(d)) for d in cfg.delta_grid()[2:4])
+    ahead = []
+    for name in ("assemble_S_omega", "assemble_Kstar_omega"):
+        def recording(nodes, k, _original=getattr(sweep_module, name)):
+            out = _original(nodes, k)
+            if k in (fourth.kc, fourth.omega):
+                ahead.append(weakref.ref(out))
+            return out
+        monkeypatch.setattr(sweep_module, name, recording)
+
+    def failing(phi, kc, ops, _original=sweep_module.gradient_energy):
+        if kc != third.kc:
+            return _original(phi, kc, ops)
+        deadline = time.monotonic() + 60.0
+        while len(ahead) < 4 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise TypeError("synthetic non-row error")
+
+    monkeypatch.setattr(sweep_module, "gradient_energy", failing)
+    with pytest.raises(TypeError, match="synthetic") as excinfo:
+        _run_on_cores(monkeypatch, cfg, 2)
+    assert len(ahead) == 4
+    gc.collect()
+    assert all(ref() is None for ref in ahead)
+    assert excinfo.traceback
 
 
 @pytest.mark.parametrize("dim, workers, cores, pooled", [
@@ -559,12 +603,12 @@ def test_cli_solve_prints_the_sweep_row(tmp_path, capsys, monkeypatch, make, geo
                                        solver):
     # `plasmonres solve` at a sweep's grid point prints, digit for digit,
     # the energy_norm, phi0_hat_abs and residual cells the sweep writes;
-    # it solves through solve_point, with no coupling work and no tables
+    # it solves through solve_point, with no coupling work and no pool
     calls = []
 
-    def recording(problem, ctx, solvers, _original=cli_module.solve_point):
-        calls.append((ctx.cluster, ctx.tables, solvers))
-        return _original(problem, ctx, solvers)
+    def recording(problem, ctx, solvers, *rest, _original=cli_module.solve_point):
+        calls.append((ctx.cluster, rest, solvers))
+        return _original(problem, ctx, solvers, *rest)
 
     monkeypatch.setattr(cli_module, "solve_point", recording)
     cfg = make(tmp_path)
@@ -583,7 +627,7 @@ def test_cli_solve_prints_the_sweep_row(tmp_path, capsys, monkeypatch, make, geo
     lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("solver=")]
     assert lines == [f"solver={solver} energy_norm={row['energy_norm']} "
                      f"phi0_hat_abs={row['phi0_hat_abs']} residual={row['residual']}"]
-    assert calls == [((), None, (solver,))]
+    assert calls == [((), (), (solver,))]
 
 
 _CLI_ELLIPSE_SOLVE = ["solve", "--dim", "2", "--geometry", "ellipse:2,1", "--nodes", "64",
@@ -659,6 +703,16 @@ def test_solve_point_errors_hold_no_frames(tmp_path, monkeypatch):
     gc.collect()
     assert len(built) == 4
     assert all(ref() is None for ref in built)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dim", 3.0), ("dim", True), ("points_per_decade", 2.5),
+    ("points_per_decade", "3"), ("workers", 1.9), ("workers", True)])
+def test_sweep_config_rejects_non_integer_counts(tmp_path, field, value):
+    # a SweepConfig built directly never rounds a count either:
+    # workers=1.9 must not run one worker, dim=3.0 not fail later
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        _sphere_config(tmp_path, **{field: value})
 
 
 @pytest.mark.parametrize("field, value", [
