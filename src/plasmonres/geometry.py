@@ -37,8 +37,6 @@ __all__ = [
     "log_weight_matrix",
 ]
 
-_2D_KINDS = ("circle", "ellipse", "kite")
-
 # coefficients of the standard smooth kite curve
 _KITE_A = 0.65
 _KITE_B = 1.5

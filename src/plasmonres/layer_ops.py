@@ -70,6 +70,8 @@ from .specfun import (
     remainder_kernel_radial,
     sph_jh_product,
     sph_jh_product_deriv,
+    sph_j_ratio,
+    sph_j_ratio_deriv,
 )
 
 __all__ = [
@@ -97,6 +99,11 @@ _MAX_K_DIAM = 5.0
 # are summed from the low-frequency series of the kernel
 _SERIES_KR_MAX = 0.5
 
+# 48-point Gauss-Legendre rule (nodes, weights) on [-1, 1], read-only, for
+# the radial integrals of the sphere's interior energy and coupling
+GAUSS_48 = np.polynomial.legendre.leggauss(48)
+GAUSS_48[0].flags.writeable = GAUSS_48[1].flags.writeable = False
+
 
 @dataclass(frozen=True)
 class BoundaryOperator:
@@ -107,14 +114,15 @@ class BoundaryOperator:
     (2D curves). A 1-D matrix is a diagonal: the operator acts on
     flattened spherical-harmonic coefficients (sphere) as
     matrix * coefficients. kind names the operator, wavenumber is 0 for
-    static kernels. Matrices are frozen after assembly and safe to share
-    across threads.
+    static kernels, and nodes is the geometry: the NodeSet of a 2D
+    matrix, the (L, R) of a sphere_operators diagonal. Matrices are
+    frozen after assembly and safe to share across threads.
     """
 
     matrix: np.ndarray
     kind: str
     wavenumber: complex = 0.0
-    nodes: NodeSet = None
+    nodes: object = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
@@ -364,23 +372,37 @@ def _potential_kernel(targets, k):
 @dataclass(eq=False)
 class InteriorKernels:
     """
-    _potential_kernel at wavenumber k on the coarse grid and the collar
-    edge of nodes.interior, built on the first call of tables(). A
-    sweep keeps one per grid point for the energies of its direct and
-    spectral densities, so each kernel is evaluated once per point and
-    freed with it.
+    The wavenumber-k interior data of gradient_energy, built on the first
+    call of tables(). On a NodeSet: _potential_kernel on the coarse grid
+    and the collar edge of nodes.interior. On a sphere (L, R): per
+    harmonic slot of degree n the radial Gauss-Legendre integrals of
+    g_n(r) = j_n(k r)/j_n(k R),
+
+        i_mass = int_0^R |g_n|^2 r^2 dr,
+        i_grad = int_0^R (|g_n'|^2 + n(n+1) |g_n/r|^2) r^2 dr.
+
+    A sweep keeps one per grid point for the energies of its direct and
+    spectral densities, so each is built once per point and freed with it.
     """
 
-    nodes: NodeSet
+    geometry: object
     k: complex
     _tables: tuple = field(default=None, init=False, repr=False)
 
+    def __post_init__(self):
+        if not isinstance(self.geometry, NodeSet):
+            L, R = self.geometry
+            self.geometry = (int(L), float(R))
+
     def tables(self):
-        """(coarse, edge) kernel matrices."""
+        """(coarse, edge) kernel matrices, or the sphere's (i_mass, i_grad)."""
         if self._tables is None:
-            quad = self.nodes.interior
-            self._tables = (_potential_kernel(quad.coarse, self.k),
-                            _potential_kernel(quad.edge, self.k))
+            if isinstance(self.geometry, NodeSet):
+                quad = self.geometry.interior
+                self._tables = (_potential_kernel(quad.coarse, self.k),
+                                _potential_kernel(quad.edge, self.k))
+            else:
+                self._tables = _sphere_radial_table(*self.geometry, self.k)
         return self._tables
 
 
@@ -399,6 +421,21 @@ def eval_potential_on(nodes, targets, density, k):
 def sphere_degree_index(L):
     """Degree n of each flattened (n, m) spherical-harmonic slot."""
     return np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+
+
+def _sphere_radial_table(L, radius, k):
+    """The sphere's (i_mass, i_grad) of InteriorKernels, one entry per slot."""
+    x, w = GAUSS_48
+    r = 0.5 * radius * (x + 1.0)
+    w = 0.5 * radius * w
+    n = np.arange(L + 1)
+    g = sph_j_ratio(n, k * r, k * radius)
+    gp = k * sph_j_ratio_deriv(n, k * r, k * radius)
+    i_mass = np.sum(w * np.abs(g) ** 2 * r * r, axis=1)
+    centrifugal = (n * (n + 1))[:, None] * np.abs(g / r) ** 2
+    i_grad = np.sum(w * (np.abs(gp) ** 2 + centrifugal) * r * r, axis=1)
+    deg = sphere_degree_index(L)
+    return i_mass[deg], i_grad[deg]
 
 
 def sphere_operators(L, R, k=0.0):
@@ -426,8 +463,8 @@ def sphere_operators(L, R, k=0.0):
     deg = sphere_degree_index(L)
     s_diag = -R / (2.0 * deg + 1.0)
     kstar_diag = 1.0 / (2.0 * (2.0 * deg + 1.0))
-    s_op = BoundaryOperator(s_diag, kind="S", wavenumber=0.0)
-    kstar_op = BoundaryOperator(kstar_diag, kind="Kstar", wavenumber=0.0)
+    s_op = BoundaryOperator(s_diag, kind="S", wavenumber=0.0, nodes=(L, R))
+    kstar_op = BoundaryOperator(kstar_diag, kind="Kstar", wavenumber=0.0, nodes=(L, R))
     if k == 0:
         return s_op, kstar_op
     z = k * R
@@ -435,8 +472,8 @@ def sphere_operators(L, R, k=0.0):
     jhp = sph_jh_product_deriv(np.arange(L + 1), z)
     sk_diag = -1j * k * R * R * jh[deg]
     kk_diag = -0.5j * k * k * R * R * jhp[deg]
-    sk_op = BoundaryOperator(sk_diag, kind="S_omega", wavenumber=k)
-    kk_op = BoundaryOperator(kk_diag, kind="Kstar_omega", wavenumber=k)
+    sk_op = BoundaryOperator(sk_diag, kind="S_omega", wavenumber=k, nodes=(L, R))
+    kk_op = BoundaryOperator(kk_diag, kind="Kstar_omega", wavenumber=k, nodes=(L, R))
     return s_op, kstar_op, sk_op, kk_op
 
 

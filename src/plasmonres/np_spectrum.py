@@ -115,10 +115,6 @@ class NPSpectrum:
             return np.where(np.arange(self.n) == 0, self.densities, 0.0)
         return self.densities[:, 0]
 
-    def integrate(self, values):
-        """int values dsigma in this realization."""
-        return (self.wdiag * self.one_vec) @ values
-
 
 def build_gram(S, nodes):
     """

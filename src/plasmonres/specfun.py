@@ -322,7 +322,11 @@ def _sph_series(n, z, with_deriv=False):
 def _dfact(n):
     """Double factorial (2n+1)!! as float, elementwise over n >= 0."""
     n = np.asarray(n)
-    return np.cumprod(np.arange(1.0, 2.0 * n.max() + 2.0, 2.0))[n]
+    # (2n+1)!! is inf from n = 150 on, which is the intended limit: the
+    # series callers divide z^n by it at |z| < 0.5, where z^n / (2n+1)!!
+    # lies below the smallest double and rounds to 0 either way
+    with np.errstate(over="ignore"):
+        return np.cumprod(np.arange(1.0, 2.0 * n.max() + 2.0, 2.0))[n]
 
 
 def sph_jh_product(n, z):

@@ -332,8 +332,7 @@ def solve_point(problem, ctx, solvers, operators=None):
             an, _ = coupling_an(problem.z, problem.a, slot, spectrum, om)
             a_n_abs = max(a_n_abs, abs(an))
         s_in, k_in = _operators(geometry, kc, kc_futures)
-        energy_ops = ((s_in, k_in, InteriorKernels(geometry, kc)) if problem.dim == 2
-                      else (spectrum, s_in, k_in))
+        energy_ops = (s_in, k_in, InteriorKernels(geometry, kc))
     except _ROW_ERRORS as exc:
         return ([_failed_row(problem, name) for name in solvers],
                 [exc.with_traceback(None)] * len(solvers))
@@ -344,7 +343,7 @@ def solve_point(problem, ctx, solvers, operators=None):
         try:
             if name == "direct":
                 sol = solve_direct(problem, operators=(
-                    s_in, k_in, *_operators(geometry, om, om_futures)))
+                    s_in, k_in, *_operators(geometry, om, om_futures)), traces=(f, g))
             elif problem.dim == 2:
                 sol = solve_spectral_2d(coeffs_check(f, spectrum), coeffs_hat(g, spectrum),
                                         problem.eps_eff, problem.delta_eff, om, spectrum)

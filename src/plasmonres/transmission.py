@@ -49,6 +49,7 @@ import numpy as np
 
 from .geometry import NodeSet, interior_points, _inside_polygon
 from .layer_ops import (
+    GAUSS_48,
     BoundaryOperator,
     InteriorKernels,
     assemble_S_omega,
@@ -100,10 +101,6 @@ _DIRECT_RESIDUAL_TOL = 1e-8
 _ENERGY_CROSS_TOL = 0.05
 
 _SPHERE_MARGIN = 1.05
-
-_ENERGY_FORMS = ("energy operators must be (S^kc, K^kc*, InteriorKernels) in 2D "
-                 "or (spectrum, S^kc, K^kc*) on the sphere")
-
 
 def plasmon_lambda(t):
     """
@@ -272,12 +269,12 @@ def _hessian_contract(y, k, nu, a):
     return (1j * k / 4.0) * (k * h0 * nyh * ayh + h1 * (nu_a - 2.0 * nyh * ayh) / rho)
 
 
-def dipole_traces(problem, nodes=None):
+def dipole_traces(problem):
     """
     Boundary data (F_z, d_nu F_z) of the incident dipole field.
 
-    2D: nodal traces on the quadrature nodes (defaults to the problem
-    geometry).  3D: coefficient vectors over surface-orthonormal real
+    2D: nodal traces on the quadrature nodes of the problem geometry.
+    3D: coefficient vectors over surface-orthonormal real
     spherical harmonics; only the m = 0 slots of the dipole axis are
     populated.  The 3D coefficients are evaluated through stable
     Bessel-product forms, so they remain accurate at frequencies where
@@ -285,11 +282,10 @@ def dipole_traces(problem, nodes=None):
     """
     om = problem.omega
     if problem.dim == 2:
-        nd = problem.geometry if nodes is None else nodes
-        y = nd.points - problem.z[None, :]
+        y = problem.geometry.points - problem.z[None, :]
         grads = grad_gamma_helmholtz(y, om, 2)
         f = -(grads @ problem.a)
-        dnf = -_hessian_contract(y, om, nd.normals, problem.a)
+        dnf = -_hessian_contract(y, om, problem.geometry.normals, problem.a)
         return f, dnf
     L, radius = problem.geometry
     z0 = float(np.dot(problem.a, problem.z))
@@ -328,7 +324,7 @@ def _dipole_trace_3d(n, radius, om, z0, cn, jhp):
 # ----------------------------------------------------------------- solvers
 
 
-def assemble_system(problem, operators=None):
+def assemble_system(problem, operators=None, traces=None):
     """
     Full transmission system (A, b): find (phi, psi) with
 
@@ -343,9 +339,10 @@ def assemble_system(problem, operators=None):
 
     operators, when given, is the pre-assembled quadruple
     (S^{k_c}, K^{k_c}*, S^omega, K^omega*) matching the problem, pairs
-    as helmholtz_operators builds them. Wavenumbers are checked.
+    as helmholtz_operators builds them. Wavenumbers are checked. traces,
+    when given, is the problem's dipole_traces pair (F_z, d_nu F_z).
     """
-    blocks, (f, g) = _system_blocks(problem, operators)
+    blocks, (f, g) = _system_blocks(problem, operators, traces)
     if blocks[0].ndim == 1:
         blocks = [np.diag(b) for b in blocks]
     m = blocks[0].shape[0]
@@ -365,7 +362,7 @@ def helmholtz_operators(geometry, k):
     return sphere_operators(int(L), float(R), k)[2:]
 
 
-def _system_blocks(problem, operators):
+def _system_blocks(problem, operators, traces):
     """Blocks (A11, A12, A21, A22) and data (f, g); sphere blocks are 1-D."""
     om = problem.omega
     kc = problem.kc
@@ -378,7 +375,7 @@ def _system_blocks(problem, operators):
     s_in, k_in, s_out, k_out = (op.matrix for op in operators)
     eye = np.eye(s_in.shape[0]) if s_in.ndim == 2 else 1.0
     blocks = (s_in, -s_out, epsd * (-0.5 * eye + k_in), -(0.5 * eye + k_out))
-    return blocks, dipole_traces(problem)
+    return blocks, traces or dipole_traces(problem)
 
 
 def _solve_slots(a11, a12, a21, a22, f, g):
@@ -396,7 +393,7 @@ def _solve_slots(a11, a12, a21, a22, f, g):
     return (pf - p12 * y) / p11, y
 
 
-def solve_direct(problem, operators=None):
+def solve_direct(problem, operators=None, traces=None):
     """
     Direct solve of the full Helmholtz transmission system: dense LU in
     2D, one pivoted 2x2 solve per harmonic slot on the sphere (whose
@@ -404,15 +401,15 @@ def solve_direct(problem, operators=None):
 
     Raises RuntimeError when the relative residual exceeds 1e-8, which
     only happens if the system is degenerate beyond its natural 1/delta
-    conditioning. operators is as for assemble_system.
+    conditioning. operators and traces are as for assemble_system.
     """
     if problem.dim == 3:
-        (a11, a12, a21, a22), (f, g) = _system_blocks(problem, operators)
+        (a11, a12, a21, a22), (f, g) = _system_blocks(problem, operators, traces)
         phi, psi = _solve_slots(a11, a12, a21, a22, f, g)
         ax = np.concatenate([a11 * phi + a12 * psi, a21 * phi + a22 * psi])
         rhs = np.concatenate([f, g])
     else:
-        a_mat, rhs = assemble_system(problem, operators=operators)
+        a_mat, rhs = assemble_system(problem, operators, traces)
         x = np.linalg.solve(a_mat, rhs)
         ax = a_mat @ x
         phi, psi = np.split(x, 2)
@@ -553,84 +550,53 @@ def interior_gradient_energy(phi, kc, operators):
     return e_bulk + _collar_integral(nodes, b, f_bdry, f_edge)
 
 
-def _sphere_radial_table(spectrum, kc, n_quad=48):
-    """
-    Radial Gauss-Legendre integrals per degree for the normalised
-    interior profiles g_n(r) = j_n(k r)/j_n(k R):
-
-        i_mass[n] = int_0^R |g_n|^2 r^2 dr,
-        i_grad[n] = int_0^R (|g_n'|^2 + n(n+1) |g_n/r|^2) r^2 dr.
-    """
-    radius = spectrum.radius
-    x, w = np.polynomial.legendre.leggauss(n_quad)
-    r = 0.5 * radius * (x + 1.0)
-    w = 0.5 * radius * w
-    n = np.arange(int(spectrum.degrees.max()) + 1)
-    g = sph_j_ratio(n, kc * r, kc * radius)
-    gp = kc * sph_j_ratio_deriv(n, kc * r, kc * radius)
-    i_mass = np.sum(w * np.abs(g) ** 2 * r * r, axis=1)
-    centrifugal = (n * (n + 1))[:, None] * np.abs(g / r) ** 2
-    i_grad = np.sum(w * (np.abs(gp) ** 2 + centrifugal) * r * r, axis=1)
-    return i_mass, i_grad
-
-
 def gradient_energy(phi, kc, operators):
     """
     ||grad u||^2_{L^2} of the interior field u = S^{k_c}[phi].
 
-    operators is (S^{k_c}, K^{k_c}*, InteriorKernels) for a 2D boundary:
-    the Nystrom pair and the interior kernels of its nodes at k_c, which
-    the energies of one grid point share. For the sphere it is
-    (spectrum, S^{k_c}, K^{k_c}*) with the diagonals of
-    sphere_operators. Any other form raises TypeError.
-    The value comes from the boundary Green identity; the |u|^2 volume
-    term it needs is a small correction of relative size |k_c|^2 and is
-    integrated on a coarse interior grid (2D) or exactly per radial mode
-    (sphere). The sphere route also cross-checks the identity against
-    the exact radial-mode energy and raises RuntimeError on a
-    disagreement beyond 5%.
+    operators is (S^{k_c}, K^{k_c}*, InteriorKernels) in both
+    dimensions: the Nystrom pair of a 2D boundary or the diagonals of
+    sphere_operators, and the interior data of the same geometry at
+    k_c, which the energies of one grid point share. Any other form
+    raises TypeError, a holder of another geometry or wavenumber
+    ValueError. The value comes from the boundary Green identity; the
+    |u|^2 volume term it needs is a small correction of relative size
+    |k_c|^2 and is integrated on a coarse interior grid (2D) or exactly
+    per radial mode (sphere). The sphere route also cross-checks the
+    identity against the exact radial-mode energy and raises
+    RuntimeError on a disagreement beyond 5%.
     """
-    if isinstance(operators, NPSpectrum) or len(operators) != 3:
-        raise TypeError(_ENERGY_FORMS)
-    if isinstance(operators[0], NPSpectrum):
-        return _sphere_energy(phi, kc, *operators)
+    if (isinstance(operators, NPSpectrum) or len(operators) != 3
+            or not isinstance(operators[2], InteriorKernels)):
+        raise TypeError("energy operators must be (S^kc, K^kc*, InteriorKernels)")
     s_op, k_op, kernels = operators
-    if not isinstance(kernels, InteriorKernels):
-        raise TypeError(_ENERGY_FORMS)
     _require_wavenumber(s_op, kc)
     _require_wavenumber(k_op, kc)
-    nodes = s_op.nodes
-    if kernels.nodes is not nodes or kernels.k != kc:
+    geometry = s_op.nodes
+    same = kernels.geometry is geometry or (isinstance(geometry, tuple)
+                                            and kernels.geometry == geometry)
+    if not same or kernels.k != kc:
         raise ValueError("interior kernels do not match the operators")
-    u_trace = s_op.matrix @ phi
-    dnu = -0.5 * phi + k_op.matrix @ phi
-    e_b = float(np.real(np.sum(nodes.weights * u_trace * np.conj(dnu))))
-    # int |u|^2: coarse grid plus boundary collar
-    quad = nodes.interior
-    coarse, edge = kernels.tables()
-    wphi = nodes.weights * phi
-    v_bulk = float(np.sum(quad.coarse.weights * np.abs(coarse @ wphi) ** 2))
-    v_collar = _collar_integral(nodes, quad.collar, np.abs(u_trace) ** 2,
-                                np.abs(edge @ wphi) ** 2)
-    return e_b + np.real(kc * kc) * (v_bulk + v_collar)
-
-
-def _sphere_energy(phi, kc, spectrum, s_op, k_op):
-    """gradient_energy on the sphere, from its (spectrum, S, K*) form."""
-    if spectrum.dim != 3:
-        raise ValueError("NPSpectrum operators are only valid for the sphere")
-    _require_wavenumber(s_op, kc)
-    _require_wavenumber(k_op, kc)
-    radius = spectrum.radius
-    degrees = spectrum.degrees
+    if isinstance(geometry, NodeSet):
+        u_trace = s_op.matrix @ phi
+        dnu = -0.5 * phi + k_op.matrix @ phi
+        e_b = float(np.real(np.sum(geometry.weights * u_trace * np.conj(dnu))))
+        # int |u|^2: coarse grid plus boundary collar
+        quad = geometry.interior
+        coarse, edge = kernels.tables()
+        wphi = geometry.weights * phi
+        v_bulk = float(np.sum(quad.coarse.weights * np.abs(coarse @ wphi) ** 2))
+        v_collar = _collar_integral(geometry, quad.collar, np.abs(u_trace) ** 2,
+                                    np.abs(edge @ wphi) ** 2)
+        return e_b + np.real(kc * kc) * (v_bulk + v_collar)
     u_trace = s_op.matrix * phi
     dnu = (-0.5 + k_op.matrix) * phi
     e_b = float(np.real(np.sum(u_trace * np.conj(dnu))))
-    i_mass, i_grad = _sphere_radial_table(spectrum, kc)
-    t2 = np.abs(u_trace) ** 2 / radius ** 2
-    vol = float(np.sum(t2 * i_mass[degrees]))
+    i_mass, i_grad = kernels.tables()
+    t2 = np.abs(u_trace) ** 2 / geometry[1] ** 2
+    vol = float(np.sum(t2 * i_mass))
     e_identity = e_b + np.real(kc * kc) * vol
-    e_exact = float(np.sum(t2 * i_grad[degrees]))
+    e_exact = float(np.sum(t2 * i_grad))
     _check_energy_agreement(e_identity, e_exact)
     return e_identity
 
@@ -720,7 +686,7 @@ def _coupling_an_3d(z, a, n, spectrum, omega):
     beta = math.sqrt((2 * deg + 1) / radius)
     cn, jhp = _dipole_factors_3d(deg, omega, z0)
     surface = complex(_dipole_trace_3d(deg, radius, omega, z0, cn, jhp) * beta)
-    x, w = np.polynomial.legendre.leggauss(48)
+    x, w = GAUSS_48
     r = 0.5 * radius * (x + 1.0)
     w = 0.5 * radius * w
     cross = sph_jh_cross(deg, omega * r, omega * z0)

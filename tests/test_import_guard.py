@@ -6,8 +6,9 @@ command-line run and every benchmark sample, so the heavy scipy
 subpackages the package does not use stay out of it. A sweep imports
 nothing on its own: a lazy import inside the sweep path would be paid
 inside the timed sweep; the sweep check covers a 2D sweep with and
-without a table executor. Both checks run in a fresh interpreter, because
-the test process has already imported whatever other tests use.
+without the look-ahead operator pool. Both checks run in a fresh
+interpreter, because the test process has already imported whatever
+other tests use.
 """
 
 import json
@@ -27,7 +28,8 @@ _SWEEP_SCRIPT = """
 import json, sys
 from plasmonres import SweepConfig, make_curve, quadrature_nodes, run_sweep
 from plasmonres import sweep
-# two CPUs whatever the machine: workers=1 gets a table executor, workers=2 none
+# two CPUs whatever the machine: workers=1 gets the look-ahead operator pool,
+# workers=2 none
 sweep._cores = lambda: 2
 common = dict(eps_c=-2.0, omega0=1.0, delta_max=1e-2, delta_min=1e-4,
               points_per_decade=2)

@@ -224,19 +224,24 @@ def test_sweep_invalid_fraction_forces_inconclusive(tmp_path, monkeypatch):
     assert result.verdict == "inconclusive"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sphere_slope_independent_of_degree(tmp_path):
-    # the 3D blow-up rate must not depend on the truncation degree; at
-    # L = 100 the small-argument Bessel ratios reach degrees whose raw
-    # powers of k_c r underflow
-    slopes = []
-    for L in (40, 100):
-        result = run_sweep(_sphere_config(
-            tmp_path, geometry=(L, 1.0), points_per_decade=2,
-            csv_path=str(tmp_path / f"L{L}.csv")))
+    # the 3D blow-up rate and energies must not depend on the truncation
+    # degree, on the full 1e-2 -> 1e-5 grid: at L = 100 the small-argument
+    # Bessel ratios reach degrees whose raw powers of k_c r underflow, and
+    # from degree 150 on (2n+1)!! overflows to inf, which must not warn
+    results = [run_sweep(_sphere_config(
+        tmp_path, geometry=(L, 1.0), delta_min=1e-5, points_per_decade=4,
+        csv_path=str(tmp_path / f"L{L}.csv"))) for L in (40, 100, 200)]
+    first = results[0]
+    for result in results:
         assert result.verdict == "resonant"
         assert result.invalid_fraction == 0.0
-        slopes.append(result.slope)
-    assert abs(slopes[1] - slopes[0]) <= 1e-9
+        assert len(result.rows) == 26
+        assert abs(result.slope - first.slope) <= 1e-9
+        for i in (0, -1):
+            ref = first.rows[i].energy_norm
+            assert abs(result.rows[i].energy_norm - ref) <= 1e-12 * ref
 
 
 def test_resonant_cluster_triple_on_sphere():
@@ -248,15 +253,28 @@ def test_resonant_cluster_triple_on_sphere():
 
 def test_sphere_sweep_builds_diagonals_once_per_point(tmp_path, monkeypatch):
     # one S^k/K^k* diagonal pair at k_c and one at omega per grid point,
-    # shared by the direct solve and both energies
-    wavenumbers = []
+    # shared by the direct solve and both energies, and one radial table
+    # at k_c for both energies; the Gauss-Legendre rule is never recomputed
+    wavenumbers, tables, rules = [], [], []
     original = transmission_module.sphere_operators
+    table = layer_ops._sphere_radial_table
+    leggauss = np.polynomial.legendre.leggauss
 
     def counting(L, R, k=0.0):
         wavenumbers.append(k)
         return original(L, R, k)
 
+    def tabulating(L, radius, k):
+        tables.append(k)
+        return table(L, radius, k)
+
+    def rule(*args):
+        rules.append(args)
+        return leggauss(*args)
+
     monkeypatch.setattr(transmission_module, "sphere_operators", counting)
+    monkeypatch.setattr(layer_ops, "_sphere_radial_table", tabulating)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", rule)
     cfg = _sphere_config(tmp_path)
     result = run_sweep(cfg)
     grid = cfg.delta_grid()
@@ -265,6 +283,8 @@ def test_sphere_sweep_builds_diagonals_once_per_point(tmp_path, monkeypatch):
     for i, delta in enumerate(grid):
         problem = cfg.problem_at(float(delta))
         assert wavenumbers[2 * i:2 * i + 2] == [problem.kc, problem.omega]
+    assert tables == [cfg.problem_at(float(d)).kc for d in grid]
+    assert rules == []
 
 
 def _ellipse_config(tmp_path, **overrides):
@@ -441,6 +461,26 @@ def test_pooled_and_serial_2d_sweeps_agree(tmp_path, monkeypatch, make):
     assert _masked_csv(paths[1]) == _masked_csv(paths[2])
 
 
+@pytest.mark.parametrize("make, cores", [(_ellipse_config, 1), (_ellipse_config, 2),
+                                         (_sphere_config, 1)])
+def test_sweep_builds_dipole_traces_once_per_point(tmp_path, monkeypatch, make, cores):
+    # the direct solve and the spectral row of a grid point share one
+    # (F_z, d_nu F_z), on the look-ahead pool's path and without it
+    problems = []
+    original = transmission_module.dipole_traces
+
+    def counting(problem):
+        problems.append(problem)
+        return original(problem)
+
+    for module in (sweep_module, transmission_module):
+        monkeypatch.setattr(module, "dipole_traces", counting)
+    cfg = make(tmp_path)
+    result, _ = _run_on_cores(monkeypatch, cfg, cores)
+    assert result.invalid_fraction == 0.0
+    assert [p.delta for p in problems] == [float(d) for d in cfg.delta_grid()]
+
+
 @pytest.mark.parametrize("cores", (1, 2))
 @pytest.mark.parametrize("stage", ("check", "table"))
 @pytest.mark.parametrize("failing", ("kc", "omega"))
@@ -529,8 +569,8 @@ def test_look_ahead_pool_closes_on_a_sweep_error(tmp_path, monkeypatch):
     (2, 2, 8, False), (3, 1, 4, False)])
 def test_table_executor_only_in_serial_2d_sweeps(tmp_path, monkeypatch, dim,
                                                  workers, cores, pooled):
-    # a table executor of two threads exists only for a 2D sweep with
-    # one point in flight on a process with at least two CPUs
+    # the look-ahead operator pool of two threads exists only for a 2D
+    # sweep with one point in flight on a process with at least two CPUs
     created = []
 
     class Recording(ThreadPoolExecutor):
@@ -688,7 +728,7 @@ def test_solve_point_errors_hold_no_frames(tmp_path, monkeypatch):
         built.extend(weakref.ref(op) for op in out)
         return out
 
-    def singular(problem, operators):
+    def singular(problem, operators, traces):
         raise np.linalg.LinAlgError("singular matrix")
 
     monkeypatch.setattr(sweep_module, "helmholtz_operators", recording)

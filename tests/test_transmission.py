@@ -64,7 +64,7 @@ def _energy_ops(nodes, kc):
 
 def _sphere_energy_ops(spectrum, kc):
     geometry = (spectrum.degrees.max(), spectrum.radius)
-    return (spectrum, *helmholtz_operators(geometry, kc))
+    return (*helmholtz_operators(geometry, kc), InteriorKernels(geometry, kc))
 
 
 def test_plasmon_contrast_map():
@@ -259,8 +259,10 @@ def test_energy_sphere_route_self_checks():
 
 
 def test_energy_takes_one_operator_form_per_dimension():
-    # 2D takes (S, K*, InteriorKernels), the sphere (spectrum, S, K*);
-    # any other form, the bare pair and the bare spectrum included, raises
+    # both dimensions take (S, K*, InteriorKernels); any other form, the
+    # bare pair, the bare spectrum and the sphere's former (spectrum, S,
+    # K*) included, raises TypeError, and a holder of another geometry or
+    # wavenumber than the operators raises ValueError
     nodes, _ = _ellipse_spectrum(128)
     k = 0.01
     phi = np.cos(nodes.t)
@@ -271,9 +273,18 @@ def test_energy_takes_one_operator_form_per_dimension():
     coef = np.zeros(sph.n)
     coef[2] = 1.0
     assert gradient_energy(coef, k, sph_ops) > 0.0
-    for bad in (ops[:2], sph, sph_ops[1:], (*ops[:2], sph), ops + (None,)):
+    for bad in (ops[:2], sph, sph_ops[:2], (sph, *sph_ops[:2]), (*ops[:2], sph),
+                ops + (None,)):
         with pytest.raises(TypeError):
             gradient_energy(phi if bad is not sph else coef, k, bad)
+    other_nodes = quadrature_nodes(make_curve("ellipse", a=2.0, b=1.0), 128)
+    for density, pair, geometry, wavenumber in (
+            (phi, ops[:2], other_nodes, k), (phi, ops[:2], nodes, 2.0 * k),
+            (phi, ops[:2], (8, 1.0), k), (coef, sph_ops[:2], (8, 2.0), k),
+            (coef, sph_ops[:2], (9, 1.0), k), (coef, sph_ops[:2], (8, 1.0), 2.0 * k),
+            (coef, sph_ops[:2], nodes, k)):
+        with pytest.raises(ValueError, match="do not match"):
+            gradient_energy(density, k, (*pair, InteriorKernels(geometry, wavenumber)))
 
 
 def test_energy_zero_density():
