@@ -1,9 +1,12 @@
 """
-Golden pins: small 2D sweeps whose CSV cells must not drift.
+Golden pins: sweeps whose CSV cells must not drift.
 
 Each pinned CSV under tests/golden/ was written by the code before a
-refactor of the 2D pipeline. A sweep must reproduce every cell except
-wall_time_ms to 1e-12 relative (the solver column exactly).
+refactor. Three are small 2D sweeps (five points each); four are the
+acceptance sweeps of tests/test_acceptance.py (a sphere at L=12 and the
+N=256 ellipse, each at a resonant and an off-resonant contrast, 13
+points each). A sweep must reproduce every cell except wall_time_ms to
+1e-12 relative (the solver column exactly).
 
 The sweeps run as `python -m plasmonres sweep` in a fresh interpreter
 with two OpenBLAS threads, the setting the pins were written with:
@@ -12,9 +15,9 @@ cancellation-prone cells (the ellipse's phi0_hat_abs, the kite's
 a_n_abs) by a few 1e-11 relative, and they pick another basis of the
 circle's degenerate eigenspace, whose a_n_abs is a maximum over that
 basis. Update a pin only together with an explanation of the drift;
-rewrite all of them with
+rewrite the named pins, or all of them when none is named, with
 
-    PYTHONPATH=src python tests/test_golden.py --write
+    PYTHONPATH=src python tests/test_golden.py --write [NAME ...]
 """
 
 import csv
@@ -42,6 +45,16 @@ def _sweep(geometry, eps_c, omega0, a, z, workers=1):
             "points_per_decade": 2, "solver": "both", "workers": workers}
 
 
+def _acceptance(geometry, eps_c, a, z):
+    # the acceptance fixtures: 13 grid points over three decades, 4 workers
+    return dict(_sweep(geometry, eps_c, 1.0, a, z, workers=4), dim=len(a),
+                delta_min=1e-5, points_per_decade=4)
+
+
+_SPHERE_L12 = {"kind": "sphere", "radius": 1.0, "degree": 12}
+_ELLIPSE_N256 = {"kind": "ellipse", "a": 2.0, "b": 1.0, "n": 256}
+
+
 PINS = {
     "ellipse-n64": _sweep({"kind": "ellipse", "a": 2.0, "b": 1.0, "n": 64},
                           -2.0, 1.0, [1.0, 0.0], [3.0, 0.0]),
@@ -50,6 +63,10 @@ PINS = {
                         -3.0, 100.0, [1.0, 0.0], [2.5, 0.0], workers=2),
     "circle-n128": _sweep({"kind": "circle", "radius": 1.5, "n": 128},
                           -2.0, 1.0, [1.0, 0.0], [3.0, 0.0]),
+    "sphere-l12-eps2": _acceptance(_SPHERE_L12, -2.0, [0.0, 0.0, 1.0], [0.0, 0.0, 2.0]),
+    "sphere-l12-eps5": _acceptance(_SPHERE_L12, -5.0, [0.0, 0.0, 1.0], [0.0, 0.0, 2.0]),
+    "ellipse-n256-eps2": _acceptance(_ELLIPSE_N256, -2.0, [1.0, 0.0], [3.0, 0.0]),
+    "ellipse-n256-eps3": _acceptance(_ELLIPSE_N256, -3.0, [1.0, 0.0], [3.0, 0.0]),
 }
 
 
@@ -119,9 +136,9 @@ def test_cell_drift_comparator():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    if sys.argv[1:2] != ["--write"] or not set(sys.argv[2:]) <= set(PINS):
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write [NAME ...]")
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for pin in sorted(PINS):
+    for pin in sys.argv[2:] or sorted(PINS):
         _run_pin(pin, GOLDEN_DIR / f"{pin}.csv")
         print(f"wrote {GOLDEN_DIR / pin}.csv")
