@@ -41,7 +41,6 @@ from .layer_ops import (
     assemble_Kstar,
     assemble_S_omega,
     assemble_Kstar_omega,
-    assemble_R_Q,
     eval_potential,
     eval_gradient,
     sphere_operators,
@@ -63,8 +62,7 @@ from .transmission import (
     dipole_traces,
     assemble_system,
     solve_direct,
-    solve_spectral_2d,
-    solve_spectral_3d,
+    solve_spectral,
     gradient_energy,
     interior_gradient_energy,
     coupling_an,
@@ -104,7 +102,6 @@ __all__ = [
     "assemble_Kstar",
     "assemble_S_omega",
     "assemble_Kstar_omega",
-    "assemble_R_Q",
     "eval_potential",
     "eval_gradient",
     "sphere_operators",
@@ -122,8 +119,7 @@ __all__ = [
     "dipole_traces",
     "assemble_system",
     "solve_direct",
-    "solve_spectral_2d",
-    "solve_spectral_3d",
+    "solve_spectral",
     "gradient_energy",
     "interior_gradient_energy",
     "coupling_an",

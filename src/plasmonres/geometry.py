@@ -4,8 +4,9 @@ Boundary geometries and their quadrature discretizations.
 2D boundaries are closed analytic curves with a global 2pi-periodic
 parameterization x(t). They are discretized with equispaced-in-parameter
 trapezoid nodes, which integrate analytic periodic integrands with
-spectral accuracy. The sphere is a descriptor only: all 3D work is done
-spectrally in a spherical-harmonic basis and needs no surface mesh.
+spectral accuracy. The sphere has no curve here: all 3D work is done
+spectrally in a spherical-harmonic basis on an (L, R) pair and needs no
+surface mesh.
 
 Interior point sets are regular grids clipped to the domain with a
 buffer distance from the boundary; they serve as independent quadrature
@@ -41,11 +42,14 @@ __all__ = [
 _KITE_A = 0.65
 _KITE_B = 1.5
 
+# vertices of the boundary polygon that interior_points clips its grid to
+_POLYGON_NODES = 512
+
 
 @dataclass(frozen=True)
 class BoundaryCurve:
     """
-    Closed C^2 boundary curve (2D) or sphere descriptor (3D).
+    Closed C^2 boundary curve.
 
     Curves are oriented counter-clockwise; the outward unit normal is
     nu(t) = (x2'(t), -x1'(t)) / |x'(t)|.
@@ -53,17 +57,13 @@ class BoundaryCurve:
     Attributes
     ----------
     kind : str
-        One of 'circle', 'ellipse', 'kite', 'sphere'.
+        One of 'circle', 'ellipse', 'kite'.
     params : dict
-        Geometry parameters (circle/sphere: radius; ellipse: a, b).
+        Geometry parameters (circle: radius; ellipse: a, b).
     """
 
     kind: str
     params: dict
-
-    @property
-    def dim(self):
-        return 3 if self.kind == "sphere" else 2
 
     def point(self, t):
         """Parameterization x(t), shape (len(t), 2)."""
@@ -78,8 +78,6 @@ class BoundaryCurve:
         return self._eval(t, 2)
 
     def _eval(self, t, order):
-        if self.kind == "sphere":
-            raise ValueError("sphere has no curve parameterization; 3D work is spectral")
         t = np.asarray(t, dtype=float)
         if self.kind == "circle":
             r = self.params["radius"]
@@ -272,20 +270,20 @@ class InteriorQuadrature:
 
 def make_curve(kind, **params):
     """
-    Construct a boundary geometry.
+    Construct a 2D boundary curve.
 
     Parameters
     ----------
     kind : str
-        'circle' (radius), 'ellipse' (a, b with a >= b), 'kite' (no
-        parameters; standard coefficients), or 'sphere' (radius).
+        'circle' (radius), 'ellipse' (a, b with a >= b), or 'kite' (no
+        parameters; standard coefficients).
     """
-    if kind in ("circle", "sphere"):
+    if kind == "circle":
         radius = float(params.pop("radius", 1.0))
         if params:
-            raise ValueError(f"unexpected parameters for {kind}: {sorted(params)}")
+            raise ValueError(f"unexpected parameters for circle: {sorted(params)}")
         if radius <= 0:
-            raise ValueError(f"{kind} radius must be positive, got {radius}")
+            raise ValueError(f"circle radius must be positive, got {radius}")
         return BoundaryCurve(kind, {"radius": radius})
     if kind == "ellipse":
         a = float(params.pop("a"))
@@ -309,12 +307,10 @@ def quadrature_nodes(curve, n):
     Parameters
     ----------
     curve : BoundaryCurve
-        2D curve kind.
+        Boundary curve.
     n : int
         Node count, even and >= 16.
     """
-    if curve.dim != 2:
-        raise ValueError("quadrature_nodes requires a 2D curve")
     if n % 2 != 0 or n < 16:
         raise ValueError(f"node count must be even and >= 16, got {n}")
     t = 2.0 * np.pi * np.arange(n) / n
@@ -341,7 +337,7 @@ def _inside_polygon(points, poly):
     return (np.sum(hits, axis=1) % 2) == 1
 
 
-def interior_points(curve, h, buffer, n_boundary=512):
+def interior_points(curve, h, buffer):
     """
     Regular grid of interior quadrature points with weight h^2 each,
     keeping only points at distance >= buffer from the boundary.
@@ -350,9 +346,7 @@ def interior_points(curve, h, buffer, n_boundary=512):
     """
     if h <= 0 or buffer <= 0:
         raise ValueError("h and buffer must be positive")
-    if curve.dim != 2:
-        raise ValueError("interior_points requires a 2D curve")
-    tb = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
+    tb = 2.0 * np.pi * np.arange(_POLYGON_NODES) / _POLYGON_NODES
     poly = curve.point(tb)
     lo = poly.min(axis=0)
     hi = poly.max(axis=0)

@@ -44,8 +44,6 @@ The sphere needs no quadrature: all four operators are diagonal in the
 spherical-harmonic basis, and `sphere_operators` returns them stored as
 their 1-D diagonals (with cancellation-safe Bessel products at small
 wavenumber), never as dense matrices.
-`sphere_diagonal_by_quadrature` provides an independent surface-quadrature
-route to the same numbers for validation.
 
 Operator conventions: the single layer is S[phi](x) = int Gamma(x-y)
 phi(y) dsigma(y); the adjoint NP operator K* has kernel d/dnu_x
@@ -63,11 +61,9 @@ from scipy import special
 from .geometry import NodeSet, TargetSet, log_weight_matrix
 from .specfun import (
     EULER_GAMMA,
-    OMEGA_MAX,
     gamma_helmholtz_series,
     grad_gamma_helmholtz,
     grad_gamma_laplace,
-    remainder_kernel_radial,
     sph_jh_product,
     sph_jh_product_deriv,
     sph_j_ratio,
@@ -81,14 +77,11 @@ __all__ = [
     "assemble_Kstar",
     "assemble_S_omega",
     "assemble_Kstar_omega",
-    "assemble_R_Q",
     "eval_potential",
     "eval_potential_on",
     "eval_gradient",
     "InteriorKernels",
     "sphere_operators",
-    "real_sph_harm",
-    "sphere_diagonal_by_quadrature",
     "sphere_degree_index",
 ]
 
@@ -253,76 +246,6 @@ def assemble_Kstar_omega(nodes, k):
                             nodes=nodes)
 
 
-def _j0m1(z):
-    """J0(z) - 1, series-protected against cancellation for small |z|."""
-    z = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)
-    out = np.empty(z.shape, dtype=z.dtype)
-    big = np.abs(z) >= 0.5
-    if np.any(big):
-        out[big] = special.jv(0, z[big]) - 1.0
-    if np.any(~big):
-        zs = z[~big]
-        acc = np.zeros(zs.shape, dtype=zs.dtype)
-        coeff = np.ones(zs.shape, dtype=zs.dtype)
-        for m in range(1, 20):
-            coeff = coeff * (-((zs / 2.0) ** 2)) / (m * m)
-            acc = acc + coeff
-            if np.max(np.abs(coeff)) < 1e-20:
-                break
-        out[~big] = acc
-    return out
-
-
-def assemble_R_Q(nodes, omega, d=2):
-    """
-    Remainder operators of the low-frequency expansions
-
-        S^w  = S  + tau(w) <., 1>   + w^2 ln w * R2   (d = 2)
-        S^w  = S  + w * R3                            (d = 3 sphere)
-        K^w* = K* + w^2 ln w * Q2                     (d = 2)
-        K^w* = K* + w^2 * Q3                          (d = 3 sphere)
-
-    R2 is assembled independently from the series remainder kernel with
-    its own log splitting, so the d=2 closure above is a genuine
-    two-route identity. Q2 is the operator difference quotient. For
-    d = 3 pass nodes = (L, R); the operators are 1-D diagonals.
-    """
-    omega = float(omega)
-    if not 0 < omega <= OMEGA_MAX:
-        raise ValueError(f"omega must lie in (0, {OMEGA_MAX}]")
-    if d == 3:
-        L, radius = nodes
-        s0, k0, sw, kw = sphere_operators(L, radius, omega)
-        r3 = (sw.matrix - s0.matrix) / omega
-        q3 = (kw.matrix - k0.matrix) / omega**2
-        return (
-            BoundaryOperator(r3, kind="R3", wavenumber=omega),
-            BoundaryOperator(q3, kind="Q3", wavenumber=omega),
-        )
-    if d != 2:
-        raise ValueError("d must be 2 or 3")
-    nodes = _require_2d(nodes)
-    n = nodes.n
-    scale = omega * omega * np.log(omega)
-    pw = nodes.pairwise
-    jac = nodes.jacobians
-    # R2: log coefficient (1/4pi)(J0(w r) - 1)|x'|/scale vanishes on the
-    # diagonal, and so does the smooth part (the expansion is exact there)
-    m1 = _j0m1(omega * pw.r) * jac / (4.0 * np.pi) / scale
-    np.fill_diagonal(m1, 0.0)
-    k2 = remainder_kernel_radial(pw.r, omega, 2)
-    m2 = k2 * jac - m1 * pw.logsin
-    np.fill_diagonal(m2, 0.0)
-    r2 = pw.log_weights * m1 + (2.0 * np.pi / n) * m2
-    q2 = (
-        assemble_Kstar_omega(nodes, omega).matrix - assemble_Kstar(nodes).matrix
-    ) / scale
-    return (
-        BoundaryOperator(r2, kind="R2", wavenumber=omega, nodes=nodes),
-        BoundaryOperator(q2, kind="Q2", wavenumber=omega, nodes=nodes),
-    )
-
-
 def eval_potential(nodes, density, k, points):
     """
     Single-layer potential S^k[phi] at points off the boundary, by direct
@@ -475,89 +398,3 @@ def sphere_operators(L, R, k=0.0):
     sk_op = BoundaryOperator(sk_diag, kind="S_omega", wavenumber=k, nodes=(L, R))
     kk_op = BoundaryOperator(kk_diag, kind="Kstar_omega", wavenumber=k, nodes=(L, R))
     return s_op, kstar_op, sk_op, kk_op
-
-
-def real_sph_harm(n, m, points):
-    """
-    Real spherical harmonic Y_nm at cartesian points (any radius;
-    directions are used). Orthonormal over the unit sphere: Y_n0 uses
-    P_n(cos theta), m > 0 pairs with cos(m phi), m < 0 with sin(|m| phi),
-    Condon-Shortley phase as in scipy's lpmv.
-    """
-    if abs(m) > n:
-        raise ValueError("|m| must be <= n")
-    points = np.asarray(points, dtype=float)
-    r = np.sqrt(np.sum(points * points, axis=-1))
-    if np.any(r == 0):
-        raise ValueError("points must be nonzero")
-    ct = points[..., 2] / r
-    am = abs(m)
-    norm = np.sqrt(
-        (2.0 * n + 1.0)
-        / (4.0 * np.pi)
-        * special.gamma(n - am + 1.0)
-        / special.gamma(n + am + 1.0)
-    )
-    leg = special.lpmv(am, n, ct)
-    if m == 0:
-        return norm * leg
-    phi = np.arctan2(points[..., 1], points[..., 0])
-    trig = np.cos(am * phi) if m > 0 else np.sin(am * phi)
-    return np.sqrt(2.0) * norm * leg * trig
-
-
-def sphere_diagonal_by_quadrature(
-    n, m, R, k=0.0, which="S", x0=None, n_theta=80, n_phi=32
-):
-    """
-    Independent surface-quadrature estimate of a sphere diagonal.
-
-    Evaluates S^k[Y_nm] or K^k*[Y_nm] at a boundary point x0 by direct
-    integration in polar coordinates centered on x0, where the kernel
-    singularity cancels against the area element: with distance
-    rho = 2 R sin(theta'/2) the integrand becomes smooth, so the product
-    rule converges spectrally. Returns the estimate of the diagonal,
-    quad_value / Y_nm(x0).
-    """
-    if which not in ("S", "Kstar"):
-        raise ValueError("which must be 'S' or 'Kstar'")
-    k = complex(k)
-    if x0 is None:
-        x0 = np.array([0.6, 0.25, 0.76])
-    zax = np.asarray(x0, dtype=float)
-    zax = zax / np.linalg.norm(zax)
-    helper = np.array([1.0, 0.0, 0.0])
-    if abs(zax @ helper) > 0.9:
-        helper = np.array([0.0, 1.0, 0.0])
-    e1 = helper - (helper @ zax) * zax
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(zax, e1)
-    # Gauss-Legendre in theta' on [0, pi], trapezoid in phi'
-    xi, wxi = np.polynomial.legendre.leggauss(n_theta)
-    th = 0.5 * np.pi * (xi + 1.0)
-    wth = 0.5 * np.pi * wxi
-    ph = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    wph = 2.0 * np.pi / n_phi
-    ct, st = np.cos(th), np.sin(th)
-    y = R * (
-        ct[:, None, None] * zax[None, None, :]
-        + st[:, None, None]
-        * (
-            np.cos(ph)[None, :, None] * e1[None, None, :]
-            + np.sin(ph)[None, :, None] * e2[None, None, :]
-        )
-    )
-    yvals = real_sph_harm(n, m, y)
-    rho = 2.0 * R * np.sin(th / 2.0)
-    phase = np.exp(1j * k * rho) if k != 0 else np.ones(th.shape)
-    if which == "S":
-        # Gamma^k(rho) R^2 sin(theta') collapses to -(R/4pi) cos(theta'/2) e^{ik rho}
-        fth = -(R / (4.0 * np.pi)) * np.cos(th / 2.0) * phase
-    else:
-        # normal-derivative kernel collapses to (1/8pi)(1 - ik rho) cos(theta'/2) e^{ik rho}
-        fth = (1.0 / (8.0 * np.pi)) * (1.0 - 1j * k * rho) * np.cos(th / 2.0) * phase
-    quad = np.sum((wth * fth)[:, None] * yvals) * wph
-    y0 = real_sph_harm(n, m, zax[None, :])[0]
-    if abs(y0) < 1e-12:
-        raise ValueError("Y_nm vanishes at x0; choose another point")
-    return quad / y0

@@ -51,6 +51,9 @@ __all__ = [
 # cluster width for grouping equal |lambda| when tie-breaking
 _TIE_TOL = 1e-8
 
+# relative residual of the S~ expansion above which coeffs_check raises
+_EXPANSION_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class GramOperator:
@@ -80,20 +83,19 @@ class NPSpectrum:
     densities holds eigendensities as columns (nodal values in 2D,
     orthonormal-surface-harmonic coefficients on the sphere), ordered
     lambda_0 = 1/2 first, then decreasing |lambda|, ties ascending by
-    signed value. wdiag are the diagonal surface quadrature weights and
-    one_vec the representation of the constant function 1, so
-    int phi dsigma = (wdiag * one_vec) @ phi in both realizations.
-    stilde_traces holds S~[phi_n] as columns. degrees tags each slot
-    with its harmonic degree on the sphere (None in 2D). On the sphere
-    densities, gram and stilde_traces are diagonal and stored as their
-    1-D diagonals.
+    signed value. wdiag are the diagonal surface quadrature weights of
+    the trace pairing <phi, f> = (wdiag * f) @ phi: the arclength
+    weights in 2D, ones over the sphere's surface-orthonormal
+    coefficients. stilde_traces holds S~[phi_n] as columns. degrees
+    tags each slot with its harmonic degree on the sphere (None in
+    2D). On the sphere densities, gram and stilde_traces are diagonal
+    and stored as their 1-D diagonals.
     """
 
     lambdas: np.ndarray
     densities: np.ndarray
     gram: np.ndarray
     wdiag: np.ndarray
-    one_vec: np.ndarray
     m0: float
     c0: float
     c0_h: float
@@ -258,7 +260,6 @@ def np_eigendecomposition(Kstar, G):
         densities=vec,
         gram=g,
         wdiag=nodes.weights,
-        one_vec=np.ones(nodes.n),
         m0=G.m0,
         c0=G.c0,
         c0_h=G.c0_h,
@@ -288,8 +289,6 @@ def sphere_spectrum(L, R):
     lam = 1.0 / (2.0 * (2.0 * deg + 1.0))
     beta = np.sqrt((2.0 * deg + 1.0) / R)
     gram = R / (2.0 * deg + 1.0)
-    one_vec = np.zeros(nslots)
-    one_vec[0] = R * np.sqrt(4.0 * np.pi)
     m0 = np.sqrt(4.0 * np.pi * R)
     c0_h = -1.0 / m0
     stilde = -np.sqrt(R / (2.0 * deg + 1.0))
@@ -298,7 +297,6 @@ def sphere_spectrum(L, R):
         densities=beta,
         gram=gram,
         wdiag=np.ones(nslots),
-        one_vec=one_vec,
         m0=m0,
         c0=-R,
         c0_h=c0_h,
@@ -338,7 +336,7 @@ def coeffs_hat(phi, spectrum):
     return _matvec(spectrum.densities.T, _matvec(spectrum.gram, phi))
 
 
-def coeffs_check(f, spectrum, tol=1e-6):
+def coeffs_check(f, spectrum):
     """
     Expansion coefficients f_check(n) of a boundary trace over the
     S~ image basis: f = sum_n f_check(n) S~[phi_n].
@@ -346,8 +344,8 @@ def coeffs_check(f, spectrum, tol=1e-6):
     Uses the duality -<phi_m, S phi_n>_{L^2 dsigma} = delta_mn on
     mean-zero modes: f_check(n >= 1) = -<phi_n, f>, and the constant
     sector f_check(0) = <phi_0, f> / (m_0 ctilde_0). Raises if the
-    reconstruction misses f by more than tol (f outside the image
-    space or quadrature too coarse).
+    reconstruction misses f by more than 1e-6 relative (f outside the
+    image space or quadrature too coarse).
     """
     f = np.asarray(f)
     if f.shape != (spectrum.n,):
@@ -358,6 +356,6 @@ def coeffs_check(f, spectrum, tol=1e-6):
     fcheck[0] = kappa / spectrum.ctilde0
     recon = _matvec(spectrum.stilde_traces, fcheck)
     resid = np.linalg.norm(recon - f)
-    if resid > tol * max(np.linalg.norm(f), 1e-300):
+    if resid > _EXPANSION_TOL * max(np.linalg.norm(f), 1e-300):
         raise RuntimeError(f"S~ expansion residual {resid:.2e} exceeds tolerance")
     return fcheck

@@ -2,11 +2,10 @@
 Fundamental solutions and special functions.
 
 Covers the Laplace and Helmholtz free-space kernels in two and three
-dimensions, their gradients, the low-frequency expansion constant tau,
-the remainder kernels of the expansion of the Helmholtz kernel around
-the Laplace kernel, and spherical Bessel utilities including
-cancellation-safe product forms needed on the sphere at very small
-wavenumbers.
+dimensions, their gradients, the low-frequency expansion constant tau
+and series of the 2D Helmholtz kernel, and spherical Bessel utilities
+including cancellation-safe product forms needed on the sphere at very
+small wavenumbers.
 
 Conventions: the Laplace fundamental solution is (1/2pi) ln|x| in 2D and
 -1/(4pi|x|) in 3D; the outgoing Helmholtz fundamental solution is
@@ -26,7 +25,6 @@ __all__ = [
     "grad_gamma_helmholtz",
     "tau",
     "tau_kc",
-    "remainder_kernel_radial",
     "compute_kc",
     "spherical_bessel",
     "sph_jh_product",
@@ -38,7 +36,7 @@ __all__ = [
 
 EULER_GAMMA = 0.5772156649015328606
 
-# remainder kernels are validated on 0 < omega <= OMEGA_MAX
+# largest operating frequency omega the transmission problem accepts
 OMEGA_MAX = 0.5
 
 # below this |z| the spherical Bessel products switch to power series
@@ -185,83 +183,6 @@ def compute_kc(omega, eps_c, delta):
     if delta <= 0 or omega <= 0:
         raise ValueError("delta and omega must be positive")
     return -1j * (omega / np.sqrt(abs(eps_c))) * (1.0 - 1j * delta / (2.0 * eps_c))
-
-
-def remainder_kernel_radial(r, omega, d):
-    """
-    Remainder kernel of the low-frequency expansion of the Helmholtz
-    fundamental solution, as a function of the distance r = |x|:
-
-        d=2:  K2(x) = [Gamma^w(x) - Gamma(x) - tau(w)] / (w^2 ln w)
-        d=3:  K3(x) = [Gamma^w(x) - Gamma(x)] / w
-
-    Both are evaluated by power series where the direct difference would
-    cancel catastrophically. K3 is bounded at x = 0 with value -i/(4 pi).
-    """
-    omega = float(omega)
-    if not 0 < omega <= OMEGA_MAX:
-        raise ValueError(f"omega must lie in (0, {OMEGA_MAX}]")
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("r must be nonnegative")
-    if d == 3:
-        return -1j / (4.0 * np.pi) * _expm1_over_z(1j * omega * r)
-    if d != 2:
-        raise ValueError("d must be 2 or 3")
-    if np.any(r == 0):
-        raise ValueError("2D remainder kernel is singular at x = 0")
-    scalar = np.ndim(r) == 0
-    z = np.atleast_1d(omega * r)
-    small = z < _SPH_SERIES_CUT
-    vals = np.empty(z.shape, dtype=complex)
-    # series: sum_{m>=1} (-1)^m (z/2)^{2m}/(m!)^2 [ (ln(z/2)+gamma-h_m)/(2pi) - i/4 ]
-    if np.any(small):
-        zs = z[small]
-        logterm = np.log(zs / 2.0) + EULER_GAMMA
-        acc = np.zeros(zs.shape, dtype=complex)
-        coeff = np.ones(zs.shape)
-        h = 0.0
-        for m in range(1, 40):
-            coeff = coeff * (-((zs / 2.0) ** 2)) / (m * m)
-            h += 1.0 / m
-            term = coeff * ((logterm - h) / (2.0 * np.pi) - 0.25j)
-            acc += term
-            if np.max(np.abs(term)) < 1e-18 * max(np.max(np.abs(acc)), 1e-30):
-                break
-        vals[small] = acc
-    if np.any(~small):
-        zl = z[~small]
-        vals[~small] = (
-            -0.25j * special.hankel1(0, zl)
-            - np.log(zl / omega) / (2.0 * np.pi)
-            - tau(omega)
-        )
-    vals = vals / (omega * omega * np.log(omega))
-    return complex(vals[0]) if scalar else vals.reshape(np.shape(r))
-
-
-def _expm1_over_z(z):
-    """(exp(z) - 1)/z via the series sum_{m>=0} z^m/(m+1)!, value 1 at z = 0."""
-    z = np.asarray(z, dtype=complex)
-    out = np.ones(z.shape, dtype=complex)
-    big = np.abs(z) >= 0.25
-    if np.any(big):
-        out[big] = (np.exp(z[big]) - 1.0) / z[big]
-    small = ~big & (z != 0)
-    if np.any(small):
-        zs = z[small]
-        acc = np.zeros(zs.shape, dtype=complex)
-        power = np.ones(zs.shape, dtype=complex)
-        fact = 1.0
-        for m in range(25):
-            fact = fact * (m + 1)
-            contrib = power / fact
-            acc = acc + contrib
-            power = power * zs
-            if np.max(np.abs(contrib)) < 1e-20:
-                break
-        out[small] = acc
-    return out if out.shape else complex(out)
 
 
 def spherical_bessel(n, z):

@@ -37,8 +37,7 @@ from scipy.special import stdtrit
 from .layer_ops import InteriorKernels, assemble_S_omega, assemble_Kstar_omega
 from .np_spectrum import spectrum_of, coeffs_hat, coeffs_check
 from .transmission import TransmissionProblem, plasmon_lambda, dipole_traces, \
-    solve_direct, solve_spectral_2d, solve_spectral_3d, gradient_energy, \
-    coupling_an, helmholtz_operators
+    solve_direct, solve_spectral, gradient_energy, coupling_an, helmholtz_operators
 
 # solve_point stays out of __all__: perfbench's tracer wraps every __all__
 # function, and a span per point would hide the spans it times below it
@@ -344,12 +343,9 @@ def solve_point(problem, ctx, solvers, operators=None):
             if name == "direct":
                 sol = solve_direct(problem, operators=(
                     s_in, k_in, *_operators(geometry, om, om_futures)), traces=(f, g))
-            elif problem.dim == 2:
-                sol = solve_spectral_2d(coeffs_check(f, spectrum), coeffs_hat(g, spectrum),
-                                        problem.eps_eff, problem.delta_eff, om, spectrum)
             else:
-                sol = solve_spectral_3d(coeffs_check(f, spectrum), coeffs_hat(g, spectrum),
-                                        problem.eps_eff, problem.delta_eff, spectrum)
+                sol = solve_spectral(coeffs_check(f, spectrum), coeffs_hat(g, spectrum),
+                                     problem.eps_eff, problem.delta_eff, om, spectrum)
             energy = gradient_energy(sol.phi, kc, energy_ops)
             if not np.isfinite(energy) or energy <= 0:
                 raise RuntimeError(f"non-physical energy {energy!r}")

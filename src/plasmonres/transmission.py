@@ -21,9 +21,9 @@ solve it:
 * solve_direct solves the full Helmholtz system: densely in 2D, and
   slot by slot as 2x2 systems on the sphere, where every block is
   diagonal.  Valid at any frequency below the quadrature limit.
-* solve_spectral_2d / solve_spectral_3d solve the low-frequency
-  leading-order system in closed form, diagonally in the
-  Neumann-Poincare eigenbasis.  Mode n is divided by
+* solve_spectral solves the low-frequency leading-order system in
+  closed form, diagonally in the Neumann-Poincare eigenbasis, in both
+  dimensions.  Mode n is divided by
 
       D_n = (eps + i delta - 1) lambda_n - (eps + i delta + 1) / 2,
 
@@ -58,7 +58,7 @@ from .layer_ops import (
     eval_potential_on,
     sphere_operators,
 )
-from .np_spectrum import NPSpectrum
+from .np_spectrum import NPSpectrum, _matvec
 from .specfun import (
     OMEGA_MAX,
     compute_kc,
@@ -81,8 +81,7 @@ __all__ = [
     "helmholtz_operators",
     "assemble_system",
     "solve_direct",
-    "solve_spectral_2d",
-    "solve_spectral_3d",
+    "solve_spectral",
     "gradient_energy",
     "interior_gradient_energy",
     "coupling_an",
@@ -434,38 +433,21 @@ def _guard_denominators(dvals):
         )
 
 
-def solve_spectral_3d(fcheck, ghat, eps_c, delta, spectrum):
+def solve_spectral(fcheck, ghat, eps_c, delta, omega, spectrum):
     """
-    Closed-form leading-order solution on the sphere.
+    Closed-form leading-order solution on a 2D boundary or the sphere.
 
     fcheck, ghat are the coefficient vectors of the data (f expanded in
-    the single-layer traces S[phi_n], g in the eigendensities).  Every
-    mode, including the mean sector, obeys
+    the single-layer traces S~[phi_n], g in the eigendensities). Every
+    mode obeys
 
         phi_hat(n) = (ghat(n) - (1/2 + lambda_n) fcheck(n)) / D_n,
         psi_hat(n) = phi_hat(n) - fcheck(n);
 
-    at n = 0 the denominator is exactly -1, so no special case arises.
-    """
-    if spectrum.dim != 3:
-        raise ValueError("spectrum must be spherical for the 3D solver")
-    lam = spectrum.lambdas
-    dvals = _denominators(lam, eps_c, delta)
-    _guard_denominators(dvals)
-    phi_hat = (np.asarray(ghat) - (0.5 + lam) * np.asarray(fcheck)) / dvals
-    psi_hat = phi_hat - np.asarray(fcheck)
-    phi = spectrum.densities * phi_hat
-    psi = spectrum.densities * psi_hat
-    return SolutionPair(phi, psi, "spectral", 0.0)
-
-
-def solve_spectral_2d(fcheck, ghat, eps_c, delta, omega, spectrum):
-    """
-    Closed-form leading-order solution on a 2D boundary.
-
-    Modes n >= 1 are diagonal exactly as in 3D.  The mean sector feels
-    the frequency through the logarithmic constants tau(omega) and
-    tau(k_c) of the 2D fundamental solution:
+    at n = 0 the denominator is exactly -1, which closes the sphere's
+    mean sector. In 2D the mean sector instead feels the frequency
+    through the logarithmic constants tau(omega) and tau(k_c) of the
+    fundamental solution, and slot 0 is overwritten by
 
         psi_hat(0) = -ghat(0),
         phi_hat(0) = (kappa - ghat(0) (c0_h + tau(omega) m0))
@@ -473,35 +455,28 @@ def solve_spectral_2d(fcheck, ghat, eps_c, delta, omega, spectrum):
 
     with kappa = ctilde0 * fcheck(0) the raw H*-pairing of f against
     the equilibrium density, and (c0_h, m0, ctilde0) the normalisation
-    bookkeeping stored on the spectrum.  On capacity-degenerate
+    bookkeeping stored on the spectrum. On capacity-degenerate
     boundaries (c0_h = 0) this reduces to
     (fcheck(0) - tau(omega) ghat(0)) / tau(k_c).
     """
-    if spectrum.dim != 2:
-        raise ValueError("spectrum must be 2D for the 2D solver")
     if omega <= 0 or omega > OMEGA_MAX:
         raise ValueError(f"omega must lie in (0, {OMEGA_MAX}]")
     fcheck = np.asarray(fcheck, dtype=complex)
     ghat = np.asarray(ghat, dtype=complex)
     lam = spectrum.lambdas
-    dvals = _denominators(lam[1:], eps_c, delta)
+    dvals = _denominators(lam, eps_c, delta)
     _guard_denominators(dvals)
-    kc = compute_kc(omega, eps_c, delta)
-    t_out = tau(omega)
-    t_in = tau_kc(kc)
-    denom0 = spectrum.c0_h + t_in * spectrum.m0
-    if abs(denom0) < _DENOM_GUARD:
-        raise RuntimeError("mean-sector denominator vanishes")
-    kappa = spectrum.ctilde0 * fcheck[0]
-    phi_hat = np.empty(lam.size, dtype=complex)
-    phi_hat[1:] = (ghat[1:] - (0.5 + lam[1:]) * fcheck[1:]) / dvals
-    phi_hat[0] = (kappa - ghat[0] * (spectrum.c0_h + t_out * spectrum.m0)) / denom0
-    psi_hat = np.empty_like(phi_hat)
-    psi_hat[1:] = phi_hat[1:] - fcheck[1:]
-    psi_hat[0] = -ghat[0]
-    phi = spectrum.densities @ phi_hat
-    psi = spectrum.densities @ psi_hat
-    return SolutionPair(phi, psi, "spectral", 0.0)
+    phi_hat = (ghat - (0.5 + lam) * fcheck) / dvals
+    psi_hat = phi_hat - fcheck
+    if spectrum.dim == 2:
+        denom0 = spectrum.c0_h + tau_kc(compute_kc(omega, eps_c, delta)) * spectrum.m0
+        if abs(denom0) < _DENOM_GUARD:
+            raise RuntimeError("mean-sector denominator vanishes")
+        kappa = spectrum.ctilde0 * fcheck[0]
+        phi_hat[0] = (kappa - ghat[0] * (spectrum.c0_h + tau(omega) * spectrum.m0)) / denom0
+        psi_hat[0] = -ghat[0]
+    return SolutionPair(_matvec(spectrum.densities, phi_hat),
+                        _matvec(spectrum.densities, psi_hat), "spectral", 0.0)
 
 
 # ------------------------------------------------------------------ energy

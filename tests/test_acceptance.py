@@ -23,7 +23,6 @@ from plasmonres.layer_ops import (
     InteriorKernels,
     sphere_operators,
     sphere_degree_index,
-    sphere_diagonal_by_quadrature,
 )
 from plasmonres.np_spectrum import (
     build_gram,
@@ -34,6 +33,7 @@ from plasmonres.np_spectrum import (
 from plasmonres.specfun import hankel_first_kind, spherical_bessel
 from plasmonres.transmission import coupling_an, gradient_energy
 from plasmonres.sweep import SweepConfig, run_sweep
+from reference_ops import sphere_diagonal_by_quadrature
 
 DELTA_MAX, DELTA_MIN, PPD = 1e-2, 1e-5, 4
 

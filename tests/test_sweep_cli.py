@@ -251,6 +251,31 @@ def test_resonant_cluster_triple_on_sphere():
     assert all(abs(sph.lambdas[i] - 1.0 / 6.0) < 1e-12 for i in cluster)
 
 
+@pytest.mark.parametrize("degree", [
+    11,
+    pytest.param(12, marks=pytest.mark.xfail(strict=True, reason=(
+        "sweep._CLUSTER_CAP keeps the first 12 of the 25 degree-12 slots and "
+        "drops the pole slot 156, so a_n_abs reads 0.0; ROADMAP item 4 "
+        "replaces the cap by the cluster norm"))),
+])
+def test_sphere_a_n_abs_at_high_degree_resonance(degree):
+    # at L = 40 the contrast resonant at degree n has a cluster of 2n + 1
+    # slots; an axial dipole reaches only its pole slot n^2 + n, whose
+    # coupling a_n_abs must report
+    spectrum = sphere_spectrum(40, 1.0)
+    eps = transmission_module.plasmon_epsilon(1.0 / (2.0 * (2 * degree + 1)))
+    problem = transmission_module.TransmissionProblem(
+        dim=3, geometry=(40, 1.0), s=scale_for_delta(1e-2, 0.01, 3), delta=1e-2,
+        eps_c=eps, omega0=1.0, a=(0.0, 0.0, 1.0), z=(0.0, 0.0, 2.0))
+    ctx = sweep_module.PointContext(
+        spectrum, sweep_module._resonant_cluster(spectrum, eps))
+    rows, _ = sweep_module.solve_point(problem, ctx, ("spectral",))
+    a_pole, _ = transmission_module.coupling_an(
+        problem.z, problem.a, degree * degree + degree, spectrum, problem.omega)
+    assert abs(a_pole) > 1e-4
+    assert rows[0].a_n_abs == abs(a_pole)
+
+
 def test_sphere_sweep_builds_diagonals_once_per_point(tmp_path, monkeypatch):
     # one S^k/K^k* diagonal pair at k_c and one at omega per grid point,
     # shared by the direct solve and both energies, and one radial table

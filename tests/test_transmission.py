@@ -33,8 +33,7 @@ from plasmonres.transmission import (
     dipole_traces,
     assemble_system,
     solve_direct,
-    solve_spectral_2d,
-    solve_spectral_3d,
+    solve_spectral,
     gradient_energy,
     helmholtz_operators,
     interior_gradient_energy,
@@ -88,11 +87,11 @@ def test_spectral_mode_amplification_at_resonance():
     delta = 1e-3
     ghat = np.zeros(sph.n)
     ghat[1] = 1.0
-    sol = solve_spectral_3d(np.zeros(sph.n), ghat, -2.0, delta, sph)
+    sol = solve_spectral(np.zeros(sph.n), ghat, -2.0, delta, 0.01, sph)
     phat = coeffs_hat(sol.phi, sph)
     assert abs(phat[1] - 3j / delta) < 1e-10 / delta
     # off that contrast the response is O(1): eps = -3 gives 1/D = 3
-    sol3 = solve_spectral_3d(np.zeros(sph.n), ghat, -3.0, 1e-9, sph)
+    sol3 = solve_spectral(np.zeros(sph.n), ghat, -3.0, 1e-9, 0.01, sph)
     assert abs(coeffs_hat(sol3.phi, sph)[1] - 3.0) < 1e-6
 
 
@@ -102,9 +101,23 @@ def test_spectral_cancellation_and_psi_shift():
     fcheck = np.zeros(sph.n)
     fcheck[1] = 1.0
     ghat = (0.5 + sph.lambdas[1]) * fcheck
-    sol = solve_spectral_3d(fcheck, ghat, -2.0, 1e-3, sph)
+    sol = solve_spectral(fcheck, ghat, -2.0, 1e-3, 0.01, sph)
     assert np.max(np.abs(sol.phi)) < 1e-14
     assert abs(coeffs_hat(sol.psi, sph)[1] + 1.0) < 1e-12
+
+
+def test_spectral_guard_names_the_vanishing_slots():
+    # a lossless resonant contrast names the slots whose denominator
+    # vanishes: slot 3 on the ellipse at lambda_3, the degree-1 triple on
+    # the sphere
+    _, spec = _ellipse_spectrum(64)
+    sph = sphere_spectrum(8, 1.0)
+    for spectrum, slot, named in ((spec, 3, "[3]"), (sph, 1, "[1, 2, 3]")):
+        zeros = np.zeros(spectrum.n)
+        eps = plasmon_epsilon(spectrum.lambdas[slot])
+        with pytest.raises(RuntimeError) as err:
+            solve_spectral(zeros, zeros, eps, 1e-300, 0.01, spectrum)
+        assert str(err.value).endswith(f"modes {named}")
 
 
 def test_spectral_mean_sector_patched_circle():
@@ -115,7 +128,7 @@ def test_spectral_mean_sector_patched_circle():
     kc = compute_kc(om, -2.0, delta)
     fcheck = np.zeros(nodes.n)
     fcheck[0] = 1.0
-    sol = solve_spectral_2d(fcheck, np.zeros(nodes.n), -2.0, delta, om, spec)
+    sol = solve_spectral(fcheck, np.zeros(nodes.n), -2.0, delta, om, spec)
     phi0 = coeffs_hat(sol.phi, spec)[0]
     assert abs(phi0 - 1.0 / tau_kc(kc)) < 1e-12 * abs(1.0 / tau_kc(kc))
 
@@ -129,7 +142,7 @@ def test_spectral_mean_sector_radius_two():
     fcheck = np.zeros(nodes.n)
     ghat = np.zeros(nodes.n)
     fcheck[0], ghat[0] = 0.7, -0.3
-    sol = solve_spectral_2d(fcheck, ghat, -2.0, delta, om, spec)
+    sol = solve_spectral(fcheck, ghat, -2.0, delta, om, spec)
     phi0 = coeffs_hat(sol.phi, spec)[0]
     expected = (spec.ctilde0 * 0.7 - (-0.3) * (spec.c0_h + tau(om) * spec.m0)) \
         / (spec.c0_h + tau_kc(kc) * spec.m0)
@@ -161,8 +174,8 @@ def test_direct_vs_spectral_2d():
                              z=np.array([3.0, 0.0]))
     sd = solve_direct(pr)
     f, g = dipole_traces(pr)
-    ss = solve_spectral_2d(coeffs_check(f, spec), coeffs_hat(g, spec),
-                           pr.eps_eff, pr.delta_eff, pr.omega, spec)
+    ss = solve_spectral(coeffs_check(f, spec), coeffs_hat(g, spec),
+                        pr.eps_eff, pr.delta_eff, pr.omega, spec)
     ops = _energy_ops(nodes, pr.kc)
     e_d = np.sqrt(gradient_energy(sd.phi, pr.kc, ops))
     e_s = np.sqrt(gradient_energy(ss.phi, pr.kc, ops))
@@ -179,8 +192,8 @@ def test_direct_vs_spectral_3d():
     sd = solve_direct(pr)
     assert sd.residual < 1e-10
     f, g = dipole_traces(pr)
-    ss = solve_spectral_3d(coeffs_check(f, sph), coeffs_hat(g, sph),
-                           pr.eps_eff, pr.delta_eff, sph)
+    ss = solve_spectral(coeffs_check(f, sph), coeffs_hat(g, sph),
+                        pr.eps_eff, pr.delta_eff, pr.omega, sph)
     ops = _sphere_energy_ops(sph, pr.kc)
     e_d = np.sqrt(gradient_energy(sd.phi, pr.kc, ops))
     e_s = np.sqrt(gradient_energy(ss.phi, pr.kc, ops))
@@ -300,7 +313,7 @@ def test_constant_mode_energy_scales_like_omega_log():
     for om in (0.1, 0.01):
         fcheck = np.zeros(nodes.n)
         fcheck[0] = 1.0
-        sol = solve_spectral_2d(fcheck, np.zeros(nodes.n), -2.0, 0.05, om, spec)
+        sol = solve_spectral(fcheck, np.zeros(nodes.n), -2.0, 0.05, om, spec)
         kc = compute_kc(om, -2.0, 0.05)
         e = gradient_energy(sol.phi, kc, _energy_ops(nodes, kc))
         phi0 = abs(coeffs_hat(sol.phi, spec)[0])
