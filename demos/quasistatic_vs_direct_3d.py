@@ -12,14 +12,14 @@ z^-(n + 2).
 import numpy as np
 
 from plasmonres.np_spectrum import sphere_spectrum
-from plasmonres.sweep import PointContext, solve_point
+from plasmonres.sweep import solve_point
 from plasmonres.transmission import TransmissionProblem, coupling_an
 
 DEGREE, RADIUS, COUPLING_C = 12, 1.0, 0.01
 
 
 def compare_solvers():
-    ctx = PointContext(sphere_spectrum(DEGREE, RADIUS))
+    spectrum = sphere_spectrum(DEGREE, RADIUS)
     axis = np.array([0.0, 0.0, 1.0])
     print(f"{'delta':>10} {'direct':>14} {'spectral':>14} {'rel gap':>10} {'bound':>8}")
     for delta in (1e-2, 1e-3, 1e-4, 1e-5):
@@ -28,7 +28,7 @@ def compare_solvers():
             dim=3, geometry=(DEGREE, RADIUS), s=s, delta=delta, eps_c=-2.0,
             omega0=1.0, a=axis, z=2.0 * axis,
         )
-        rows, errors = solve_point(problem, ctx, ("direct", "spectral"))
+        rows, errors = solve_point(problem, spectrum, ("direct", "spectral"))
         for error in errors:
             if error is not None:
                 raise error
@@ -43,11 +43,13 @@ def coupling_distance_law():
     spectrum = sphere_spectrum(DEGREE, RADIUS)
     axis = np.array([0.0, 0.0, 1.0])
     print(f"{'degree':>7} {'a_n(z=2)':>14} {'a_n(z=4)':>14} {'ratio':>10} {'2^(n+2)':>9}")
-    for slot, degree in ((2, 1), (6, 2), (12, 3)):
-        _, near = coupling_an(2.0 * axis, axis, slot, spectrum, 0.05)
-        _, far = coupling_an(4.0 * axis, axis, slot, spectrum, 0.05)
-        print(f"{degree:>7} {near.real:>14.6e} {far.real:>14.6e} "
-              f"{(near / far).real:>10.4f} {2.0 ** (degree + 2):>9.1f}")
+    degrees = (1, 2, 3)
+    pole_slots = [n * n + n for n in degrees]
+    _, near = coupling_an(2.0 * axis, axis, pole_slots, spectrum, 0.05)
+    _, far = coupling_an(4.0 * axis, axis, pole_slots, spectrum, 0.05)
+    for degree, a_near, a_far in zip(degrees, near, far):
+        print(f"{degree:>7} {a_near.real:>14.6e} {a_far.real:>14.6e} "
+              f"{(a_near / a_far).real:>10.4f} {2.0 ** (degree + 2):>9.1f}")
 
 
 if __name__ == "__main__":

@@ -26,11 +26,10 @@ import numpy as np
 from .geometry import make_curve, quadrature_nodes
 from .layer_ops import InteriorKernels, assemble_S, assemble_Kstar, \
     assemble_S_omega
-from .np_spectrum import sphere_spectrum, spectrum_of
+from .np_spectrum import sphere_spectrum, spectrum_of, cluster_ids
 from .transmission import TransmissionProblem, solve_direct, gradient_energy, \
     interior_gradient_energy, helmholtz_operators
-from .sweep import PointContext, SweepConfig, run_sweep, fit_blowup_rate, \
-    solve_point, is_integer
+from .sweep import SweepConfig, run_sweep, fit_blowup_rate, solve_point, is_integer
 
 __all__ = [
     "main",
@@ -48,9 +47,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VALIDATION = 4
-
-# eigenvalues closer than this share a multiplicity cluster id
-_CLUSTER_ID_TOL = 1e-8
 
 _VALIDATE_SUITES = ("spectrum", "layer", "energy", "all")
 
@@ -406,9 +402,7 @@ def _cmd_spectrum(args):
     dim = 3 if kind == "sphere" else 2
     spec = spectrum_of(_build_geometry(dim, kind, params, args.nodes, args.degree))
     lam = spec.lambdas
-    cluster = np.zeros(lam.size, dtype=int)
-    for i in range(1, lam.size):
-        cluster[i] = cluster[i - 1] + (abs(lam[i] - lam[i - 1]) > _CLUSTER_ID_TOL)
+    cluster = cluster_ids(lam)
     out = sys.stdout if args.output == "-" else open(args.output, "w", newline="")
     try:
         writer = csv.writer(out)
@@ -430,7 +424,7 @@ def _cmd_solve(args):
                                   delta=args.delta, eps_c=args.eps_c,
                                   omega0=args.omega0, a=a, z=z, eps_m=args.eps_m)
     selected = ("direct", "spectral") if args.solver == "both" else (args.solver,)
-    rows, errors = solve_point(problem, PointContext(spectrum_of(geometry)), selected)
+    rows, errors = solve_point(problem, spectrum_of(geometry), selected)
     print(f"dim={args.dim} geometry={args.geometry} eps_c={args.eps_c!r} "
           f"eps_m={args.eps_m!r} delta={args.delta!r} s={args.scale!r} "
           f"omega={problem.omega!r}")

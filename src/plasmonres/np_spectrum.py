@@ -46,9 +46,11 @@ __all__ = [
     "spectrum_of",
     "coeffs_hat",
     "coeffs_check",
+    "cluster_ids",
 ]
 
-# cluster width for grouping equal |lambda| when tie-breaking
+# eigenvalues this close count as equal: for the tie-break of the slot
+# order (relative to 1 + |lambda|) and for the cluster ids (absolute)
 _TIE_TOL = 1e-8
 
 # relative residual of the S~ expansion above which coeffs_check raises
@@ -97,10 +99,8 @@ class NPSpectrum:
     gram: np.ndarray
     wdiag: np.ndarray
     m0: float
-    c0: float
     c0_h: float
     ctilde0: float
-    patched: bool
     stilde_traces: np.ndarray
     dim: int
     nodes: NodeSet = None
@@ -261,10 +261,8 @@ def np_eigendecomposition(Kstar, G):
         gram=g,
         wdiag=nodes.weights,
         m0=G.m0,
-        c0=G.c0,
         c0_h=G.c0_h,
         ctilde0=G.ctilde0,
-        patched=G.patched,
         stilde_traces=stilde,
         dim=2,
         nodes=nodes,
@@ -298,15 +296,23 @@ def sphere_spectrum(L, R):
         gram=gram,
         wdiag=np.ones(nslots),
         m0=m0,
-        c0=-R,
         c0_h=c0_h,
         ctilde0=c0_h,
-        patched=False,
         stilde_traces=stilde,
         dim=3,
         degrees=deg,
         radius=R,
     )
+
+
+def cluster_ids(lambdas):
+    """
+    Multiplicity cluster id of each slot of an ordered spectrum: ids
+    count up from 0, and a gap above 1e-8 between adjacent eigenvalues
+    starts a new one.
+    """
+    gaps = np.abs(np.diff(lambdas)) > _TIE_TOL
+    return np.concatenate(([0], np.cumsum(gaps)))
 
 
 def spectrum_of(geometry):

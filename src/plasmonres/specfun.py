@@ -31,7 +31,6 @@ __all__ = [
     "sph_jh_product_deriv",
     "sph_j_ratio",
     "sph_j_ratio_deriv",
-    "sph_jh_cross",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
@@ -341,16 +340,3 @@ def sph_j_ratio_deriv(n, z_num, z_den):
     jd = special.spherical_jn(nn, np.asarray(z_den, dtype=complex))
     return special.spherical_jn(nn, z_num, derivative=True) / jd
 
-
-def sph_jh_cross(n, z1, z2):
-    """
-    j_n(z1) h_n'(z2), stable for small arguments.
-
-    Uses j_n h_n' = ((j_n h_n)' + i/z^2) / 2 (Wronskian
-    j_n h_n' - j_n' h_n = i/z^2) at z2, then rescales by the ratio
-    j_n(z1)/j_n(z2); every factor stays O(1) even when raw h_n'
-    would overflow.
-    """
-    z2 = complex(z2)
-    jhp = 0.5 * (sph_jh_product_deriv(n, z2) + 1j / (z2 * z2))
-    return sph_j_ratio(n, z1, z2) * jhp

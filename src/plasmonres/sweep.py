@@ -26,6 +26,7 @@ wall_time_ms column.
 
 import contextlib
 import csv
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -35,7 +36,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .layer_ops import InteriorKernels, assemble_S_omega, assemble_Kstar_omega
-from .np_spectrum import spectrum_of, coeffs_hat, coeffs_check
+from .np_spectrum import spectrum_of, coeffs_hat, coeffs_check, cluster_ids
 from .transmission import TransmissionProblem, plasmon_lambda, dipole_traces, \
     solve_direct, solve_spectral, gradient_energy, coupling_an, helmholtz_operators
 
@@ -68,10 +69,6 @@ _SOLVERS = ("direct", "spectral", "both")
 
 # rows enter the slope fit only below this relative residual
 _FIT_RESIDUAL_TOL = 1e-8
-# eigenvalues within this distance of the closest one form the resonant cluster
-_CLUSTER_TOL = 1e-6
-# degenerate clusters are truncated to this many modes for the a_n column
-_CLUSTER_CAP = 12
 _RESONANT_WINDOW = (-1.15, -0.85)
 _BOUNDED_RATIO = 2.0
 _MAX_INVALID_FRACTION = 0.3
@@ -233,19 +230,6 @@ class SweepResult:
 # -------------------------------------------------------- sweep driver
 
 
-@dataclass(frozen=True)
-class PointContext:
-    """
-    What solve_point needs besides the problem: the NP spectrum of its
-    geometry and the resonant cluster whose largest |a_n| fills the
-    a_n_abs column (empty: no coupling work, a_n_abs 0). run_sweep
-    builds one per sweep, shared read-only across workers.
-    """
-
-    spectrum: object
-    cluster: tuple = ()
-
-
 def _cores():
     """CPUs this process may run on."""
     try:
@@ -254,32 +238,16 @@ def _cores():
         return os.cpu_count() or 1
 
 
-def _build_context(config):
-    spectrum = spectrum_of(config.geometry)
-    if config.dim == 2:
-        # a boundary too coarse for its interior quadrature is left to
-        # fail each point's rows with this error
-        with contextlib.suppress(ValueError):
-            config.geometry.interior
-    cluster = _resonant_cluster(spectrum, config.eps_c / config.eps_m)
-    return PointContext(spectrum=spectrum, cluster=cluster)
-
-
 def _resonant_cluster(spectrum, eps_eff):
     """
-    Mode slots whose eigenvalue is closest to the plasmon value
-    lambda(eps_eff), together with everything degenerate with it. The
-    equilibrium slot never resonates and is excluded. Clusters larger
-    than _CLUSTER_CAP (fully degenerate boundaries) are truncated.
+    Mode slots of the cluster (np_spectrum.cluster_ids) of the slot whose
+    eigenvalue is closest to the plasmon value lambda(eps_eff). The
+    equilibrium slot never resonates and is excluded.
     """
     lam = spectrum.lambdas
-    if lam.size < 2:
-        return ()
-    target = plasmon_lambda(eps_eff)
-    gaps = np.abs(lam[1:] - target)
-    lam_star = lam[1 + int(np.argmin(gaps))]
-    slots = [i for i in range(1, lam.size) if abs(lam[i] - lam_star) <= _CLUSTER_TOL]
-    return tuple(slots[:_CLUSTER_CAP])
+    ids = cluster_ids(lam)
+    nearest = 1 + int(np.argmin(np.abs(lam[1:] - plasmon_lambda(eps_eff))))
+    return (1 + np.flatnonzero(ids[1:] == ids[nearest])).tolist()
 
 
 # the errors that fail a row rather than the sweep
@@ -309,27 +277,30 @@ def _operators(geometry, k, futures):
     return tuple(f.result() for f in futures)
 
 
-def solve_point(problem, ctx, solvers, operators=None):
+def solve_point(problem, spectrum, solvers, operators=None):
     """
     The rows of one transmission problem, one per solver named in
-    solvers ("direct", "spectral"), in that order; ctx is a
-    PointContext. Returns (rows, errors): per row the exception that
-    failed it, its traceback dropped so that it keeps none of the
-    point's matrices alive, or None. A failed row has NaN cells; an
-    error before the solves fails every row, a_n_abs included.
-    operators is what _start_operators returned for this problem, or
-    None to assemble here; either way a k_c whose operators fail fails
-    every row, an omega only the direct row.
+    solvers ("direct", "spectral"), in that order; spectrum is the NP
+    spectrum of its geometry. a_n_abs is the norm of the dipole's
+    couplings over the resonant cluster, sqrt(sum |a_n|^2), which no
+    orthonormal change of basis inside the cluster moves. Returns
+    (rows, errors): per row the exception that failed it, its
+    traceback dropped so that it keeps none of the point's matrices
+    alive, or None. A failed row has NaN cells; an error before the
+    solves fails every row, a_n_abs included. operators is what
+    _start_operators returned for this problem, or None to assemble
+    here; either way a k_c whose operators fail fails every row, an
+    omega only the direct row.
     """
     geometry, kc, om = problem.geometry, problem.kc, problem.omega
     kc_futures, om_futures = operators or (None, None)
-    spectrum = ctx.spectrum
     try:
         f, g = dipole_traces(problem)
-        a_n_abs = 0.0
-        for slot in ctx.cluster:
-            an, _ = coupling_an(problem.z, problem.a, slot, spectrum, om)
-            a_n_abs = max(a_n_abs, abs(an))
+        a_n, _ = coupling_an(problem.z, problem.a,
+                             _resonant_cluster(spectrum, problem.eps_eff), spectrum, om)
+        # Python's abs (numpy's array abs can differ in the last bit), so
+        # that a cluster with one nonzero coupling reports its |a_n| exactly
+        a_n_abs = math.hypot(*(abs(complex(an)) for an in a_n))
         s_in, k_in = _operators(geometry, kc, kc_futures)
         energy_ops = (s_in, k_in, InteriorKernels(geometry, kc))
     except _ROW_ERRORS as exc:
@@ -388,7 +359,7 @@ def _write_csv(path, rows):
             ])
 
 
-def _solve_ahead(problems, ctx, solvers):
+def _solve_ahead(problems, spectrum, solvers):
     """
     Rows of each problem in order, with a pool of two threads building
     the Helmholtz operators one point ahead: the tasks of point i+1 are
@@ -405,7 +376,7 @@ def _solve_ahead(problems, ctx, solvers):
             for i, problem in enumerate(problems):
                 if i + 1 < len(problems):
                     started.append(_start_operators(pool, problems[i + 1], solvers))
-                rows.append(solve_point(problem, ctx, solvers, started.pop(0))[0])
+                rows.append(solve_point(problem, spectrum, solvers, started.pop(0))[0])
         except BaseException:
             started.clear()
             pool.shutdown(cancel_futures=True)
@@ -433,16 +404,22 @@ def run_sweep(config):
     """
     grid = config.delta_grid()
     solvers = ("direct", "spectral") if config.solver == "both" else (config.solver,)
-    ctx = _build_context(config)
+    spectrum = spectrum_of(config.geometry)
+    if config.dim == 2:
+        # a boundary too coarse for its interior quadrature is left to
+        # fail each point's rows with this error
+        with contextlib.suppress(ValueError):
+            config.geometry.interior
 
     def point_rows(delta):
-        return solve_point(config.problem_at(float(delta)), ctx, solvers)[0]
+        return solve_point(config.problem_at(float(delta)), spectrum, solvers)[0]
 
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             per_point = list(pool.map(point_rows, grid))
     elif config.dim == 2 and _cores() >= 2:
-        per_point = _solve_ahead([config.problem_at(float(d)) for d in grid], ctx, solvers)
+        per_point = _solve_ahead([config.problem_at(float(d)) for d in grid], spectrum,
+                                 solvers)
     else:
         per_point = [point_rows(d) for d in grid]
     rows = tuple(r for point in per_point for r in point)

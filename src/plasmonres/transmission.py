@@ -55,8 +55,8 @@ from .layer_ops import (
     assemble_S_omega,
     assemble_Kstar_omega,
     eval_gradient,
-    eval_potential_on,
     sphere_operators,
+    _potential_kernel,
 )
 from .np_spectrum import NPSpectrum, _matvec
 from .specfun import (
@@ -69,7 +69,6 @@ from .specfun import (
     sph_j_ratio,
     sph_j_ratio_deriv,
     sph_jh_product_deriv,
-    sph_jh_cross,
 )
 
 __all__ = [
@@ -166,7 +165,7 @@ class TransmissionProblem:
         omega = self.s * self.omega0
         if omega > OMEGA_MAX:
             raise ValueError(
-                f"omega = s*omega0 = {omega:.3g} exceeds the low-frequency "
+                f"omega = s*omega0 = {omega!r} exceeds the low-frequency "
                 f"limit {OMEGA_MAX}"
             )
         a = np.asarray(self.a, dtype=float).reshape(self.dim)
@@ -498,7 +497,7 @@ def _collar_integral(nodes, b, f_bdry, f_edge):
     area element (1 - rho kappa) drho dsigma.
     """
     inner = f_edge * (1.0 - b * nodes.curvatures)
-    return float(np.sum(nodes.weights * 0.5 * b * (f_bdry + inner)))
+    return np.sum(nodes.weights * 0.5 * b * (f_bdry + inner))
 
 
 def interior_gradient_energy(phi, kc, operators):
@@ -522,7 +521,7 @@ def interior_gradient_energy(phi, kc, operators):
     g_edge = eval_gradient(nodes, phi, kc, quad.edge.points)
     f_bdry = np.abs(dnu) ** 2 + np.abs(dtu) ** 2
     f_edge = np.sum(np.abs(g_edge) ** 2, axis=1)
-    return e_bulk + _collar_integral(nodes, b, f_bdry, f_edge)
+    return e_bulk + float(_collar_integral(nodes, b, f_bdry, f_edge))
 
 
 def gradient_energy(phi, kc, operators):
@@ -561,8 +560,8 @@ def gradient_energy(phi, kc, operators):
         coarse, edge = kernels.tables()
         wphi = geometry.weights * phi
         v_bulk = float(np.sum(quad.coarse.weights * np.abs(coarse @ wphi) ** 2))
-        v_collar = _collar_integral(geometry, quad.collar, np.abs(u_trace) ** 2,
-                                    np.abs(edge @ wphi) ** 2)
+        v_collar = float(_collar_integral(geometry, quad.collar, np.abs(u_trace) ** 2,
+                                          np.abs(edge @ wphi) ** 2))
         return e_b + np.real(kc * kc) * (v_bulk + v_collar)
     u_trace = s_op.matrix * phi
     dnu = (-0.5 + k_op.matrix) * phi
@@ -598,54 +597,58 @@ def _require_wavenumber(op, kc):
 # ---------------------------------------------------------------- coupling
 
 
-def coupling_an(z, a, n, spectrum, omega):
+def coupling_an(z, a, slots, spectrum, omega):
     """
-    Resonant coupling a_n(omega) of a unit dipole (a, z) to mode n.
+    Resonant couplings a_n(omega) of a unit dipole (a, z) to the modes n
+    of a sequence of slots,
 
         a_n = <F_z, phi_n> + omega^2 int_D F_z S[phi_n] dV,
 
     where the surface pairing equals a . grad S^omega[phi_n](z)
-    identically.  Returns (a_n, a_n0) with a_n0 = a . grad S[phi_n](z)
-    the quasi-static value; a_n - a_n0 vanishes quadratically in omega
-    (up to the log factor of the 2D fundamental solution).
+    identically.  Returns the arrays (a_n, a_n0), one entry per slot,
+    with a_n0 = a . grad S[phi_n](z) the quasi-static value; a_n - a_n0
+    vanishes quadratically in omega (up to the log factor of the 2D
+    fundamental solution).
     """
     if omega <= 0 or omega > OMEGA_MAX:
         raise ValueError(f"omega must lie in (0, {OMEGA_MAX}]")
-    n = int(n)
-    if not (1 <= n < spectrum.n):
+    slots = [int(n) for n in slots]
+    if not all(1 <= n < spectrum.n for n in slots):
         raise ValueError("mode index must satisfy 1 <= n < spectrum.n")
     if spectrum.dim == 2:
-        return _coupling_an_2d(z, a, n, spectrum, omega)
-    return _coupling_an_3d(z, a, n, spectrum, omega)
+        return _coupling_an_2d(z, a, slots, spectrum, omega)
+    return _coupling_an_3d(z, a, slots, spectrum, omega)
 
 
-def _coupling_an_2d(z, a, n, spectrum, omega):
+def _coupling_an_2d(z, a, slots, spectrum, omega):
     nodes = spectrum.nodes
     quad = nodes.interior
     z = np.asarray(z, dtype=float).reshape(2)
     a = np.asarray(a, dtype=float).reshape(2)
     a = a / np.linalg.norm(a)
-    phi_n = spectrum.densities[:, n]
-    f_bdry = -(grad_gamma_helmholtz(nodes.points - z[None, :], omega, 2) @ a)
-    surface = complex(np.sum(nodes.weights * f_bdry * phi_n))
-    s_in = eval_potential_on(nodes, quad.fine, phi_n, 0.0)
-    f_in = -(grad_gamma_helmholtz(quad.fine.points - z[None, :], omega, 2) @ a)
-    vol = complex(np.sum(quad.fine.weights * f_in * s_in))
-    # collar: F_z stays smooth up to the boundary and S[phi_n] has a
-    # continuous trace (the stored S~ column for n >= 1), so a trapezoid
-    # strip closes the volume integral
-    b = quad.collar
-    s_edge = eval_potential_on(nodes, quad.edge, phi_n, 0.0)
-    f_edge = -(grad_gamma_helmholtz(quad.edge.points - z[None, :], omega, 2) @ a)
-    inner = f_edge * s_edge * (1.0 - b * nodes.curvatures)
-    s_bdry = spectrum.stilde_traces[:, n]
-    vol += complex(np.sum(nodes.weights * 0.5 * b * (f_bdry * s_bdry + inner)))
-    a_n = surface + omega * omega * vol
-    a_n0 = complex(eval_gradient(nodes, phi_n, 0.0, z[None, :])[0] @ a)
+    f_bdry, f_in, f_edge = (-(grad_gamma_helmholtz(p - z[None, :], omega, 2) @ a)
+                            for p in (nodes.points, quad.fine.points, quad.edge.points))
+    kern_in = _potential_kernel(quad.fine, 0.0)
+    kern_edge = _potential_kernel(quad.edge, 0.0)
+    a_n = np.empty(len(slots), dtype=complex)
+    a_n0 = np.empty(len(slots), dtype=complex)
+    for i, n in enumerate(slots):
+        phi_n = spectrum.densities[:, n]
+        wphi = nodes.weights * phi_n
+        surface = complex(np.sum(nodes.weights * f_bdry * phi_n))
+        vol = complex(np.sum(quad.fine.weights * f_in * (kern_in @ wphi)))
+        # collar: F_z stays smooth up to the boundary and S[phi_n] has a
+        # continuous trace (the stored S~ column for n >= 1), so a
+        # trapezoid strip closes the volume integral
+        vol += complex(_collar_integral(nodes, quad.collar,
+                                        f_bdry * spectrum.stilde_traces[:, n],
+                                        f_edge * (kern_edge @ wphi)))
+        a_n[i] = surface + omega * omega * vol
+        a_n0[i] = eval_gradient(nodes, phi_n, 0.0, z[None, :])[0] @ a
     return a_n, a_n0
 
 
-def _coupling_an_3d(z, a, n, spectrum, omega):
+def _coupling_an_3d(z, a, slots, spectrum, omega):
     radius = spectrum.radius
     z = np.asarray(z, dtype=float).reshape(3)
     a = np.asarray(a, dtype=float).reshape(3)
@@ -653,26 +656,24 @@ def _coupling_an_3d(z, a, n, spectrum, omega):
     z0 = float(np.dot(a, z))
     if np.linalg.norm(z - z0 * a) > 1e-10 * (1.0 + abs(z0)) or z0 <= radius:
         raise ValueError("3D coupling requires z on the dipole axis, outside")
-    deg = int(spectrum.degrees[n])
-    pole_slot = deg * deg + deg
-    if n != pole_slot:
-        # off-axis harmonics are orthogonal to an axial dipole
-        return 0.0 + 0.0j, 0.0 + 0.0j
-    beta = math.sqrt((2 * deg + 1) / radius)
-    cn, jhp = _dipole_factors_3d(deg, omega, z0)
-    surface = complex(_dipole_trace_3d(deg, radius, omega, z0, cn, jhp) * beta)
+    a_n = np.zeros(len(slots), dtype=complex)
+    a_n0 = np.zeros(len(slots), dtype=complex)
     x, w = GAUSS_48
     r = 0.5 * radius * (x + 1.0)
     w = 0.5 * radius * w
-    cross = sph_jh_cross(deg, omega * r, omega * z0)
-    radial = np.sum(w * cross * (r / radius) ** deg * r * r)
-    vol = 1j * omega * omega * cn * beta / (2 * deg + 1) * radial
-    a_n = surface + omega * omega * vol
-    a_n0 = (
-        (deg + 1)
-        * radius ** (deg + 1)
-        * cn
-        * beta
-        / ((2 * deg + 1) * z0 ** (deg + 2))
-    )
-    return a_n, complex(a_n0)
+    for i, n in enumerate(slots):
+        deg = int(spectrum.degrees[n])
+        if n != deg * deg + deg:
+            # off-axis harmonics are orthogonal to an axial dipole
+            continue
+        beta = math.sqrt((2 * deg + 1) / radius)
+        cn, jhp = _dipole_factors_3d(deg, omega, z0)
+        surface = complex(_dipole_trace_3d(deg, radius, omega, z0, cn, jhp) * beta)
+        # j_n(omega r) h_n'(omega z0), through the stable j_n h_n'(omega z0)
+        cross = sph_j_ratio(deg, omega * r, omega * z0) * jhp
+        radial = np.sum(w * cross * (r / radius) ** deg * r * r)
+        vol = 1j * omega * omega * cn * beta / (2 * deg + 1) * radial
+        a_n[i] = surface + omega * omega * vol
+        a_n0[i] = ((deg + 1) * radius ** (deg + 1) * cn * beta
+                   / ((2 * deg + 1) * z0 ** (deg + 2)))
+    return a_n, a_n0

@@ -268,7 +268,7 @@ def test_criterion_10_coupling_frequency_order():
     axis = np.array([0.0, 0.0, 1.0])
     gaps = []
     for om in (0.1, 0.05, 0.025):
-        an, an0 = coupling_an(2.0 * axis, axis, 2, sph, om)
+        (an,), (an0,) = coupling_an(2.0 * axis, axis, [2], sph, om)
         gaps.append(abs(an - an0))
     orders = [np.log(gaps[i] / gaps[i + 1]) / np.log(2.0) for i in range(2)]
     order = min(orders)

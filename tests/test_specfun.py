@@ -30,7 +30,6 @@ from plasmonres.specfun import (
     sph_jh_product_deriv,
     sph_j_ratio,
     sph_j_ratio_deriv,
-    sph_jh_cross,
 )
 from reference_ops import remainder_kernel_radial
 
@@ -276,13 +275,18 @@ def test_sph_j_ratio_deriv_two_routes():
 
 
 def test_sph_jh_cross_two_routes():
+    # j_n(z1) h_n'(z2), the sphere coupling's volume integrand, as the
+    # ratio j_n(z1)/j_n(z2) times j_n h_n'(z2) = ((j_n h_n)' + i/z^2)/2
+    # (the Wronskian), against the raw Bessel values
     for n in [0, 2, 4]:
         for z1, z2 in [(0.6, 0.9), (0.8 - 0.1j, 1.2 - 0.05j)]:
             jn = special.spherical_jn(n, z1)
             hnp = special.spherical_jn(n, z2, derivative=True) + \
                 1j * special.spherical_yn(n, z2, derivative=True)
             direct = jn * hnp
-            assert abs(sph_jh_cross(n, z1, z2) - direct) < 1e-11 * max(1.0, abs(direct))
+            jhp = 0.5 * (sph_jh_product_deriv(n, z2) + 1j / (z2 * z2))
+            stable = sph_j_ratio(n, z1, z2) * jhp
+            assert abs(stable - direct) < 1e-11 * max(1.0, abs(direct))
 
 
 def test_omega_cap_constant():

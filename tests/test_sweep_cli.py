@@ -5,6 +5,7 @@ exit codes.
 """
 
 import csv
+import dataclasses
 import gc
 import json
 import os
@@ -49,6 +50,7 @@ from plasmonres.cli import (
     EXIT_VALIDATION,
 )
 from plasmonres.np_spectrum import sphere_spectrum, spectrum_of
+from plasmonres.specfun import OMEGA_MAX
 
 
 def _deltas(lo, hi, n):
@@ -210,12 +212,12 @@ def test_sweep_2d_verdict_stable_under_refinement(tmp_path):
 def test_sweep_invalid_fraction_forces_inconclusive(tmp_path, monkeypatch):
     original = sweep_module.solve_point
 
-    def flaky(problem, ctx, solvers):
+    def flaky(problem, spectrum, solvers):
         if problem.delta < 3e-4:
             error = RuntimeError("synthetic failure")
             return ([sweep_module._failed_row(problem, name) for name in solvers],
                     [error] * len(solvers))
-        return original(problem, ctx, solvers)
+        return original(problem, spectrum, solvers)
 
     monkeypatch.setattr(sweep_module, "solve_point", flaky)
     cfg = _sphere_config(tmp_path, delta_min=1e-5, points_per_decade=4)
@@ -251,13 +253,7 @@ def test_resonant_cluster_triple_on_sphere():
     assert all(abs(sph.lambdas[i] - 1.0 / 6.0) < 1e-12 for i in cluster)
 
 
-@pytest.mark.parametrize("degree", [
-    11,
-    pytest.param(12, marks=pytest.mark.xfail(strict=True, reason=(
-        "sweep._CLUSTER_CAP keeps the first 12 of the 25 degree-12 slots and "
-        "drops the pole slot 156, so a_n_abs reads 0.0; ROADMAP item 4 "
-        "replaces the cap by the cluster norm"))),
-])
+@pytest.mark.parametrize("degree", [11, 12])
 def test_sphere_a_n_abs_at_high_degree_resonance(degree):
     # at L = 40 the contrast resonant at degree n has a cluster of 2n + 1
     # slots; an axial dipole reaches only its pole slot n^2 + n, whose
@@ -267,13 +263,33 @@ def test_sphere_a_n_abs_at_high_degree_resonance(degree):
     problem = transmission_module.TransmissionProblem(
         dim=3, geometry=(40, 1.0), s=scale_for_delta(1e-2, 0.01, 3), delta=1e-2,
         eps_c=eps, omega0=1.0, a=(0.0, 0.0, 1.0), z=(0.0, 0.0, 2.0))
-    ctx = sweep_module.PointContext(
-        spectrum, sweep_module._resonant_cluster(spectrum, eps))
-    rows, _ = sweep_module.solve_point(problem, ctx, ("spectral",))
-    a_pole, _ = transmission_module.coupling_an(
-        problem.z, problem.a, degree * degree + degree, spectrum, problem.omega)
+    rows, _ = sweep_module.solve_point(problem, spectrum, ("spectral",))
+    (a_pole,), _ = transmission_module.coupling_an(
+        problem.z, problem.a, [degree * degree + degree], spectrum, problem.omega)
     assert abs(a_pole) > 1e-4
     assert rows[0].a_n_abs == abs(a_pole)
+
+
+def test_a_n_abs_invariant_under_rotation_of_a_degenerate_cluster():
+    # every n >= 1 mode of the circle has lambda = 0, so eigh may return
+    # any orthonormal basis of that space; a_n_abs, the norm of the
+    # couplings over the cluster, must not depend on which
+    nodes = quadrature_nodes(make_curve("circle", radius=1.5), 128)
+    spectrum = spectrum_of(nodes)
+    cluster = sweep_module._resonant_cluster(spectrum, -2.0)
+    assert cluster == list(range(1, 128))
+    q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((127, 127)))
+    densities, stilde = spectrum.densities.copy(), spectrum.stilde_traces.copy()
+    densities[:, cluster] = densities[:, cluster] @ q
+    stilde[:, cluster] = stilde[:, cluster] @ q
+    rotated = dataclasses.replace(spectrum, densities=densities, stilde_traces=stilde)
+    problem = transmission_module.TransmissionProblem(
+        dim=2, geometry=nodes, s=scale_for_delta(1e-2, 0.01, 2), delta=1e-2,
+        eps_c=-2.0, omega0=1.0, a=(1.0, 0.0), z=(3.0, 0.0))
+    (row,), _ = sweep_module.solve_point(problem, spectrum, ("spectral",))
+    (row_q,), _ = sweep_module.solve_point(problem, rotated, ("spectral",))
+    assert row.a_n_abs > 1e-2
+    assert abs(row_q.a_n_abs - row.a_n_abs) <= 1e-12 * row.a_n_abs
 
 
 def test_sphere_sweep_builds_diagonals_once_per_point(tmp_path, monkeypatch):
@@ -446,9 +462,9 @@ def _run_on_cores(monkeypatch, cfg, cores):
     with monkeypatch.context() as m:
         original = sweep_module.solve_point
 
-        def recording(problem, ctx, solvers, *rest):
+        def recording(problem, spectrum, solvers, *rest):
             executors.append(rest[0] if rest else None)
-            return original(problem, ctx, solvers, *rest)
+            return original(problem, spectrum, solvers, *rest)
 
         m.setattr(sweep_module, "_cores", lambda: cores)
         m.setattr(sweep_module, "solve_point", recording)
@@ -668,12 +684,14 @@ def test_cli_solve_prints_the_sweep_row(tmp_path, capsys, monkeypatch, make, geo
                                        solver):
     # `plasmonres solve` at a sweep's grid point prints, digit for digit,
     # the energy_norm, phi0_hat_abs and residual cells the sweep writes;
-    # it solves through solve_point, with no coupling work and no pool
+    # it solves through solve_point, with the geometry's spectrum and no
+    # pool, and its row carries the sweep's a_n_abs cell too
     calls = []
 
-    def recording(problem, ctx, solvers, *rest, _original=cli_module.solve_point):
-        calls.append((ctx.cluster, rest, solvers))
-        return _original(problem, ctx, solvers, *rest)
+    def recording(problem, spectrum, solvers, *rest, _original=cli_module.solve_point):
+        rows, errors = _original(problem, spectrum, solvers, *rest)
+        calls.append((spectrum.lambdas, rest, solvers, rows))
+        return rows, errors
 
     monkeypatch.setattr(cli_module, "solve_point", recording)
     cfg = make(tmp_path)
@@ -692,7 +710,10 @@ def test_cli_solve_prints_the_sweep_row(tmp_path, capsys, monkeypatch, make, geo
     lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("solver=")]
     assert lines == [f"solver={solver} energy_norm={row['energy_norm']} "
                      f"phi0_hat_abs={row['phi0_hat_abs']} residual={row['residual']}"]
-    assert calls == [((), (), (solver,))]
+    [(lambdas, rest, solvers, cli_rows)] = calls
+    assert np.array_equal(lambdas, spectrum_of(cfg.geometry).lambdas)
+    assert (rest, solvers) == ((), (solver,))
+    assert repr(cli_rows[0].a_n_abs) == row["a_n_abs"]
 
 
 _CLI_ELLIPSE_SOLVE = ["solve", "--dim", "2", "--geometry", "ellipse:2,1", "--nodes", "64",
@@ -708,6 +729,60 @@ def test_cli_solve_unresolved_wavenumber_exits_2(capsys, solver):
                "--dipole-a", "1,0", "--dipole-z", "9,0", "--solver", solver])
     assert rc == EXIT_CONFIG
     assert "energy_norm=nan" not in capsys.readouterr().out
+
+
+def _with(args, **values):
+    """args with the value of each --flag (underscores for dashes) replaced."""
+    out = list(args)
+    for flag, value in values.items():
+        out[out.index("--" + flag.replace("_", "-")) + 1] = value
+    return out
+
+
+@pytest.mark.parametrize("scale", (0.50000001, float(np.nextafter(OMEGA_MAX, 1.0))))
+def test_cli_solve_omega_above_cap_exits_2_naming_it(capsys, scale):
+    # at omega0 = 1, omega = scale: just above the cap is a usage error,
+    # and the message names the value itself, not a rounding of it
+    assert main(_with(_CLI_ELLIPSE_SOLVE, scale=repr(scale))) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert f"omega = s*omega0 = {scale!r} exceeds" in err
+    assert "solver=" not in out
+
+
+def test_cli_solve_at_omega_cap_prints_finite_rows(capsys):
+    assert main(_with(_CLI_ELLIPSE_SOLVE, scale=repr(OMEGA_MAX))) == EXIT_OK
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("solver=")]
+    assert len(lines) == 2
+    for line in lines:
+        cells = dict(part.split("=") for part in line.split()[1:])
+        assert all(np.isfinite(float(v)) for v in cells.values())
+
+
+def test_cli_solve_dipole_in_quadrature_buffer_exits_2(capsys):
+    # x = 2.3 lies 0.3 from the ellipse's tip, inside the 0.393 buffer
+    assert main(_with(_CLI_ELLIPSE_SOLVE, dipole_z="2.3,0")) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert "quadrature buffer" in err
+    assert "solver=" not in out
+
+
+@pytest.mark.parametrize("solver", ("direct", "spectral"))
+def test_cli_solve_lossless_resonant_contrast(capsys, solver):
+    # delta = 1e-300 at eps_c = -2, the plasmon of slot 2 (lambda = 1/6):
+    # the leading-order denominator vanishes, so the spectral route
+    # exits 3 naming that slot; at finite frequency the full system stays
+    # solvable, and the direct route prints its row
+    rc = main(_with(_CLI_ELLIPSE_SOLVE, delta="1e-300") + ["--solver", solver])
+    out, err = capsys.readouterr()
+    lines = [l for l in out.splitlines() if l.startswith("solver=")]
+    if solver == "spectral":
+        assert rc == EXIT_NUMERICAL
+        assert "modes [2]" in err
+        assert lines == []
+    else:
+        assert rc == EXIT_OK
+        [line] = lines
+        assert float(line.split("residual=")[1]) <= 1e-8
 
 
 _CLI_SPHERE_SOLVE = ["solve", "--dim", "3", "--geometry", "sphere:1.0", "--degree", "8",
@@ -759,8 +834,8 @@ def test_solve_point_errors_hold_no_frames(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep_module, "helmholtz_operators", recording)
     monkeypatch.setattr(sweep_module, "solve_direct", singular)
     cfg = _ellipse_config(tmp_path)
-    ctx = sweep_module.PointContext(spectrum_of(cfg.geometry))
-    rows, errors = sweep_module.solve_point(cfg.problem_at(1e-3), ctx,
+    rows, errors = sweep_module.solve_point(cfg.problem_at(1e-3),
+                                            spectrum_of(cfg.geometry),
                                             ("direct", "spectral"))
     assert isinstance(errors[0], np.linalg.LinAlgError) and errors[1] is None
     assert errors[0].__traceback__ is None

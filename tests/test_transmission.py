@@ -327,8 +327,8 @@ def test_coupling_two_routes_2d():
     z = np.array([3.0, 0.5])
     a = np.array([0.6, 0.8])
     h = 1e-5
-    for slot in (1, 2):
-        _, an0 = coupling_an(z, a, slot, spec, 0.05)
+    _, an0s = coupling_an(z, a, (1, 2), spec, 0.05)
+    for slot, an0 in zip((1, 2), an0s):
         phi = spec.densities[:, slot]
         up = eval_potential(nodes, phi, 0.0, (z + h * a)[None, :])[0]
         dn = eval_potential(nodes, phi, 0.0, (z - h * a)[None, :])[0]
@@ -340,9 +340,9 @@ def test_coupling_sphere_distance_law():
     # distance divides it by exactly 2^(n+2)
     sph = sphere_spectrum(12, 1.0)
     axis = np.array([0.0, 0.0, 1.0])
-    for slot, deg in ((2, 1), (6, 2)):
-        _, near = coupling_an(2.0 * axis, axis, slot, sph, 0.05)
-        _, far = coupling_an(4.0 * axis, axis, slot, sph, 0.05)
+    _, nears = coupling_an(2.0 * axis, axis, (2, 6), sph, 0.05)
+    _, fars = coupling_an(4.0 * axis, axis, (2, 6), sph, 0.05)
+    for deg, near, far in zip((1, 2), nears, fars):
         assert abs(near / far - 2.0 ** (deg + 2)) < 1e-10
 
 
@@ -365,8 +365,8 @@ def test_coupling_parity_null():
     # an even mode paired with an odd incident pattern: the x-axis
     # dipole pointing in y sees the cosine-sector slot at machine zero
     nodes, spec = _ellipse_spectrum()
-    an, an0 = coupling_an(np.array([3.0, 0.0]), np.array([0.0, 1.0]), 2,
-                          spec, 0.05)
+    (an,), (an0,) = coupling_an(np.array([3.0, 0.0]), np.array([0.0, 1.0]), [2],
+                                spec, 0.05)
     assert abs(an0) < 1e-12
     assert abs(an) < 1e-6
 
@@ -376,13 +376,13 @@ def test_coupling_frequency_order():
     # the 2D logarithmic factor; 3D is clean quadratic
     sph = sphere_spectrum(12, 1.0)
     axis = np.array([0.0, 0.0, 1.0])
-    gaps3 = [abs(np.diff(coupling_an(2.0 * axis, axis, 2, sph, om))[0])
+    gaps3 = [abs(np.diff(coupling_an(2.0 * axis, axis, [2], sph, om), axis=0)[0, 0])
              for om in (0.1, 0.05, 0.025)]
     order3 = np.log(gaps3[0] / gaps3[1]) / np.log(2.0)
     assert order3 > 1.9
     _, spec = _ellipse_spectrum()
     gaps2 = [abs(np.diff(coupling_an(np.array([3.0, 0.0]),
-                                     np.array([1.0, 0.0]), 1, spec, om))[0])
+                                     np.array([1.0, 0.0]), [1], spec, om), axis=0)[0, 0])
              for om in (0.1, 0.05, 0.025)]
     order2 = np.log(gaps2[0] / gaps2[1]) / np.log(2.0)
     # the ln omega factor drags the observed 2D rate below 2
@@ -392,9 +392,12 @@ def test_coupling_frequency_order():
 def test_coupling_argument_guards():
     _, spec = _ellipse_spectrum(128)
     with pytest.raises(ValueError):
-        coupling_an(np.array([3.0, 0.0]), np.array([1.0, 0.0]), 0, spec, 0.05)
+        coupling_an(np.array([3.0, 0.0]), np.array([1.0, 0.0]), [0], spec, 0.05)
     with pytest.raises(ValueError):
-        coupling_an(np.array([3.0, 0.0]), np.array([1.0, 0.0]), 1, spec, 0.9)
+        coupling_an(np.array([3.0, 0.0]), np.array([1.0, 0.0]), [1], spec, 0.9)
+    # slots are a sequence, never a bare int
+    with pytest.raises(TypeError):
+        coupling_an(np.array([3.0, 0.0]), np.array([1.0, 0.0]), 1, spec, 0.05)
 
 
 def test_problem_validation():
