@@ -65,9 +65,7 @@ from .specfun import (
     grad_gamma_helmholtz,
     grad_gamma_laplace,
     sph_jh_product,
-    sph_jh_product_deriv,
     sph_j_ratio,
-    sph_j_ratio_deriv,
 )
 
 __all__ = [
@@ -93,8 +91,25 @@ _MAX_K_DIAM = 5.0
 _SERIES_KR_MAX = 0.5
 
 # 48-point Gauss-Legendre rule (nodes, weights) on [-1, 1], read-only, for
-# the radial integrals of the sphere's interior energy and coupling
-GAUSS_48 = np.polynomial.legendre.leggauss(48)
+# the radial integrals of the sphere's interior energy and coupling. These
+# are numpy's leggauss(48) values, which are exactly symmetric about 0;
+# stored for x > 0, they spare every import leggauss's eigenvalue call.
+_GAUSS_X, _GAUSS_W = np.array([
+    [0.03238017096286937, 0.0970046992094627, 0.1612223560688917, 0.22476379039468905,
+     0.28736248735545555, 0.3487558862921607, 0.4086864819907167, 0.4669029047509584,
+     0.523160974722233, 0.5772247260839727, 0.6288673967765136, 0.6778723796326639,
+     0.7240341309238146, 0.7671590325157404, 0.8070662040294426, 0.8435882616243935,
+     0.8765720202742479, 0.9058791367155696, 0.9313866907065543, 0.9529877031604308,
+     0.9705915925462473, 0.9841245837228269, 0.9935301722663508, 0.9987710072524261],
+    [0.06473769681268365, 0.06446616443594982, 0.06392423858464787, 0.06311419228625373,
+     0.06203942315989242, 0.0607044391658936, 0.059114839698395344, 0.057277292100402916,
+     0.05519950369998403, 0.05289018948519344, 0.0503590355538542, 0.04761665849249024,
+     0.04467456085669423, 0.04154508294346455, 0.0382413510658305, 0.034777222564770394,
+     0.031167227832798097, 0.027426509708357034, 0.023570760839324047, 0.019616160457356056,
+     0.015579315722943226, 0.011477234579234614, 0.007327553901276135, 0.0031533460523098414],
+])
+GAUSS_48 = (np.concatenate([-_GAUSS_X[::-1], _GAUSS_X]),
+            np.concatenate([_GAUSS_W[::-1], _GAUSS_W]))
 GAUSS_48[0].flags.writeable = GAUSS_48[1].flags.writeable = False
 
 
@@ -352,11 +367,10 @@ def _sphere_radial_table(L, radius, k):
     r = 0.5 * radius * (x + 1.0)
     w = 0.5 * radius * w
     n = np.arange(L + 1)
-    g = sph_j_ratio(n, k * r, k * radius)
-    gp = k * sph_j_ratio_deriv(n, k * r, k * radius)
+    g, gp = sph_j_ratio(n, k * r, k * radius)
     i_mass = np.sum(w * np.abs(g) ** 2 * r * r, axis=1)
     centrifugal = (n * (n + 1))[:, None] * np.abs(g / r) ** 2
-    i_grad = np.sum(w * (np.abs(gp) ** 2 + centrifugal) * r * r, axis=1)
+    i_grad = np.sum(w * (np.abs(k * gp) ** 2 + centrifugal) * r * r, axis=1)
     deg = sphere_degree_index(L)
     return i_mass[deg], i_grad[deg]
 
@@ -391,8 +405,7 @@ def sphere_operators(L, R, k=0.0):
     if k == 0:
         return s_op, kstar_op
     z = k * R
-    jh = sph_jh_product(np.arange(L + 1), z)
-    jhp = sph_jh_product_deriv(np.arange(L + 1), z)
+    jh, jhp = sph_jh_product(np.arange(L + 1), z)
     sk_diag = -1j * k * R * R * jh[deg]
     kk_diag = -0.5j * k * k * R * R * jhp[deg]
     sk_op = BoundaryOperator(sk_diag, kind="S_omega", wavenumber=k, nodes=(L, R))

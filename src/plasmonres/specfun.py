@@ -28,9 +28,7 @@ __all__ = [
     "compute_kc",
     "spherical_bessel",
     "sph_jh_product",
-    "sph_jh_product_deriv",
     "sph_j_ratio",
-    "sph_j_ratio_deriv",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
@@ -220,20 +218,33 @@ def _sph_series(n, z, with_deriv=False):
     A, B, ca, cb = (np.ones(shape, dtype=complex) for _ in range(4))
     dA, dB = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
     live = np.ones(nz.shape, dtype=bool)
-    for m in range(1, 60):
-        ca = ca * z2 / (m * (2 * nz + 2 * m + 1))
-        cb = cb * z2 / (m * (2 * m - 2 * nz - 1))
-        A = np.where(live, A + ca, A)
-        B = np.where(live, B + cb, B)
-        if with_deriv:
+    odd = 2 * nz + 1
+    # The sums grow in place, so that they stay arrays even when 0-d:
+    # numpy's scalar complex arithmetic can differ from its array loops
+    # in the last bit. Until the first degree stops nothing is masked.
+    everywhere = True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m in range(1, 60):
+            ca = ca * z2 / (m * (odd + 2 * m))
+            cb = cb * z2 / (m * (2 * m - odd))
             # d/dz of a term c_m z^{2m} is 2m c_m z^{2m-1}
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dA = np.where(live, dA + 2 * m * ca / z, dA)
-                dB = np.where(live, dB + 2 * m * cb / z, dB)
-        size = np.maximum(np.abs(ca), np.abs(cb)).reshape(nz.shape + (-1,))
-        live &= ~(size.max(axis=-1) < 1e-20)
-        if not live.any():
-            break
+            if everywhere:
+                A += ca
+                B += cb
+                if with_deriv:
+                    dA += 2 * m * ca / z
+                    dB += 2 * m * cb / z
+            else:
+                A = np.where(live, A + ca, A)
+                B = np.where(live, B + cb, B)
+                if with_deriv:
+                    dA = np.where(live, dA + 2 * m * ca / z, dA)
+                    dB = np.where(live, dB + 2 * m * cb / z, dB)
+            size = np.maximum(np.abs(ca), np.abs(cb)).reshape(nz.shape + (-1,))
+            live &= ~(size.max(axis=-1) < 1e-20)
+            if not live.any():
+                break
+            everywhere = everywhere and live.all()
     if with_deriv:
         return A, B, dA, dB
     return A, B
@@ -251,83 +262,54 @@ def _dfact(n):
 
 def sph_jh_product(n, z):
     """
-    j_n(z) h_n(z), stable down to |z| -> 0 (where it behaves like
-    -i / ((2n+1) z) and raw h_n overflows). For an array of degrees n
-    the result has shape n.shape + z.shape.
+    (j_n(z) h_n(z), d/dz of it), stable down to |z| -> 0 (where the
+    product behaves like -i / ((2n+1) z) and raw h_n overflows), from
+    one series or one set of Bessel values. For an array of degrees n
+    each half has shape n.shape + z.shape; a scalar n and z give complex
+    numbers.
     """
     z = np.asarray(z, dtype=complex)
     nn = np.asarray(n)[..., None]
     small = np.abs(z) < _SPH_SERIES_CUT
     out = np.empty(np.shape(n) + z.shape, dtype=complex)
-    if np.any(small):
-        zs = z[small]
-        A, B = _sph_series(n, zs)
-        jy = -A * B / ((2 * nn + 1) * zs)
-        jj = (zs ** nn / _dfact(nn)) ** 2 * A * A
-        out[..., small] = jj + 1j * jy
-    if np.any(~small):
-        zl = z[~small]
-        jn = special.spherical_jn(nn, zl)
-        out[..., ~small] = jn * (jn + 1j * special.spherical_yn(nn, zl))
-    return out if out.shape else complex(out)
-
-
-def sph_jh_product_deriv(n, z):
-    """d/dz of j_n(z) h_n(z), stable down to |z| -> 0; n as in sph_jh_product."""
-    z = np.asarray(z, dtype=complex)
-    nn = np.asarray(n)[..., None]
-    small = np.abs(z) < _SPH_SERIES_CUT
-    out = np.empty(np.shape(n) + z.shape, dtype=complex)
+    out_d = np.empty_like(out)
     if np.any(small):
         zs = z[small]
         A, B, dA, dB = _sph_series(n, zs, with_deriv=True)
         c = 1.0 / (2 * nn + 1)
-        # (j y)' from j y = -A B / ((2n+1) z)
-        jy_d = -c * (dA * B + A * dB) / zs + c * A * B / (zs * zs)
-        # (j^2)' = 2 j j'
+        jy = -A * B / ((2 * nn + 1) * zs)
         jfac = zs ** nn / _dfact(nn)
-        j = jfac * A
-        jp = jfac * (nn * A / zs + dA)
-        out[..., small] = 2.0 * j * jp + 1j * jy_d
+        out[..., small] = jfac ** 2 * A * A + 1j * jy
+        # (j y)' from j y = -A B / ((2n+1) z), and (j^2)' = 2 j j'
+        jy_d = -c * (dA * B + A * dB) / zs + c * A * B / (zs * zs)
+        out_d[..., small] = 2.0 * (jfac * A) * (jfac * (nn * A / zs + dA)) + 1j * jy_d
     if np.any(~small):
         zl = z[~small]
         jn = special.spherical_jn(nn, zl)
         yn = special.spherical_yn(nn, zl)
         jnp = special.spherical_jn(nn, zl, derivative=True)
         ynp = special.spherical_yn(nn, zl, derivative=True)
-        out[..., ~small] = jnp * (jn + 1j * yn) + jn * (jnp + 1j * ynp)
-    return out if out.shape else complex(out)
+        out[..., ~small] = jn * (jn + 1j * yn)
+        out_d[..., ~small] = jnp * (jn + 1j * yn) + jn * (jnp + 1j * ynp)
+    if out.shape:
+        return out, out_d
+    return complex(out), complex(out_d)
 
 
 def sph_j_ratio(n, z_num, z_den):
     """
-    j_n(z_num) / j_n(z_den), stable when both arguments are small
-    (the (z_num/z_den)^n prefactor is formed directly). For an array of
-    degrees n the result has shape n.shape + z_num.shape.
-    """
-    z_num = np.asarray(z_num, dtype=complex)
-    z_den = complex(z_den)
-    nn = np.reshape(n, np.shape(n) + (1,) * z_num.ndim)
-    if abs(z_den) < _SPH_SERIES_CUT:
-        A_num, _ = _sph_series(n, z_num)
-        A_den, _ = _sph_series(nn, z_den)
-        return (z_num / z_den) ** nn * A_num / A_den
-    jd = special.spherical_jn(nn, np.asarray(z_den, dtype=complex))
-    return special.spherical_jn(nn, z_num) / jd
+    (j_n(z_num) / j_n(z_den), j_n'(z_num) / j_n(z_den)), stable when both
+    arguments are small, from one numerator and one denominator series.
+    For an array of degrees n each half has shape n.shape + z_num.shape.
 
-
-def sph_j_ratio_deriv(n, z_num, z_den):
-    """
-    j_n'(z_num) / j_n(z_den), stable when both arguments are small; n as
-    in sph_j_ratio.
-
-    From j_n(z) = z^n / (2n+1)!! * A(z) the derivative is
-    z^{n-1} (n A + z A') / (2n+1)!!, so the double factorials cancel and
-    the ratio is (z_num/z_den)^{n-1} (n A_num + z_num A_num') / (z_den A_den),
-    A_num' / A_den at n = 0: only the size ratio is raised to a power,
-    since z_num^{n-1} and z_den^n alone underflow at high degree. z_num
-    may not contain 0 when n = 0 (A'(0) is formed as a 0/0 limit the
-    series code does not take).
+    Only the size ratio is raised to a power: from
+    j_n(z) = z^n / (2n+1)!! * A(z) the value ratio is
+    (z_num/z_den)^n A_num / A_den, and since j_n'(z) =
+    z^{n-1} (n A + z A') / (2n+1)!! the derivative ratio is
+    (z_num/z_den)^{n-1} (n A_num + z_num A_num') / (z_den A_den), and
+    A_num' / A_den at n = 0; z_num^{n-1} and z_den^n alone underflow at
+    high degree. The derivative half is not finite at z_num = 0 when
+    n = 0 (A'(0) is formed as a 0/0 limit the series code does not take).
     """
     z_num = np.asarray(z_num, dtype=complex)
     z_den = complex(z_den)
@@ -335,8 +317,9 @@ def sph_j_ratio_deriv(n, z_num, z_den):
     if abs(z_den) < _SPH_SERIES_CUT:
         A_num, _, dA_num, _ = _sph_series(n, z_num, with_deriv=True)
         A_den, _ = _sph_series(nn, z_den)
-        ratio = (z_num / z_den) ** (nn - 1) * (nn * A_num + z_num * dA_num)
-        return np.where(nn == 0, dA_num / A_den, ratio / (z_den * A_den))
+        ratio_d = (z_num / z_den) ** (nn - 1) * (nn * A_num + z_num * dA_num)
+        return ((z_num / z_den) ** nn * A_num / A_den,
+                np.where(nn == 0, dA_num / A_den, ratio_d / (z_den * A_den)))
     jd = special.spherical_jn(nn, np.asarray(z_den, dtype=complex))
-    return special.spherical_jn(nn, z_num, derivative=True) / jd
-
+    return (special.spherical_jn(nn, z_num) / jd,
+            special.spherical_jn(nn, z_num, derivative=True) / jd)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NodeSet, interior_points, _inside_polygon
+from .geometry import NodeSet, TargetSet, interior_points, _inside_polygon
 from .layer_ops import (
     GAUSS_48,
     BoundaryOperator,
@@ -66,9 +66,9 @@ from .specfun import (
     tau_kc,
     hankel_first_kind,
     grad_gamma_helmholtz,
+    grad_gamma_laplace,
     sph_j_ratio,
-    sph_j_ratio_deriv,
-    sph_jh_product_deriv,
+    sph_jh_product,
 )
 
 __all__ = [
@@ -292,9 +292,7 @@ def dipole_traces(problem):
     f = np.zeros(n.size ** 2, dtype=complex)
     g = np.zeros(n.size ** 2, dtype=complex)
     idx = n * n + n
-    f[idx] = _dipole_trace_3d(n, radius, om, z0, cn, jhp)
-    g[idx] = (-1j * om ** 3 * cn * radius
-              * sph_j_ratio_deriv(n, om * radius, om * z0) * jhp)
+    f[idx], g[idx] = _dipole_trace_3d(n, radius, om, z0, cn, jhp)
     return f, g
 
 
@@ -311,12 +309,14 @@ def _dipole_factors_3d(n, om, z0):
     """
     zz = om * z0
     cn = np.sqrt((2 * n + 1) / (4.0 * math.pi))
-    return cn, 0.5 * (sph_jh_product_deriv(n, zz) + 1j / (zz * zz))
+    return cn, 0.5 * (sph_jh_product(n, zz)[1] + 1j / (zz * zz))
 
 
 def _dipole_trace_3d(n, radius, om, z0, cn, jhp):
-    """Y_n0 coefficients of F_z at degrees n, given _dipole_factors_3d(n, om, z0)."""
-    return -1j * om * om * cn * radius * sph_j_ratio(n, om * radius, om * z0) * jhp
+    """Y_n0 coefficients of (F_z, d_nu F_z) at degrees n, given _dipole_factors_3d."""
+    ratio, ratio_d = sph_j_ratio(n, om * radius, om * z0)
+    return (-1j * om * om * cn * radius * ratio * jhp,
+            -1j * om ** 3 * cn * radius * ratio_d * jhp)
 
 
 # ----------------------------------------------------------------- solvers
@@ -630,8 +630,11 @@ def _coupling_an_2d(z, a, slots, spectrum, omega):
                             for p in (nodes.points, quad.fine.points, quad.edge.points))
     kern_in = _potential_kernel(quad.fine, 0.0)
     kern_edge = _potential_kernel(quad.edge, 0.0)
+    # a_n0 = a . grad S[phi_n](z) = sum_j w_j a . grad Gamma(z - x_j) phi_n(x_j),
+    # with z held off the boundary as for eval_gradient
+    TargetSet.of(nodes, z)
+    grad_z = nodes.weights * (grad_gamma_laplace(z[None, :] - nodes.points, 2) @ a)
     a_n = np.empty(len(slots), dtype=complex)
-    a_n0 = np.empty(len(slots), dtype=complex)
     for i, n in enumerate(slots):
         phi_n = spectrum.densities[:, n]
         wphi = nodes.weights * phi_n
@@ -644,8 +647,7 @@ def _coupling_an_2d(z, a, slots, spectrum, omega):
                                         f_bdry * spectrum.stilde_traces[:, n],
                                         f_edge * (kern_edge @ wphi)))
         a_n[i] = surface + omega * omega * vol
-        a_n0[i] = eval_gradient(nodes, phi_n, 0.0, z[None, :])[0] @ a
-    return a_n, a_n0
+    return a_n, (grad_z @ spectrum.densities[:, slots]).astype(complex)
 
 
 def _coupling_an_3d(z, a, slots, spectrum, omega):
@@ -668,9 +670,9 @@ def _coupling_an_3d(z, a, slots, spectrum, omega):
             continue
         beta = math.sqrt((2 * deg + 1) / radius)
         cn, jhp = _dipole_factors_3d(deg, omega, z0)
-        surface = complex(_dipole_trace_3d(deg, radius, omega, z0, cn, jhp) * beta)
+        surface = complex(_dipole_trace_3d(deg, radius, omega, z0, cn, jhp)[0] * beta)
         # j_n(omega r) h_n'(omega z0), through the stable j_n h_n'(omega z0)
-        cross = sph_j_ratio(deg, omega * r, omega * z0) * jhp
+        cross = sph_j_ratio(deg, omega * r, omega * z0)[0] * jhp
         radial = np.sum(w * cross * (r / radius) ** deg * r * r)
         vol = 1j * omega * omega * cn * beta / (2 * deg + 1) * radial
         a_n[i] = surface + omega * omega * vol

@@ -6,9 +6,9 @@ command-line run and every benchmark sample, so the heavy scipy
 subpackages the package does not use stay out of it. A sweep imports
 nothing on its own: a lazy import inside the sweep path would be paid
 inside the timed sweep; the sweep check covers a 2D sweep with and
-without the look-ahead operator pool. Both checks run in a fresh
-interpreter, because the test process has already imported whatever
-other tests use.
+without the look-ahead operator pool. Nor does the import compute: it
+makes no LAPACK eigenvalue call. The checks run in a fresh interpreter,
+because the test process has already imported whatever other tests use.
 """
 
 import json
@@ -45,6 +45,18 @@ print(json.dumps({"verdicts": verdicts,
                   "imported": sorted(set(sys.modules) - before)}))
 """
 
+_NO_EIGENVALUES_SCRIPT = """
+import json
+import numpy.linalg
+
+def refuse(*args, **kwargs):
+    raise AssertionError("numpy.linalg.eigvalsh called")
+
+numpy.linalg.eigvalsh = refuse
+import plasmonres
+print(json.dumps(plasmonres.__name__))
+"""
+
 
 def _fresh_python(*args):
     pythonpath = os.pathsep.join(
@@ -69,3 +81,9 @@ def test_run_sweep_imports_no_module(tmp_path):
                         str(tmp_path / "ellipse-pooled.csv"))
     assert out["verdicts"] == ["resonant", "resonant", "resonant"]
     assert out["imported"] == []
+
+
+def test_import_makes_no_eigenvalue_call():
+    # the sphere's Gauss-Legendre rule is stored; numpy's leggauss would
+    # pay its first LAPACK call (and about 1 MiB) in every process
+    assert _fresh_python("-c", _NO_EIGENVALUES_SCRIPT) == "plasmonres"

@@ -358,6 +358,14 @@ def test_sphere_operator_diagonals():
     assert np.allclose(k0b.matrix, k_diag, atol=1e-14)
 
 
+def test_stored_gauss_rule_equals_leggauss():
+    # the stored rule is numpy's 48-point rule bit for bit, read-only
+    nodes, weights = np.polynomial.legendre.leggauss(48)
+    assert np.array_equal(layer_ops.GAUSS_48[0], nodes)
+    assert np.array_equal(layer_ops.GAUSS_48[1], weights)
+    assert not any(part.flags.writeable for part in layer_ops.GAUSS_48)
+
+
 def test_sphere_diagonal_by_quadrature_spot_checks():
     # independent surface quadrature against the spectral diagonals at
     # (n, m) = (0,0), (1,0), (2,1), static and k = 0.5

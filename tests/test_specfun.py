@@ -27,9 +27,7 @@ from plasmonres.specfun import (
     compute_kc,
     spherical_bessel,
     sph_jh_product,
-    sph_jh_product_deriv,
     sph_j_ratio,
-    sph_j_ratio_deriv,
 )
 from reference_ops import remainder_kernel_radial
 
@@ -221,13 +219,13 @@ def test_sph_jh_product_small_and_moderate():
             jn = special.spherical_jn(n, z)
             yn = special.spherical_yn(n, z)
             direct = jn * (jn + 1j * yn)
-            assert abs(sph_jh_product(n, z) - direct) < 1e-12 * abs(direct)
+            assert abs(sph_jh_product(n, z)[0] - direct) < 1e-12 * abs(direct)
     # tiny argument where raw h_n overflows: check against the
     # analytic leading term j_n h_n -> -i z^{-1} / (2n+1) + O(1)
     z = 1e-6
     for n in [1, 3]:
         lead = -1j / ((2 * n + 1) * z)
-        val = sph_jh_product(n, z)
+        val, _ = sph_jh_product(n, z)
         assert abs(val - lead) / abs(lead) < 1e-4
 
 
@@ -236,8 +234,8 @@ def test_sph_jh_product_deriv_consistency():
     for n in [0, 2, 5]:
         for z in [0.8, 1.1 - 0.3j]:
             h = 1e-6
-            fd = (sph_jh_product(n, z + h) - sph_jh_product(n, z - h)) / (2.0 * h)
-            assert abs(sph_jh_product_deriv(n, z) - fd) < 1e-7 * max(1.0, abs(fd))
+            fd = (sph_jh_product(n, z + h)[0] - sph_jh_product(n, z - h)[0]) / (2.0 * h)
+            assert abs(sph_jh_product(n, z)[1] - fd) < 1e-7 * max(1.0, abs(fd))
 
 
 def test_sph_wronskian_identity():
@@ -254,23 +252,23 @@ def test_sph_wronskian_identity():
 
 def test_sph_j_ratio_small_argument():
     # j_n(az)/j_n(z) -> a^n as z -> 0; both arguments deep under the cut
-    val = sph_j_ratio(5, 1e-8, 2e-8)
+    val, _ = sph_j_ratio(5, 1e-8, 2e-8)
     assert abs(val - 0.5 ** 5) < 1e-12
     # moderate arguments agree with the direct quotient
     for n in [1, 3]:
         direct = special.spherical_jn(n, 0.7) / special.spherical_jn(n, 1.1)
-        assert abs(sph_j_ratio(n, 0.7, 1.1) - direct) < 1e-12
+        assert abs(sph_j_ratio(n, 0.7, 1.1)[0] - direct) < 1e-12
 
 
 def test_sph_j_ratio_deriv_two_routes():
     for n in [1, 3]:
         direct = special.spherical_jn(n, 0.6, derivative=True) / \
             special.spherical_jn(n, 1.1)
-        assert abs(sph_j_ratio_deriv(n, 0.6, 1.1) - direct) < 1e-12
+        assert abs(sph_j_ratio(n, 0.6, 1.1)[1] - direct) < 1e-12
     # small-argument stability: j_n'(az)/j_n(z) ~ n a^{n-1} z^{-1} ... use
     # the series limit j_n'(z)/j_n(z) -> n/z
     z = 1e-7
-    val = sph_j_ratio_deriv(2, z, z)
+    _, val = sph_j_ratio(2, z, z)
     assert abs(val - 2.0 / z) / (2.0 / z) < 1e-6
 
 
@@ -284,8 +282,8 @@ def test_sph_jh_cross_two_routes():
             hnp = special.spherical_jn(n, z2, derivative=True) + \
                 1j * special.spherical_yn(n, z2, derivative=True)
             direct = jn * hnp
-            jhp = 0.5 * (sph_jh_product_deriv(n, z2) + 1j / (z2 * z2))
-            stable = sph_j_ratio(n, z1, z2) * jhp
+            jhp = 0.5 * (sph_jh_product(n, z2)[1] + 1j / (z2 * z2))
+            stable = sph_j_ratio(n, z1, z2)[0] * jhp
             assert abs(stable - direct) < 1e-11 * max(1.0, abs(direct))
 
 
@@ -300,17 +298,18 @@ _CUT_SIDES = (1e-7, 0.3, 0.49, 0.4999999, 0.5, 0.51, 2.0)
 
 
 def test_sph_bessel_degree_arrays_equal_per_degree_calls():
-    degrees = np.arange(41)
+    # both halves of each pair, for 0-d, (1,) and (48,) arguments, at the
+    # sweep's L = 40 and at L = 100
     radii = 0.5 * (np.polynomial.legendre.leggauss(48)[0] + 1.0)
-    for size in _CUT_SIDES:
-        z = size * _KC_DIRECTION
-        for fn in (sph_jh_product, sph_jh_product_deriv):
-            each = np.array([fn(int(n), z) for n in degrees])
-            assert np.array_equal(fn(degrees, z), each)
-        for fn in (sph_j_ratio, sph_j_ratio_deriv):
-            for z_num in (0.5 * z, z * radii):
-                each = np.array([fn(int(n), z_num, z) for n in degrees])
-                assert np.array_equal(fn(degrees, z_num, z), each)
+    for degrees in (np.arange(41), np.arange(101)):
+        for size in _CUT_SIDES:
+            z = size * _KC_DIRECTION
+            for arg in (z, np.array([z]), z * radii):
+                calls = [(sph_jh_product, (arg,)), (sph_j_ratio, (0.5 * arg, z))]
+                for fn, args in calls:
+                    each = [fn(int(n), *args) for n in degrees]
+                    for half, got in enumerate(fn(degrees, *args)):
+                        assert np.array_equal(got, np.array([e[half] for e in each]))
 
 
 def _mp_sph_j(mp, n, z):
@@ -331,7 +330,7 @@ def test_sph_j_ratio_deriv_mpmath_high_degree():
                     zn, zd = mp.mpc(frac * z_den), mp.mpc(z_den)
                     jp = n / zn * _mp_sph_j(mp, n, zn) - _mp_sph_j(mp, n + 1, zn)
                     want = complex(jp / _mp_sph_j(mp, n, zd))
-                    got = sph_j_ratio_deriv(n, frac * z_den, z_den)
+                    _, got = sph_j_ratio(n, frac * z_den, z_den)
                     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -341,7 +340,7 @@ def test_sph_jh_product_square_term_high_degree():
     with mpmath.workdps(40):
         for n in (17, 20, 40):
             want = float(_mp_sph_j(mpmath.mp, n, mpmath.mpf(0.4)) ** 2)
-            assert abs(sph_jh_product(n, 0.4).real - want) <= 1e-12 * want
+            assert abs(sph_jh_product(n, 0.4)[0].real - want) <= 1e-12 * want
 
 
 def test_gamma_helmholtz_series_mpmath_oracle():

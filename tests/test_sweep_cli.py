@@ -35,6 +35,7 @@ from plasmonres import sweep as sweep_module
 from plasmonres import cli as cli_module
 from plasmonres import geometry as geometry_module
 from plasmonres import layer_ops
+from plasmonres import specfun as specfun_module
 from plasmonres import transmission as transmission_module
 from plasmonres.geometry import make_curve, quadrature_nodes
 from plasmonres.layer_ops import BoundaryOperator
@@ -290,6 +291,25 @@ def test_a_n_abs_invariant_under_rotation_of_a_degenerate_cluster():
     (row_q,), _ = sweep_module.solve_point(problem, rotated, ("spectral",))
     assert row.a_n_abs > 1e-2
     assert abs(row_q.a_n_abs - row.a_n_abs) <= 1e-12 * row.a_n_abs
+
+
+@pytest.mark.parametrize("degree", [8, 40])
+def test_sphere_sweep_sums_twelve_bessel_series_per_point(tmp_path, monkeypatch, degree):
+    # each series gives its value and derivative at once: per grid point
+    # one for each (j_n h_n) pair at k_c and omega, two for the radial
+    # ratio table, three for the dipole traces and five for the coupling
+    calls = []
+    series = specfun_module._sph_series
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return series(*args, **kwargs)
+
+    monkeypatch.setattr(specfun_module, "_sph_series", counting)
+    cfg = _sphere_config(tmp_path, geometry=(degree, 1.0))
+    result = run_sweep(cfg)
+    assert result.invalid_fraction == 0.0
+    assert len(calls) == 12 * len(cfg.delta_grid())
 
 
 def test_sphere_sweep_builds_diagonals_once_per_point(tmp_path, monkeypatch):

@@ -357,7 +357,7 @@ def test_coupling_sphere_trace_at_one_degree_equals_full_trace():
             f, _ = dipole_traces(pr)
             for deg in (1, 2, 17, 40):
                 factors = transmission_module._dipole_factors_3d(deg, om, z0)
-                one = transmission_module._dipole_trace_3d(deg, 1.0, om, z0, *factors)
+                one, _ = transmission_module._dipole_trace_3d(deg, 1.0, om, z0, *factors)
                 assert one == f[deg * deg + deg]
 
 
