@@ -276,15 +276,18 @@ def eval_potential(nodes, density, k, points):
 def eval_gradient(nodes, density, k, points):
     """
     Gradient of the single-layer potential S^k[phi] at points off the
-    boundary, shape (m, 2), by direct quadrature of the kernel gradient.
-    Points are rejected as by eval_potential.
+    boundary, shape (m, 2), by direct quadrature of the kernel gradient;
+    a block of densities, shape (n, s), gives shape (m, 2, s). Points are
+    rejected as by eval_potential.
     """
     nodes = _require_2d(nodes)
     targets = TargetSet.of(nodes, points)
-    wphi = nodes.weights * _checked_density(nodes, density)
+    density = np.asarray(density)
+    if density.ndim > 2 or density.shape[:1] != (nodes.n,):
+        raise ValueError(f"density must have shape ({nodes.n},) or ({nodes.n}, s)")
     dx = targets.points[:, None, :] - nodes.points[None, :, :]
     gk = grad_gamma_laplace(dx, 2) if k == 0 else grad_gamma_helmholtz(dx, k, 2)
-    return np.einsum("mjd,j->md", gk, wphi)
+    return np.einsum("mjd,j...->md...", gk, (density.T * nodes.weights).T)
 
 
 def _checked_density(nodes, density):

@@ -221,30 +221,21 @@ def _sph_series(n, z, with_deriv=False):
     odd = 2 * nz + 1
     # The sums grow in place, so that they stay arrays even when 0-d:
     # numpy's scalar complex arithmetic can differ from its array loops
-    # in the last bit. Until the first degree stops nothing is masked.
-    everywhere = True
+    # in the last bit.
     with np.errstate(divide="ignore", invalid="ignore"):
         for m in range(1, 60):
             ca = ca * z2 / (m * (odd + 2 * m))
             cb = cb * z2 / (m * (2 * m - odd))
-            # d/dz of a term c_m z^{2m} is 2m c_m z^{2m-1}
-            if everywhere:
-                A += ca
-                B += cb
-                if with_deriv:
-                    dA += 2 * m * ca / z
-                    dB += 2 * m * cb / z
-            else:
-                A = np.where(live, A + ca, A)
-                B = np.where(live, B + cb, B)
-                if with_deriv:
-                    dA = np.where(live, dA + 2 * m * ca / z, dA)
-                    dB = np.where(live, dB + 2 * m * cb / z, dB)
+            np.add(A, ca, out=A, where=live)
+            np.add(B, cb, out=B, where=live)
+            if with_deriv:
+                # d/dz of a term c_m z^{2m} is 2m c_m z^{2m-1}
+                np.add(dA, 2 * m * ca / z, out=dA, where=live)
+                np.add(dB, 2 * m * cb / z, out=dB, where=live)
             size = np.maximum(np.abs(ca), np.abs(cb)).reshape(nz.shape + (-1,))
             live &= ~(size.max(axis=-1) < 1e-20)
             if not live.any():
                 break
-            everywhere = everywhere and live.all()
     if with_deriv:
         return A, B, dA, dB
     return A, B

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NodeSet, TargetSet, interior_points, _inside_polygon
+from .geometry import NodeSet, interior_points, _inside_polygon
 from .layer_ops import (
     GAUSS_48,
     BoundaryOperator,
@@ -66,7 +66,6 @@ from .specfun import (
     tau_kc,
     hankel_first_kind,
     grad_gamma_helmholtz,
-    grad_gamma_laplace,
     sph_j_ratio,
     sph_jh_product,
 )
@@ -630,10 +629,6 @@ def _coupling_an_2d(z, a, slots, spectrum, omega):
                             for p in (nodes.points, quad.fine.points, quad.edge.points))
     kern_in = _potential_kernel(quad.fine, 0.0)
     kern_edge = _potential_kernel(quad.edge, 0.0)
-    # a_n0 = a . grad S[phi_n](z) = sum_j w_j a . grad Gamma(z - x_j) phi_n(x_j),
-    # with z held off the boundary as for eval_gradient
-    TargetSet.of(nodes, z)
-    grad_z = nodes.weights * (grad_gamma_laplace(z[None, :] - nodes.points, 2) @ a)
     a_n = np.empty(len(slots), dtype=complex)
     for i, n in enumerate(slots):
         phi_n = spectrum.densities[:, n]
@@ -647,7 +642,8 @@ def _coupling_an_2d(z, a, slots, spectrum, omega):
                                         f_bdry * spectrum.stilde_traces[:, n],
                                         f_edge * (kern_edge @ wphi)))
         a_n[i] = surface + omega * omega * vol
-    return a_n, (grad_z @ spectrum.densities[:, slots]).astype(complex)
+    a_n0 = a @ eval_gradient(nodes, spectrum.densities[:, slots], 0.0, z[None, :])[0]
+    return a_n, a_n0.astype(complex)
 
 
 def _coupling_an_3d(z, a, slots, spectrum, omega):

@@ -317,6 +317,20 @@ def test_eval_potential_interior_and_jump_relations():
     assert abs((np.cos(3 * th) / 2.0) - (-(-np.cos(3 * th) / 2.0))) < 1e-15
 
 
+def test_eval_gradient_block_equals_column_calls():
+    nodes = _circle(64)
+    block = np.cos(np.outer(nodes.t, np.arange(1, 5)))
+    pts = np.array([[2.0, 0.5], [0.0, -3.0]])
+    for k in (0.0, 0.4):
+        grads = eval_gradient(nodes, block, k, pts)
+        assert grads.shape == (2, 2, 4)
+        for j in range(4):
+            np.testing.assert_allclose(grads[..., j], eval_gradient(nodes, block[:, j], k, pts),
+                                       rtol=1e-13, atol=1e-16)
+    with pytest.raises(ValueError):
+        eval_gradient(nodes, np.ones((64, 2, 2)), 0.0, pts)
+
+
 def test_eval_potential_rejects_near_boundary_points():
     nodes = _circle(64)
     near = np.array([[1.0 + 0.5 * nodes.spacing, 0.0]])
