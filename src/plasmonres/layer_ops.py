@@ -64,8 +64,9 @@ from .specfun import (
     gamma_helmholtz_series,
     grad_gamma_helmholtz,
     grad_gamma_laplace,
-    sph_jh_product,
-    sph_j_ratio,
+    sph_jh_from,
+    sph_j_ratio_from,
+    sph_terms,
 )
 
 __all__ = [
@@ -320,7 +321,9 @@ class InteriorKernels:
     g_n(r) = j_n(k r)/j_n(k R),
 
         i_mass = int_0^R |g_n|^2 r^2 dr,
-        i_grad = int_0^R (|g_n'|^2 + n(n+1) |g_n/r|^2) r^2 dr.
+        i_grad = int_0^R (|g_n'|^2 + n(n+1) |g_n/r|^2) r^2 dr,
+
+    with j_n(k R) from terms, as sphere_operators takes it, when given.
 
     A sweep keeps one per grid point for the energies of its direct and
     spectral densities, so each is built once per point and freed with it.
@@ -328,6 +331,7 @@ class InteriorKernels:
 
     geometry: object
     k: complex
+    terms: object = None
     _tables: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -343,7 +347,7 @@ class InteriorKernels:
                 self._tables = (_potential_kernel(quad.coarse, self.k),
                                 _potential_kernel(quad.edge, self.k))
             else:
-                self._tables = _sphere_radial_table(*self.geometry, self.k)
+                self._tables = _sphere_radial_table(*self.geometry, self.k, self.terms)
         return self._tables
 
 
@@ -359,18 +363,27 @@ def eval_potential_on(nodes, targets, density, k):
 # ---------------------------------------------------------------- sphere
 
 
+# smallest spherical-harmonic truncation degree a sphere accepts
+MIN_SPHERE_DEGREE = 4
+
+
 def sphere_degree_index(L):
     """Degree n of each flattened (n, m) spherical-harmonic slot."""
     return np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
 
 
-def _sphere_radial_table(L, radius, k):
-    """The sphere's (i_mass, i_grad) of InteriorKernels, one entry per slot."""
+def _sphere_radial_table(L, radius, k, den=None):
+    """
+    The sphere's (i_mass, i_grad) of InteriorKernels, one entry per slot;
+    den, when given, is sph_terms(np.arange(L + 1), k radius).
+    """
     x, w = GAUSS_48
     r = 0.5 * radius * (x + 1.0)
     w = 0.5 * radius * w
     n = np.arange(L + 1)
-    g, gp = sph_j_ratio(n, k * r, k * radius)
+    if den is None:
+        den = sph_terms(n, complex(k * radius), deriv=False)
+    g, gp = sph_j_ratio_from(sph_terms(n, k * r, den.series), den)
     i_mass = np.sum(w * np.abs(g) ** 2 * r * r, axis=1)
     centrifugal = (n * (n + 1))[:, None] * np.abs(g / r) ** 2
     i_grad = np.sum(w * (np.abs(k * gp) ** 2 + centrifugal) * r * r, axis=1)
@@ -378,7 +391,7 @@ def _sphere_radial_table(L, radius, k):
     return i_mass[deg], i_grad[deg]
 
 
-def sphere_operators(L, R, k=0.0):
+def sphere_operators(L, R, k=0.0, terms=None):
     """
     Diagonal operators on the radius-R sphere over real spherical
     harmonics flattened as (n, m), m = -n..n, n = 0..L, each stored as
@@ -391,10 +404,10 @@ def sphere_operators(L, R, k=0.0):
 
     Returns (S, K*) for k = 0 and (S, K*, S^k, K^k*) otherwise. The
     Bessel products are series-evaluated for |k|R < 0.5 where the raw
-    h_n overflow.
+    h_n overflow; terms, when given, is sph_terms(np.arange(L + 1), k R).
     """
-    if L < 4:
-        raise ValueError("truncation degree L must be >= 4")
+    if L < MIN_SPHERE_DEGREE:
+        raise ValueError(f"truncation degree L must be >= {MIN_SPHERE_DEGREE}")
     if R <= 0:
         raise ValueError("R must be positive")
     k = complex(k)
@@ -407,8 +420,7 @@ def sphere_operators(L, R, k=0.0):
     kstar_op = BoundaryOperator(kstar_diag, kind="Kstar", wavenumber=0.0, nodes=(L, R))
     if k == 0:
         return s_op, kstar_op
-    z = k * R
-    jh, jhp = sph_jh_product(np.arange(L + 1), z)
+    jh, jhp = sph_jh_from(terms or sph_terms(np.arange(L + 1), k * R))
     sk_diag = -1j * k * R * R * jh[deg]
     kk_diag = -0.5j * k * k * R * R * jhp[deg]
     sk_op = BoundaryOperator(sk_diag, kind="S_omega", wavenumber=k, nodes=(L, R))

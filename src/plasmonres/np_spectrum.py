@@ -34,8 +34,8 @@ import numpy as np
 from scipy import linalg
 
 from .geometry import NodeSet
-from .layer_ops import BoundaryOperator, assemble_Kstar, assemble_S, \
-    sphere_degree_index
+from .layer_ops import MIN_SPHERE_DEGREE, BoundaryOperator, assemble_Kstar, \
+    assemble_S, sphere_degree_index
 
 __all__ = [
     "GramOperator",
@@ -278,8 +278,8 @@ def sphere_spectrum(L, R):
     L^2 of the surface; the H*-orthonormal eigendensities are
     beta_n Yhat_nm with beta_n = sqrt((2n+1)/R), stored as 1-D diagonals.
     """
-    if L < 4:
-        raise ValueError("truncation degree L must be >= 4")
+    if L < MIN_SPHERE_DEGREE:
+        raise ValueError(f"truncation degree L must be >= {MIN_SPHERE_DEGREE}")
     if R <= 0:
         raise ValueError("R must be positive")
     deg = sphere_degree_index(L)

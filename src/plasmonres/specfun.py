@@ -12,6 +12,8 @@ Conventions: the Laplace fundamental solution is (1/2pi) ln|x| in 2D and
 -(i/4) H0(k|x|) in 2D and -exp(ik|x|)/(4pi|x|) in 3D.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy import special
 
@@ -251,47 +253,62 @@ def _dfact(n):
         return np.cumprod(np.arange(1.0, 2.0 * n.max() + 2.0, 2.0))[n]
 
 
-def sph_jh_product(n, z):
+class SphTerms(NamedTuple):
     """
-    (j_n(z) h_n(z), d/dz of it), stable down to |z| -> 0 (where the
-    product behaves like -i / ((2n+1) z) and raw h_n overflows), from
-    one series or one set of Bessel values. For an array of degrees n
-    each half has shape n.shape + z.shape; a scalar n and z give complex
-    numbers.
+    Spherical Bessel data of degrees n at arguments z, each part of shape
+    n.shape + z.shape: the factors (A, B, A', B') of _sph_series when
+    series, else the values (j_n, None, j_n', None). dj and dy are None
+    when no derivatives were formed.
+    """
+
+    n: np.ndarray
+    z: np.ndarray
+    series: bool
+    j: np.ndarray
+    y: np.ndarray = None
+    dj: np.ndarray = None
+    dy: np.ndarray = None
+
+
+def sph_terms(n, z, series=None, deriv=True):
+    """
+    SphTerms of degrees n at z: one _sph_series call when series (by
+    default when the single argument z has |z| < 0.5), else j_n values.
     """
     z = np.asarray(z, dtype=complex)
-    nn = np.asarray(n)[..., None]
-    small = np.abs(z) < _SPH_SERIES_CUT
-    out = np.empty(np.shape(n) + z.shape, dtype=complex)
-    out_d = np.empty_like(out)
-    if np.any(small):
-        zs = z[small]
-        A, B, dA, dB = _sph_series(n, zs, with_deriv=True)
-        c = 1.0 / (2 * nn + 1)
-        jy = -A * B / ((2 * nn + 1) * zs)
-        jfac = zs ** nn / _dfact(nn)
-        out[..., small] = jfac ** 2 * A * A + 1j * jy
-        # (j y)' from j y = -A B / ((2n+1) z), and (j^2)' = 2 j j'
-        jy_d = -c * (dA * B + A * dB) / zs + c * A * B / (zs * zs)
-        out_d[..., small] = 2.0 * (jfac * A) * (jfac * (nn * A / zs + dA)) + 1j * jy_d
-    if np.any(~small):
-        zl = z[~small]
-        jn = special.spherical_jn(nn, zl)
-        yn = special.spherical_yn(nn, zl)
-        jnp = special.spherical_jn(nn, zl, derivative=True)
-        ynp = special.spherical_yn(nn, zl, derivative=True)
-        out[..., ~small] = jn * (jn + 1j * yn)
-        out_d[..., ~small] = jnp * (jn + 1j * yn) + jn * (jnp + 1j * ynp)
-    if out.shape:
-        return out, out_d
-    return complex(out), complex(out_d)
+    n = np.asarray(n)
+    if series is None:
+        series = abs(complex(z)) < _SPH_SERIES_CUT
+    if series:
+        return SphTerms(n, z, True, *_sph_series(n, z, with_deriv=deriv))
+    nn = n.reshape(n.shape + (1,) * z.ndim)
+    dj = special.spherical_jn(nn, z, derivative=True) if deriv else None
+    return SphTerms(n, z, False, special.spherical_jn(nn, z), dj=dj)
 
 
-def sph_j_ratio(n, z_num, z_den):
+def sph_jh_from(t):
+    """(j_n h_n, (j_n h_n)') from SphTerms t with derivatives."""
+    nn = t.n.reshape(t.n.shape + (1,) * t.z.ndim)
+    if not t.series:
+        # y_n only here: at complex z it costs about five times j_n
+        y, dy = (special.spherical_yn(nn, t.z, derivative=d) for d in (False, True))
+        h = t.j + 1j * y
+        return t.j * h, t.dj * h + t.j * (t.dj + 1j * dy)
+    A, B, dA, dB, z = t.j, t.y, t.dj, t.dy, t.z
+    c = 1.0 / (2 * nn + 1)
+    jy = -A * B / ((2 * nn + 1) * z)
+    jfac = z ** nn / _dfact(nn)
+    # (j y)' from j y = -A B / ((2n+1) z), and (j^2)' = 2 j j'
+    jy_d = -c * (dA * B + A * dB) / z + c * A * B / (z * z)
+    return (jfac ** 2 * A * A + 1j * jy,
+            2.0 * (jfac * A) * (jfac * (nn * A / z + dA)) + 1j * jy_d)
+
+
+def sph_j_ratio_from(num, den):
     """
-    (j_n(z_num) / j_n(z_den), j_n'(z_num) / j_n(z_den)), stable when both
-    arguments are small, from one numerator and one denominator series.
-    For an array of degrees n each half has shape n.shape + z_num.shape.
+    (j_n(z_num) / j_n(z_den), j_n'(z_num) / j_n(z_den)) from SphTerms num
+    and den (at one z_den) of the same degrees, in den's kind; the
+    derivative half is None when num has none.
 
     Only the size ratio is raised to a power: from
     j_n(z) = z^n / (2n+1)!! * A(z) the value ratio is
@@ -302,15 +319,43 @@ def sph_j_ratio(n, z_num, z_den):
     high degree. The derivative half is not finite at z_num = 0 when
     n = 0 (A'(0) is formed as a 0/0 limit the series code does not take).
     """
-    z_num = np.asarray(z_num, dtype=complex)
-    z_den = complex(z_den)
-    nn = np.reshape(n, np.shape(n) + (1,) * z_num.ndim)
-    if abs(z_den) < _SPH_SERIES_CUT:
-        A_num, _, dA_num, _ = _sph_series(n, z_num, with_deriv=True)
-        A_den, _ = _sph_series(nn, z_den)
-        ratio_d = (z_num / z_den) ** (nn - 1) * (nn * A_num + z_num * dA_num)
-        return ((z_num / z_den) ** nn * A_num / A_den,
-                np.where(nn == 0, dA_num / A_den, ratio_d / (z_den * A_den)))
-    jd = special.spherical_jn(nn, np.asarray(z_den, dtype=complex))
-    return (special.spherical_jn(nn, z_num) / jd,
-            special.spherical_jn(nn, z_num, derivative=True) / jd)
+    deriv = num.dj is not None
+    if num.series != den.series:
+        num = sph_terms(num.n, num.z, den.series, deriv)
+    nn = num.n.reshape(num.n.shape + (1,) * num.z.ndim)
+    a_den = den.j.reshape(nn.shape)
+    if not den.series:
+        return num.j / a_den, num.dj / a_den if deriv else None
+    z_num, z_den = num.z, complex(den.z)
+    value = (z_num / z_den) ** nn * num.j / a_den
+    if not deriv:
+        return value, None
+    ratio_d = (z_num / z_den) ** (nn - 1) * (nn * num.j + z_num * num.dj)
+    return value, np.where(nn == 0, num.dj / a_den, ratio_d / (z_den * a_den))
+
+
+def sph_jh_product(n, z):
+    """
+    (j_n(z) h_n(z), d/dz of it), stable down to |z| -> 0 (where the
+    product behaves like -i / ((2n+1) z) and raw h_n overflows). For an
+    array of degrees n each half has shape n.shape + z.shape; a scalar n
+    and z give complex numbers.
+    """
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < _SPH_SERIES_CUT
+    out = np.empty((2,) + np.shape(n) + z.shape, dtype=complex)
+    for side, series in zip((small, ~small), (True, False)):
+        if np.any(side):
+            out[:, ..., side] = sph_jh_from(sph_terms(n, z[side], series))
+    if out.ndim > 1:
+        return out[0], out[1]
+    return complex(out[0]), complex(out[1])
+
+
+def sph_j_ratio(n, z_num, z_den):
+    """
+    (j_n(z_num) / j_n(z_den), j_n'(z_num) / j_n(z_den)), stable when both
+    arguments are small; each half has shape n.shape + z_num.shape.
+    """
+    den = sph_terms(n, z_den, deriv=False)
+    return sph_j_ratio_from(sph_terms(n, z_num, den.series), den)

@@ -38,7 +38,8 @@ from scipy.special import stdtrit
 from .layer_ops import InteriorKernels, assemble_S_omega, assemble_Kstar_omega
 from .np_spectrum import spectrum_of, coeffs_hat, coeffs_check, cluster_ids
 from .transmission import TransmissionProblem, plasmon_lambda, dipole_traces, \
-    solve_direct, solve_spectral, gradient_energy, coupling_an, helmholtz_operators
+    solve_direct, solve_spectral, gradient_energy, coupling_an, helmholtz_operators, \
+    sphere_bessel
 
 # solve_point stays out of __all__: perfbench's tracer wraps every __all__
 # function, and a span per point would hide the spans it times below it
@@ -270,10 +271,10 @@ def _start_operators(pool, problem, solvers):
     return start(problem.kc), start(problem.omega) if "direct" in solvers else None
 
 
-def _operators(geometry, k, futures):
+def _operators(geometry, k, futures, terms):
     """(S^k, K^k*): the results of futures when given, else built here."""
     if futures is None:
-        return helmholtz_operators(geometry, k)
+        return helmholtz_operators(geometry, k, terms)
     return tuple(f.result() for f in futures)
 
 
@@ -290,19 +291,21 @@ def solve_point(problem, spectrum, solvers, operators=None):
     solves fails every row, a_n_abs included. operators is what
     _start_operators returned for this problem, or None to assemble
     here; either way a k_c whose operators fail fails every row, an
-    omega only the direct row.
+    omega only the direct row. A sphere point sums each Bessel series
+    once (sphere_bessel) and hands it to every consumer.
     """
     geometry, kc, om = problem.geometry, problem.kc, problem.omega
     kc_futures, om_futures = operators or (None, None)
     try:
-        f, g = dipole_traces(problem)
-        a_n, _ = coupling_an(problem.z, problem.a,
-                             _resonant_cluster(spectrum, problem.eps_eff), spectrum, om)
+        bessel = sphere_bessel(problem)
+        f, g = dipole_traces(problem, bessel)
+        cluster = _resonant_cluster(spectrum, problem.eps_eff)
+        a_n, _ = coupling_an(problem.z, problem.a, cluster, spectrum, om, (f, g), bessel)
         # Python's abs (numpy's array abs can differ in the last bit), so
         # that a cluster with one nonzero coupling reports its |a_n| exactly
         a_n_abs = math.hypot(*(abs(complex(an)) for an in a_n))
-        s_in, k_in = _operators(geometry, kc, kc_futures)
-        energy_ops = (s_in, k_in, InteriorKernels(geometry, kc))
+        s_in, k_in = _operators(geometry, kc, kc_futures, bessel.at_kc)
+        energy_ops = (s_in, k_in, InteriorKernels(geometry, kc, bessel.at_kc))
     except _ROW_ERRORS as exc:
         return ([_failed_row(problem, name) for name in solvers],
                 [exc.with_traceback(None)] * len(solvers))
@@ -313,7 +316,8 @@ def solve_point(problem, spectrum, solvers, operators=None):
         try:
             if name == "direct":
                 sol = solve_direct(problem, operators=(
-                    s_in, k_in, *_operators(geometry, om, om_futures)), traces=(f, g))
+                    s_in, k_in, *_operators(geometry, om, om_futures, bessel.at_R)),
+                    traces=(f, g))
             else:
                 sol = solve_spectral(coeffs_check(f, spectrum), coeffs_hat(g, spectrum),
                                      problem.eps_eff, problem.delta_eff, om, spectrum)

@@ -44,12 +44,14 @@ it is checked against in 2D.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import NodeSet, interior_points, _inside_polygon
 from .layer_ops import (
     GAUSS_48,
+    MIN_SPHERE_DEGREE,
     BoundaryOperator,
     InteriorKernels,
     assemble_S_omega,
@@ -66,8 +68,9 @@ from .specfun import (
     tau_kc,
     hankel_first_kind,
     grad_gamma_helmholtz,
-    sph_j_ratio,
-    sph_jh_product,
+    sph_j_ratio_from,
+    sph_jh_from,
+    sph_terms,
 )
 
 __all__ = [
@@ -180,8 +183,8 @@ class TransmissionProblem:
             self._check_exterior_2d()
         else:
             L, R = self.geometry
-            if int(L) < 1 or R <= 0:
-                raise ValueError("3D geometry must be (L >= 1, R > 0)")
+            if int(L) < MIN_SPHERE_DEGREE or R <= 0:
+                raise ValueError(f"3D geometry must be (L >= {MIN_SPHERE_DEGREE}, R > 0)")
             z0 = float(np.dot(self.a, z))
             if np.linalg.norm(z - z0 * self.a) > 1e-10 * (1.0 + abs(z0)):
                 raise ValueError(
@@ -266,7 +269,7 @@ def _hessian_contract(y, k, nu, a):
     return (1j * k / 4.0) * (k * h0 * nyh * ayh + h1 * (nu_a - 2.0 * nyh * ayh) / rho)
 
 
-def dipole_traces(problem):
+def dipole_traces(problem, bessel=None):
     """
     Boundary data (F_z, d_nu F_z) of the incident dipole field.
 
@@ -275,7 +278,8 @@ def dipole_traces(problem):
     spherical harmonics; only the m = 0 slots of the dipole axis are
     populated.  The 3D coefficients are evaluated through stable
     Bessel-product forms, so they remain accurate at frequencies where
-    raw spherical Hankel values overflow.
+    raw spherical Hankel values overflow; bessel, when given, is the
+    problem's sphere_bessel, else they sum their own.
     """
     om = problem.omega
     if problem.dim == 2:
@@ -284,38 +288,63 @@ def dipole_traces(problem):
         f = -(grads @ problem.a)
         dnf = -_hessian_contract(y, om, problem.geometry.normals, problem.a)
         return f, dnf
-    L, radius = problem.geometry
+    L, radius = int(problem.geometry[0]), problem.geometry[1]
     z0 = float(np.dot(problem.a, problem.z))
-    n = np.arange(int(L) + 1)
-    cn, jhp = _dipole_factors_3d(n, om, z0)
-    f = np.zeros(n.size ** 2, dtype=complex)
-    g = np.zeros(n.size ** 2, dtype=complex)
-    idx = n * n + n
-    f[idx], g[idx] = _dipole_trace_3d(n, radius, om, z0, cn, jhp)
-    return f, g
+    return _axial_traces(L, radius, om, z0, bessel or _axial_bessel(L, radius, om, z0))
 
 
-def _dipole_factors_3d(n, om, z0):
+class SphereBessel(NamedTuple):
     """
-    Degree factors of the axial dipole's coefficients on Y_n0, from the
-    outgoing addition theorem
+    The spherical-Bessel data that a sphere problem's traces, coupling
+    and operators share, over the degrees 0..L: sph_terms at omega z0,
+    omega R and k_c R, one series (or one set of Bessel values) each,
+    and the dipole factor j_n h_n'(omega z0). Empty for a 2D problem.
+    """
+
+    at_z0: object = None
+    at_R: object = None
+    jhp: object = None
+    at_kc: object = None
+
+
+def sphere_bessel(problem):
+    """The SphereBessel of a problem, each series summed once, here."""
+    if problem.dim == 2:
+        return SphereBessel()
+    L, radius = int(problem.geometry[0]), float(problem.geometry[1])
+    at_kc = sph_terms(np.arange(L + 1), complex(problem.kc) * radius)
+    return _axial_bessel(L, radius, problem.omega, float(np.dot(problem.a, problem.z)),
+                         at_kc)
+
+
+def _axial_bessel(L, radius, om, z0, at_kc=None):
+    """SphereBessel of an axial dipole at distance z0, with the given at_kc."""
+    n = np.arange(L + 1)
+    zz = om * z0
+    at_z0 = sph_terms(n, zz)
+    jhp = 0.5 * (sph_jh_from(at_z0)[1] + 1j / (zz * zz))
+    return SphereBessel(at_z0, sph_terms(n, om * radius), jhp, at_kc)
+
+
+def _axial_traces(L, radius, om, z0, bessel):
+    """
+    dipole_traces of an axial dipole at distance z0 from the sphere's
+    centre, from the outgoing addition theorem
 
         Gamma^om(x - z) = -i om sum_n j_n(om r) h_n(om z0) c_n Y_n0(xhat),
 
-    differentiated in z0 (which is the same as -a . grad_x for an axial
-    moment): c_n and j_n(om z0) h_n'(om z0), the latter as a stable
-    Bessel product.  n is a degree or an array of degrees.
+    differentiated in z0 (the same as -a . grad_x for an axial moment),
+    with c_n = sqrt((2n+1)/4pi) and j_n(om z0) h_n'(om z0) as the stable
+    Bessel product bessel.jhp.
     """
-    zz = om * z0
+    n = np.arange(L + 1)
     cn = np.sqrt((2 * n + 1) / (4.0 * math.pi))
-    return cn, 0.5 * (sph_jh_product(n, zz)[1] + 1j / (zz * zz))
-
-
-def _dipole_trace_3d(n, radius, om, z0, cn, jhp):
-    """Y_n0 coefficients of (F_z, d_nu F_z) at degrees n, given _dipole_factors_3d."""
-    ratio, ratio_d = sph_j_ratio(n, om * radius, om * z0)
-    return (-1j * om * om * cn * radius * ratio * jhp,
-            -1j * om ** 3 * cn * radius * ratio_d * jhp)
+    ratio, ratio_d = sph_j_ratio_from(bessel.at_R, bessel.at_z0)
+    f = np.zeros(n.size ** 2, dtype=complex)
+    g = np.zeros(n.size ** 2, dtype=complex)
+    f[n * n + n] = -1j * om * om * cn * radius * ratio * bessel.jhp
+    g[n * n + n] = -1j * om ** 3 * cn * radius * ratio_d * bessel.jhp
+    return f, g
 
 
 # ----------------------------------------------------------------- solvers
@@ -348,15 +377,15 @@ def assemble_system(problem, operators=None, traces=None):
     return a_mat, np.concatenate([f, g])
 
 
-def helmholtz_operators(geometry, k):
+def helmholtz_operators(geometry, k, terms=None):
     """
     (S^k, K^k*) on a NodeSet (Nystrom matrices) or a sphere (L, R)
-    (diagonals).
+    (diagonals); terms is sphere_operators' and has no use in 2D.
     """
     if isinstance(geometry, NodeSet):
         return assemble_S_omega(geometry, k), assemble_Kstar_omega(geometry, k)
     L, R = geometry
-    return sphere_operators(int(L), float(R), k)[2:]
+    return sphere_operators(int(L), float(R), k, terms)[2:]
 
 
 def _system_blocks(problem, operators, traces):
@@ -596,7 +625,7 @@ def _require_wavenumber(op, kc):
 # ---------------------------------------------------------------- coupling
 
 
-def coupling_an(z, a, slots, spectrum, omega):
+def coupling_an(z, a, slots, spectrum, omega, traces=None, bessel=None):
     """
     Resonant couplings a_n(omega) of a unit dipole (a, z) to the modes n
     of a sequence of slots,
@@ -607,7 +636,9 @@ def coupling_an(z, a, slots, spectrum, omega):
     identically.  Returns the arrays (a_n, a_n0), one entry per slot,
     with a_n0 = a . grad S[phi_n](z) the quasi-static value; a_n - a_n0
     vanishes quadratically in omega (up to the log factor of the 2D
-    fundamental solution).
+    fundamental solution). On the sphere, traces and bessel may be the
+    dipole_traces and sphere_bessel of the problem with this dipole and
+    omega, which the coupling then reuses; a 2D coupling ignores them.
     """
     if omega <= 0 or omega > OMEGA_MAX:
         raise ValueError(f"omega must lie in (0, {OMEGA_MAX}]")
@@ -616,7 +647,7 @@ def coupling_an(z, a, slots, spectrum, omega):
         raise ValueError("mode index must satisfy 1 <= n < spectrum.n")
     if spectrum.dim == 2:
         return _coupling_an_2d(z, a, slots, spectrum, omega)
-    return _coupling_an_3d(z, a, slots, spectrum, omega)
+    return _coupling_an_3d(z, a, slots, spectrum, omega, traces, bessel)
 
 
 def _coupling_an_2d(z, a, slots, spectrum, omega):
@@ -646,7 +677,7 @@ def _coupling_an_2d(z, a, slots, spectrum, omega):
     return a_n, a_n0.astype(complex)
 
 
-def _coupling_an_3d(z, a, slots, spectrum, omega):
+def _coupling_an_3d(z, a, slots, spectrum, omega, traces, bessel):
     radius = spectrum.radius
     z = np.asarray(z, dtype=float).reshape(3)
     a = np.asarray(a, dtype=float).reshape(3)
@@ -654,6 +685,10 @@ def _coupling_an_3d(z, a, slots, spectrum, omega):
     z0 = float(np.dot(a, z))
     if np.linalg.norm(z - z0 * a) > 1e-10 * (1.0 + abs(z0)) or z0 <= radius:
         raise ValueError("3D coupling requires z on the dipole axis, outside")
+    if traces is None or bessel is None:
+        L = int(spectrum.degrees[-1])
+        bessel = _axial_bessel(L, radius, omega, z0)
+        traces = _axial_traces(L, radius, omega, z0, bessel)
     a_n = np.zeros(len(slots), dtype=complex)
     a_n0 = np.zeros(len(slots), dtype=complex)
     x, w = GAUSS_48
@@ -665,10 +700,12 @@ def _coupling_an_3d(z, a, slots, spectrum, omega):
             # off-axis harmonics are orthogonal to an axial dipole
             continue
         beta = math.sqrt((2 * deg + 1) / radius)
-        cn, jhp = _dipole_factors_3d(deg, omega, z0)
-        surface = complex(_dipole_trace_3d(deg, radius, omega, z0, cn, jhp)[0] * beta)
+        cn = np.sqrt((2 * deg + 1) / (4.0 * math.pi))
+        surface = complex(traces[0][n] * beta)
         # j_n(omega r) h_n'(omega z0), through the stable j_n h_n'(omega z0)
-        cross = sph_j_ratio(deg, omega * r, omega * z0)[0] * jhp
+        den = bessel.at_z0._replace(n=np.asarray(deg), j=bessel.at_z0.j[deg, ...])
+        num = sph_terms(deg, omega * r, den.series, deriv=False)
+        cross = sph_j_ratio_from(num, den)[0] * bessel.jhp[deg]
         radial = np.sum(w * cross * (r / radius) ** deg * r * r)
         vol = 1j * omega * omega * cn * beta / (2 * deg + 1) * radial
         a_n[i] = surface + omega * omega * vol

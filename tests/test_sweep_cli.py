@@ -38,7 +38,7 @@ from plasmonres import layer_ops
 from plasmonres import specfun as specfun_module
 from plasmonres import transmission as transmission_module
 from plasmonres.geometry import make_curve, quadrature_nodes
-from plasmonres.layer_ops import BoundaryOperator
+from plasmonres.layer_ops import MIN_SPHERE_DEGREE, BoundaryOperator
 from plasmonres.cli import (
     main,
     validate,
@@ -137,6 +137,26 @@ def test_sweep_config_validation(tmp_path):
         _sphere_config(tmp_path, workers=0)
     with pytest.raises(ValueError):
         _sphere_config(tmp_path, omega0=1e4)  # omega cap at the top of the grid
+
+
+@pytest.mark.parametrize("degree", [1, MIN_SPHERE_DEGREE - 1])
+def test_sphere_degree_below_minimum_fails_validation(tmp_path, capsys, degree):
+    # a degree that the sphere's spectrum and operators refuse fails when
+    # the config is built, not inside run_sweep; the minimum itself passes
+    _sphere_config(tmp_path, geometry=(MIN_SPHERE_DEGREE, 1.0))
+    message = f"L >= {MIN_SPHERE_DEGREE}"
+    with pytest.raises(ValueError, match=message):
+        _sphere_config(tmp_path, geometry=(degree, 1.0))
+    config = {"dim": 3, "geometry": {"kind": "sphere", "radius": 1.0, "degree": degree},
+              "eps_c": -2.0, "omega0": 1.0, "a": [0, 0, 1], "z": [0, 0, 2],
+              "csv_path": str(tmp_path / "x.csv")}
+    with pytest.raises(ConfigError, match=message):
+        load_sweep_config(config)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_delta_grid_shape(tmp_path):
@@ -294,10 +314,11 @@ def test_a_n_abs_invariant_under_rotation_of_a_degenerate_cluster():
 
 
 @pytest.mark.parametrize("degree", [8, 40])
-def test_sphere_sweep_sums_twelve_bessel_series_per_point(tmp_path, monkeypatch, degree):
-    # each series gives its value and derivative at once: per grid point
-    # one for each (j_n h_n) pair at k_c and omega, two for the radial
-    # ratio table, three for the dipole traces and five for the coupling
+def test_sphere_sweep_sums_five_bessel_series_per_point(tmp_path, monkeypatch, degree):
+    # each series is summed once per grid point and handed to every
+    # consumer: all degrees at omega z0, omega R and k_c R (value and
+    # derivative), all degrees at k_c r over the radial Gauss nodes, and
+    # the coupling's pole degree at omega r (value only)
     calls = []
     series = specfun_module._sph_series
 
@@ -309,7 +330,7 @@ def test_sphere_sweep_sums_twelve_bessel_series_per_point(tmp_path, monkeypatch,
     cfg = _sphere_config(tmp_path, geometry=(degree, 1.0))
     result = run_sweep(cfg)
     assert result.invalid_fraction == 0.0
-    assert len(calls) == 12 * len(cfg.delta_grid())
+    assert len(calls) == 5 * len(cfg.delta_grid())
 
 
 def test_sphere_sweep_builds_diagonals_once_per_point(tmp_path, monkeypatch):
@@ -321,13 +342,13 @@ def test_sphere_sweep_builds_diagonals_once_per_point(tmp_path, monkeypatch):
     table = layer_ops._sphere_radial_table
     leggauss = np.polynomial.legendre.leggauss
 
-    def counting(L, R, k=0.0):
+    def counting(L, R, k=0.0, *terms):
         wavenumbers.append(k)
-        return original(L, R, k)
+        return original(L, R, k, *terms)
 
-    def tabulating(L, radius, k):
+    def tabulating(L, radius, k, *den):
         tables.append(k)
-        return table(L, radius, k)
+        return table(L, radius, k, *den)
 
     def rule(*args):
         rules.append(args)
@@ -530,9 +551,9 @@ def test_sweep_builds_dipole_traces_once_per_point(tmp_path, monkeypatch, make, 
     problems = []
     original = transmission_module.dipole_traces
 
-    def counting(problem):
+    def counting(problem, *bessel):
         problems.append(problem)
-        return original(problem)
+        return original(problem, *bessel)
 
     for module in (sweep_module, transmission_module):
         monkeypatch.setattr(module, "dipole_traces", counting)
@@ -540,6 +561,20 @@ def test_sweep_builds_dipole_traces_once_per_point(tmp_path, monkeypatch, make, 
     result, _ = _run_on_cores(monkeypatch, cfg, cores)
     assert result.invalid_fraction == 0.0
     assert [p.delta for p in problems] == [float(d) for d in cfg.delta_grid()]
+
+
+def test_sphere_omega_failure_fails_only_the_direct_row():
+    # |omega| R > 10 fails the omega diagonals, which the direct row alone
+    # needs; the Bessel series the point shares do not fail the spectral row
+    axis = np.array([0.0, 0.0, 1.0])
+    problem = transmission_module.TransmissionProblem(
+        dim=3, geometry=(12, 25.0), s=0.45, delta=1e-2, eps_c=-2.0, omega0=1.0,
+        a=axis, z=30.0 * axis)
+    rows, errors = sweep_module.solve_point(problem, spectrum_of((12, 25.0)),
+                                            ("direct", "spectral"))
+    assert isinstance(errors[0], ValueError) and errors[1] is None
+    assert np.isnan(rows[0].energy_norm) and rows[1].energy_norm > 0
+    assert rows[0].a_n_abs == rows[1].a_n_abs > 0
 
 
 @pytest.mark.parametrize("cores", (1, 2))
