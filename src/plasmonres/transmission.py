@@ -68,6 +68,7 @@ from .specfun import (
     tau_kc,
     hankel_first_kind,
     grad_gamma_helmholtz,
+    SphTerms,
     sph_j_ratio_from,
     sph_jh_from,
     sph_terms,
@@ -312,18 +313,18 @@ def sphere_bessel(problem):
     if problem.dim == 2:
         return SphereBessel()
     L, radius = int(problem.geometry[0]), float(problem.geometry[1])
+    z0 = float(np.dot(problem.a, problem.z))
     at_kc = sph_terms(np.arange(L + 1), complex(problem.kc) * radius)
-    return _axial_bessel(L, radius, problem.omega, float(np.dot(problem.a, problem.z)),
-                         at_kc)
+    return _axial_bessel(L, radius, problem.omega, z0)._replace(at_kc=at_kc)
 
 
-def _axial_bessel(L, radius, om, z0, at_kc=None):
-    """SphereBessel of an axial dipole at distance z0, with the given at_kc."""
+def _axial_bessel(L, radius, om, z0):
+    """SphereBessel of an axial dipole at distance z0, without at_kc."""
     n = np.arange(L + 1)
     zz = om * z0
     at_z0 = sph_terms(n, zz)
     jhp = 0.5 * (sph_jh_from(at_z0)[1] + 1j / (zz * zz))
-    return SphereBessel(at_z0, sph_terms(n, om * radius), jhp, at_kc)
+    return SphereBessel(at_z0, sph_terms(n, om * radius), jhp)
 
 
 def _axial_traces(L, radius, om, z0, bessel):
@@ -703,7 +704,8 @@ def _coupling_an_3d(z, a, slots, spectrum, omega, traces, bessel):
         cn = np.sqrt((2 * deg + 1) / (4.0 * math.pi))
         surface = complex(traces[0][n] * beta)
         # j_n(omega r) h_n'(omega z0), through the stable j_n h_n'(omega z0)
-        den = bessel.at_z0._replace(n=np.asarray(deg), j=bessel.at_z0.j[deg, ...])
+        at_z0 = bessel.at_z0
+        den = SphTerms(np.asarray(deg), at_z0.z, at_z0.series, at_z0.j[deg, ...])
         num = sph_terms(deg, omega * r, den.series, deriv=False)
         cross = sph_j_ratio_from(num, den)[0] * bessel.jhp[deg]
         radial = np.sum(w * cross * (r / radius) ** deg * r * r)
