@@ -202,14 +202,14 @@ def spherical_bessel(n, z):
     return jn, jn + 1j * yn
 
 
-def _sph_series(n, z, with_deriv=False):
+def _sph_series(n, z):
     """
     Regular series factors A, B of the small-argument representations
 
         j_n(z) =  z^n / (2n+1)!! * A(z),
         y_n(z) = -(2n-1)!! / z^{n+1} * B(z),
 
-    with A, B -> 1 as z -> 0. Returns (A, B) or (A, B, A', B') of shape
+    with A, B -> 1 as z -> 0. Returns (A, B, A', B') of shape
     n.shape + z.shape; each degree's series stops as it would alone.
     """
     z = np.asarray(z, dtype=complex)
@@ -230,17 +230,14 @@ def _sph_series(n, z, with_deriv=False):
             cb = cb * z2 / (m * (2 * m - odd))
             np.add(A, ca, out=A, where=live)
             np.add(B, cb, out=B, where=live)
-            if with_deriv:
-                # d/dz of a term c_m z^{2m} is 2m c_m z^{2m-1}
-                np.add(dA, 2 * m * ca / z, out=dA, where=live)
-                np.add(dB, 2 * m * cb / z, out=dB, where=live)
+            # d/dz of a term c_m z^{2m} is 2m c_m z^{2m-1}
+            np.add(dA, 2 * m * ca / z, out=dA, where=live)
+            np.add(dB, 2 * m * cb / z, out=dB, where=live)
             size = np.maximum(np.abs(ca), np.abs(cb)).reshape(nz.shape + (-1,))
             live &= ~(size.max(axis=-1) < 1e-20)
             if not live.any():
                 break
-    if with_deriv:
-        return A, B, dA, dB
-    return A, B
+    return A, B, dA, dB
 
 
 def _dfact(n):
@@ -257,20 +254,19 @@ class SphTerms(NamedTuple):
     """
     Spherical Bessel data of degrees n at arguments z, each part of shape
     n.shape + z.shape: the factors (A, B, A', B') of _sph_series when
-    series, else the values (j_n, None, j_n', None). dj and dy are None
-    when no derivatives were formed.
+    series, else the values (j_n, None, j_n', None).
     """
 
     n: np.ndarray
     z: np.ndarray
     series: bool
     j: np.ndarray
-    y: np.ndarray = None
-    dj: np.ndarray = None
-    dy: np.ndarray = None
+    y: np.ndarray
+    dj: np.ndarray
+    dy: np.ndarray
 
 
-def sph_terms(n, z, series=None, deriv=True):
+def sph_terms(n, z, series=None):
     """
     SphTerms of degrees n at z: one _sph_series call when series (by
     default when the single argument z has |z| < 0.5), else j_n values.
@@ -280,14 +276,14 @@ def sph_terms(n, z, series=None, deriv=True):
     if series is None:
         series = abs(complex(z)) < _SPH_SERIES_CUT
     if series:
-        return SphTerms(n, z, True, *_sph_series(n, z, with_deriv=deriv))
+        return SphTerms(n, z, True, *_sph_series(n, z))
     nn = n.reshape(n.shape + (1,) * z.ndim)
-    dj = special.spherical_jn(nn, z, derivative=True) if deriv else None
-    return SphTerms(n, z, False, special.spherical_jn(nn, z), dj=dj)
+    return SphTerms(n, z, False, special.spherical_jn(nn, z), None,
+                    special.spherical_jn(nn, z, derivative=True), None)
 
 
 def sph_jh_from(t):
-    """(j_n h_n, (j_n h_n)') from SphTerms t with derivatives."""
+    """(j_n h_n, (j_n h_n)') from SphTerms t."""
     nn = t.n.reshape(t.n.shape + (1,) * t.z.ndim)
     if not t.series:
         # y_n only here: at complex z it costs about five times j_n
@@ -307,8 +303,7 @@ def sph_jh_from(t):
 def sph_j_ratio_from(num, den):
     """
     (j_n(z_num) / j_n(z_den), j_n'(z_num) / j_n(z_den)) from SphTerms num
-    and den (at one z_den) of the same degrees, in den's kind; the
-    derivative half is None when num has none.
+    and den (at one z_den) of the same degrees, in den's kind.
 
     Only the size ratio is raised to a power: from
     j_n(z) = z^n / (2n+1)!! * A(z) the value ratio is
@@ -319,17 +314,14 @@ def sph_j_ratio_from(num, den):
     high degree. The derivative half is not finite at z_num = 0 when
     n = 0 (A'(0) is formed as a 0/0 limit the series code does not take).
     """
-    deriv = num.dj is not None
     if num.series != den.series:
-        num = sph_terms(num.n, num.z, den.series, deriv)
+        num = sph_terms(num.n, num.z, den.series)
     nn = num.n.reshape(num.n.shape + (1,) * num.z.ndim)
     a_den = den.j.reshape(nn.shape)
     if not den.series:
-        return num.j / a_den, num.dj / a_den if deriv else None
+        return num.j / a_den, num.dj / a_den
     z_num, z_den = num.z, complex(den.z)
     value = (z_num / z_den) ** nn * num.j / a_den
-    if not deriv:
-        return value, None
     ratio_d = (z_num / z_den) ** (nn - 1) * (nn * num.j + z_num * num.dj)
     return value, np.where(nn == 0, num.dj / a_den, ratio_d / (z_den * a_den))
 
@@ -357,5 +349,5 @@ def sph_j_ratio(n, z_num, z_den):
     (j_n(z_num) / j_n(z_den), j_n'(z_num) / j_n(z_den)), stable when both
     arguments are small; each half has shape n.shape + z_num.shape.
     """
-    den = sph_terms(n, z_den, deriv=False)
+    den = sph_terms(n, z_den)
     return sph_j_ratio_from(sph_terms(n, z_num, den.series), den)

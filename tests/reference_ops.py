@@ -16,6 +16,9 @@ computations of numbers the package produces another way.
   single and adjoint double layers (real_sph_harm,
   sphere_diagonal_by_quadrature), an independent route to the
   diagonals of sphere_operators.
+* Closed forms of the sphere's radial integrals in mpmath
+  (sphere_radial_integrals_mp, coupling_radial_mp), the references of
+  the package's series for the interior energy and the coupling.
 
 Test modules import it as `reference_ops`: `pyproject.toml` puts
 tests/ on pytest's import path.
@@ -269,3 +272,55 @@ def sphere_diagonal_by_quadrature(
     if abs(y0) < 1e-12:
         raise ValueError("Y_nm vanishes at x0; choose another point")
     return quad / y0
+
+
+def _mp_a(mp, n, z):
+    """A_n(z) = 0F1(; n + 3/2; -z^2/4), so that j_n(z) = z^n / (2n+1)!! A_n(z)."""
+    return mp.hyp0f1(n + mp.mpf(3) / 2, -z * z / 4)
+
+
+def sphere_radial_integrals_mp(n, k, radius, dps=50):
+    """
+    (i_mass, i_grad) of the sphere's InteriorKernels at degree n, as
+    floats from dps-digit mpmath, by closed forms that share nothing with
+    the package's term-by-term series. With g = j_n(k r)/j_n(k R) and
+    z = k R, Green's identity for the radial mode u = g Y_n gives
+
+        i_grad = Re(R^2 g'(R)) + Re(k^2) i_mass,
+        i_mass = -Im(R^2 g'(R)) / Im(k^2)          (Im k^2 != 0),
+        i_mass = R^3 / 2 (1 - j_{n-1} j_{n+1} / j_n^2)(z)   (real k, Lommel),
+
+    with R g'(R) = n - z^2 A_{n+1}(z) / ((2n+3) A_n(z)).
+    """
+    import mpmath
+
+    mp = mpmath.mp
+    with mpmath.workdps(dps):
+        R = mp.mpf(radius)
+        z = mp.mpc(complex(k).real, complex(k).imag) * R
+        z2 = z * z
+        ratio = z2 * _mp_a(mp, n + 1, z) / ((2 * n + 3) * _mp_a(mp, n, z))
+        if mp.im(z2) != 0:
+            i_mass = R ** 3 * mp.im(ratio) / mp.im(z2)
+        else:
+            lommel = (_mp_a(mp, n - 1, z) * _mp_a(mp, n + 1, z) / _mp_a(mp, n, z) ** 2
+                      * mp.mpf(2 * n + 1) / (2 * n + 3))
+            i_mass = R ** 3 / 2 * (1 - mp.re(lommel))
+        i_grad = R * mp.re(n - ratio) + mp.re(z2) / R ** 2 * i_mass
+        return float(mp.re(i_mass)), float(i_grad)
+
+
+def coupling_radial_mp(n, omega, radius, z0, dps=50):
+    """
+    int_0^R j_n(omega r) / j_n(omega z0) (r/R)^n r^2 dr as a float from
+    dps-digit mpmath, by d/dz (z^{n+1} j_{n+1}(z)) = z^{n+1} j_n(z):
+    R^2 j_{n+1}(omega R) / (omega j_n(omega z0)).
+    """
+    import mpmath
+
+    mp = mpmath.mp
+    with mpmath.workdps(dps):
+        R, z0, om = mp.mpf(radius), mp.mpf(z0), mp.mpf(omega)
+        j_next = (om * R) ** (n + 1) / mp.fac2(2 * n + 3) * _mp_a(mp, n + 1, om * R)
+        j_z0 = (om * z0) ** n / mp.fac2(2 * n + 1) * _mp_a(mp, n, om * z0)
+        return float(R * R * j_next / (om * j_z0))

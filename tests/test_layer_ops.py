@@ -380,6 +380,33 @@ def test_stored_gauss_rule_equals_leggauss():
     assert not any(part.flags.writeable for part in layer_ops.GAUSS_48)
 
 
+# fourth-quadrant directions of the sweep's k_c (eps_c = -2) at delta = 1e-2
+# and 1e-5, and the real axis
+_KC_RAYS = tuple(compute_kc(1.0, -2.0, d) / abs(compute_kc(1.0, -2.0, d))
+                 for d in (1e-2, 1e-5)) + (1.0,)
+
+
+@pytest.mark.parametrize("size, tol", [
+    (1e-8, 1e-15), (1e-4, 1e-15), (1e-2, 1e-15), (0.2, 1e-15), (0.49, 1e-15),
+    (0.51, 3e-13), (1.0, 3e-13), (2.0, 3e-13)])
+def test_sphere_radial_integrals_mpmath(size, tol):
+    # i_mass and i_grad of every degree 0..40 against their closed forms in
+    # 50-digit mpmath: below |k| R = 0.5 the double series of the k R
+    # terms, accurate to rounding; above it the 48-point Gauss-Legendre
+    # rule, which reads up to 2.1e-13 (degree 33, |k| R = 0.57, delta = 1e-5)
+    pytest.importorskip("mpmath")
+    L = 40
+    pole = np.arange(L + 1) ** 2 + np.arange(L + 1)
+    for radius in (1.0, 2.0):
+        for ray in _KC_RAYS:
+            k = size * ray / radius
+            i_mass, i_grad = layer_ops.InteriorKernels((L, radius), k).tables()
+            for n in range(L + 1):
+                want = reference_ops.sphere_radial_integrals_mp(n, k, radius)
+                for got, ref in zip((i_mass[pole[n]], i_grad[pole[n]]), want):
+                    assert abs(got - ref) <= tol * ref
+
+
 def test_sphere_diagonal_by_quadrature_spot_checks():
     # independent surface quadrature against the spectral diagonals at
     # (n, m) = (0,0), (1,0), (2,1), static and k = 0.5

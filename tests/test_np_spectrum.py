@@ -133,6 +133,17 @@ def test_scale_covariance_of_eigenvalues(b, aspect, dilation):
     assert np.max(np.abs(np.sort(small.lambdas) - np.sort(large.lambdas))) < 1e-9
 
 
+@_PROPERTY
+@given(b=_MINOR, aspect=_ASPECT)
+def test_kstar_is_self_adjoint_in_the_gram(b, aspect):
+    # K* is self-adjoint in the H* inner product, whose discrete Gram is
+    # G, so G K* is symmetric: <x, K* y>_G = <K* x, y>_G for all densities
+    nodes = quadrature_nodes(make_curve("ellipse", a=aspect * b, b=b), 64)
+    gram, _, _ = build_gram(assemble_S(nodes), nodes)
+    gk = gram.matrix @ assemble_Kstar(nodes).matrix
+    assert np.linalg.norm(gk - gk.T) <= 1e-12 * np.linalg.norm(gk)
+
+
 def test_coeffs_hat_parseval_roundtrip():
     nodes, spec, _, _ = _spectrum_2d("ellipse", 128, a=2.0, b=1.0)
     rng = np.random.default_rng(7)

@@ -314,11 +314,11 @@ def test_a_n_abs_invariant_under_rotation_of_a_degenerate_cluster():
 
 
 @pytest.mark.parametrize("degree", [8, 40])
-def test_sphere_sweep_sums_five_bessel_series_per_point(tmp_path, monkeypatch, degree):
+def test_sphere_sweep_sums_three_bessel_series_per_point(tmp_path, monkeypatch, degree):
     # each series is summed once per grid point and handed to every
     # consumer: all degrees at omega z0, omega R and k_c R (value and
-    # derivative), all degrees at k_c r over the radial Gauss nodes, and
-    # the coupling's pole degree at omega r (value only)
+    # derivative). The energies' radial integrals and the coupling's are
+    # closed forms of those terms, so no series runs over radii.
     calls = []
     series = specfun_module._sph_series
 
@@ -330,7 +330,8 @@ def test_sphere_sweep_sums_five_bessel_series_per_point(tmp_path, monkeypatch, d
     cfg = _sphere_config(tmp_path, geometry=(degree, 1.0))
     result = run_sweep(cfg)
     assert result.invalid_fraction == 0.0
-    assert len(calls) == 5 * len(cfg.delta_grid())
+    assert len(calls) == 3 * len(cfg.delta_grid())
+    assert all(np.ndim(z) == 0 for _, z in calls)
 
 
 def test_sphere_sweep_builds_diagonals_once_per_point(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ coupling coefficients.
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,9 +45,11 @@ from plasmonres.transmission import (
     interior_gradient_energy,
     coupling_an,
 )
-from plasmonres import transmission as transmission_module
-from plasmonres.specfun import compute_kc, sph_j_ratio, sph_jh_product, tau, tau_kc
+from plasmonres import layer_ops, transmission as transmission_module
+from plasmonres.specfun import (
+    compute_kc, sph_j_ratio, sph_jh_product, sph_terms, tau, tau_kc)
 from plasmonres.sweep import scale_for_delta, solve_point
+import reference_ops
 
 
 def _ellipse_spectrum(n=192):
@@ -397,16 +400,28 @@ def test_sphere_bessel_shares_the_public_helpers_values(om, z0, radius, eps_c):
         _, _, sk, kk = sphere_operators(L, radius, k, terms)
         assert np.array_equal(sk.matrix, -1j * k * radius * radius * jh[deg])
         assert np.array_equal(kk.matrix, -0.5j * k * k * radius * radius * jh_d[deg])
-    x, w = GAUSS_48
-    r, w = 0.5 * radius * (x + 1.0), 0.5 * radius * w
-    # the energies' radial table: j_n(k_c r) / j_n(k_c R) over the Gauss radii
-    gr, gr_d = sph_j_ratio(n, pr.kc * r, pr.kc * radius)
+    # the energies' radial integrals: below the cut the double series of
+    # the k_c R terms, above it j_n(k_c r) / j_n(k_c R) over the Gauss radii
     i_mass, i_grad = InteriorKernels((L, radius), pr.kc, bessel.at_kc).tables()
-    assert np.array_equal(i_mass, np.sum(w * np.abs(gr) ** 2 * r * r, axis=1)[deg])
-    centrifugal = (n * (n + 1))[:, None] * np.abs(gr / r) ** 2
-    i_grad_alone = np.sum(w * (np.abs(pr.kc * gr_d) ** 2 + centrifugal) * r * r, axis=1)
-    assert np.array_equal(i_grad, i_grad_alone[deg])
-    # the coupling at single pole degrees, as one-degree helper calls give it
+    alone = InteriorKernels((L, radius), pr.kc).tables()
+    assert np.array_equal(i_mass, alone[0]) and np.array_equal(i_grad, alone[1])
+    if bessel.at_kc.series:
+        series = layer_ops._sphere_radial_series(
+            radius, sph_terms(n, pr.kc * radius))
+        assert np.array_equal(i_mass, series[0][deg])
+        assert np.array_equal(i_grad, series[1][deg])
+    else:
+        x, w = GAUSS_48
+        r, w = 0.5 * radius * (x + 1.0), 0.5 * radius * w
+        gr, gr_d = sph_j_ratio(n, pr.kc * r, pr.kc * radius)
+        assert np.array_equal(i_mass, np.sum(w * np.abs(gr) ** 2 * r * r, axis=1)[deg])
+        centrifugal = (n * (n + 1))[:, None] * np.abs(gr / r) ** 2
+        i_grad_alone = np.sum(w * (np.abs(pr.kc * gr_d) ** 2 + centrifugal) * r * r, axis=1)
+        assert np.array_equal(i_grad, i_grad_alone[deg])
+    # the coupling at single pole degrees, as one-degree helper calls give
+    # it: the closed form jhp R^2 j_{n+1}(omega R) / (omega j_n(omega z0)),
+    # below the cut as jhp R^3 (R/z0)^n A_{n+1}(omega R) / ((2n+3)
+    # A_n(omega z0)) with A_{n+1}(z) = -(2n+3) A_n'(z) / z
     sph = spectrum_of((L, radius))
     for d in (1, 2, 17, 40):
         beta = math.sqrt((2 * d + 1) / radius)
@@ -414,13 +429,60 @@ def test_sphere_bessel_shares_the_public_helpers_values(om, z0, radius, eps_c):
         jhp_d = 0.5 * (sph_jh_product(d, zz)[1] + 1j / (zz * zz))
         fz = -1j * om * om * cn_d * radius * sph_j_ratio(d, om * radius, zz)[0] * jhp_d
         assert fz == f[d * d + d]
-        cross = sph_j_ratio(d, om * r, zz)[0] * jhp_d
-        radial = np.sum(w * cross * (r / radius) ** d * r * r)
+        if bessel.at_z0.series:
+            a_R, a_z0 = sph_terms(d, om * radius), sph_terms(d, zz)
+            size = float((Fraction(radius) / Fraction(z0)) ** d)
+            radial = (-jhp_d * radius * radius * size
+                      * a_R.dj[()] / (om * a_z0.j[()]))
+        else:
+            j_next = sph_terms(d + 1, om * radius, False).j[()]
+            j_z0 = sph_terms(d, zz, False).j[()]
+            radial = jhp_d * radius * radius * j_next / (om * j_z0)
         want = (complex(fz * beta)
                 + om * om * (1j * om * om * cn_d * beta / (2 * d + 1) * radial))
         for shared in ((f, g), bessel), ():
             (got,), _ = coupling_an(pr.z, axis, [d * d + d], sph, om, *shared)
             assert got == want
+
+
+@pytest.mark.parametrize("radius, z0", [(1.0, 2.0), (1.0, 1.05), (2.0, 3.0)])
+def test_coupling_radial_integral_mpmath(radius, z0):
+    # the coupling's radial integral int_0^R j_n(omega r) / j_n(omega z0)
+    # (r/R)^n r^2 dr at degrees 0..40 against 50-digit mpmath: from the
+    # series terms while |omega z0| < 0.5 to rounding, from Bessel values
+    # above it to 1e-13
+    pytest.importorskip("mpmath")
+    L = 40
+    for size in (1e-8, 1e-4, 1e-2, 0.2, 0.49, 0.51, 0.8, 1.0):
+        om = size / z0
+        bessel = transmission_module._axial_bessel(L, radius, om, z0)
+        tol = 1e-15 if bessel.at_z0.series else 1e-13
+        for n in range(L + 1):
+            got = transmission_module._coupling_radial(n, radius, z0, om, bessel)
+            want = reference_ops.coupling_radial_mp(n, om, radius, z0)
+            assert abs(got / bessel.jhp[n] - want) <= tol * abs(want)
+
+
+def test_energy_cross_check_is_live_on_the_sweep_path(monkeypatch):
+    # every sphere row checks the Green-identity energy against the
+    # term-by-term i_grad: a 4% error in i_grad passes the 5% check, a 6%
+    # error fails the row with the check's message
+    table = layer_ops._sphere_radial_table
+    pr = TransmissionProblem(dim=3, geometry=(12, 1.0), s=scale_for_delta(1e-3, 0.01, 3),
+                             delta=1e-3, eps_c=-2.0, omega0=1.0, a=(0.0, 0.0, 1.0),
+                             z=(0.0, 0.0, 2.0))
+    for scale, fails in ((1.04, False), (1.06, True)):
+        def scaled(*args, scale=scale):
+            i_mass, i_grad = table(*args)
+            return i_mass, scale * i_grad
+        monkeypatch.setattr(layer_ops, "_sphere_radial_table", scaled)
+        rows, errors = solve_point(pr, sphere_spectrum(12, 1.0), ("direct", "spectral"))
+        for row, error in zip(rows, errors):
+            if fails:
+                assert isinstance(error, RuntimeError)
+                assert "energy cross-check failed" in str(error)
+            else:
+                assert error is None and np.isfinite(row.energy_norm)
 
 
 @pytest.mark.xfail(strict=True, reason=(
