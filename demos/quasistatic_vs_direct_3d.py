@@ -11,21 +11,22 @@ z^-(n + 2).
 
 import numpy as np
 
+from plasmonres.geometry import Sphere
 from plasmonres.np_spectrum import sphere_spectrum
 from plasmonres.sweep import solve_point
 from plasmonres.transmission import TransmissionProblem, coupling_an
 
-DEGREE, RADIUS, COUPLING_C = 12, 1.0, 0.01
+SPHERE, COUPLING_C = Sphere(12, 1.0), 0.01
 
 
 def compare_solvers():
-    spectrum = sphere_spectrum(DEGREE, RADIUS)
+    spectrum = sphere_spectrum(SPHERE)
     axis = np.array([0.0, 0.0, 1.0])
     print(f"{'delta':>10} {'direct':>14} {'spectral':>14} {'rel gap':>10} {'bound':>8}")
     for delta in (1e-2, 1e-3, 1e-4, 1e-5):
         s = COUPLING_C * delta
         problem = TransmissionProblem(
-            dim=3, geometry=(DEGREE, RADIUS), s=s, delta=delta, eps_c=-2.0,
+            dim=3, geometry=SPHERE, s=s, delta=delta, eps_c=-2.0,
             omega0=1.0, a=axis, z=2.0 * axis,
         )
         rows, errors = solve_point(problem, spectrum, ("direct", "spectral"))
@@ -40,7 +41,7 @@ def compare_solvers():
 
 
 def coupling_distance_law():
-    spectrum = sphere_spectrum(DEGREE, RADIUS)
+    spectrum = sphere_spectrum(SPHERE)
     axis = np.array([0.0, 0.0, 1.0])
     print(f"{'degree':>7} {'a_n(z=2)':>14} {'a_n(z=4)':>14} {'ratio':>10} {'2^(n+2)':>9}")
     degrees = (1, 2, 3)

@@ -9,8 +9,8 @@ should agree to ten digits at the resolutions used here.
 
 import numpy as np
 
-from plasmonres.geometry import make_curve, quadrature_nodes
-from plasmonres.layer_ops import assemble_S, assemble_Kstar
+from plasmonres.geometry import Sphere, make_curve, quadrature_nodes
+from plasmonres.layer_ops import assemble_S, assemble_Kstar, sphere_degree_index
 from plasmonres.np_spectrum import build_gram, np_eigendecomposition, sphere_spectrum
 
 
@@ -33,11 +33,11 @@ def ellipse_table(a=2.0, b=1.0, n_nodes=256, n_pairs=6):
 
 
 def sphere_table(degree=8, n_show=4):
-    spec = sphere_spectrum(degree, 1.0)
+    spec = sphere_spectrum(Sphere(degree, 1.0))
     print(f"sphere (degree cutoff {degree})")
     print(f"{'n':>3} {'mult':>5} {'computed':>18} {'closed form':>18} {'error':>10}")
     for n in range(n_show + 1):
-        slots = np.where(spec.degrees == n)[0]
+        slots = np.where(sphere_degree_index(degree) == n)[0]
         vals = spec.lambdas[slots]
         exact = 0.5 if n == 0 else 1.0 / (2.0 * (2.0 * n + 1.0))
         err = float(np.max(np.abs(vals - exact)))

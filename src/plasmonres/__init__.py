@@ -18,6 +18,7 @@ cli           command line front end, validation suites, SVG plots
 from .geometry import (
     BoundaryCurve,
     NodeSet,
+    Sphere,
     InteriorPointSet,
     make_curve,
     quadrature_nodes,
@@ -83,6 +84,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryCurve",
     "NodeSet",
+    "Sphere",
     "InteriorPointSet",
     "make_curve",
     "quadrature_nodes",

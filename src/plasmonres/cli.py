@@ -23,13 +23,13 @@ import sys
 
 import numpy as np
 
-from .geometry import make_curve, quadrature_nodes
+from .geometry import Sphere, is_integer, make_curve, quadrature_nodes
 from .layer_ops import InteriorKernels, assemble_S, assemble_Kstar, \
     assemble_S_omega
 from .np_spectrum import sphere_spectrum, spectrum_of, cluster_ids
 from .transmission import TransmissionProblem, solve_direct, gradient_energy, \
     interior_gradient_energy, helmholtz_operators
-from .sweep import SweepConfig, run_sweep, fit_blowup_rate, solve_point, is_integer
+from .sweep import SweepConfig, run_sweep, fit_blowup_rate, solve_point
 
 __all__ = [
     "main",
@@ -81,15 +81,13 @@ def _parse_geometry_arg(text):
 
 
 def _build_geometry(dim, kind, params, nodes_n, degree):
-    """NodeSet (dim 2) or (L, radius) pair (dim 3) from parsed geometry."""
+    """NodeSet (dim 2) or Sphere (dim 3) from parsed geometry."""
+    if (kind == "sphere") != (dim == 3):
+        raise ConfigError(f"a {kind!r} geometry does not fit dim {dim}: the sphere is "
+                          "the one 3D geometry")
     if dim == 3:
-        if kind != "sphere":
-            raise ConfigError(f"dim 3 requires a sphere, got {kind!r}")
-        return (int(degree), float(params.get("radius", 1.0)))
-    if kind == "sphere":
-        raise ConfigError("sphere geometry requires dim 3")
-    curve = make_curve(kind, **params)
-    return quadrature_nodes(curve, int(nodes_n))
+        return Sphere(degree, params.get("radius", 1.0))
+    return quadrature_nodes(make_curve(kind, **params), int(nodes_n))
 
 
 def _parse_vec(text, dim):
@@ -114,8 +112,8 @@ _GEOMETRY_KEYS = {
     "sphere": {"kind", "radius", "degree"},
 }
 # keys read here that must be integers, never rounded to one; SweepConfig
-# checks its own (dim, read here first to pick the geometry, included)
-_INT_KEYS = ("dim", "n", "degree")
+# checks its own (dim, read here first, included) and Sphere the degree
+_INT_KEYS = ("dim", "n")
 
 
 def load_sweep_config(source):
@@ -161,13 +159,12 @@ def load_sweep_config(source):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
     dim = int(data["dim"])
     params = {k: geom[k] for k in geom if k in ("radius", "a", "b")}
-    geometry = _build_geometry(dim, kind, params,
-                               geom.get("n", 256), geom.get("degree", 12))
-    a = np.asarray(data["a"], dtype=float)
-    z = np.asarray(data["z"], dtype=float)
-
     kwargs = {k: data[k] for k in _CONFIG_OPTIONAL if k in data}
     try:
+        geometry = _build_geometry(dim, kind, params,
+                                   geom.get("n", 256), geom.get("degree", 12))
+        a = np.asarray(data["a"], dtype=float)
+        z = np.asarray(data["z"], dtype=float)
         return SweepConfig(dim=dim, geometry=geometry, eps_c=float(data["eps_c"]),
                            omega0=float(data["omega0"]), a=a, z=z,
                            csv_path=str(data["csv_path"]), **kwargs)
@@ -197,7 +194,7 @@ def _suite_spectrum():
     err = max(abs(spec.lambdas[i + 1] - expected[i]) for i in range(8))
     checks.append(_check("ellipse_first8_eigenvalues", err, 1e-8))
     checks.append(_check("ellipse_equilibrium_half", abs(spec.lambdas[0] - 0.5), 1e-10))
-    sph = sphere_spectrum(12, 1.0)
+    sph = sphere_spectrum(Sphere(12, 1.0))
     lam_err = max(abs(sph.lambdas[n * n + n] - 0.5 / (2 * n + 1)) for n in range(13))
     checks.append(_check("sphere_eigenvalues_exact", lam_err, 1e-12))
     return checks

@@ -4,9 +4,9 @@ Boundary geometries and their quadrature discretizations.
 2D boundaries are closed analytic curves with a global 2pi-periodic
 parameterization x(t). They are discretized with equispaced-in-parameter
 trapezoid nodes, which integrate analytic periodic integrands with
-spectral accuracy. The sphere has no curve here: all 3D work is done
-spectrally in a spherical-harmonic basis on an (L, R) pair and needs no
-surface mesh.
+spectral accuracy. The sphere has no curve: all 3D work is done
+spectrally in a spherical-harmonic basis on a `Sphere(L, R)`, which is
+checked once when it is built, and needs no surface mesh.
 
 Interior point sets are regular grids clipped to the domain with a
 buffer distance from the boundary; they serve as independent quadrature
@@ -20,6 +20,7 @@ distances from its points to the nodes). A sweep over the loss then
 only evaluates wavenumber-dependent functions.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +29,7 @@ import numpy as np
 __all__ = [
     "BoundaryCurve",
     "NodeSet",
+    "Sphere",
     "InteriorPointSet",
     "PairwiseGeometry",
     "TargetSet",
@@ -44,6 +46,14 @@ _KITE_B = 1.5
 
 # vertices of the boundary polygon that interior_points clips its grid to
 _POLYGON_NODES = 512
+
+# smallest spherical-harmonic truncation degree a sphere accepts
+MIN_SPHERE_DEGREE = 4
+
+
+def is_integer(value):
+    """True for an int or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,7 @@ class BoundaryCurve:
         return np.stack(comps[order], axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeSet:
     """
     Trapezoid quadrature nodes on a 2D boundary curve.
@@ -137,6 +147,28 @@ class NodeSet:
     def interior(self):
         """Interior volume quadrature (InteriorQuadrature), built on first use."""
         return InteriorQuadrature.of(self)
+
+
+class Sphere(namedtuple("Sphere", "L R")):
+    """
+    The radius-R sphere with spherical harmonics of degrees 0..L, checked
+    once, here: L an integer (is_integer) >= MIN_SPHERE_DEGREE and R finite
+    and positive, stored as (int, float). Every sphere routine trusts it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, L, R):
+        if not (is_integer(L) and L >= MIN_SPHERE_DEGREE):
+            raise ValueError(f"sphere degree must be an integer L >= {MIN_SPHERE_DEGREE}, "
+                             f"got {L!r}")
+        R = float(R)
+        if not 0.0 < R < np.inf:
+            raise ValueError(f"sphere radius must be finite and R > 0, got {R!r}")
+        return super().__new__(cls, int(L), R)
+
+    # _replace builds through _make, which would skip the checks
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 @dataclass(frozen=True)
@@ -223,8 +255,8 @@ class TargetSet:
         points = np.array(points, dtype=float, ndmin=2)
         if points.shape[1] != 2:
             raise ValueError("points must have shape (m, 2)")
-        dx = points[:, None, :] - nodes.points[None, :, :]
-        r2 = np.sum(dx * dx, axis=-1)
+        r2 = ((points[:, :1] - nodes.points[:, 0]) ** 2
+              + (points[:, 1:] - nodes.points[:, 1]) ** 2)
         r = np.sqrt(r2)
         buffer = 2.0 * nodes.spacing
         if np.any(r.min(axis=1) < buffer):
@@ -282,16 +314,16 @@ def make_curve(kind, **params):
         radius = float(params.pop("radius", 1.0))
         if params:
             raise ValueError(f"unexpected parameters for circle: {sorted(params)}")
-        if radius <= 0:
-            raise ValueError(f"circle radius must be positive, got {radius}")
+        if not 0.0 < radius < np.inf:
+            raise ValueError(f"circle radius must be finite and positive, got {radius}")
         return BoundaryCurve(kind, {"radius": radius})
     if kind == "ellipse":
         a = float(params.pop("a"))
         b = float(params.pop("b"))
         if params:
             raise ValueError(f"unexpected parameters for ellipse: {sorted(params)}")
-        if b <= 0 or a < b:
-            raise ValueError(f"ellipse requires a >= b > 0, got a={a}, b={b}")
+        if not np.inf > a >= b > 0.0:
+            raise ValueError(f"ellipse requires finite a >= b > 0, got a={a}, b={b}")
         return BoundaryCurve(kind, {"a": a, "b": b})
     if kind == "kite":
         if params:

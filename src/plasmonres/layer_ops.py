@@ -127,7 +127,7 @@ class BoundaryOperator:
     flattened spherical-harmonic coefficients (sphere) as
     matrix * coefficients. kind names the operator, wavenumber is 0 for
     static kernels, and nodes is the geometry: the NodeSet of a 2D
-    matrix, the (L, R) of a sphere_operators diagonal. Matrices are
+    matrix, the Sphere of a sphere_operators diagonal. Matrices are
     frozen after assembly and safe to share across threads.
     """
 
@@ -319,7 +319,7 @@ class InteriorKernels:
     """
     The wavenumber-k interior data of gradient_energy, built on the first
     call of tables(). On a NodeSet: _potential_kernel on the coarse grid
-    and the collar edge of nodes.interior. On a sphere (L, R): per
+    and the collar edge of nodes.interior. On a Sphere (L, R): per
     harmonic slot of degree n the radial integrals of
     g_n(r) = j_n(k r)/j_n(k R),
 
@@ -341,11 +341,6 @@ class InteriorKernels:
     terms: object = None
     _tables: tuple = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
-        if not isinstance(self.geometry, NodeSet):
-            L, R = self.geometry
-            self.geometry = (int(L), float(R))
-
     def tables(self):
         """(coarse, edge) kernel matrices, or the sphere's (i_mass, i_grad)."""
         if self._tables is None:
@@ -354,7 +349,7 @@ class InteriorKernels:
                 self._tables = (_potential_kernel(quad.coarse, self.k),
                                 _potential_kernel(quad.edge, self.k))
             else:
-                self._tables = _sphere_radial_table(*self.geometry, self.k, self.terms)
+                self._tables = _sphere_radial_table(self.geometry, self.k, self.terms)
         return self._tables
 
 
@@ -370,22 +365,19 @@ def eval_potential_on(nodes, targets, density, k):
 # ---------------------------------------------------------------- sphere
 
 
-# smallest spherical-harmonic truncation degree a sphere accepts
-MIN_SPHERE_DEGREE = 4
-
-
 def sphere_degree_index(L):
     """Degree n of each flattened (n, m) spherical-harmonic slot."""
     return np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
 
 
-def _sphere_radial_table(L, radius, k, den=None):
+def _sphere_radial_table(sphere, k, den=None):
     """
-    The sphere's (i_mass, i_grad) of InteriorKernels, one entry per slot;
-    den, when given, is sph_terms(np.arange(L + 1), k radius). Series
+    The (i_mass, i_grad) of InteriorKernels on a Sphere, one entry per
+    slot; den, when given, is sph_terms(np.arange(L + 1), k R). Series
     terms give _sphere_radial_series, Bessel values (|k| R >= 0.5) the
     48-point Gauss-Legendre rule over [0, R], within 3e-13 relative.
     """
+    L, radius = sphere
     n = np.arange(L + 1)
     if den is None:
         den = sph_terms(n, complex(k * radius))
@@ -444,11 +436,11 @@ def _sphere_radial_series(radius, den):
     return radius ** 3 / (2 * n + 3) * i_mass, radius * i_grad
 
 
-def sphere_operators(L, R, k=0.0, terms=None):
+def sphere_operators(sphere, k=0.0, terms=None):
     """
-    Diagonal operators on the radius-R sphere over real spherical
-    harmonics flattened as (n, m), m = -n..n, n = 0..L, each stored as
-    its 1-D diagonal:
+    Diagonal operators on a Sphere (L, R) over real spherical harmonics
+    flattened as (n, m), m = -n..n, n = 0..L, each stored as its 1-D
+    diagonal:
 
         S    -> -R/(2n+1)
         K*   ->  1/(2(2n+1))
@@ -459,23 +451,20 @@ def sphere_operators(L, R, k=0.0, terms=None):
     Bessel products are series-evaluated for |k|R < 0.5 where the raw
     h_n overflow; terms, when given, is sph_terms(np.arange(L + 1), k R).
     """
-    if L < MIN_SPHERE_DEGREE:
-        raise ValueError(f"truncation degree L must be >= {MIN_SPHERE_DEGREE}")
-    if R <= 0:
-        raise ValueError("R must be positive")
+    L, R = sphere
     k = complex(k)
     if abs(k) * R > 10.0:
         raise ValueError("|k| R must be <= 10")
     deg = sphere_degree_index(L)
     s_diag = -R / (2.0 * deg + 1.0)
     kstar_diag = 1.0 / (2.0 * (2.0 * deg + 1.0))
-    s_op = BoundaryOperator(s_diag, kind="S", wavenumber=0.0, nodes=(L, R))
-    kstar_op = BoundaryOperator(kstar_diag, kind="Kstar", wavenumber=0.0, nodes=(L, R))
+    s_op = BoundaryOperator(s_diag, kind="S", wavenumber=0.0, nodes=sphere)
+    kstar_op = BoundaryOperator(kstar_diag, kind="Kstar", wavenumber=0.0, nodes=sphere)
     if k == 0:
         return s_op, kstar_op
     jh, jhp = sph_jh_from(terms or sph_terms(np.arange(L + 1), k * R))
     sk_diag = -1j * k * R * R * jh[deg]
     kk_diag = -0.5j * k * k * R * R * jhp[deg]
-    sk_op = BoundaryOperator(sk_diag, kind="S_omega", wavenumber=k, nodes=(L, R))
-    kk_op = BoundaryOperator(kk_diag, kind="Kstar_omega", wavenumber=k, nodes=(L, R))
+    sk_op = BoundaryOperator(sk_diag, kind="S_omega", wavenumber=k, nodes=sphere)
+    kk_op = BoundaryOperator(kk_diag, kind="Kstar_omega", wavenumber=k, nodes=sphere)
     return s_op, kstar_op, sk_op, kk_op

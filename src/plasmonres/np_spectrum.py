@@ -34,8 +34,8 @@ import numpy as np
 from scipy import linalg
 
 from .geometry import NodeSet
-from .layer_ops import MIN_SPHERE_DEGREE, BoundaryOperator, assemble_Kstar, \
-    assemble_S, sphere_degree_index
+from .layer_ops import BoundaryOperator, assemble_Kstar, assemble_S, sphere_degree_index, \
+    _require_2d
 
 __all__ = [
     "GramOperator",
@@ -88,10 +88,10 @@ class NPSpectrum:
     signed value. wdiag are the diagonal surface quadrature weights of
     the trace pairing <phi, f> = (wdiag * f) @ phi: the arclength
     weights in 2D, ones over the sphere's surface-orthonormal
-    coefficients. stilde_traces holds S~[phi_n] as columns. degrees
-    tags each slot with its harmonic degree on the sphere (None in
-    2D). On the sphere densities, gram and stilde_traces are diagonal
-    and stored as their 1-D diagonals.
+    coefficients. stilde_traces holds S~[phi_n] as columns. geometry
+    is the NodeSet or Sphere the spectrum belongs to. On the sphere
+    densities, gram and stilde_traces are diagonal and stored as their
+    1-D diagonals.
     """
 
     lambdas: np.ndarray
@@ -103,9 +103,7 @@ class NPSpectrum:
     ctilde0: float
     stilde_traces: np.ndarray
     dim: int
-    nodes: NodeSet = None
-    degrees: np.ndarray = None
-    radius: float = None
+    geometry: object
 
     @property
     def n(self):
@@ -133,8 +131,7 @@ def build_gram(S, nodes):
     which is symmetric positive definite, restricts to -W S on mean-zero
     densities, and gives phi0 unit norm. Returns (G, c0, patched).
     """
-    if not isinstance(nodes, NodeSet):
-        raise TypeError("expected a 2D NodeSet")
+    _require_2d(nodes)
     sm = S.matrix if isinstance(S, BoundaryOperator) else np.asarray(S)
     n = nodes.n
     if sm.shape != (n, n):
@@ -265,25 +262,21 @@ def np_eigendecomposition(Kstar, G):
         ctilde0=G.ctilde0,
         stilde_traces=stilde,
         dim=2,
-        nodes=nodes,
+        geometry=nodes,
     )
 
 
-def sphere_spectrum(L, R):
+def sphere_spectrum(sphere):
     """
-    Exact NP spectrum on the radius-R sphere, diagonal over real
-    spherical harmonics: lambda_n = 1/(2(2n+1)) with multiplicity 2n+1.
+    Exact NP spectrum on a Sphere (L, R), diagonal over real spherical
+    harmonics: lambda_n = 1/(2(2n+1)) with multiplicity 2n+1.
 
     Coefficients refer to the basis Yhat_nm = Y_nm / R, orthonormal in
     L^2 of the surface; the H*-orthonormal eigendensities are
     beta_n Yhat_nm with beta_n = sqrt((2n+1)/R), stored as 1-D diagonals.
     """
-    if L < MIN_SPHERE_DEGREE:
-        raise ValueError(f"truncation degree L must be >= {MIN_SPHERE_DEGREE}")
-    if R <= 0:
-        raise ValueError("R must be positive")
+    L, R = sphere
     deg = sphere_degree_index(L)
-    nslots = deg.size
     lam = 1.0 / (2.0 * (2.0 * deg + 1.0))
     beta = np.sqrt((2.0 * deg + 1.0) / R)
     gram = R / (2.0 * deg + 1.0)
@@ -294,14 +287,13 @@ def sphere_spectrum(L, R):
         lambdas=lam,
         densities=beta,
         gram=gram,
-        wdiag=np.ones(nslots),
+        wdiag=np.ones(deg.size),
         m0=m0,
         c0_h=c0_h,
         ctilde0=c0_h,
         stilde_traces=stilde,
         dim=3,
-        degrees=deg,
-        radius=R,
+        geometry=sphere,
     )
 
 
@@ -316,12 +308,11 @@ def cluster_ids(lambdas):
 
 
 def spectrum_of(geometry):
-    """NPSpectrum of a problem geometry: a 2D NodeSet, or a sphere (L, R)."""
+    """NPSpectrum of a problem geometry: a 2D NodeSet or a Sphere."""
     if isinstance(geometry, NodeSet):
         gram, _, _ = build_gram(assemble_S(geometry), geometry)
         return np_eigendecomposition(assemble_Kstar(geometry), gram)
-    L, radius = geometry
-    return sphere_spectrum(int(L), float(radius))
+    return sphere_spectrum(geometry)
 
 
 def _matvec(mat, v):

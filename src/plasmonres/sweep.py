@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtrit
 
+from .geometry import is_integer
 from .layer_ops import InteriorKernels, assemble_S_omega, assemble_Kstar_omega
 from .np_spectrum import spectrum_of, coeffs_hat, coeffs_check, cluster_ids
 from .transmission import TransmissionProblem, plasmon_lambda, dipole_traces, \
@@ -104,11 +105,6 @@ def scale_for_delta(delta, coupling_c, dim):
     return float(s)
 
 
-def is_integer(value):
-    """True for an int or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """
@@ -116,8 +112,8 @@ class SweepConfig:
     (delta, s), the delta grid, the coupling strength, and the run
     controls.
 
-    geometry is a NodeSet (dim 2) or an (L, radius) pair (dim 3),
-    exactly as TransmissionProblem takes it. The grid runs from
+    geometry is a NodeSet (dim 2) or a Sphere (dim 3); a plain (L, R)
+    pair becomes a Sphere, as in TransmissionProblem. The grid runs from
     delta_max down to delta_min geometrically with points_per_decade
     points per factor of 10. coupling_c must keep the scale in the
     s << delta regime, so it is capped at 0.1. dim, points_per_decade
@@ -161,9 +157,10 @@ class SweepConfig:
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
         object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
         # building the extreme problems validates geometry, dipole
-        # placement, and the omega <= cap constraint over the whole grid
+        # placement, and the omega <= cap constraint over the whole grid;
+        # the config keeps the problem's geometry, a Sphere for an (L, R)
         grid = self.delta_grid()
-        self.problem_at(float(grid[0]))
+        object.__setattr__(self, "geometry", self.problem_at(float(grid[0])).geometry)
         self.problem_at(float(grid[-1]))
 
     def delta_grid(self):

@@ -48,9 +48,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import NodeSet, interior_points, _inside_polygon
+from .geometry import NodeSet, Sphere, interior_points, _inside_polygon
 from .layer_ops import (
-    MIN_SPHERE_DEGREE,
     BoundaryOperator,
     InteriorKernels,
     assemble_S_omega,
@@ -58,6 +57,7 @@ from .layer_ops import (
     eval_gradient,
     sphere_operators,
     _potential_kernel,
+    _require_2d,
 )
 from .np_spectrum import NPSpectrum, _matvec
 from .specfun import (
@@ -135,8 +135,8 @@ class TransmissionProblem:
     """
     Dipole-driven transmission problem for one inclusion.
 
-    geometry is a NodeSet for dim = 2 and an (L, R) pair for dim = 3,
-    where L is the spherical-harmonic cutoff and R the sphere radius.
+    geometry is a NodeSet for dim = 2 and a Sphere for dim = 3; a plain
+    (L, R) pair is turned into Sphere(L, R) here.
     In 3D the dipole must sit on the axis of its own moment (z parallel
     to a); that is the configuration with closed-form traces, and every
     reported quantity is rotation invariant so it loses no generality.
@@ -177,34 +177,28 @@ class TransmissionProblem:
         z = np.asarray(self.z, dtype=float).reshape(self.dim)
         object.__setattr__(self, "z", z)
         if self.dim == 2:
-            if not isinstance(self.geometry, NodeSet):
-                raise TypeError("2D geometry must be a NodeSet")
-            self._check_exterior_2d()
+            nodes = _require_2d(self.geometry)
+            if _inside_polygon(z[None, :], nodes.points)[0]:
+                raise ValueError("dipole location lies inside the inclusion")
+            gap = float(np.min(np.linalg.norm(nodes.points - z, axis=1)))
+            if gap < 2.0 * nodes.spacing:
+                raise ValueError(
+                    f"dipole distance {gap:.3g} to the boundary is below the "
+                    f"quadrature buffer {2.0 * nodes.spacing:.3g}"
+                )
         else:
-            L, R = self.geometry
-            if int(L) < MIN_SPHERE_DEGREE or R <= 0:
-                raise ValueError(f"3D geometry must be (L >= {MIN_SPHERE_DEGREE}, R > 0)")
+            if not isinstance(self.geometry, Sphere):
+                object.__setattr__(self, "geometry", Sphere(*self.geometry))
             z0 = float(np.dot(self.a, z))
             if np.linalg.norm(z - z0 * self.a) > 1e-10 * (1.0 + abs(z0)):
                 raise ValueError(
                     "3D dipole must lie on the axis of its moment (z parallel to a)"
                 )
-            if z0 < _SPHERE_MARGIN * R:
+            if z0 < _SPHERE_MARGIN * self.geometry.R:
                 raise ValueError(
                     f"dipole distance {z0:.3g} too close to the sphere "
                     f"(need >= {_SPHERE_MARGIN} R)"
                 )
-
-    def _check_exterior_2d(self):
-        nodes = self.geometry
-        if _inside_polygon(self.z[None, :], nodes.points)[0]:
-            raise ValueError("dipole location lies inside the inclusion")
-        gap = float(np.min(np.linalg.norm(nodes.points - self.z, axis=1)))
-        if gap < 2.0 * nodes.spacing:
-            raise ValueError(
-                f"dipole distance {gap:.3g} to the boundary is below the "
-                f"quadrature buffer {2.0 * nodes.spacing:.3g}"
-            )
 
     @property
     def omega(self):
@@ -287,9 +281,9 @@ def dipole_traces(problem, bessel=None):
         f = -(grads @ problem.a)
         dnf = -_hessian_contract(y, om, problem.geometry.normals, problem.a)
         return f, dnf
-    L, radius = int(problem.geometry[0]), problem.geometry[1]
+    sphere = problem.geometry
     z0 = float(np.dot(problem.a, problem.z))
-    return _axial_traces(L, radius, om, z0, bessel or _axial_bessel(L, radius, om, z0))
+    return _axial_traces(sphere, om, z0, bessel or _axial_bessel(sphere, om, z0))
 
 
 class SphereBessel(NamedTuple):
@@ -310,22 +304,22 @@ def sphere_bessel(problem):
     """The SphereBessel of a problem, each series summed once, here."""
     if problem.dim == 2:
         return SphereBessel()
-    L, radius = int(problem.geometry[0]), float(problem.geometry[1])
+    sphere = problem.geometry
     z0 = float(np.dot(problem.a, problem.z))
-    at_kc = sph_terms(np.arange(L + 1), complex(problem.kc) * radius)
-    return _axial_bessel(L, radius, problem.omega, z0)._replace(at_kc=at_kc)
+    at_kc = sph_terms(np.arange(sphere.L + 1), complex(problem.kc) * sphere.R)
+    return _axial_bessel(sphere, problem.omega, z0)._replace(at_kc=at_kc)
 
 
-def _axial_bessel(L, radius, om, z0):
+def _axial_bessel(sphere, om, z0):
     """SphereBessel of an axial dipole at distance z0, without at_kc."""
-    n = np.arange(L + 1)
+    n = np.arange(sphere.L + 1)
     zz = om * z0
     at_z0 = sph_terms(n, zz)
     jhp = 0.5 * (sph_jh_from(at_z0)[1] + 1j / (zz * zz))
-    return SphereBessel(at_z0, sph_terms(n, om * radius), jhp)
+    return SphereBessel(at_z0, sph_terms(n, om * sphere.R), jhp)
 
 
-def _axial_traces(L, radius, om, z0, bessel):
+def _axial_traces(sphere, om, z0, bessel):
     """
     dipole_traces of an axial dipole at distance z0 from the sphere's
     centre, from the outgoing addition theorem
@@ -336,13 +330,13 @@ def _axial_traces(L, radius, om, z0, bessel):
     with c_n = sqrt((2n+1)/4pi) and j_n(om z0) h_n'(om z0) as the stable
     Bessel product bessel.jhp.
     """
-    n = np.arange(L + 1)
+    n = np.arange(sphere.L + 1)
     cn = np.sqrt((2 * n + 1) / (4.0 * math.pi))
     ratio, ratio_d = sph_j_ratio_from(bessel.at_R, bessel.at_z0)
     f = np.zeros(n.size ** 2, dtype=complex)
     g = np.zeros(n.size ** 2, dtype=complex)
-    f[n * n + n] = -1j * om * om * cn * radius * ratio * bessel.jhp
-    g[n * n + n] = -1j * om ** 3 * cn * radius * ratio_d * bessel.jhp
+    f[n * n + n] = -1j * om * om * cn * sphere.R * ratio * bessel.jhp
+    g[n * n + n] = -1j * om ** 3 * cn * sphere.R * ratio_d * bessel.jhp
     return f, g
 
 
@@ -358,18 +352,17 @@ def assemble_system(problem, operators=None, traces=None):
 
     The first row matches Dirichlet data, the second the flux
     eps_c d_nu u|- = eps_m d_nu u|+ (permittivities normalised by the
-    background).  2D blocks are Nystrom matrices; 3D blocks are
-    diagonal in the spherical-harmonic basis, expanded with np.diag here
-    only: solve_direct never forms the dense sphere system.
+    background).  The blocks are Nystrom matrices, so the problem must
+    be 2D (else TypeError): the sphere's blocks are diagonal, and
+    solve_direct solves them slot by slot.
 
     operators, when given, is the pre-assembled quadruple
     (S^{k_c}, K^{k_c}*, S^omega, K^omega*) matching the problem, pairs
     as helmholtz_operators builds them. Wavenumbers are checked. traces,
     when given, is the problem's dipole_traces pair (F_z, d_nu F_z).
     """
+    _require_2d(problem.geometry)
     blocks, (f, g) = _system_blocks(problem, operators, traces)
-    if blocks[0].ndim == 1:
-        blocks = [np.diag(b) for b in blocks]
     m = blocks[0].shape[0]
     a_mat = np.empty((2 * m, 2 * m), dtype=np.result_type(*blocks))
     a_mat[:m, :m], a_mat[:m, m:], a_mat[m:, :m], a_mat[m:, m:] = blocks
@@ -378,13 +371,12 @@ def assemble_system(problem, operators=None, traces=None):
 
 def helmholtz_operators(geometry, k, terms=None):
     """
-    (S^k, K^k*) on a NodeSet (Nystrom matrices) or a sphere (L, R)
-    (diagonals); terms is sphere_operators' and has no use in 2D.
+    (S^k, K^k*) on a NodeSet (Nystrom matrices) or a Sphere (diagonals);
+    terms is sphere_operators' and has no use in 2D.
     """
     if isinstance(geometry, NodeSet):
         return assemble_S_omega(geometry, k), assemble_Kstar_omega(geometry, k)
-    L, R = geometry
-    return sphere_operators(int(L), float(R), k, terms)[2:]
+    return sphere_operators(geometry, k, terms)[2:]
 
 
 def _system_blocks(problem, operators, traces):
@@ -576,9 +568,7 @@ def gradient_energy(phi, kc, operators):
     _require_wavenumber(s_op, kc)
     _require_wavenumber(k_op, kc)
     geometry = s_op.nodes
-    same = kernels.geometry is geometry or (isinstance(geometry, tuple)
-                                            and kernels.geometry == geometry)
-    if not same or kernels.k != kc:
+    if kernels.geometry != geometry or kernels.k != kc:
         raise ValueError("interior kernels do not match the operators")
     if isinstance(geometry, NodeSet):
         u_trace = s_op.matrix @ phi
@@ -596,7 +586,7 @@ def gradient_energy(phi, kc, operators):
     dnu = (-0.5 + k_op.matrix) * phi
     e_b = float(np.real(np.sum(u_trace * np.conj(dnu))))
     i_mass, i_grad = kernels.tables()
-    t2 = np.abs(u_trace) ** 2 / geometry[1] ** 2
+    t2 = np.abs(u_trace) ** 2 / geometry.R ** 2
     vol = float(np.sum(t2 * i_mass))
     e_identity = e_b + np.real(kc * kc) * vol
     e_exact = float(np.sum(t2 * i_grad))
@@ -652,7 +642,7 @@ def coupling_an(z, a, slots, spectrum, omega, traces=None, bessel=None):
 
 
 def _coupling_an_2d(z, a, slots, spectrum, omega):
-    nodes = spectrum.nodes
+    nodes = spectrum.geometry
     quad = nodes.interior
     z = np.asarray(z, dtype=float).reshape(2)
     a = np.asarray(a, dtype=float).reshape(2)
@@ -679,7 +669,7 @@ def _coupling_an_2d(z, a, slots, spectrum, omega):
 
 
 def _coupling_an_3d(z, a, slots, spectrum, omega, traces, bessel):
-    radius = spectrum.radius
+    radius = spectrum.geometry.R
     z = np.asarray(z, dtype=float).reshape(3)
     a = np.asarray(a, dtype=float).reshape(3)
     a = a / np.linalg.norm(a)
@@ -687,13 +677,12 @@ def _coupling_an_3d(z, a, slots, spectrum, omega, traces, bessel):
     if np.linalg.norm(z - z0 * a) > 1e-10 * (1.0 + abs(z0)) or z0 <= radius:
         raise ValueError("3D coupling requires z on the dipole axis, outside")
     if traces is None or bessel is None:
-        L = int(spectrum.degrees[-1])
-        bessel = _axial_bessel(L, radius, omega, z0)
-        traces = _axial_traces(L, radius, omega, z0, bessel)
+        bessel = _axial_bessel(spectrum.geometry, omega, z0)
+        traces = _axial_traces(spectrum.geometry, omega, z0, bessel)
     a_n = np.zeros(len(slots), dtype=complex)
     a_n0 = np.zeros(len(slots), dtype=complex)
     for i, n in enumerate(slots):
-        deg = int(spectrum.degrees[n])
+        deg = math.isqrt(n)  # slots n^2 .. n^2 + 2n hold degree n
         if n != deg * deg + deg:
             # off-axis harmonics are orthogonal to an axial dipole
             continue
@@ -726,7 +715,7 @@ def _coupling_radial(deg, radius, z0, omega, bessel):
     """
     at_z0 = bessel.at_z0
     if at_z0.series:
-        (p_r, q_r), (p_z, q_z) = float(radius).as_integer_ratio(), z0.as_integer_ratio()
+        (p_r, q_r), (p_z, q_z) = radius.as_integer_ratio(), z0.as_integer_ratio()
         size = (p_r * q_z) ** deg / (q_r * p_z) ** deg
         return (-bessel.jhp[deg] * radius * radius * size
                 * bessel.at_R.dj[deg] / (omega * at_z0.j[deg]))

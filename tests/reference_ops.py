@@ -19,6 +19,8 @@ computations of numbers the package produces another way.
 * Closed forms of the sphere's radial integrals in mpmath
   (sphere_radial_integrals_mp, coupling_radial_mp), the references of
   the package's series for the interior energy and the coupling.
+* The sphere's transmission system as one dense 2(L+1)^2 matrix
+  (dense_sphere_system), the oracle of the per-slot direct solve.
 
 Test modules import it as `reference_ops`: `pyproject.toml` puts
 tests/ on pytest's import path.
@@ -27,7 +29,7 @@ tests/ on pytest's import path.
 import numpy as np
 from scipy import special
 
-from plasmonres.geometry import NodeSet
+from plasmonres.geometry import NodeSet, Sphere
 from plasmonres.layer_ops import (
     BoundaryOperator,
     assemble_Kstar,
@@ -35,6 +37,7 @@ from plasmonres.layer_ops import (
     sphere_operators,
 )
 from plasmonres.specfun import EULER_GAMMA, OMEGA_MAX, tau
+from plasmonres.transmission import dipole_traces, helmholtz_operators
 
 # below this omega r the 2D remainder kernel is summed from its series
 _SERIES_CUT = 0.5
@@ -156,7 +159,7 @@ def assemble_R_Q(nodes, omega, d=2):
         raise ValueError(f"omega must lie in (0, {OMEGA_MAX}]")
     if d == 3:
         L, radius = nodes
-        s0, k0, sw, kw = sphere_operators(L, radius, omega)
+        s0, k0, sw, kw = sphere_operators(Sphere(L, radius), omega)
         r3 = (sw.matrix - s0.matrix) / omega
         q3 = (kw.matrix - k0.matrix) / omega**2
         return (
@@ -324,3 +327,21 @@ def coupling_radial_mp(n, omega, radius, z0, dps=50):
         j_next = (om * R) ** (n + 1) / mp.fac2(2 * n + 3) * _mp_a(mp, n + 1, om * R)
         j_z0 = (om * z0) ** n / mp.fac2(2 * n + 1) * _mp_a(mp, n, om * z0)
         return float(R * R * j_next / (om * j_z0))
+
+
+def dense_sphere_system(problem):
+    """
+    The sphere problem's transmission system (A, b) in dense form,
+
+        [ S^{k_c}                      -S^omega          ] [phi]   [ F_z      ]
+        [ (eps+i d)(-1/2 + K^{k_c}*)   -(1/2 + K^omega*) ] [psi] = [ d_nu F_z ],
+
+    every block the np.diag of its sphere_operators diagonal.
+    """
+    s_in, k_in = (op.matrix for op in helmholtz_operators(problem.geometry, problem.kc))
+    s_out, k_out = (op.matrix for op in helmholtz_operators(problem.geometry,
+                                                            problem.omega))
+    epsd = problem.eps_eff + 1j * problem.delta_eff
+    a_mat = np.block([[np.diag(s_in), np.diag(-s_out)],
+                      [np.diag(epsd * (-0.5 + k_in)), np.diag(-(0.5 + k_out))]])
+    return a_mat, np.concatenate(dipole_traces(problem))

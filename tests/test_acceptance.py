@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from plasmonres.geometry import make_curve, quadrature_nodes
+from plasmonres.geometry import Sphere, make_curve, quadrature_nodes
 from plasmonres.layer_ops import (
     assemble_S,
     assemble_Kstar,
@@ -117,12 +117,12 @@ def test_criterion_01_ellipse_eigenvalues(ellipse_spectrum_timed):
 
 
 def test_criterion_02_sphere_spectrum_and_quadrature():
-    spec = sphere_spectrum(12, 1.0)
-    deg = spec.degrees
+    spec = sphere_spectrum(Sphere(12, 1.0))
+    deg = sphere_degree_index(12)
     exact = np.where(deg == 0, 0.5, 1.0 / (2.0 * (2.0 * deg + 1.0)))
     err_exact = float(np.max(np.abs(spec.lambdas - exact)))
     assert err_exact <= 1e-12
-    _, k0 = sphere_operators(12, 1.0)
+    _, k0 = sphere_operators(Sphere(12, 1.0))
     errs = []
     for n, m in ((0, 0), (1, 0), (2, 1)):
         slot = n * n + n + m
@@ -264,7 +264,7 @@ def test_criterion_09_mean_mode_stays_bounded(sweep_3d_resonant,
 
 
 def test_criterion_10_coupling_frequency_order():
-    sph = sphere_spectrum(12, 1.0)
+    sph = sphere_spectrum(Sphere(12, 1.0))
     axis = np.array([0.0, 0.0, 1.0])
     gaps = []
     for om in (0.1, 0.05, 0.025):

@@ -9,7 +9,7 @@ import pytest
 from scipy import special
 
 from plasmonres import layer_ops
-from plasmonres.geometry import make_curve, quadrature_nodes, log_weight_matrix
+from plasmonres.geometry import Sphere, make_curve, quadrature_nodes, log_weight_matrix
 from plasmonres.layer_ops import (
     assemble_S,
     assemble_Kstar,
@@ -358,7 +358,7 @@ def test_helmholtz_potential_exterior_closed_form():
 
 
 def test_sphere_operator_diagonals():
-    s0, k0, sk, kk = sphere_operators(8, 1.0, 0.5)
+    s0, k0, sk, kk = sphere_operators(Sphere(8, 1.0), 0.5)
     deg = sphere_degree_index(8)
     s_diag = s0.matrix
     k_diag = k0.matrix
@@ -367,7 +367,7 @@ def test_sphere_operator_diagonals():
     idx_n1 = 1 + 1  # (n, m) = (1, 0) slot inside the n = 1 triple
     assert abs(sk.matrix[idx_n1] - SK_SPHERE_N1) < 1e-12
     # scaling in R: S scales like R, K* is scale free
-    s0b, k0b = sphere_operators(8, 2.5)
+    s0b, k0b = sphere_operators(Sphere(8, 2.5))
     assert np.allclose(s0b.matrix, 2.5 * s_diag, atol=1e-13)
     assert np.allclose(k0b.matrix, k_diag, atol=1e-14)
 
@@ -400,7 +400,7 @@ def test_sphere_radial_integrals_mpmath(size, tol):
     for radius in (1.0, 2.0):
         for ray in _KC_RAYS:
             k = size * ray / radius
-            i_mass, i_grad = layer_ops.InteriorKernels((L, radius), k).tables()
+            i_mass, i_grad = layer_ops.InteriorKernels(Sphere(L, radius), k).tables()
             for n in range(L + 1):
                 want = reference_ops.sphere_radial_integrals_mp(n, k, radius)
                 for got, ref in zip((i_mass[pole[n]], i_grad[pole[n]]), want):
@@ -411,7 +411,7 @@ def test_sphere_diagonal_by_quadrature_spot_checks():
     # independent surface quadrature against the spectral diagonals at
     # (n, m) = (0,0), (1,0), (2,1), static and k = 0.5
     for k in (0.0, 0.5):
-        ops = sphere_operators(8, 1.0, k) if k else sphere_operators(8, 1.0)
+        ops = sphere_operators(Sphere(8, 1.0), k) if k else sphere_operators(Sphere(8, 1.0))
         s_op, k_op = ops[0], ops[1]
         if k:
             s_op, k_op = ops[2], ops[3]

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plasmonres.geometry import make_curve, quadrature_nodes
-from plasmonres.layer_ops import assemble_S, assemble_Kstar, sphere_operators
+from plasmonres.geometry import Sphere, make_curve, quadrature_nodes
+from plasmonres.layer_ops import assemble_S, assemble_Kstar, sphere_degree_index, sphere_operators
 from plasmonres.np_spectrum import (
     build_gram,
     np_eigendecomposition,
@@ -184,8 +184,8 @@ def test_eigendecomposition_symmetry_guard():
 
 
 def test_sphere_spectrum_closed_form():
-    spec = sphere_spectrum(10, 1.0)
-    deg = spec.degrees
+    spec = sphere_spectrum(Sphere(10, 1.0))
+    deg = sphere_degree_index(10)
     assert abs(spec.lambdas[0] - 0.5) < 1e-14
     expected = 1.0 / (2.0 * (2.0 * deg[1:] + 1.0))
     assert np.max(np.abs(spec.lambdas[1:] - expected)) < 1e-14
@@ -193,16 +193,16 @@ def test_sphere_spectrum_closed_form():
     assert list(deg[:9]) == [0, 1, 1, 1, 2, 2, 2, 2, 2]
     assert spec.dim == 3
     # radius leaves the eigenvalues alone
-    spec2 = sphere_spectrum(10, 2.5)
+    spec2 = sphere_spectrum(Sphere(10, 2.5))
     assert np.max(np.abs(spec2.lambdas - spec.lambdas)) < 1e-14
 
 
 def test_sphere_spectrum_matches_operator_diagonal():
-    spec = sphere_spectrum(8, 1.0)
-    _, k0 = sphere_operators(8, 1.0)
+    spec = sphere_spectrum(Sphere(8, 1.0))
+    _, k0 = sphere_operators(Sphere(8, 1.0))
     assert np.max(np.abs(spec.lambdas[1:] - k0.matrix[1:])) < 1e-14
 
 
 def test_sphere_minimum_degree_guard():
     with pytest.raises(ValueError):
-        sphere_spectrum(3, 1.0)
+        sphere_spectrum(Sphere(3, 1.0))

@@ -37,8 +37,8 @@ from plasmonres import geometry as geometry_module
 from plasmonres import layer_ops
 from plasmonres import specfun as specfun_module
 from plasmonres import transmission as transmission_module
-from plasmonres.geometry import make_curve, quadrature_nodes
-from plasmonres.layer_ops import MIN_SPHERE_DEGREE, BoundaryOperator
+from plasmonres.geometry import MIN_SPHERE_DEGREE, Sphere, make_curve, quadrature_nodes
+from plasmonres.layer_ops import BoundaryOperator
 from plasmonres.cli import (
     main,
     validate,
@@ -268,7 +268,7 @@ def test_sphere_slope_independent_of_degree(tmp_path):
 
 
 def test_resonant_cluster_triple_on_sphere():
-    sph = sphere_spectrum(8, 1.0)
+    sph = sphere_spectrum(Sphere(8, 1.0))
     cluster = sweep_module._resonant_cluster(sph, -2.0)
     assert len(cluster) == 3
     assert all(abs(sph.lambdas[i] - 1.0 / 6.0) < 1e-12 for i in cluster)
@@ -279,7 +279,7 @@ def test_sphere_a_n_abs_at_high_degree_resonance(degree):
     # at L = 40 the contrast resonant at degree n has a cluster of 2n + 1
     # slots; an axial dipole reaches only its pole slot n^2 + n, whose
     # coupling a_n_abs must report
-    spectrum = sphere_spectrum(40, 1.0)
+    spectrum = sphere_spectrum(Sphere(40, 1.0))
     eps = transmission_module.plasmon_epsilon(1.0 / (2.0 * (2 * degree + 1)))
     problem = transmission_module.TransmissionProblem(
         dim=3, geometry=(40, 1.0), s=scale_for_delta(1e-2, 0.01, 3), delta=1e-2,
@@ -343,13 +343,13 @@ def test_sphere_sweep_builds_diagonals_once_per_point(tmp_path, monkeypatch):
     table = layer_ops._sphere_radial_table
     leggauss = np.polynomial.legendre.leggauss
 
-    def counting(L, R, k=0.0, *terms):
+    def counting(sphere, k=0.0, *terms):
         wavenumbers.append(k)
-        return original(L, R, k, *terms)
+        return original(sphere, k, *terms)
 
-    def tabulating(L, radius, k, *den):
+    def tabulating(sphere, k, *den):
         tables.append(k)
-        return table(L, radius, k, *den)
+        return table(sphere, k, *den)
 
     def rule(*args):
         rules.append(args)
@@ -571,7 +571,7 @@ def test_sphere_omega_failure_fails_only_the_direct_row():
     problem = transmission_module.TransmissionProblem(
         dim=3, geometry=(12, 25.0), s=0.45, delta=1e-2, eps_c=-2.0, omega0=1.0,
         a=axis, z=30.0 * axis)
-    rows, errors = sweep_module.solve_point(problem, spectrum_of((12, 25.0)),
+    rows, errors = sweep_module.solve_point(problem, spectrum_of(Sphere(12, 25.0)),
                                             ("direct", "spectral"))
     assert isinstance(errors[0], ValueError) and errors[1] is None
     assert np.isnan(rows[0].energy_norm) and rows[1].energy_norm > 0
@@ -935,6 +935,49 @@ def test_cli_config_rejects_non_integer_fields(tmp_path, field, value):
     path.write_text(json.dumps(config))
     assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command, geometry, named", [
+    ("sweep", {"kind": "sphere", "radius": float("nan"), "degree": 8}, "sphere radius"),
+    ("sweep", {"kind": "sphere", "radius": float("inf"), "degree": 8}, "sphere radius"),
+    ("sweep", {"kind": "circle", "radius": float("nan"), "n": 64}, "circle radius"),
+    ("sweep", {"kind": "ellipse", "a": float("inf"), "b": 1.0, "n": 64}, "a=inf"),
+    ("solve", "sphere:nan", "sphere radius"),
+    ("solve", "circle:nan", "circle radius"),
+    ("solve", "ellipse:nan,1", "a=nan"),
+    ("spectrum", "sphere:inf", "sphere radius"),
+    ("spectrum", "ellipse:inf,1", "a=inf")])
+def test_cli_refuses_non_finite_geometry(tmp_path, capsys, command, geometry, named):
+    # Python's json reads NaN and Infinity: a geometry built from them
+    # exits 2 naming the parameter, before any row is written
+    dim = 3 if "sphere" in str(geometry) else 2
+    a, z = ("0,0,1", "0,0,2") if dim == 3 else ("1,0", "3,0")
+    csv_path = tmp_path / "x.csv"
+    if command == "sweep":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "dim": dim, "geometry": geometry, "eps_c": -2.0, "omega0": 1.0,
+            "a": [float(c) for c in a.split(",")], "z": [float(c) for c in z.split(",")],
+            "csv_path": str(csv_path)}))
+        argv = ["sweep", "--config", str(path)]
+    elif command == "solve":
+        argv = ["solve", "--dim", str(dim), "--geometry", geometry, "--eps-c", "-2",
+                "--delta", "1e-2", "--scale", "1e-4", "--dipole-a", a, "--dipole-z", z]
+    else:
+        argv = ["spectrum", "--geometry", geometry]
+    assert main(argv) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
+def test_cli_config_bad_vector_is_config_error(tmp_path):
+    # every malformed value of a config raises ConfigError, the dipole
+    # vectors included
+    config = {"dim": 3, "geometry": {"kind": "sphere", "radius": 1.0, "degree": 8},
+              "eps_c": -2.0, "omega0": 1.0, "a": "x", "z": [0, 0, 2],
+              "csv_path": str(tmp_path / "x.csv")}
+    with pytest.raises(ConfigError):
+        load_sweep_config(config)
 
 
 def test_cli_sweep_from_json(tmp_path, capsys):

@@ -8,10 +8,12 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import copy
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from plasmonres.geometry import make_curve, quadrature_nodes
+from plasmonres.geometry import MIN_SPHERE_DEGREE, Sphere, make_curve, quadrature_nodes
 from plasmonres.layer_ops import (
     GAUSS_48,
     sphere_degree_index,
@@ -48,7 +50,7 @@ from plasmonres.transmission import (
 from plasmonres import layer_ops, transmission as transmission_module
 from plasmonres.specfun import (
     compute_kc, sph_j_ratio, sph_jh_product, sph_terms, tau, tau_kc)
-from plasmonres.sweep import scale_for_delta, solve_point
+from plasmonres.sweep import SweepConfig, scale_for_delta, solve_point
 import reference_ops
 
 
@@ -70,7 +72,7 @@ def _energy_ops(nodes, kc):
 
 
 def _sphere_energy_ops(spectrum, kc):
-    geometry = (spectrum.degrees.max(), spectrum.radius)
+    geometry = spectrum.geometry
     return (*helmholtz_operators(geometry, kc), InteriorKernels(geometry, kc))
 
 
@@ -91,7 +93,7 @@ def test_plasmon_contrast_map():
 def test_spectral_mode_amplification_at_resonance():
     # at eps = -2 the lambda = 1/6 denominator collapses to -i delta/3,
     # so a unit Neumann datum excites the mode with amplitude 3i/delta
-    sph = sphere_spectrum(8, 1.0)
+    sph = sphere_spectrum(Sphere(8, 1.0))
     delta = 1e-3
     ghat = np.zeros(sph.n)
     ghat[1] = 1.0
@@ -105,7 +107,7 @@ def test_spectral_mode_amplification_at_resonance():
 
 def test_spectral_cancellation_and_psi_shift():
     # ghat = (1/2 + lambda) fcheck kills phi exactly; psi keeps -fcheck
-    sph = sphere_spectrum(8, 1.0)
+    sph = sphere_spectrum(Sphere(8, 1.0))
     fcheck = np.zeros(sph.n)
     fcheck[1] = 1.0
     ghat = (0.5 + sph.lambdas[1]) * fcheck
@@ -119,7 +121,7 @@ def test_spectral_guard_names_the_vanishing_slots():
     # vanishes: slot 3 on the ellipse at lambda_3, the degree-1 triple on
     # the sphere
     _, spec = _ellipse_spectrum(64)
-    sph = sphere_spectrum(8, 1.0)
+    sph = sphere_spectrum(Sphere(8, 1.0))
     for spectrum, slot, named in ((spec, 3, "[3]"), (sph, 1, "[1, 2, 3]")):
         zeros = np.zeros(spectrum.n)
         eps = plasmon_epsilon(spectrum.lambdas[slot])
@@ -191,7 +193,7 @@ def test_direct_vs_spectral_2d():
 
 
 def test_direct_vs_spectral_3d():
-    sph = sphere_spectrum(12, 1.0)
+    sph = sphere_spectrum(Sphere(12, 1.0))
     delta = 1e-3
     s = 0.01 * delta
     pr = TransmissionProblem(dim=3, geometry=(12, 1.0), s=s, delta=delta,
@@ -240,7 +242,7 @@ def test_sphere_slot_solve_matches_dense_solve():
                                 (-0.1, 0.05, 0.05)):
             pr = TransmissionProblem(dim=3, geometry=(L, 1.0), s=s, delta=delta,
                                      eps_c=eps_c, omega0=1.0, a=axis, z=2.0 * axis)
-            x_dense = np.linalg.solve(*assemble_system(pr))
+            x_dense = np.linalg.solve(*reference_ops.dense_sphere_system(pr))
             sol = solve_direct(pr)
             x = np.concatenate([sol.phi, sol.psi])
             assert np.linalg.norm(x - x_dense) <= 1e-12 * np.linalg.norm(x_dense)
@@ -270,7 +272,7 @@ def test_energy_check_rejects_nan():
 
 
 def test_energy_sphere_route_self_checks():
-    sph = sphere_spectrum(10, 1.0)
+    sph = sphere_spectrum(Sphere(10, 1.0))
     pr = TransmissionProblem(dim=3, geometry=(10, 1.0), s=0.05, delta=0.05,
                              eps_c=-2.0, omega0=1.0, a=np.array([0.0, 0.0, 1.0]),
                              z=np.array([0.0, 0.0, 2.0]))
@@ -289,7 +291,7 @@ def test_energy_takes_one_operator_form_per_dimension():
     phi = np.cos(nodes.t)
     ops = _energy_ops(nodes, k)
     assert gradient_energy(phi, k, ops) > 0.0
-    sph = sphere_spectrum(8, 1.0)
+    sph = sphere_spectrum(Sphere(8, 1.0))
     sph_ops = _sphere_energy_ops(sph, k)
     coef = np.zeros(sph.n)
     coef[2] = 1.0
@@ -346,7 +348,7 @@ def test_coupling_two_routes_2d():
 def test_coupling_sphere_distance_law():
     # a_n0 of a degree-n mode decays like z^-(n+2): doubling the
     # distance divides it by exactly 2^(n+2)
-    sph = sphere_spectrum(12, 1.0)
+    sph = sphere_spectrum(Sphere(12, 1.0))
     axis = np.array([0.0, 0.0, 1.0])
     _, nears = coupling_an(2.0 * axis, axis, (2, 6), sph, 0.05)
     _, fars = coupling_an(4.0 * axis, axis, (2, 6), sph, 0.05)
@@ -397,13 +399,13 @@ def test_sphere_bessel_shares_the_public_helpers_values(om, z0, radius, eps_c):
         assert np.array_equal(mine, alone)
     for k, terms in ((complex(pr.kc), bessel.at_kc), (complex(om), bessel.at_R)):
         jh, jh_d = sph_jh_product(n, k * radius)
-        _, _, sk, kk = sphere_operators(L, radius, k, terms)
+        _, _, sk, kk = sphere_operators(Sphere(L, radius), k, terms)
         assert np.array_equal(sk.matrix, -1j * k * radius * radius * jh[deg])
         assert np.array_equal(kk.matrix, -0.5j * k * k * radius * radius * jh_d[deg])
     # the energies' radial integrals: below the cut the double series of
     # the k_c R terms, above it j_n(k_c r) / j_n(k_c R) over the Gauss radii
-    i_mass, i_grad = InteriorKernels((L, radius), pr.kc, bessel.at_kc).tables()
-    alone = InteriorKernels((L, radius), pr.kc).tables()
+    i_mass, i_grad = InteriorKernels(Sphere(L, radius), pr.kc, bessel.at_kc).tables()
+    alone = InteriorKernels(Sphere(L, radius), pr.kc).tables()
     assert np.array_equal(i_mass, alone[0]) and np.array_equal(i_grad, alone[1])
     if bessel.at_kc.series:
         series = layer_ops._sphere_radial_series(
@@ -422,7 +424,7 @@ def test_sphere_bessel_shares_the_public_helpers_values(om, z0, radius, eps_c):
     # it: the closed form jhp R^2 j_{n+1}(omega R) / (omega j_n(omega z0)),
     # below the cut as jhp R^3 (R/z0)^n A_{n+1}(omega R) / ((2n+3)
     # A_n(omega z0)) with A_{n+1}(z) = -(2n+3) A_n'(z) / z
-    sph = spectrum_of((L, radius))
+    sph = spectrum_of(Sphere(L, radius))
     for d in (1, 2, 17, 40):
         beta = math.sqrt((2 * d + 1) / radius)
         cn_d = np.sqrt((2 * d + 1) / (4.0 * math.pi))
@@ -455,7 +457,7 @@ def test_coupling_radial_integral_mpmath(radius, z0):
     L = 40
     for size in (1e-8, 1e-4, 1e-2, 0.2, 0.49, 0.51, 0.8, 1.0):
         om = size / z0
-        bessel = transmission_module._axial_bessel(L, radius, om, z0)
+        bessel = transmission_module._axial_bessel(Sphere(L, radius), om, z0)
         tol = 1e-15 if bessel.at_z0.series else 1e-13
         for n in range(L + 1):
             got = transmission_module._coupling_radial(n, radius, z0, om, bessel)
@@ -476,7 +478,7 @@ def test_energy_cross_check_is_live_on_the_sweep_path(monkeypatch):
             i_mass, i_grad = table(*args)
             return i_mass, scale * i_grad
         monkeypatch.setattr(layer_ops, "_sphere_radial_table", scaled)
-        rows, errors = solve_point(pr, sphere_spectrum(12, 1.0), ("direct", "spectral"))
+        rows, errors = solve_point(pr, sphere_spectrum(pr.geometry), ("direct", "spectral"))
         for row, error in zip(rows, errors):
             if fails:
                 assert isinstance(error, RuntimeError)
@@ -518,7 +520,7 @@ def test_coupling_parity_null():
 def test_coupling_frequency_order():
     # a_n(omega) - a_n(0) shrinks at least quadratically in omega up to
     # the 2D logarithmic factor; 3D is clean quadratic
-    sph = sphere_spectrum(12, 1.0)
+    sph = sphere_spectrum(Sphere(12, 1.0))
     axis = np.array([0.0, 0.0, 1.0])
     gaps3 = [abs(np.diff(coupling_an(2.0 * axis, axis, [2], sph, om), axis=0)[0, 0])
              for om in (0.1, 0.05, 0.025)]
@@ -570,6 +572,109 @@ def test_problem_validation():
     # dipole moment is normalised on construction
     pr = TransmissionProblem(**{**ok, "a": np.array([3.0, 4.0])})
     assert abs(np.linalg.norm(pr.a) - 1.0) < 1e-15
+
+
+def test_sphere_is_a_checked_pair():
+    # a Sphere is the (L, R) tuple, normalised once to (int, float); the
+    # problem and the sweep config turn a given pair into one
+    sphere = Sphere(np.int64(12), 1)
+    assert sphere == (12, 1.0) and (sphere.L, sphere.R) == (12, 1.0)
+    assert type(sphere.L) is int and type(sphere.R) is float
+    L, R = sphere
+    assert (L, R) == (sphere[0], sphere[1])
+    assert copy.deepcopy(sphere) == sphere and type(copy.copy(sphere)) is Sphere
+    assert sphere._replace(R=2) == (12, 2.0)
+    with pytest.raises(ValueError, match="sphere radius"):
+        sphere._replace(R=np.nan)
+    axis = np.array([0.0, 0.0, 1.0])
+    pr = TransmissionProblem(dim=3, geometry=(12, 1.0), s=1e-4, delta=1e-2,
+                             eps_c=-2.0, omega0=1.0, a=axis, z=2.0 * axis)
+    assert type(pr.geometry) is Sphere and pr.geometry == sphere
+    cfg = SweepConfig(dim=3, geometry=(12, 1.0), eps_c=-2.0, omega0=1.0, a=axis,
+                      z=2.0 * axis, csv_path="unused.csv")
+    assert type(cfg.geometry) is Sphere
+    # the dense system is 2D only: the sphere's is solved slot by slot
+    with pytest.raises(TypeError):
+        assemble_system(pr)
+
+
+_AXIS3 = np.array([0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: Sphere(12.5, 1.0), "sphere degree must be an integer"),
+    (lambda: Sphere(12.0, 1.0), "sphere degree must be an integer"),
+    (lambda: Sphere(True, 1.0), "sphere degree must be an integer"),
+    (lambda: Sphere(MIN_SPHERE_DEGREE - 1, 1.0), f"L >= {MIN_SPHERE_DEGREE}"),
+    (lambda: Sphere(12, np.nan), "sphere radius"),
+    (lambda: Sphere(12, np.inf), "sphere radius"),
+    (lambda: Sphere(12, 0.0), "sphere radius"),
+    (lambda: TransmissionProblem(dim=3, geometry=(12.5, 1.0), s=1e-4, delta=1e-2,
+                                 eps_c=-2.0, omega0=1.0, a=_AXIS3, z=2.0 * _AXIS3),
+     "sphere degree must be an integer"),
+    (lambda: SweepConfig(dim=3, geometry=(12, np.nan), eps_c=-2.0, omega0=1.0,
+                         a=_AXIS3, z=2.0 * _AXIS3, csv_path="unused.csv"),
+     "sphere radius"),
+    (lambda: make_curve("circle", radius=np.nan), "circle radius"),
+    (lambda: make_curve("circle", radius=np.inf), "circle radius"),
+    (lambda: make_curve("ellipse", a=np.nan, b=1.0), "a=nan"),
+    (lambda: make_curve("ellipse", a=np.inf, b=1.0), "a=inf"),
+    (lambda: make_curve("ellipse", a=2.0, b=np.nan), "b=nan"),
+])
+def test_geometry_constructors_refuse_invalid_parameters(build, named):
+    # non-finite and fractional parameters fail where the geometry is
+    # built, with a message that names the parameter, never as NaN rows
+    with pytest.raises(ValueError, match=named):
+        build()
+
+
+# s / delta of the property below; the spectral closed form drops
+# corrections of relative size s / delta, and the gap must fall with it
+_S_OVER_DELTA = (1e-1, 1e-2, 1e-3)
+
+
+def _direct_spectral_gaps(geometry, slot, a, z):
+    """Relative energy_norm gaps of solve_point at delta = 1e-2 and each s/delta."""
+    spectrum = spectrum_of(geometry)
+    eps_c = plasmon_epsilon(spectrum.lambdas[slot])
+    gaps = []
+    for ratio in _S_OVER_DELTA:
+        pr = TransmissionProblem(dim=len(z), geometry=geometry, s=ratio * 1e-2,
+                                 delta=1e-2, eps_c=eps_c, omega0=1.0, a=a, z=z)
+        rows, errors = solve_point(pr, spectrum, ("direct", "spectral"))
+        assert errors == [None, None]
+        direct, spectral = (row.energy_norm for row in rows)
+        gaps.append(abs(direct - spectral) / direct)
+    return gaps
+
+
+def _assert_quasi_static(gaps, floor):
+    assert all(gap <= ratio for gap, ratio in zip(gaps, _S_OVER_DELTA)), gaps
+    assert all(later <= max(earlier, floor) for earlier, later in zip(gaps, gaps[1:])), gaps
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(aspect=st.floats(min_value=1.1, max_value=2.0), mode=st.integers(1, 4))
+def test_quasi_static_gap_within_s_over_delta_ellipse(aspect, mode):
+    # the paper's statement at a resonant contrast eps_c = plasmon_epsilon(
+    # lambda_n): direct and spectral energies agree within s/delta, and the
+    # gap falls with s/delta (2:1, mode 2: 7.0e-4, 7.0e-6, 7.0e-8) down to
+    # the N=64 quadrature's 1e-10. A 3:1 ellipse at N=64 fails its interior
+    # quadrature, so the aspect stops at 2.
+    nodes = quadrature_nodes(make_curve("ellipse", a=aspect, b=1.0), 64)
+    gaps = _direct_spectral_gaps(nodes, mode, [1.0, 0.0], [aspect + 1.0, 0.0])
+    _assert_quasi_static(gaps, 1e-10)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(L=st.integers(8, 12), degree=st.integers(1, 4))
+def test_quasi_static_gap_within_s_over_delta_sphere(L, degree):
+    # the same on the unit sphere at the pole slot of each degree: the gaps
+    # read 4.1e-8 down to 2.2e-13 here and reach rounding (~1e-15) only
+    # from s/delta = 1e-5 on, so the floor is 1e-14
+    gaps = _direct_spectral_gaps(Sphere(L, 1.0), degree * degree + degree, _AXIS3,
+                                 2.0 * _AXIS3)
+    _assert_quasi_static(gaps, 1e-14)
 
 
 def test_solution_pair_rejects_non_finite():
