@@ -69,6 +69,7 @@ from .specfun import (
     grad_gamma_laplace,
     sph_jh_from,
     sph_j_ratio_from,
+    sph_radial_from,
     sph_terms,
 )
 
@@ -328,9 +329,9 @@ class InteriorKernels:
 
     from terms, sph_terms(np.arange(L + 1), k R) as sphere_operators
     takes it, when given: below |k| R = 0.5 as double series of the
-    terms of the j_n series at k R (_sphere_radial_series, within 4.4e-16
-    of 40-digit values), above it by the 48-point Gauss-Legendre rule
-    over Bessel values at k r (within 3e-13).
+    terms of the j_n series at k R (specfun.sph_radial_from, within
+    4.4e-16 of 40-digit values), above it by the 48-point Gauss-Legendre
+    rule over Bessel values at k r (within 3e-13).
 
     A sweep keeps one per grid point for the energies of its direct and
     spectral densities, so each is built once per point and freed with it.
@@ -374,15 +375,19 @@ def _sphere_radial_table(sphere, k, den=None):
     """
     The (i_mass, i_grad) of InteriorKernels on a Sphere, one entry per
     slot; den, when given, is sph_terms(np.arange(L + 1), k R). Series
-    terms give _sphere_radial_series, Bessel values (|k| R >= 0.5) the
-    48-point Gauss-Legendre rule over [0, R], within 3e-13 relative.
+    terms give R^3 / (2n+3) and R times the (mass, grad) of
+    sph_radial_from, Bessel values (|k| R >= 0.5) the 48-point
+    Gauss-Legendre rule over [0, R], within 3e-13 relative. i_grad is the
+    volume integral, not the Green identity, so it checks gradient_energy
+    independently.
     """
     L, radius = sphere
     n = np.arange(L + 1)
     if den is None:
         den = sph_terms(n, complex(k * radius))
     if den.series:
-        i_mass, i_grad = _sphere_radial_series(radius, den)
+        mass, grad = sph_radial_from(den)
+        i_mass, i_grad = radius ** 3 / (2 * n + 3) * mass, radius * grad
     else:
         x, w = GAUSS_48
         r = 0.5 * radius * (x + 1.0)
@@ -393,47 +398,6 @@ def _sphere_radial_table(sphere, k, den=None):
         i_grad = np.sum(w * (np.abs(k * gp) ** 2 + centrifugal) * r * r, axis=1)
     deg = sphere_degree_index(L)
     return i_mass[deg], i_grad[deg]
-
-
-def _sphere_radial_series(radius, den):
-    """
-    (i_mass, i_grad) per degree from the series SphTerms den at z = k R.
-    With t_m the terms of A_n(z), g_n(r) = (r/R)^n sum_m t_m (r/R)^{2m}
-    / A_n(z). Integrated term by term, with P_s and Q_s the sums of
-    t_m conj(t_p) and of m p t_m conj(t_p) over m + p = s, and
-    |A_n|^2 = sum_s P_s:
-
-        i_mass = R^3 / (2n+3) (1 - 2 sum_s s P_s / (2n+2s+3) / sum_s P_s),
-        i_grad = R (n + 4 sum_s Q_s / (2n+2s+1) / sum_s P_s).
-
-    Each is its s = 0 value plus a small correction, so both are accurate
-    to rounding: within 4.4e-16 relative of 40-digit values at degrees
-    0..40 below the cut. i_grad is the volume integral, not the Green
-    identity, so it checks gradient_energy independently.
-    """
-    n, z2 = den.n, -0.5 * complex(den.z) ** 2
-    # t_m by the recurrence of _sph_series; degree 0's terms shrink slowest
-    # and stop below 1e-17 of its t_1, which leads its i_grad
-    M, size = 2, abs(z2) / 10
-    while size >= 1e-17:
-        M += 1
-        size *= abs(z2) / (M * (2 * M + 1))
-    m = np.arange(M)
-    t = np.ones((2, n.size, M), dtype=complex)
-    t[0, :, 1:] = z2 / (m[1:] * (2 * n[:, None] + 1 + 2 * m[1:]))
-    t[0] = np.cumprod(t[0], axis=1)
-    t[1] = m * t[0]
-    t_conj = t.conj()
-    conv = np.zeros((2, n.size, 2 * M - 1))
-    for i in m:
-        conv[:, :, i:i + M] += (t[:, :, i:i + 1] * t_conj).real
-    p_s, q_s = conv
-    s = np.arange(2 * M - 1)
-    e = 2 * n[:, None] + 2 * s
-    norm = p_s.sum(axis=1)
-    i_mass = 1.0 - 2.0 * np.sum(s * p_s / (e + 3), axis=1) / norm
-    i_grad = n + 4.0 * np.sum(q_s / (e + 1), axis=1) / norm
-    return radius ** 3 / (2 * n + 3) * i_mass, radius * i_grad
 
 
 def sphere_operators(sphere, k=0.0, terms=None):

@@ -29,8 +29,6 @@ __all__ = [
     "tau_kc",
     "compute_kc",
     "spherical_bessel",
-    "sph_jh_product",
-    "sph_j_ratio",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
@@ -254,7 +252,8 @@ class SphTerms(NamedTuple):
     """
     Spherical Bessel data of degrees n at arguments z, each part of shape
     n.shape + z.shape: the factors (A, B, A', B') of _sph_series when
-    series, else the values (j_n, None, j_n', None).
+    series, else the values (j_n, None, j_n', None). Only this module
+    reads the parts; other modules hand a SphTerms to the sph_*_from forms.
     """
 
     n: np.ndarray
@@ -300,6 +299,11 @@ def sph_jh_from(t):
             2.0 * (jfac * A) * (jfac * (nn * A / z + dA)) + 1j * jy_d)
 
 
+def sph_jhp_from(t):
+    """j_n h_n'(z) from SphTerms t, by the Wronskian j_n h_n' - j_n' h_n = i / z^2."""
+    return 0.5 * (sph_jh_from(t)[1] + 1j / (t.z * t.z))
+
+
 def sph_j_ratio_from(num, den):
     """
     (j_n(z_num) / j_n(z_den), j_n'(z_num) / j_n(z_den)) from SphTerms num
@@ -326,28 +330,59 @@ def sph_j_ratio_from(num, den):
     return value, np.where(nn == 0, num.dj / a_den, ratio_d / (z_den * a_den))
 
 
-def sph_jh_product(n, z):
+def sph_j_next_ratio_from(num, den, deg, size, c, w):
     """
-    (j_n(z) h_n(z), d/dz of it), stable down to |z| -> 0 (where the
-    product behaves like -i / ((2n+1) z) and raw h_n overflows). For an
-    array of degrees n each half has shape n.shape + z.shape; a scalar n
-    and z give complex numbers.
+    c j_{n+1}(z_num) / (w j_n(z_den)) at the one degree n = deg, from
+    SphTerms num and den (at one argument each) of the same kind, with
+    size = (z_num / z_den)^n from the caller. Series factors give it as
+    -c size A_n'(z_num) / (w A_n(z_den)), since A_{n+1}(z) = -(2n+3)
+    A_n'(z) / z; Bessel values take one more, j_{n+1}(z_num). The scale c
+    enters the numerator first and w the denominator, so a caller's
+    prefactors round as they would inline.
     """
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < _SPH_SERIES_CUT
-    out = np.empty((2,) + np.shape(n) + z.shape, dtype=complex)
-    for side, series in zip((small, ~small), (True, False)):
-        if np.any(side):
-            out[:, ..., side] = sph_jh_from(sph_terms(n, z[side], series))
-    if out.ndim > 1:
-        return out[0], out[1]
-    return complex(out[0]), complex(out[1])
+    if den.series:
+        return -c * size * num.dj[deg] / (w * den.j[deg])
+    j_next = sph_terms(deg + 1, num.z, False).j[()]
+    return c * j_next / (w * den.j[deg])
 
 
-def sph_j_ratio(n, z_num, z_den):
+def sph_radial_from(t):
     """
-    (j_n(z_num) / j_n(z_den), j_n'(z_num) / j_n(z_den)), stable when both
-    arguments are small; each half has shape n.shape + z_num.shape.
+    Per degree, from the series SphTerms t at z, the radial integrals of
+    g_n(x) = j_n(z x) / j_n(z) over the unit ball's radius,
+
+        mass = (2n+3) int_0^1 |g_n|^2 x^2 dx,
+        grad = int_0^1 (|g_n'|^2 + n(n+1) |g_n/x|^2) x^2 dx.
+
+    With t_m the terms of A_n(z), g_n(x) = x^n sum_m t_m x^{2m} / A_n(z).
+    Integrated term by term, with P_s and Q_s the sums of t_m conj(t_p)
+    and of m p t_m conj(t_p) over m + p = s, and |A_n|^2 = sum_s P_s:
+
+        mass = 1 - 2 sum_s s P_s / (2n+2s+3) / sum_s P_s,
+        grad = n + 4 sum_s Q_s / (2n+2s+1) / sum_s P_s.
+
+    Each is its s = 0 value plus a small correction, so both are accurate
+    to rounding.
     """
-    den = sph_terms(n, z_den)
-    return sph_j_ratio_from(sph_terms(n, z_num, den.series), den)
+    n, z2 = t.n, -0.5 * complex(t.z) ** 2
+    # t_m by the recurrence of _sph_series; degree 0's terms shrink slowest
+    # and stop below 1e-17 of its t_1, which leads its grad
+    M, size = 2, abs(z2) / 10
+    while size >= 1e-17:
+        M += 1
+        size *= abs(z2) / (M * (2 * M + 1))
+    m = np.arange(M)
+    terms = np.ones((2, n.size, M), dtype=complex)
+    terms[0, :, 1:] = z2 / (m[1:] * (2 * n[:, None] + 1 + 2 * m[1:]))
+    terms[0] = np.cumprod(terms[0], axis=1)
+    terms[1] = m * terms[0]
+    terms_conj = terms.conj()
+    conv = np.zeros((2, n.size, 2 * M - 1))
+    for i in m:
+        conv[:, :, i:i + M] += (terms[:, :, i:i + 1] * terms_conj).real
+    p_s, q_s = conv
+    s = np.arange(2 * M - 1)
+    e = 2 * n[:, None] + 2 * s
+    norm = p_s.sum(axis=1)
+    return (1.0 - 2.0 * np.sum(s * p_s / (e + 3), axis=1) / norm,
+            n + 4.0 * np.sum(q_s / (e + 1), axis=1) / norm)

@@ -67,8 +67,9 @@ from .specfun import (
     tau_kc,
     hankel_first_kind,
     grad_gamma_helmholtz,
+    sph_j_next_ratio_from,
     sph_j_ratio_from,
-    sph_jh_from,
+    sph_jhp_from,
     sph_terms,
 )
 
@@ -159,6 +160,11 @@ class TransmissionProblem:
             raise ValueError("dim must be 2 or 3")
         if not (self.s > 0 and self.delta > 0 and self.omega0 > 0):
             raise ValueError("s, delta, omega0 must be positive")
+        a = np.asarray(self.a, dtype=float).reshape(self.dim)
+        z = np.asarray(self.z, dtype=float).reshape(self.dim)
+        for name, value in (("eps_c", self.eps_c), ("eps_m", self.eps_m), ("a", a), ("z", z)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.eps_m <= 0:
             raise ValueError("background permittivity must be positive")
         if self.eps_c == self.eps_m:
@@ -169,12 +175,10 @@ class TransmissionProblem:
                 f"omega = s*omega0 = {omega!r} exceeds the low-frequency "
                 f"limit {OMEGA_MAX}"
             )
-        a = np.asarray(self.a, dtype=float).reshape(self.dim)
         na = float(np.linalg.norm(a))
         if na == 0.0:
             raise ValueError("dipole moment must be nonzero")
         object.__setattr__(self, "a", a / na)
-        z = np.asarray(self.z, dtype=float).reshape(self.dim)
         object.__setattr__(self, "z", z)
         if self.dim == 2:
             nodes = _require_2d(self.geometry)
@@ -313,10 +317,8 @@ def sphere_bessel(problem):
 def _axial_bessel(sphere, om, z0):
     """SphereBessel of an axial dipole at distance z0, without at_kc."""
     n = np.arange(sphere.L + 1)
-    zz = om * z0
-    at_z0 = sph_terms(n, zz)
-    jhp = 0.5 * (sph_jh_from(at_z0)[1] + 1j / (zz * zz))
-    return SphereBessel(at_z0, sph_terms(n, om * sphere.R), jhp)
+    at_z0 = sph_terms(n, om * z0)
+    return SphereBessel(at_z0, sph_terms(n, om * sphere.R), sph_jhp_from(at_z0))
 
 
 def _axial_traces(sphere, om, z0, bessel):
@@ -705,19 +707,14 @@ def _coupling_radial(deg, radius, z0, omega, bessel):
             = jhp R^2 j_{n+1}(omega R) / (omega j_n(omega z0)),
 
     with jhp = j_n h_n'(omega z0) and bessel the SphereBessel of the
-    axial dipole at z0. Below the cut (|omega z0| < 0.5) this is
-    jhp R^3 (R/z0)^n A_{n+1}(omega R) / ((2n+3) A_n(omega z0)), with
-    A_{n+1}(z) = -(2n+3) A_n'(z) / z from the data at omega R, and
-    (R/z0)^n raised exactly in integers and rounded once (the rounded
-    R/z0 to the n-th power is off by n/2 ulp); above it, one Bessel value
-    j_{n+1}(omega R). Against 40-digit values at degrees 0..40: within
-    8e-16 relative below the cut, 8e-14 above it.
+    axial dipole at z0, by sph_j_next_ratio_from. Below the cut
+    (|omega z0| < 0.5) that reads the series data at omega R and omega z0
+    and the size (R/z0)^n, raised here exactly in integers and rounded
+    once (the rounded R/z0 to the n-th power is off by n/2 ulp); above
+    it, one Bessel value j_{n+1}(omega R). Against 40-digit values at
+    degrees 0..40: within 8e-16 relative below the cut, 8e-14 above it.
     """
-    at_z0 = bessel.at_z0
-    if at_z0.series:
-        (p_r, q_r), (p_z, q_z) = radius.as_integer_ratio(), z0.as_integer_ratio()
-        size = (p_r * q_z) ** deg / (q_r * p_z) ** deg
-        return (-bessel.jhp[deg] * radius * radius * size
-                * bessel.at_R.dj[deg] / (omega * at_z0.j[deg]))
-    j_next = sph_terms(deg + 1, omega * radius, False).j[()]
-    return bessel.jhp[deg] * radius * radius * j_next / (omega * at_z0.j[deg])
+    (p_r, q_r), (p_z, q_z) = radius.as_integer_ratio(), z0.as_integer_ratio()
+    size = (p_r * q_z) ** deg / (q_r * p_z) ** deg
+    return sph_j_next_ratio_from(bessel.at_R, bessel.at_z0, deg, size,
+                                 bessel.jhp[deg] * radius * radius, omega)

@@ -1,13 +1,30 @@
 """
-Smoke tests of the narrative demos: each one runs at its defaults, so a
-demo cannot stop working unnoticed.
+Smoke tests of the narrative demos and of the README's Python examples:
+each one runs at its defaults, so an example cannot stop working
+unnoticed.
 """
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
+README = DEMOS.parent / "README.md"
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    # the four python blocks run in order in one namespace, as a reader
+    # would paste them (the last uses the sphere and problem of the
+    # third), in a scratch directory for the sweep's CSV
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert len(blocks) == 4
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["result"].verdict == "resonant"
+    assert (tmp_path / "sweep.csv").exists()
 
 
 def _load(name):

@@ -92,6 +92,33 @@ def test_helmholtz_adjoint_circle_mode_two_routes():
         assert np.max(np.abs(lam_matrix - lam_formula)) < 1e-10
 
 
+# three decades of |k| on the real axis and along the fourth-quadrant k_c
+# of eps_c = -2 at delta = 1e-2 and 0.3
+_DISK_K = tuple(size * ray for size in (3e-3, 3e-2, 0.3) for ray in (1.0,) + tuple(
+    compute_kc(1.0, -2.0, d) / abs(compute_kc(1.0, -2.0, d)) for d in (1e-2, 0.3)))
+
+
+@pytest.mark.parametrize("radius", (1.0, 2.0))
+@pytest.mark.parametrize("n_nodes", (64, 128))
+def test_disk_helmholtz_operators_match_fourier_closed_forms(n_nodes, radius):
+    # on a circle of radius R the Nystrom S^k and K^k* are diagonal on
+    # cos(n theta), n <= 20, with the eigenvalues -(i pi R / 2) J_n H_n(kR)
+    # and -(i pi kR / 4) (J_n H_n)'(kR); measured at most 1.3e-13 relative
+    # for S^k and 7.3e-15 absolute for K^k*
+    nodes = _circle(n_nodes, radius)
+    for k in _DISK_K:
+        z = k * radius
+        sk = assemble_S_omega(nodes, k).matrix
+        kk = assemble_Kstar_omega(nodes, k).matrix
+        for n in range(21):
+            mode = np.cos(n * nodes.t)
+            jn, hn = special.jv(n, z), special.hankel1(n, z)
+            lam_s = -0.5j * np.pi * radius * jn * hn
+            lam_k = -0.25j * np.pi * z * (special.jvp(n, z) * hn + jn * special.h1vp(n, z))
+            assert np.max(np.abs(sk @ mode - lam_s * mode)) <= 2e-13 * abs(lam_s)
+            assert np.max(np.abs(kk @ mode - lam_k * mode)) <= 1e-14
+
+
 def _full_helmholtz_matrices(nodes, k):
     """S^k and K^k*, every Bessel and Hankel value taken on the full r matrix."""
     k = complex(k)

@@ -26,9 +26,8 @@ from plasmonres.specfun import (
     tau_kc,
     compute_kc,
     spherical_bessel,
-    sph_jh_product,
-    sph_j_ratio,
 )
+from plasmonres.specfun import sph_j_ratio_from, sph_jh_from, sph_jhp_from, sph_terms
 from reference_ops import remainder_kernel_radial
 
 # frozen series oracles: H_0, H_1 at real and complex arguments
@@ -212,30 +211,38 @@ def test_spherical_bessel_frozen_oracles():
     assert abs(h1 - H1_SPH_AT_HALF) < 1e-10 * abs(H1_SPH_AT_HALF)
 
 
-def test_sph_jh_product_small_and_moderate():
+def _jh(n, z):
+    return sph_jh_from(sph_terms(n, z))
+
+
+def _ratio(n, z_num, z_den):
+    return sph_j_ratio_from(sph_terms(n, z_num), sph_terms(n, z_den))
+
+
+def test_sph_jh_small_and_moderate():
     # two routes: stable product evaluator vs plain j*h via scipy
     for n in [0, 1, 4]:
         for z in [0.7, 1.3 - 0.2j]:
             jn = special.spherical_jn(n, z)
             yn = special.spherical_yn(n, z)
             direct = jn * (jn + 1j * yn)
-            assert abs(sph_jh_product(n, z)[0] - direct) < 1e-12 * abs(direct)
+            assert abs(_jh(n, z)[0] - direct) < 1e-12 * abs(direct)
     # tiny argument where raw h_n overflows: check against the
     # analytic leading term j_n h_n -> -i z^{-1} / (2n+1) + O(1)
     z = 1e-6
     for n in [1, 3]:
         lead = -1j / ((2 * n + 1) * z)
-        val, _ = sph_jh_product(n, z)
+        val, _ = _jh(n, z)
         assert abs(val - lead) / abs(lead) < 1e-4
 
 
-def test_sph_jh_product_deriv_consistency():
+def test_sph_jh_deriv_consistency():
     # derivative route vs central differences of the product route
     for n in [0, 2, 5]:
         for z in [0.8, 1.1 - 0.3j]:
             h = 1e-6
-            fd = (sph_jh_product(n, z + h)[0] - sph_jh_product(n, z - h)[0]) / (2.0 * h)
-            assert abs(sph_jh_product(n, z)[1] - fd) < 1e-7 * max(1.0, abs(fd))
+            fd = (_jh(n, z + h)[0] - _jh(n, z - h)[0]) / (2.0 * h)
+            assert abs(_jh(n, z)[1] - fd) < 1e-7 * max(1.0, abs(fd))
 
 
 def test_sph_wronskian_identity():
@@ -252,38 +259,37 @@ def test_sph_wronskian_identity():
 
 def test_sph_j_ratio_small_argument():
     # j_n(az)/j_n(z) -> a^n as z -> 0; both arguments deep under the cut
-    val, _ = sph_j_ratio(5, 1e-8, 2e-8)
+    val, _ = _ratio(5, 1e-8, 2e-8)
     assert abs(val - 0.5 ** 5) < 1e-12
     # moderate arguments agree with the direct quotient
     for n in [1, 3]:
         direct = special.spherical_jn(n, 0.7) / special.spherical_jn(n, 1.1)
-        assert abs(sph_j_ratio(n, 0.7, 1.1)[0] - direct) < 1e-12
+        assert abs(_ratio(n, 0.7, 1.1)[0] - direct) < 1e-12
 
 
 def test_sph_j_ratio_deriv_two_routes():
     for n in [1, 3]:
         direct = special.spherical_jn(n, 0.6, derivative=True) / \
             special.spherical_jn(n, 1.1)
-        assert abs(sph_j_ratio(n, 0.6, 1.1)[1] - direct) < 1e-12
+        assert abs(_ratio(n, 0.6, 1.1)[1] - direct) < 1e-12
     # small-argument stability: j_n'(az)/j_n(z) ~ n a^{n-1} z^{-1} ... use
     # the series limit j_n'(z)/j_n(z) -> n/z
     z = 1e-7
-    _, val = sph_j_ratio(2, z, z)
+    _, val = _ratio(2, z, z)
     assert abs(val - 2.0 / z) / (2.0 / z) < 1e-6
 
 
 def test_sph_jh_cross_two_routes():
     # j_n(z1) h_n'(z2), the sphere coupling's volume integrand, as the
-    # ratio j_n(z1)/j_n(z2) times j_n h_n'(z2) = ((j_n h_n)' + i/z^2)/2
-    # (the Wronskian), against the raw Bessel values
+    # ratio j_n(z1)/j_n(z2) times sph_jhp_from's j_n h_n'(z2) =
+    # ((j_n h_n)' + i/z^2)/2 (the Wronskian), against the raw Bessel values
     for n in [0, 2, 4]:
         for z1, z2 in [(0.6, 0.9), (0.8 - 0.1j, 1.2 - 0.05j)]:
             jn = special.spherical_jn(n, z1)
             hnp = special.spherical_jn(n, z2, derivative=True) + \
                 1j * special.spherical_yn(n, z2, derivative=True)
             direct = jn * hnp
-            jhp = 0.5 * (sph_jh_product(n, z2)[1] + 1j / (z2 * z2))
-            stable = sph_j_ratio(n, z1, z2)[0] * jhp
+            stable = _ratio(n, z1, z2)[0] * sph_jhp_from(sph_terms(n, z2))
             assert abs(stable - direct) < 1e-11 * max(1.0, abs(direct))
 
 
@@ -298,18 +304,28 @@ _CUT_SIDES = (1e-7, 0.3, 0.49, 0.4999999, 0.5, 0.51, 2.0)
 
 
 def test_sph_bessel_degree_arrays_equal_per_degree_calls():
-    # both halves of each pair, for 0-d, (1,) and (48,) arguments, at the
-    # sweep's L = 40 and at L = 100
+    # both halves of each pair at the sweep's L = 40 and at L = 100, in the
+    # kind of z: the products at (1,) arguments, and at (48,) below the
+    # cut, and the ratios over 0-d, (1,) and (48,) numerators
     radii = 0.5 * (np.polynomial.legendre.leggauss(48)[0] + 1.0)
     for degrees in (np.arange(41), np.arange(101)):
         for size in _CUT_SIDES:
             z = size * _KC_DIRECTION
-            for arg in (z, np.array([z]), z * radii):
-                calls = [(sph_jh_product, (arg,)), (sph_j_ratio, (0.5 * arg, z))]
-                for fn, args in calls:
-                    each = [fn(int(n), *args) for n in degrees]
-                    for half, got in enumerate(fn(degrees, *args)):
-                        assert np.array_equal(got, np.array([e[half] for e in each]))
+            series = size < 0.5
+
+            def jh(n, arg):
+                return sph_jh_from(sph_terms(n, arg, series))
+
+            def ratio(n, arg):
+                return sph_j_ratio_from(sph_terms(n, arg, series), sph_terms(n, z))
+
+            products = (np.array([z]), z * radii) if series else (np.array([z]),)
+            calls = [(jh, arg) for arg in products]
+            calls += [(ratio, 0.5 * arg) for arg in (z, np.array([z]), z * radii)]
+            for fn, arg in calls:
+                each = [fn(int(n), arg) for n in degrees]
+                for half, got in enumerate(fn(degrees, arg)):
+                    assert np.array_equal(got, np.array([e[half] for e in each]))
 
 
 def _mp_sph_j(mp, n, z):
@@ -330,17 +346,17 @@ def test_sph_j_ratio_deriv_mpmath_high_degree():
                     zn, zd = mp.mpc(frac * z_den), mp.mpc(z_den)
                     jp = n / zn * _mp_sph_j(mp, n, zn) - _mp_sph_j(mp, n + 1, zn)
                     want = complex(jp / _mp_sph_j(mp, n, zd))
-                    _, got = sph_j_ratio(n, frac * z_den, z_den)
+                    _, got = _ratio(n, frac * z_den, z_den)
                     assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def test_sph_jh_product_square_term_high_degree():
+def test_sph_jh_square_term_high_degree():
     # Re(j_n h_n) = j_n^2 on the real axis; (2n+1)!! passes 2^63 at n = 17
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         for n in (17, 20, 40):
             want = float(_mp_sph_j(mpmath.mp, n, mpmath.mpf(0.4)) ** 2)
-            assert abs(sph_jh_product(n, 0.4)[0].real - want) <= 1e-12 * want
+            assert abs(_jh(n, 0.4)[0].real - want) <= 1e-12 * want
 
 
 def test_gamma_helmholtz_series_mpmath_oracle():

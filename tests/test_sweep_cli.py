@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import weakref
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from plasmonres.sweep import (
@@ -52,6 +54,7 @@ from plasmonres.cli import (
 )
 from plasmonres.np_spectrum import sphere_spectrum, spectrum_of
 from plasmonres.specfun import OMEGA_MAX
+from plasmonres.transmission import plasmon_epsilon
 
 
 def _deltas(lo, hi, n):
@@ -377,6 +380,28 @@ def _ellipse_config(tmp_path, **overrides):
                 delta_max=1e-2, delta_min=1e-4, points_per_decade=2)
     base.update(overrides)
     return SweepConfig(**base)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(aspect=st.floats(min_value=1.1, max_value=2.0), mode=st.integers(1, 4))
+def test_ellipse_resonates_at_every_plasmon_contrast(aspect, mode):
+    # at eps_c = plasmon_epsilon(lambda_n) the energy blows up like
+    # 1/delta: a 5-point sweep over delta = 1e-2..1e-4 reads resonant with
+    # a slope within 5% of -1. The dipole on the major axis couples to the
+    # mode through the moment of its parity: along x for the x-even modes
+    # (lambda_n > 0), along y for the y-odd ones (lambda_n < 0), which an
+    # x moment leaves bounded
+    nodes = quadrature_nodes(make_curve("ellipse", a=aspect, b=1.0), 64)
+    lam = spectrum_of(nodes).lambdas[mode]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = SweepConfig(dim=2, geometry=nodes, eps_c=plasmon_epsilon(lam), omega0=1.0,
+                          a=(1.0, 0.0) if lam > 0 else (0.0, 1.0), z=(aspect + 1.0, 0.0),
+                          csv_path=os.path.join(tmp, "e.csv"), delta_max=1e-2,
+                          delta_min=1e-4, points_per_decade=2)
+        assert len(cfg.delta_grid()) == 5
+        result = run_sweep(cfg)
+    assert result.verdict == "resonant"
+    assert -1.05 <= result.slope <= -0.95
 
 
 def test_repeated_sweeps_retain_no_operators(tmp_path, monkeypatch):
@@ -967,6 +992,38 @@ def test_cli_refuses_non_finite_geometry(tmp_path, capsys, command, geometry, na
         argv = ["spectrum", "--geometry", geometry]
     assert main(argv) == EXIT_CONFIG
     assert named in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("name, flag, bad", [
+    ("eps_c", "eps-c", float("nan")), ("eps_c", "eps-c", float("-inf")),
+    ("eps_m", "eps-m", float("inf")), ("eps_m", "eps-m", float("nan")),
+    ("a", "dipole-a", float("nan")), ("a", "dipole-a", float("-inf")),
+    ("z", "dipole-z", float("inf")), ("z", "dipole-z", float("nan"))])
+def test_cli_refuses_non_finite_physical_parameters(tmp_path, capsys, name, flag, bad):
+    # a non-finite contrast, background or dipole in a sweep config or
+    # the solve flags exits 2 naming the parameter, before any row
+    csv_path = tmp_path / "x.csv"
+    config = {"dim": 3, "geometry": {"kind": "sphere", "radius": 1.0, "degree": 8},
+              "eps_c": -2.0, "eps_m": 1.0, "omega0": 1.0, "a": [0.0, 0.0, 1.0],
+              "z": [0.0, 0.0, 2.0], "csv_path": str(csv_path)}
+    if name in ("a", "z"):
+        config[name][0] = bad
+        value = ",".join(map(repr, config[name]))
+    else:
+        config[name] = bad
+        value = repr(bad)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    # --flag=value, since argparse takes a lone -inf for an option
+    solve = _CLI_SPHERE_SOLVE + ["--eps-m", "1"]
+    at = solve.index("--" + flag)
+    solve = solve[:at] + solve[at + 2:] + [f"--{flag}={value}"]
+    for argv in (["sweep", "--config", str(path)], solve):
+        assert main(argv) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert f"{name} must be finite" in err
+        assert "solver=" not in out
     assert not csv_path.exists()
 
 

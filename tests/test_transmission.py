@@ -49,7 +49,7 @@ from plasmonres.transmission import (
 )
 from plasmonres import layer_ops, transmission as transmission_module
 from plasmonres.specfun import (
-    compute_kc, sph_j_ratio, sph_jh_product, sph_terms, tau, tau_kc)
+    compute_kc, sph_j_ratio_from, sph_jh_from, sph_radial_from, sph_terms, tau, tau_kc)
 from plasmonres.sweep import SweepConfig, scale_for_delta, solve_point
 import reference_ops
 
@@ -356,6 +356,16 @@ def test_coupling_sphere_distance_law():
         assert abs(near / far - 2.0 ** (deg + 2)) < 1e-10
 
 
+def _jhp(n, zz):
+    # j_n h_n'(zz) of an array of degrees, by the Wronskian
+    # j_n h_n' - j_n' h_n = i / z^2
+    return 0.5 * (sph_jh_from(sph_terms(n, zz))[1] + 1j / (zz * zz))
+
+
+def _ratio(n, z_num, z_den):
+    return sph_j_ratio_from(sph_terms(n, z_num), sph_terms(n, z_den))
+
+
 def test_coupling_sphere_trace_at_one_degree_equals_full_trace():
     # coupling_an reads F_z at the pole slot's degree from the full trace;
     # that value is bit-identical to one evaluated at that degree only
@@ -367,9 +377,9 @@ def test_coupling_sphere_trace_at_one_degree_equals_full_trace():
             f, _ = dipole_traces(pr)
             zz = om * z0
             for deg in (1, 2, 17, 40):
-                jhp = 0.5 * (sph_jh_product(deg, zz)[1] + 1j / (zz * zz))
+                (jhp,) = _jhp([deg], zz)
                 cn = np.sqrt((2 * deg + 1) / (4.0 * math.pi))
-                one = -1j * om * om * cn * 1.0 * sph_j_ratio(deg, om * 1.0, zz)[0] * jhp
+                one = -1j * om * om * cn * 1.0 * _ratio(deg, om * 1.0, zz)[0] * jhp
                 assert one == f[deg * deg + deg]
 
 
@@ -388,17 +398,17 @@ def test_sphere_bessel_shares_the_public_helpers_values(om, z0, radius, eps_c):
     bessel = transmission_module.sphere_bessel(pr)
     n, deg = np.arange(L + 1), sphere_degree_index(L)
     zz = om * z0
-    jhp = 0.5 * (sph_jh_product(n, zz)[1] + 1j / (zz * zz))
+    jhp = _jhp(n, zz)
     assert np.array_equal(bessel.jhp, jhp)
     cn = np.sqrt((2 * n + 1) / (4.0 * math.pi))
-    ratio, ratio_d = sph_j_ratio(n, om * radius, zz)
+    ratio, ratio_d = _ratio(n, om * radius, zz)
     f, g = dipole_traces(pr, bessel)
     assert np.array_equal(f[n * n + n], -1j * om * om * cn * radius * ratio * jhp)
     assert np.array_equal(g[n * n + n], -1j * om ** 3 * cn * radius * ratio_d * jhp)
     for mine, alone in zip((f, g), dipole_traces(pr)):
         assert np.array_equal(mine, alone)
     for k, terms in ((complex(pr.kc), bessel.at_kc), (complex(om), bessel.at_R)):
-        jh, jh_d = sph_jh_product(n, k * radius)
+        jh, jh_d = sph_jh_from(sph_terms(n, k * radius))
         _, _, sk, kk = sphere_operators(Sphere(L, radius), k, terms)
         assert np.array_equal(sk.matrix, -1j * k * radius * radius * jh[deg])
         assert np.array_equal(kk.matrix, -0.5j * k * k * radius * radius * jh_d[deg])
@@ -408,14 +418,14 @@ def test_sphere_bessel_shares_the_public_helpers_values(om, z0, radius, eps_c):
     alone = InteriorKernels(Sphere(L, radius), pr.kc).tables()
     assert np.array_equal(i_mass, alone[0]) and np.array_equal(i_grad, alone[1])
     if bessel.at_kc.series:
-        series = layer_ops._sphere_radial_series(
-            radius, sph_terms(n, pr.kc * radius))
-        assert np.array_equal(i_mass, series[0][deg])
-        assert np.array_equal(i_grad, series[1][deg])
+        mass, grad = sph_radial_from(sph_terms(n, pr.kc * radius))
+        assert np.array_equal(i_mass, (radius ** 3 / (2 * n + 3) * mass)[deg])
+        assert np.array_equal(i_grad, (radius * grad)[deg])
     else:
         x, w = GAUSS_48
         r, w = 0.5 * radius * (x + 1.0), 0.5 * radius * w
-        gr, gr_d = sph_j_ratio(n, pr.kc * r, pr.kc * radius)
+        gr, gr_d = sph_j_ratio_from(sph_terms(n, pr.kc * r, False),
+                                    sph_terms(n, pr.kc * radius))
         assert np.array_equal(i_mass, np.sum(w * np.abs(gr) ** 2 * r * r, axis=1)[deg])
         centrifugal = (n * (n + 1))[:, None] * np.abs(gr / r) ** 2
         i_grad_alone = np.sum(w * (np.abs(pr.kc * gr_d) ** 2 + centrifugal) * r * r, axis=1)
@@ -428,8 +438,8 @@ def test_sphere_bessel_shares_the_public_helpers_values(om, z0, radius, eps_c):
     for d in (1, 2, 17, 40):
         beta = math.sqrt((2 * d + 1) / radius)
         cn_d = np.sqrt((2 * d + 1) / (4.0 * math.pi))
-        jhp_d = 0.5 * (sph_jh_product(d, zz)[1] + 1j / (zz * zz))
-        fz = -1j * om * om * cn_d * radius * sph_j_ratio(d, om * radius, zz)[0] * jhp_d
+        (jhp_d,) = _jhp([d], zz)
+        fz = -1j * om * om * cn_d * radius * _ratio(d, om * radius, zz)[0] * jhp_d
         assert fz == f[d * d + d]
         if bessel.at_z0.series:
             a_R, a_z0 = sph_terms(d, om * radius), sph_terms(d, zz)
@@ -626,6 +636,26 @@ def test_geometry_constructors_refuse_invalid_parameters(build, named):
     # built, with a message that names the parameter, never as NaN rows
     with pytest.raises(ValueError, match=named):
         build()
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf), ids=("nan", "inf", "-inf"))
+@pytest.mark.parametrize("name", ("eps_c", "eps_m", "a", "z"))
+@pytest.mark.parametrize("dim", (2, 3))
+def test_problem_refuses_non_finite_parameters(dim, name, bad):
+    # a NaN passes every comparison, and an infinite contrast or dipole
+    # only fails inside a solve: each is refused where the problem is
+    # built, by a message that names the parameter
+    if dim == 2:
+        geometry = quadrature_nodes(make_curve("circle", radius=1.0), 64)
+        a, z = (1.0, 0.0), (3.0, 0.0)
+    else:
+        geometry, a, z = Sphere(8, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 2.0)
+    ok = dict(dim=dim, geometry=geometry, s=1e-3, delta=1e-2, eps_c=-2.0, eps_m=1.0,
+              omega0=1.0, a=a, z=z)
+    TransmissionProblem(**ok)
+    value = bad if name.startswith("eps") else (bad,) + ok[name][1:]
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        TransmissionProblem(**{**ok, name: value})
 
 
 # s / delta of the property below; the spectral closed form drops
