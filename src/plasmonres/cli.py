@@ -114,6 +114,9 @@ _GEOMETRY_KEYS = {
 # keys read here that must be integers, never rounded to one; SweepConfig
 # checks its own (dim, read here first, included) and Sphere the degree
 _INT_KEYS = ("dim", "n")
+# keys that must be JSON numbers, as are the entries of a and z
+_FLOAT_KEYS = ("eps_c", "omega0", "eps_m", "delta_max", "delta_min", "coupling_c")
+_GEOMETRY_FLOATS = ("radius", "a", "b")
 
 
 def load_sweep_config(source):
@@ -121,9 +124,10 @@ def load_sweep_config(source):
     Build a SweepConfig from a JSON file path or an already-parsed
     dict. Keys are the snake_case SweepConfig field names; geometry is
     an object like {"kind": "ellipse", "a": 2, "b": 1, "n": 256} or
-    {"kind": "sphere", "radius": 1, "degree": 12}. Unknown keys, and a
-    dim, points_per_decade, workers, n or degree that is not an integer
-    (a bool included), raise ConfigError.
+    {"kind": "sphere", "radius": 1, "degree": 12}. Unknown keys, a dim,
+    points_per_decade, workers, n or degree that is not an integer, and a
+    float key, an entry of a or z, or a geometry radius, a or b that is
+    not a number (a bool is neither) raise ConfigError naming the key.
     """
     if isinstance(source, dict):
         data = dict(source)
@@ -157,8 +161,19 @@ def load_sweep_config(source):
     for key, value in [*data.items(), *geom.items()]:
         if key in _INT_KEYS and not is_integer(value):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
+    numbers = [(k, data[k]) for k in _FLOAT_KEYS if k in data]
+    numbers += [(f"geometry {k}", geom[k]) for k in _GEOMETRY_FLOATS if k in geom]
+    for key in ("a", "z"):
+        if not isinstance(data[key], (list, tuple)):
+            raise ConfigError(f"{key} must be a list of numbers, got {data[key]!r}")
+        numbers += [(key, v) for v in data[key]]
+    for key, value in numbers:
+        # an int or a float, numpy's too; a bool is neither
+        number = isinstance(value, (int, float, np.integer, np.floating))
+        if not number or isinstance(value, bool):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
     dim = int(data["dim"])
-    params = {k: geom[k] for k in geom if k in ("radius", "a", "b")}
+    params = {k: geom[k] for k in geom if k in _GEOMETRY_FLOATS}
     kwargs = {k: data[k] for k in _CONFIG_OPTIONAL if k in data}
     try:
         geometry = _build_geometry(dim, kind, params,

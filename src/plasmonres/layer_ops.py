@@ -30,11 +30,11 @@ the resonant ellipse sweep's energy_norm by about 1e-11 relative and its
 phi0_hat_abs by about 6e-10, above the 1e-12 that sweep cells are
 pinned to.
 
-Off-boundary potentials (`eval_potential`, and `eval_potential_on` for
-a prebuilt TargetSet such as the interior quadrature of
-`NodeSet.interior`) sum the Helmholtz kernel from its low-frequency
-series in ln r and r^2 (`gamma_helmholtz_series`) whenever |k| r_max
-over the target set is at most 0.5, and from Hankel values above that.
+Off-boundary potentials (`eval_potential`, and the sweep's energy
+kernels on the interior quadrature of `NodeSet.interior`) sum the
+Helmholtz kernel from its low-frequency series in ln r and r^2
+(`gamma_helmholtz_series`) whenever |k| r_max over the target set is at
+most 0.5, and from Hankel values above that (`_potential_kernel`).
 The two agree to a few 1e-16 relative at the switch. In a sweep these
 potentials only enter the |u|^2 volume term of the energy, at most
 about 1e-5 of it, so the series route leaves the pinned cells in place.
@@ -44,9 +44,9 @@ The sphere needs no surface quadrature: all four operators are diagonal
 in the spherical-harmonic basis, and `sphere_operators` returns them
 stored as their 1-D diagonals (with cancellation-safe Bessel products at
 small wavenumber), never as dense matrices. The radial integrals of its
-interior energy are double series of the k R terms of j_n below
-|k| R = 0.5, accurate to rounding, and a 48-point Gauss-Legendre rule
-from Bessel values above it (`InteriorKernels`).
+interior energy (`InteriorKernels`) are double series of the k R terms
+of j_n at every |k| R, refused where k is so near the real axis that
+the terms cancel (specfun.sph_radial_from).
 
 Operator conventions: the single layer is S[phi](x) = int Gamma(x-y)
 phi(y) dsigma(y); the adjoint NP operator K* has kernel d/dnu_x
@@ -61,14 +61,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .geometry import NodeSet, TargetSet, log_weight_matrix
+from .geometry import NodeSet, Sphere, TargetSet, log_weight_matrix
 from .specfun import (
     EULER_GAMMA,
     gamma_helmholtz_series,
     grad_gamma_helmholtz,
     grad_gamma_laplace,
     sph_jh_from,
-    sph_j_ratio_from,
     sph_radial_from,
     sph_terms,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "assemble_S_omega",
     "assemble_Kstar_omega",
     "eval_potential",
-    "eval_potential_on",
     "eval_gradient",
     "InteriorKernels",
     "sphere_operators",
@@ -94,29 +92,6 @@ _MAX_K_DIAM = 5.0
 # largest |k| r_max over a target set for which off-boundary potentials
 # are summed from the low-frequency series of the kernel
 _SERIES_KR_MAX = 0.5
-
-# 48-point Gauss-Legendre rule (nodes, weights) on [-1, 1], read-only, for
-# the radial integrals of the sphere's interior energy and coupling. These
-# are numpy's leggauss(48) values, which are exactly symmetric about 0;
-# stored for x > 0, they spare every import leggauss's eigenvalue call.
-_GAUSS_X, _GAUSS_W = np.array([
-    [0.03238017096286937, 0.0970046992094627, 0.1612223560688917, 0.22476379039468905,
-     0.28736248735545555, 0.3487558862921607, 0.4086864819907167, 0.4669029047509584,
-     0.523160974722233, 0.5772247260839727, 0.6288673967765136, 0.6778723796326639,
-     0.7240341309238146, 0.7671590325157404, 0.8070662040294426, 0.8435882616243935,
-     0.8765720202742479, 0.9058791367155696, 0.9313866907065543, 0.9529877031604308,
-     0.9705915925462473, 0.9841245837228269, 0.9935301722663508, 0.9987710072524261],
-    [0.06473769681268365, 0.06446616443594982, 0.06392423858464787, 0.06311419228625373,
-     0.06203942315989242, 0.0607044391658936, 0.059114839698395344, 0.057277292100402916,
-     0.05519950369998403, 0.05289018948519344, 0.0503590355538542, 0.04761665849249024,
-     0.04467456085669423, 0.04154508294346455, 0.0382413510658305, 0.034777222564770394,
-     0.031167227832798097, 0.027426509708357034, 0.023570760839324047, 0.019616160457356056,
-     0.015579315722943226, 0.011477234579234614, 0.007327553901276135, 0.0031533460523098414],
-])
-GAUSS_48 = (np.concatenate([-_GAUSS_X[::-1], _GAUSS_X]),
-            np.concatenate([_GAUSS_W[::-1], _GAUSS_W]))
-GAUSS_48[0].flags.writeable = GAUSS_48[1].flags.writeable = False
-
 
 @dataclass(frozen=True)
 class BoundaryOperator:
@@ -269,13 +244,18 @@ def assemble_Kstar_omega(nodes, k):
 def eval_potential(nodes, density, k, points):
     """
     Single-layer potential S^k[phi] at points off the boundary, by direct
-    quadrature: eval_potential_on for the TargetSet of the points.
+    quadrature with the kernel of _potential_kernel on the TargetSet of
+    the points.
 
     Accuracy degrades near the boundary; points closer than twice the
     node spacing are rejected.
     """
     nodes = _require_2d(nodes)
-    return eval_potential_on(nodes, TargetSet.of(nodes, points), density, k)
+    targets = TargetSet.of(nodes, points)
+    density = np.asarray(density)
+    if density.shape != (nodes.n,):
+        raise ValueError(f"density must have shape ({nodes.n},)")
+    return _potential_kernel(targets, k) @ (nodes.weights * density)
 
 
 def eval_gradient(nodes, density, k, points):
@@ -293,13 +273,6 @@ def eval_gradient(nodes, density, k, points):
     dx = targets.points[:, None, :] - nodes.points[None, :, :]
     gk = grad_gamma_laplace(dx, 2) if k == 0 else grad_gamma_helmholtz(dx, k, 2)
     return np.einsum("mjd,j...->md...", gk, (density.T * nodes.weights).T)
-
-
-def _checked_density(nodes, density):
-    density = np.asarray(density)
-    if density.shape != (nodes.n,):
-        raise ValueError(f"density must have shape ({nodes.n},)")
-    return density
 
 
 def _potential_kernel(targets, k):
@@ -320,18 +293,15 @@ class InteriorKernels:
     """
     The wavenumber-k interior data of gradient_energy, built on the first
     call of tables(). On a NodeSet: _potential_kernel on the coarse grid
-    and the collar edge of nodes.interior. On a Sphere (L, R): per
-    harmonic slot of degree n the radial integrals of
+    and the collar edge of nodes.interior. On a Sphere (a plain (L, R)
+    becomes one): per harmonic slot of degree n the radial integrals of
     g_n(r) = j_n(k r)/j_n(k R),
 
         i_mass = int_0^R |g_n|^2 r^2 dr,
         i_grad = int_0^R (|g_n'|^2 + n(n+1) |g_n/r|^2) r^2 dr,
 
-    from terms, sph_terms(np.arange(L + 1), k R) as sphere_operators
-    takes it, when given: below |k| R = 0.5 as double series of the
-    terms of the j_n series at k R (specfun.sph_radial_from, within
-    4.4e-16 of 40-digit values), above it by the 48-point Gauss-Legendre
-    rule over Bessel values at k r (within 3e-13).
+    as double series of the terms of the j_n series at k R
+    (_sphere_radial_table) at every |k| R.
 
     A sweep keeps one per grid point for the energies of its direct and
     spectral densities, so each is built once per point and freed with it.
@@ -339,8 +309,11 @@ class InteriorKernels:
 
     geometry: object
     k: complex
-    terms: object = None
     _tables: tuple = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if not isinstance(self.geometry, NodeSet):
+            self.geometry = Sphere(*self.geometry)
 
     def tables(self):
         """(coarse, edge) kernel matrices, or the sphere's (i_mass, i_grad)."""
@@ -350,17 +323,8 @@ class InteriorKernels:
                 self._tables = (_potential_kernel(quad.coarse, self.k),
                                 _potential_kernel(quad.edge, self.k))
             else:
-                self._tables = _sphere_radial_table(self.geometry, self.k, self.terms)
+                self._tables = _sphere_radial_table(self.geometry, self.k)
         return self._tables
-
-
-def eval_potential_on(nodes, targets, density, k):
-    """
-    Single-layer potential S^k[phi] on a TargetSet of the nodes, with the
-    kernel of _potential_kernel.
-    """
-    wphi = nodes.weights * _checked_density(nodes, density)
-    return _potential_kernel(targets, k) @ wphi
 
 
 # ---------------------------------------------------------------- sphere
@@ -371,33 +335,20 @@ def sphere_degree_index(L):
     return np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
 
 
-def _sphere_radial_table(sphere, k, den=None):
+def _sphere_radial_table(sphere, k):
     """
     The (i_mass, i_grad) of InteriorKernels on a Sphere, one entry per
-    slot; den, when given, is sph_terms(np.arange(L + 1), k R). Series
-    terms give R^3 / (2n+3) and R times the (mass, grad) of
-    sph_radial_from, Bessel values (|k| R >= 0.5) the 48-point
-    Gauss-Legendre rule over [0, R], within 3e-13 relative. i_grad is the
-    volume integral, not the Green identity, so it checks gradient_energy
+    slot: R^3 / (2n+3) and R times the (mass, grad) of
+    sph_radial_from(n, k R), which refuses (ValueError) a k too close to
+    the real axis for its size. i_grad is the term-by-term volume
+    integral, not the Green identity, so it checks gradient_energy
     independently.
     """
     L, radius = sphere
     n = np.arange(L + 1)
-    if den is None:
-        den = sph_terms(n, complex(k * radius))
-    if den.series:
-        mass, grad = sph_radial_from(den)
-        i_mass, i_grad = radius ** 3 / (2 * n + 3) * mass, radius * grad
-    else:
-        x, w = GAUSS_48
-        r = 0.5 * radius * (x + 1.0)
-        w = 0.5 * radius * w
-        g, gp = sph_j_ratio_from(sph_terms(n, k * r, den.series), den)
-        i_mass = np.sum(w * np.abs(g) ** 2 * r * r, axis=1)
-        centrifugal = (n * (n + 1))[:, None] * np.abs(g / r) ** 2
-        i_grad = np.sum(w * (np.abs(k * gp) ** 2 + centrifugal) * r * r, axis=1)
+    mass, grad = sph_radial_from(n, k * radius)
     deg = sphere_degree_index(L)
-    return i_mass[deg], i_grad[deg]
+    return (radius ** 3 / (2 * n + 3) * mass)[deg], (radius * grad)[deg]
 
 
 def sphere_operators(sphere, k=0.0, terms=None):
@@ -414,8 +365,9 @@ def sphere_operators(sphere, k=0.0, terms=None):
     Returns (S, K*) for k = 0 and (S, K*, S^k, K^k*) otherwise. The
     Bessel products are series-evaluated for |k|R < 0.5 where the raw
     h_n overflow; terms, when given, is sph_terms(np.arange(L + 1), k R).
+    A plain (L, R) is checked as a Sphere.
     """
-    L, R = sphere
+    L, R = sphere = Sphere(*sphere)
     k = complex(k)
     if abs(k) * R > 10.0:
         raise ValueError("|k| R must be <= 10")

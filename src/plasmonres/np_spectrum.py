@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .geometry import NodeSet
+from .geometry import NodeSet, Sphere
 from .layer_ops import BoundaryOperator, assemble_Kstar, assemble_S, sphere_degree_index, \
     _require_2d
 
@@ -274,8 +274,9 @@ def sphere_spectrum(sphere):
     Coefficients refer to the basis Yhat_nm = Y_nm / R, orthonormal in
     L^2 of the surface; the H*-orthonormal eigendensities are
     beta_n Yhat_nm with beta_n = sqrt((2n+1)/R), stored as 1-D diagonals.
+    A plain (L, R) is checked as a Sphere.
     """
-    L, R = sphere
+    L, R = sphere = Sphere(*sphere)
     deg = sphere_degree_index(L)
     lam = 1.0 / (2.0 * (2.0 * deg + 1.0))
     beta = np.sqrt((2.0 * deg + 1.0) / R)
@@ -308,7 +309,7 @@ def cluster_ids(lambdas):
 
 
 def spectrum_of(geometry):
-    """NPSpectrum of a problem geometry: a 2D NodeSet or a Sphere."""
+    """NPSpectrum of a problem geometry: a 2D NodeSet or a Sphere (L, R)."""
     if isinstance(geometry, NodeSet):
         gram, _, _ = build_gram(assemble_S(geometry), geometry)
         return np_eigendecomposition(assemble_Kstar(geometry), gram)

@@ -268,7 +268,7 @@ def _start_operators(pool, problem, solvers):
     return start(problem.kc), start(problem.omega) if "direct" in solvers else None
 
 
-def _operators(geometry, k, futures, terms):
+def _operators(geometry, k, futures, terms=None):
     """(S^k, K^k*): the results of futures when given, else built here."""
     if futures is None:
         return helmholtz_operators(geometry, k, terms)
@@ -288,8 +288,9 @@ def solve_point(problem, spectrum, solvers, operators=None):
     solves fails every row, a_n_abs included. operators is what
     _start_operators returned for this problem, or None to assemble
     here; either way a k_c whose operators fail fails every row, an
-    omega only the direct row. A sphere point sums each Bessel series
-    once (sphere_bessel) and hands it to every consumer.
+    omega only the direct row. A sphere point sums each Bessel series at
+    omega once (sphere_bessel) and hands it to every consumer; its
+    operators at k_c sum the third.
     """
     geometry, kc, om = problem.geometry, problem.kc, problem.omega
     kc_futures, om_futures = operators or (None, None)
@@ -301,8 +302,8 @@ def solve_point(problem, spectrum, solvers, operators=None):
         # Python's abs (numpy's array abs can differ in the last bit), so
         # that a cluster with one nonzero coupling reports its |a_n| exactly
         a_n_abs = math.hypot(*(abs(complex(an)) for an in a_n))
-        s_in, k_in = _operators(geometry, kc, kc_futures, bessel.at_kc)
-        energy_ops = (s_in, k_in, InteriorKernels(geometry, kc, bessel.at_kc))
+        s_in, k_in = _operators(geometry, kc, kc_futures)
+        energy_ops = (s_in, k_in, InteriorKernels(geometry, kc))
     except _ROW_ERRORS as exc:
         return ([_failed_row(problem, name) for name in solvers],
                 [exc.with_traceback(None)] * len(solvers))

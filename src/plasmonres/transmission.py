@@ -293,29 +293,25 @@ def dipole_traces(problem, bessel=None):
 class SphereBessel(NamedTuple):
     """
     The spherical-Bessel data that a sphere problem's traces, coupling
-    and operators share, over the degrees 0..L: sph_terms at omega z0,
-    omega R and k_c R, one series (or one set of Bessel values) each,
+    and operators at omega share, over the degrees 0..L: sph_terms at
+    omega z0 and omega R, one series (or one set of Bessel values) each,
     and the dipole factor j_n h_n'(omega z0). Empty for a 2D problem.
     """
 
     at_z0: object = None
     at_R: object = None
     jhp: object = None
-    at_kc: object = None
 
 
 def sphere_bessel(problem):
     """The SphereBessel of a problem, each series summed once, here."""
     if problem.dim == 2:
         return SphereBessel()
-    sphere = problem.geometry
-    z0 = float(np.dot(problem.a, problem.z))
-    at_kc = sph_terms(np.arange(sphere.L + 1), complex(problem.kc) * sphere.R)
-    return _axial_bessel(sphere, problem.omega, z0)._replace(at_kc=at_kc)
+    return _axial_bessel(problem.geometry, problem.omega, float(np.dot(problem.a, problem.z)))
 
 
 def _axial_bessel(sphere, om, z0):
-    """SphereBessel of an axial dipole at distance z0, without at_kc."""
+    """SphereBessel of an axial dipole at distance z0 from the centre."""
     n = np.arange(sphere.L + 1)
     at_z0 = sph_terms(n, om * z0)
     return SphereBessel(at_z0, sph_terms(n, om * sphere.R), sph_jhp_from(at_z0))
@@ -558,10 +554,12 @@ def gradient_energy(phi, kc, operators):
     |u|^2 volume term it needs is a small correction of relative size
     |k_c|^2 and is integrated on a coarse interior grid (2D) or per
     radial mode from the holder's i_mass (sphere: a double series of the
-    k_c R terms below |k_c| R = 0.5, accurate to rounding). The sphere
-    route also cross-checks the identity against the volume integral of
-    |grad u|^2 per mode, the holder's i_grad, which does not come from
-    the identity, and raises RuntimeError on a disagreement beyond 5%.
+    k_c R terms at every |k_c| R, accurate to rounding on a sweep's k_c;
+    a k_c too near the real axis for its size raises ValueError). The
+    sphere route also cross-checks the identity against the volume
+    integral of |grad u|^2 per mode, the holder's i_grad, a term-by-term
+    series that does not come from the identity, and raises RuntimeError
+    on a disagreement beyond 5%.
     """
     if (isinstance(operators, NPSpectrum) or len(operators) != 3
             or not isinstance(operators[2], InteriorKernels)):

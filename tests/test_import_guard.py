@@ -9,10 +9,14 @@ inside the timed sweep; the sweep check covers a 2D sweep with and
 without the look-ahead operator pool. Nor does the import compute: it
 makes no LAPACK eigenvalue call. The checks run in a fresh interpreter,
 because the test process has already imported whatever other tests use.
+Every name a module lists in __all__ exists: perfbench's tracer wraps
+each of them, so a stale entry would break a traced benchmark run.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -84,6 +88,18 @@ def test_run_sweep_imports_no_module(tmp_path):
 
 
 def test_import_makes_no_eigenvalue_call():
-    # the sphere's Gauss-Legendre rule is stored; numpy's leggauss would
-    # pay its first LAPACK call (and about 1 MiB) in every process
+    # a stored rule or table built at import (numpy's leggauss, say)
+    # would pay its first LAPACK call (and about 1 MiB) in every process
     assert _fresh_python("-c", _NO_EIGENVALUES_SCRIPT) == "plasmonres"
+
+
+def test_every_public_name_resolves():
+    modules = [plasmonres] + [importlib.import_module(f"plasmonres.{info.name}")
+                              for info in pkgutil.iter_modules(plasmonres.__path__)]
+    checked = 0
+    for module in modules:
+        names = getattr(module, "__all__", ())
+        assert len(set(names)) == len(names), module.__name__
+        assert [name for name in names if not hasattr(module, name)] == [], module.__name__
+        checked += len(names)
+    assert checked > 50

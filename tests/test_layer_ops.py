@@ -16,7 +16,6 @@ from plasmonres.layer_ops import (
     assemble_S_omega,
     assemble_Kstar_omega,
     eval_potential,
-    eval_potential_on,
     eval_gradient,
     sphere_operators,
     sphere_degree_index,
@@ -213,7 +212,7 @@ def test_potential_series_and_hankel_routes_agree_at_the_cut():
             k = side * cut / targets.r_max * direction
             series = gamma_helmholtz_series(targets.log_r, targets.r2, k) @ wphi
             hankel = (-0.25j * special.hankel1(0, k * np.sqrt(targets.r2))) @ wphi
-            routed = eval_potential_on(nodes, targets, density, k)
+            routed = eval_potential(nodes, density, k, targets.points)
             assert np.array_equal(routed, series if side < 1.0 else hankel)
             assert np.max(np.abs(series - hankel)) <= 1e-13 * np.max(np.abs(hankel))
 
@@ -399,39 +398,76 @@ def test_sphere_operator_diagonals():
     assert np.allclose(k0b.matrix, k_diag, atol=1e-14)
 
 
-def test_stored_gauss_rule_equals_leggauss():
-    # the stored rule is numpy's 48-point rule bit for bit, read-only
-    nodes, weights = np.polynomial.legendre.leggauss(48)
-    assert np.array_equal(layer_ops.GAUSS_48[0], nodes)
-    assert np.array_equal(layer_ops.GAUSS_48[1], weights)
-    assert not any(part.flags.writeable for part in layer_ops.GAUSS_48)
-
-
 # fourth-quadrant directions of the sweep's k_c (eps_c = -2) at delta = 1e-2
 # and 1e-5, and the real axis
 _KC_RAYS = tuple(compute_kc(1.0, -2.0, d) / abs(compute_kc(1.0, -2.0, d))
                  for d in (1e-2, 1e-5)) + (1.0,)
 
 
-@pytest.mark.parametrize("size, tol", [
-    (1e-8, 1e-15), (1e-4, 1e-15), (1e-2, 1e-15), (0.2, 1e-15), (0.49, 1e-15),
-    (0.51, 3e-13), (1.0, 3e-13), (2.0, 3e-13)])
-def test_sphere_radial_integrals_mpmath(size, tol):
+@pytest.mark.parametrize("size, tol, rays", [
+    (1e-8, 1e-15, _KC_RAYS), (1e-4, 1e-15, _KC_RAYS), (1e-2, 1e-15, _KC_RAYS),
+    (0.2, 1e-15, _KC_RAYS), (0.49, 1e-15, _KC_RAYS), (0.51, 2e-15, _KC_RAYS),
+    (1.0, 2e-15, _KC_RAYS), (2.0, 2e-15, _KC_RAYS), (4.0, 2e-15, _KC_RAYS[:2]),
+    (7.0, 2e-15, _KC_RAYS[:2]), (10.0, 2e-15, _KC_RAYS[:2])])
+def test_sphere_radial_integrals_mpmath(size, tol, rays):
     # i_mass and i_grad of every degree 0..40 against their closed forms in
-    # 50-digit mpmath: below |k| R = 0.5 the double series of the k R
-    # terms, accurate to rounding; above it the 48-point Gauss-Legendre
-    # rule, which reads up to 2.1e-13 (degree 33, |k| R = 0.57, delta = 1e-5)
+    # 50-digit mpmath, from the double series of the k R terms at every
+    # size: measured within 4.9e-16 below |k| R = 0.5 and 8.4e-16 above it
+    # (|k| R = 10 on the delta = 1e-2 ray). Past |k| R = 2 the real axis
+    # is refused (test_sphere_radial_integrals_refuse_cancellation)
     pytest.importorskip("mpmath")
     L = 40
     pole = np.arange(L + 1) ** 2 + np.arange(L + 1)
     for radius in (1.0, 2.0):
-        for ray in _KC_RAYS:
+        for ray in rays:
             k = size * ray / radius
             i_mass, i_grad = layer_ops.InteriorKernels(Sphere(L, radius), k).tables()
             for n in range(L + 1):
                 want = reference_ops.sphere_radial_integrals_mp(n, k, radius)
                 for got, ref in zip((i_mass[pole[n]], i_grad[pole[n]]), want):
                     assert abs(got - ref) <= tol * ref
+
+
+def test_sphere_radial_integrals_refuse_cancellation():
+    # the series' terms cancel near the real axis, where j_n(k R) has
+    # zeros: at |k| R = 3 on the real axis (j_0 vanishes at pi) they cancel
+    # by a factor of 5e3, which the series refuses, naming |k R|; 45 degrees
+    # below the real axis at |k| R = 10, the largest size sphere_operators
+    # takes, the factor is 350 and the values stay within 1e-14 of mpmath
+    pytest.importorskip("mpmath")
+    sphere = Sphere(40, 1.0)
+    with pytest.raises(ValueError, match=r"\|k R\| = 3\b"):
+        layer_ops.InteriorKernels(sphere, 3.0).tables()
+    k = 10.0 * np.exp(-0.25j * np.pi)
+    i_mass, i_grad = layer_ops.InteriorKernels(sphere, k).tables()
+    for n in range(41):
+        want = reference_ops.sphere_radial_integrals_mp(n, k, 1.0)
+        for got, ref in zip((i_mass[n * n + n], i_grad[n * n + n]), want):
+            assert abs(got - ref) <= 1e-14 * ref
+
+
+# a negative radius, a degree below MIN_SPHERE_DEGREE, a fractional degree
+_BAD_SPHERE_PAIRS = [(8, -1.0), (2, 1.0), (8.5, 1.0)]
+
+
+@pytest.mark.parametrize("pair", _BAD_SPHERE_PAIRS)
+def test_sphere_operators_check_a_plain_pair(pair):
+    # a plain (L, R) is checked as a Sphere, as TransmissionProblem does:
+    # unchecked, (8, -1.0) gives sign-flipped diagonals
+    pairs = zip(sphere_operators((8, 1.0), 0.5), sphere_operators(Sphere(8, 1.0), 0.5))
+    for mine, want in pairs:
+        assert np.array_equal(mine.matrix, want.matrix) and mine.nodes == want.nodes
+    with pytest.raises(ValueError, match="sphere (degree|radius)"):
+        sphere_operators(pair, 0.5)
+
+
+@pytest.mark.parametrize("pair", _BAD_SPHERE_PAIRS)
+def test_interior_kernels_check_a_plain_pair(pair):
+    # unchecked, (8, -1.0) gives a negative i_mass
+    kernels = layer_ops.InteriorKernels((8, 1.0), 0.5)
+    assert kernels.geometry == Sphere(8, 1.0) and isinstance(kernels.geometry, Sphere)
+    with pytest.raises(ValueError, match="sphere (degree|radius)"):
+        layer_ops.InteriorKernels(pair, 0.5)
 
 
 def test_sphere_diagonal_by_quadrature_spot_checks():

@@ -14,6 +14,7 @@ from plasmonres.np_spectrum import (
     build_gram,
     np_eigendecomposition,
     sphere_spectrum,
+    spectrum_of,
     coeffs_hat,
     coeffs_check,
 )
@@ -206,3 +207,23 @@ def test_sphere_spectrum_matches_operator_diagonal():
 def test_sphere_minimum_degree_guard():
     with pytest.raises(ValueError):
         sphere_spectrum(Sphere(3, 1.0))
+
+
+# a negative radius, a degree below MIN_SPHERE_DEGREE, a fractional degree
+_BAD_SPHERE_PAIRS = [(8, -1.0), (2, 1.0), (8.5, 1.0)]
+
+
+@pytest.mark.parametrize("pair", _BAD_SPHERE_PAIRS)
+def test_sphere_spectrum_checks_a_plain_pair(pair):
+    # a plain (L, R) is checked as a Sphere; a valid one gives its spectrum
+    assert np.array_equal(sphere_spectrum((8, 1.0)).lambdas,
+                          sphere_spectrum(Sphere(8, 1.0)).lambdas)
+    with pytest.raises(ValueError, match="sphere (degree|radius)"):
+        sphere_spectrum(pair)
+
+
+@pytest.mark.parametrize("pair", _BAD_SPHERE_PAIRS)
+def test_spectrum_of_checks_a_plain_pair(pair):
+    assert spectrum_of((8, 1.0)).geometry == Sphere(8, 1.0)
+    with pytest.raises(ValueError, match="sphere (degree|radius)"):
+        spectrum_of(pair)

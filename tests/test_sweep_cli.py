@@ -340,7 +340,7 @@ def test_sphere_sweep_sums_three_bessel_series_per_point(tmp_path, monkeypatch, 
 def test_sphere_sweep_builds_diagonals_once_per_point(tmp_path, monkeypatch):
     # one S^k/K^k* diagonal pair at k_c and one at omega per grid point,
     # shared by the direct solve and both energies, and one radial table
-    # at k_c for both energies; the Gauss-Legendre rule is never recomputed
+    # at k_c for both energies; no Gauss-Legendre rule is ever built
     wavenumbers, tables, rules = [], [], []
     original = transmission_module.sphere_operators
     table = layer_ops._sphere_radial_table
@@ -960,6 +960,42 @@ def test_cli_config_rejects_non_integer_fields(tmp_path, field, value):
     path.write_text(json.dumps(config))
     assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("eps_c", "-2", "eps_c"), ("omega0", True, "omega0"), ("eps_m", True, "eps_m"),
+    ("eps_m", "1", "eps_m"), ("delta_max", True, "delta_max"),
+    ("coupling_c", "0.01", "coupling_c"), ("a", [0, 0, True], "a"), ("z", [0, 0, "2"], "z"),
+    ("a", 1.0, "a"), ("radius", "1", "geometry radius"), ("radius", True, "geometry radius")])
+def test_cli_config_rejects_non_numbers(tmp_path, capsys, field, value, named):
+    # a float field, a dipole entry or a sphere radius must be a JSON
+    # number: a string or a bool is refused naming the key, not read as
+    # 1.0 or failed inside numpy with a message about '<' or isfinite
+    config = {"dim": 3, "geometry": {"kind": "sphere", "radius": 1.0, "degree": 8},
+              "eps_c": -2.0, "omega0": 1.0, "a": [0, 0, 1], "z": [0, 0, 2],
+              "csv_path": str(tmp_path / "x.csv")}
+    load_sweep_config(config)
+    if field == "radius":
+        config["geometry"] = dict(config["geometry"], radius=value)
+    else:
+        config[field] = value
+    with pytest.raises(ConfigError, match=f"^{named} must be a "):
+        load_sweep_config(config)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+    assert f"{named} must be a " in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("axes", [{"a": "2", "b": 1.0}, {"a": 2.0, "b": False}])
+def test_cli_config_rejects_non_number_axes(tmp_path, axes):
+    # an ellipse axis is named as the geometry's, apart from the dipole's a
+    config = {"dim": 2, "geometry": {"kind": "ellipse", "n": 64, **axes}, "eps_c": -2.0,
+              "omega0": 1.0, "a": [1.0, 0.0], "z": [3.0, 0.0],
+              "csv_path": str(tmp_path / "x.csv")}
+    with pytest.raises(ConfigError, match="^geometry (a|b) must be a number"):
+        load_sweep_config(config)
 
 
 @pytest.mark.parametrize("command, geometry, named", [

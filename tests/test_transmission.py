@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from plasmonres.geometry import MIN_SPHERE_DEGREE, Sphere, make_curve, quadrature_nodes
 from plasmonres.layer_ops import (
-    GAUSS_48,
     sphere_degree_index,
     sphere_operators,
     assemble_S,
@@ -387,10 +386,11 @@ def test_coupling_sphere_trace_at_one_degree_equals_full_trace():
     (1e-4, 2.0, 1.0, -2.0), (0.3, 3.0, 1.0, -2.0), (0.4, 3.0, 2.0, -0.2)],
     ids=("below-cut", "omega-z0-above-cut", "above-cut"))
 def test_sphere_bessel_shares_the_public_helpers_values(om, z0, radius, eps_c):
-    # A sphere point sums each spherical-Bessel series once (sphere_bessel)
-    # and hands it along. Every consumer gets bit for bit what the
-    # standalone helpers give, with |omega z0|, |omega R| and |k_c R| below
-    # the 0.5 series cut, with omega z0 alone above it, and with all above.
+    # A sphere point sums each spherical-Bessel series at omega once
+    # (sphere_bessel) and hands it along. Every consumer gets bit for bit
+    # what the standalone helpers give, with |omega z0|, |omega R| and
+    # |k_c R| below the 0.5 series cut, with omega z0 alone above it, and
+    # with all above.
     L = 40
     axis = np.array([0.0, 0.0, 1.0])
     pr = TransmissionProblem(dim=3, geometry=(L, radius), s=om, delta=1e-3,
@@ -407,29 +407,17 @@ def test_sphere_bessel_shares_the_public_helpers_values(om, z0, radius, eps_c):
     assert np.array_equal(g[n * n + n], -1j * om ** 3 * cn * radius * ratio_d * jhp)
     for mine, alone in zip((f, g), dipole_traces(pr)):
         assert np.array_equal(mine, alone)
-    for k, terms in ((complex(pr.kc), bessel.at_kc), (complex(om), bessel.at_R)):
+    for k, terms in ((complex(pr.kc), ()), (complex(om), (bessel.at_R,))):
         jh, jh_d = sph_jh_from(sph_terms(n, k * radius))
-        _, _, sk, kk = sphere_operators(Sphere(L, radius), k, terms)
+        _, _, sk, kk = sphere_operators(Sphere(L, radius), k, *terms)
         assert np.array_equal(sk.matrix, -1j * k * radius * radius * jh[deg])
         assert np.array_equal(kk.matrix, -0.5j * k * k * radius * radius * jh_d[deg])
-    # the energies' radial integrals: below the cut the double series of
-    # the k_c R terms, above it j_n(k_c r) / j_n(k_c R) over the Gauss radii
-    i_mass, i_grad = InteriorKernels(Sphere(L, radius), pr.kc, bessel.at_kc).tables()
-    alone = InteriorKernels(Sphere(L, radius), pr.kc).tables()
-    assert np.array_equal(i_mass, alone[0]) and np.array_equal(i_grad, alone[1])
-    if bessel.at_kc.series:
-        mass, grad = sph_radial_from(sph_terms(n, pr.kc * radius))
-        assert np.array_equal(i_mass, (radius ** 3 / (2 * n + 3) * mass)[deg])
-        assert np.array_equal(i_grad, (radius * grad)[deg])
-    else:
-        x, w = GAUSS_48
-        r, w = 0.5 * radius * (x + 1.0), 0.5 * radius * w
-        gr, gr_d = sph_j_ratio_from(sph_terms(n, pr.kc * r, False),
-                                    sph_terms(n, pr.kc * radius))
-        assert np.array_equal(i_mass, np.sum(w * np.abs(gr) ** 2 * r * r, axis=1)[deg])
-        centrifugal = (n * (n + 1))[:, None] * np.abs(gr / r) ** 2
-        i_grad_alone = np.sum(w * (np.abs(pr.kc * gr_d) ** 2 + centrifugal) * r * r, axis=1)
-        assert np.array_equal(i_grad, i_grad_alone[deg])
+    # the energies' radial integrals: the double series of the k_c R terms
+    # on both sides of the cut
+    i_mass, i_grad = InteriorKernels(Sphere(L, radius), pr.kc).tables()
+    mass, grad = sph_radial_from(n, pr.kc * radius)
+    assert np.array_equal(i_mass, (radius ** 3 / (2 * n + 3) * mass)[deg])
+    assert np.array_equal(i_grad, (radius * grad)[deg])
     # the coupling at single pole degrees, as one-degree helper calls give
     # it: the closed form jhp R^2 j_{n+1}(omega R) / (omega j_n(omega z0)),
     # below the cut as jhp R^3 (R/z0)^n A_{n+1}(omega R) / ((2n+3)
@@ -473,6 +461,36 @@ def test_coupling_radial_integral_mpmath(radius, z0):
             got = transmission_module._coupling_radial(n, radius, z0, om, bessel)
             want = reference_ops.coupling_radial_mp(n, om, radius, z0)
             assert abs(got / bessel.jhp[n] - want) <= tol * abs(want)
+
+
+@pytest.mark.parametrize("om, radius, eps_c, delta", [
+    (0.4, 2.0, -0.2, 1e-3), (0.3, 2.0, -0.0625, 1e-3), (0.5, 2.0, -0.031, 1e-3),
+    (0.5, 3.4, -0.04, 0.04)], ids=("kcR-1.8", "kcR-2.4", "kcR-5.7", "kcR-9.5-63deg"))
+def test_sphere_rows_above_the_series_cut_match_mpmath(monkeypatch, om, radius, eps_c, delta):
+    # no workload or pin reaches |k_c R| >= 0.5 on the sweep path: here
+    # both rows of such points match the same point with 50-digit radial
+    # integrals in place of the series, within 1e-15 relative (measured at
+    # most 1.3e-16), on rays 89 and 63 degrees below the real axis
+    pytest.importorskip("mpmath")
+    L = 16
+    axis = np.array([0.0, 0.0, 1.0])
+    pr = TransmissionProblem(dim=3, geometry=(L, radius), s=om, delta=delta, eps_c=eps_c,
+                             omega0=1.0, a=axis, z=1.5 * radius * axis)
+    assert 0.5 <= abs(pr.kc) * radius <= 10.0
+    spectrum = sphere_spectrum(pr.geometry)
+    rows, errors = solve_point(pr, spectrum, ("direct", "spectral"))
+    assert errors == [None, None]
+
+    def mp_table(sphere, k):
+        pairs = np.array([reference_ops.sphere_radial_integrals_mp(n, k, sphere.R)
+                          for n in range(sphere.L + 1)])
+        return pairs[sphere_degree_index(sphere.L)].T
+
+    monkeypatch.setattr(layer_ops, "_sphere_radial_table", mp_table)
+    reference, errors = solve_point(pr, spectrum, ("direct", "spectral"))
+    assert errors == [None, None]
+    for row, ref in zip(rows, reference):
+        assert abs(row.energy_norm - ref.energy_norm) <= 1e-15 * ref.energy_norm
 
 
 def test_energy_cross_check_is_live_on_the_sweep_path(monkeypatch):
