@@ -30,7 +30,6 @@ from .specfun import (
     grad_gamma_laplace,
     grad_gamma_helmholtz,
     hankel_first_kind,
-    spherical_bessel,
     tau,
     tau_kc,
     compute_kc,
@@ -94,7 +93,6 @@ __all__ = [
     "grad_gamma_laplace",
     "grad_gamma_helmholtz",
     "hankel_first_kind",
-    "spherical_bessel",
     "tau",
     "tau_kc",
     "compute_kc",

@@ -35,7 +35,7 @@ from scipy import linalg
 
 from .geometry import NodeSet, Sphere
 from .layer_ops import BoundaryOperator, assemble_Kstar, assemble_S, sphere_degree_index, \
-    _require_2d
+    sphere_operators, _require_2d
 
 __all__ = [
     "GramOperator",
@@ -278,14 +278,14 @@ def sphere_spectrum(sphere):
     """
     L, R = sphere = Sphere(*sphere)
     deg = sphere_degree_index(L)
-    lam = 1.0 / (2.0 * (2.0 * deg + 1.0))
+    s, kstar = sphere_operators(sphere)
     beta = np.sqrt((2.0 * deg + 1.0) / R)
-    gram = R / (2.0 * deg + 1.0)
+    gram = -s.matrix
     m0 = np.sqrt(4.0 * np.pi * R)
     c0_h = -1.0 / m0
-    stilde = -np.sqrt(R / (2.0 * deg + 1.0))
+    stilde = -np.sqrt(gram)
     return NPSpectrum(
-        lambdas=lam,
+        lambdas=kstar.matrix,
         densities=beta,
         gram=gram,
         wdiag=np.ones(deg.size),

@@ -28,7 +28,6 @@ __all__ = [
     "tau",
     "tau_kc",
     "compute_kc",
-    "spherical_bessel",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
@@ -182,24 +181,6 @@ def compute_kc(omega, eps_c, delta):
     return -1j * (omega / np.sqrt(abs(eps_c))) * (1.0 - 1j * delta / (2.0 * eps_c))
 
 
-def spherical_bessel(n, z):
-    """
-    Spherical Bessel and outgoing spherical Hankel values (j_n(z), h_n(z)).
-
-    Accurate for |z| <= 20 and n <= 40; h_n grows like (2n-1)!!/z^{n+1}
-    for small |z|, so callers in that regime should use the product
-    forms below instead of raw values.
-    """
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    z = np.asarray(z, dtype=complex)
-    if np.any(z == 0):
-        raise ValueError("spherical Hankel function is singular at z = 0")
-    jn = special.spherical_jn(n, z)
-    yn = special.spherical_yn(n, z)
-    return jn, jn + 1j * yn
-
-
 def _sph_series(n, z):
     """
     Regular series factors A, B of the small-argument representations
@@ -207,18 +188,15 @@ def _sph_series(n, z):
         j_n(z) =  z^n / (2n+1)!! * A(z),
         y_n(z) = -(2n-1)!! / z^{n+1} * B(z),
 
-    with A, B -> 1 as z -> 0. Returns (A, B, A', B') of shape
-    n.shape + z.shape; each degree's series stops as it would alone.
+    with A, B -> 1 as z -> 0, at the one argument z (a 0-d complex
+    array). Returns (A, B, A', B') of shape n.shape; each degree's series
+    stops as it would alone.
     """
-    z = np.asarray(z, dtype=complex)
-    n = np.asarray(n)
-    nz = n.reshape(n.shape + (1,) * z.ndim)
-    shape = n.shape + z.shape
     z2 = -0.5 * z * z
-    A, B, ca, cb = (np.ones(shape, dtype=complex) for _ in range(4))
-    dA, dB = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
-    live = np.ones(nz.shape, dtype=bool)
-    odd = 2 * nz + 1
+    A, B, ca, cb = (np.ones(n.shape, dtype=complex) for _ in range(4))
+    dA, dB = np.zeros(n.shape, dtype=complex), np.zeros(n.shape, dtype=complex)
+    live = np.ones(n.shape, dtype=bool)
+    odd = 2 * n + 1
     # The sums grow in place, so that they stay arrays even when 0-d:
     # numpy's scalar complex arithmetic can differ from its array loops
     # in the last bit.
@@ -231,8 +209,7 @@ def _sph_series(n, z):
             # d/dz of a term c_m z^{2m} is 2m c_m z^{2m-1}
             np.add(dA, 2 * m * ca / z, out=dA, where=live)
             np.add(dB, 2 * m * cb / z, out=dB, where=live)
-            size = np.maximum(np.abs(ca), np.abs(cb)).reshape(nz.shape + (-1,))
-            live &= ~(size.max(axis=-1) < 1e-20)
+            live &= ~(np.maximum(np.abs(ca), np.abs(cb)) < 1e-20)
             if not live.any():
                 break
     return A, B, dA, dB
@@ -250,10 +227,11 @@ def _dfact(n):
 
 class SphTerms(NamedTuple):
     """
-    Spherical Bessel data of degrees n at arguments z, each part of shape
-    n.shape + z.shape: the factors (A, B, A', B') of _sph_series when
-    series, else the values (j_n, None, j_n', None). Only this module
-    reads the parts; other modules hand a SphTerms to the sph_*_from forms.
+    Spherical Bessel data of degrees n at one argument z (a 0-d complex
+    array), each part of shape n.shape: the factors (A, B, A', B') of
+    _sph_series when series, else the values (j_n, None, j_n', None).
+    Only this module reads the parts; other modules hand a SphTerms to
+    the sph_*_from forms.
     """
 
     n: np.ndarray
@@ -267,36 +245,36 @@ class SphTerms(NamedTuple):
 
 def sph_terms(n, z, series=None):
     """
-    SphTerms of degrees n at z: one _sph_series call when series (by
-    default when the single argument z has |z| < 0.5), else j_n values.
+    SphTerms of degrees n at the one argument z: one _sph_series call when
+    series, else j_n values. series forces the kind of z; by default it
+    is series when |z| < 0.5. An array z raises TypeError.
     """
-    z = np.asarray(z, dtype=complex)
+    z = np.asarray(complex(z))
     n = np.asarray(n)
     if series is None:
         series = abs(complex(z)) < _SPH_SERIES_CUT
     if series:
         return SphTerms(n, z, True, *_sph_series(n, z))
-    nn = n.reshape(n.shape + (1,) * z.ndim)
-    return SphTerms(n, z, False, special.spherical_jn(nn, z), None,
-                    special.spherical_jn(nn, z, derivative=True), None)
+    return SphTerms(n, z, False, special.spherical_jn(n, z), None,
+                    special.spherical_jn(n, z, derivative=True), None)
 
 
 def sph_jh_from(t):
     """(j_n h_n, (j_n h_n)') from SphTerms t."""
-    nn = t.n.reshape(t.n.shape + (1,) * t.z.ndim)
+    n = t.n
     if not t.series:
         # y_n only here: at complex z it costs about five times j_n
-        y, dy = (special.spherical_yn(nn, t.z, derivative=d) for d in (False, True))
+        y, dy = (special.spherical_yn(n, t.z, derivative=d) for d in (False, True))
         h = t.j + 1j * y
         return t.j * h, t.dj * h + t.j * (t.dj + 1j * dy)
     A, B, dA, dB, z = t.j, t.y, t.dj, t.dy, t.z
-    c = 1.0 / (2 * nn + 1)
-    jy = -A * B / ((2 * nn + 1) * z)
-    jfac = z ** nn / _dfact(nn)
+    c = 1.0 / (2 * n + 1)
+    jy = -A * B / ((2 * n + 1) * z)
+    jfac = z ** n / _dfact(n)
     # (j y)' from j y = -A B / ((2n+1) z), and (j^2)' = 2 j j'
     jy_d = -c * (dA * B + A * dB) / z + c * A * B / (z * z)
     return (jfac ** 2 * A * A + 1j * jy,
-            2.0 * (jfac * A) * (jfac * (nn * A / z + dA)) + 1j * jy_d)
+            2.0 * (jfac * A) * (jfac * (n * A / z + dA)) + 1j * jy_d)
 
 
 def sph_jhp_from(t):
@@ -307,7 +285,7 @@ def sph_jhp_from(t):
 def sph_j_ratio_from(num, den):
     """
     (j_n(z_num) / j_n(z_den), j_n'(z_num) / j_n(z_den)) from SphTerms num
-    and den (at one z_den) of the same degrees, in den's kind.
+    and den of the same degrees, in den's kind.
 
     Only the size ratio is raised to a power: from
     j_n(z) = z^n / (2n+1)!! * A(z) the value ratio is
@@ -320,14 +298,13 @@ def sph_j_ratio_from(num, den):
     """
     if num.series != den.series:
         num = sph_terms(num.n, num.z, den.series)
-    nn = num.n.reshape(num.n.shape + (1,) * num.z.ndim)
-    a_den = den.j.reshape(nn.shape)
+    n = num.n
     if not den.series:
-        return num.j / a_den, num.dj / a_den
+        return num.j / den.j, num.dj / den.j
     z_num, z_den = num.z, complex(den.z)
-    value = (z_num / z_den) ** nn * num.j / a_den
-    ratio_d = (z_num / z_den) ** (nn - 1) * (nn * num.j + z_num * num.dj)
-    return value, np.where(nn == 0, num.dj / a_den, ratio_d / (z_den * a_den))
+    value = (z_num / z_den) ** n * num.j / den.j
+    ratio_d = (z_num / z_den) ** (n - 1) * (n * num.j + z_num * num.dj)
+    return value, np.where(n == 0, num.dj / den.j, ratio_d / (z_den * den.j))
 
 
 def sph_j_next_ratio_from(num, den, deg, size, c, w):

@@ -22,6 +22,16 @@ an explanation of the drift; rewrite the named pins, or all of them
 when none is named, with
 
     PYTHONPATH=src python tests/test_golden.py --write [NAME ...]
+
+A refactor that claims to keep every cell is checked byte for byte
+against another checkout of the package, its parent, with
+
+    PYTHONPATH=src python tests/test_golden.py --against ROOT [NAME ...]
+
+which sweeps each named pin (all when none is named) once with this
+tree's src/ and once with ROOT/src, prints every cell whose text
+differs, residual included and wall_time_ms left out, and exits 1 if
+any does.
 """
 
 import csv
@@ -30,6 +40,8 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -108,17 +120,20 @@ def cell_drift(rows, pinned, ignored=IGNORED):
     return out
 
 
-def _run_pin(name, csv_path, threads=BLAS_THREADS):
+PACKAGE_ROOT = Path(plasmonres.__file__).resolve().parents[1]
+
+
+def _run_pin(name, csv_path, threads=BLAS_THREADS, package_root=PACKAGE_ROOT):
     """
     Sweep one pin through the CLI in a fresh interpreter with the given
-    OpenBLAS thread count; returns its rows.
+    OpenBLAS thread count, importing plasmonres from package_root (the
+    directory that holds the package); returns its rows.
     """
     config_path = Path(csv_path).with_suffix(".json")
     config_path.write_text(json.dumps(dict(PINS[name], csv_path=str(csv_path))))
-    package_root = str(Path(plasmonres.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(
-                   filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+                   filter(None, [str(package_root), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "plasmonres", "sweep", "--config", str(config_path)],
         capture_output=True, text=True, env=env, timeout=300)
@@ -147,10 +162,34 @@ def test_cell_drift_comparator():
     assert len(cell_drift(pinned + pinned, pinned)) == 1
 
 
+def _differing_cells(root, names):
+    """Print each cell of the named pins whose text differs at root; count them."""
+    count = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            here = _run_pin(name, Path(tmp) / f"{name}.csv")
+            there = _run_pin(name, Path(tmp) / f"{name}-root.csv", package_root=root / "src")
+            for i, (row, ref) in enumerate(zip_longest(here, there, fillvalue={})):
+                for key in dict.fromkeys([*row, *ref]):
+                    if key not in IGNORED and row.get(key) != ref.get(key):
+                        print(f"{name} row {i} {key}: {row.get(key)}, at {root}: {ref.get(key)}")
+                        count += 1
+            print(f"{name}: {len(here)} rows here, {len(there)} at {root}")
+    return count
+
+
 if __name__ == "__main__":
-    if sys.argv[1:2] != ["--write"] or not set(sys.argv[2:]) <= set(PINS):
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write [NAME ...]")
+    mode, names, root = sys.argv[1:2], sys.argv[2:], None
+    if mode == ["--against"] and names:
+        root, names = Path(names[0]).resolve(), names[1:]
+    if not (mode == ["--write"] or root) or not set(names) <= set(PINS):
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write [NAME ...]\n"
+                 "       PYTHONPATH=src python tests/test_golden.py --against ROOT [NAME ...]")
+    if root:
+        count = _differing_cells(root, names or sorted(PINS))
+        print(f"{count} differing cells")
+        sys.exit(1 if count else 0)
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for pin in sys.argv[2:] or sorted(PINS):
+    for pin in names or sorted(PINS):
         _run_pin(pin, GOLDEN_DIR / f"{pin}.csv")
         print(f"wrote {GOLDEN_DIR / pin}.csv")

@@ -25,7 +25,6 @@ from plasmonres.specfun import (
     tau,
     tau_kc,
     compute_kc,
-    spherical_bessel,
 )
 from plasmonres.specfun import sph_j_ratio_from, sph_jh_from, sph_jhp_from, sph_terms
 from reference_ops import remainder_kernel_radial
@@ -191,24 +190,30 @@ def _series_sph(n, z, terms=30):
     return jn, yn
 
 
+def _sph_j(n, z):
+    # j_n(z) from sph_terms: z^n A / (2n+1)!! from the series factor A
+    # below the cut at |z| = 0.5, the value itself from it on
+    t = sph_terms(n, z)
+    return complex(t.z) ** n / _dfact(2 * n + 1) * t.j[()] if t.series else t.j[()]
+
+
 def test_spherical_bessel_vs_independent_series():
     for n in [0, 1, 3]:
         for z in [0.5, 0.1 - 0.05j, 1.2]:
             j_ref, y_ref = _series_sph(n, z)
-            h_ref = j_ref + 1j * y_ref
-            jn, hn = spherical_bessel(n, z)
-            assert abs(jn - j_ref) < 1e-10 * max(abs(j_ref), 1e-30)
-            assert abs(hn - h_ref) < 1e-10 * abs(h_ref)
+            jh_ref = j_ref * (j_ref + 1j * y_ref)
+            assert abs(_sph_j(n, z) - j_ref) < 1e-10 * max(abs(j_ref), 1e-30)
+            assert abs(_jh(n, z)[0] - jh_ref) < 1e-10 * abs(jh_ref)
 
 
 def test_spherical_bessel_frozen_oracles():
     z = 0.1 - 0.05j
-    j3, h3 = spherical_bessel(3, z)
+    j3, jh3 = _sph_j(3, z), _jh(3, z)[0]
     assert abs(j3 - J3_CPLX) < 1e-10 * abs(J3_CPLX)
-    assert abs(h3 - H3_CPLX) < 1e-10 * abs(H3_CPLX)
-    j1, h1 = spherical_bessel(1, 0.5)
+    assert abs(jh3 - J3_CPLX * H3_CPLX) < 1e-10 * abs(J3_CPLX * H3_CPLX)
+    j1, jh1 = _sph_j(1, 0.5), _jh(1, 0.5)[0]
     assert abs(j1 - J1_AT_HALF) < 1e-12
-    assert abs(h1 - H1_SPH_AT_HALF) < 1e-10 * abs(H1_SPH_AT_HALF)
+    assert abs(jh1 - J1_AT_HALF * H1_SPH_AT_HALF) < 1e-10 * abs(J1_AT_HALF * H1_SPH_AT_HALF)
 
 
 def _jh(n, z):
@@ -305,9 +310,9 @@ _CUT_SIDES = (1e-7, 0.3, 0.49, 0.4999999, 0.5, 0.51, 2.0)
 
 def test_sph_bessel_degree_arrays_equal_per_degree_calls():
     # both halves of each pair at the sweep's L = 40 and at L = 100, in the
-    # kind of z: the products at (1,) arguments, and at (48,) below the
-    # cut, and the ratios over 0-d, (1,) and (48,) numerators
-    radii = 0.5 * (np.polynomial.legendre.leggauss(48)[0] + 1.0)
+    # kind of z: the products at z and the ratios at z / 2 over z, against
+    # one-degree arrays (numpy's scalar complex arithmetic can differ from
+    # its array loops in the last bit)
     for degrees in (np.arange(41), np.arange(101)):
         for size in _CUT_SIDES:
             z = size * _KC_DIRECTION
@@ -319,13 +324,17 @@ def test_sph_bessel_degree_arrays_equal_per_degree_calls():
             def ratio(n, arg):
                 return sph_j_ratio_from(sph_terms(n, arg, series), sph_terms(n, z))
 
-            products = (np.array([z]), z * radii) if series else (np.array([z]),)
-            calls = [(jh, arg) for arg in products]
-            calls += [(ratio, 0.5 * arg) for arg in (z, np.array([z]), z * radii)]
-            for fn, arg in calls:
-                each = [fn(int(n), arg) for n in degrees]
+            for fn, arg in ((jh, z), (ratio, 0.5 * z)):
+                each = [fn(degrees[i:i + 1], arg) for i in range(degrees.size)]
                 for half, got in enumerate(fn(degrees, arg)):
-                    assert np.array_equal(got, np.array([e[half] for e in each]))
+                    assert np.array_equal(got, np.concatenate([e[half] for e in each]))
+
+
+@pytest.mark.parametrize("z", (np.array([0.3]), 0.3 * np.ones(48), np.array([[1.2]])))
+def test_sph_terms_refuses_an_array_argument(z):
+    # every caller holds one argument (omega z0, omega R or k_c R)
+    with pytest.raises(TypeError):
+        sph_terms(np.arange(5), z)
 
 
 def _mp_sph_j(mp, n, z):

@@ -1063,6 +1063,30 @@ def test_cli_refuses_non_finite_physical_parameters(tmp_path, capsys, name, flag
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("eps_c", (2.0, 0.0, 1e-300))
+def test_cli_refuses_non_negative_contrast(tmp_path, capsys, monkeypatch, eps_c):
+    # eps_c >= 0 fails validation: the sweep exits 2 before it builds the
+    # spectrum and writes no CSV, and solve exits 2 before any row
+    built = []
+    monkeypatch.setattr(sweep_module, "spectrum_of", lambda g: built.append(g))
+    csv_path = tmp_path / "x.csv"
+    config = {"dim": 3, "geometry": {"kind": "sphere", "radius": 1.0, "degree": 8},
+              "eps_c": eps_c, "omega0": 1.0, "a": [0.0, 0.0, 1.0], "z": [0.0, 0.0, 2.0],
+              "csv_path": str(csv_path)}
+    with pytest.raises(ConfigError, match="^eps_c must be negative"):
+        load_sweep_config(config)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    solve = _CLI_SPHERE_SOLVE[:]
+    solve[solve.index("--eps-c") + 1] = repr(eps_c)
+    for argv in (["sweep", "--config", str(path)], solve):
+        assert main(argv) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert "eps_c must be negative" in err
+        assert "solver=" not in out
+    assert built == [] and not csv_path.exists()
+
+
 def test_cli_config_bad_vector_is_config_error(tmp_path):
     # every malformed value of a config raises ConfigError, the dipole
     # vectors included

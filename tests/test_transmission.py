@@ -495,13 +495,13 @@ def test_sphere_rows_above_the_series_cut_match_mpmath(monkeypatch, om, radius, 
 
 def test_energy_cross_check_is_live_on_the_sweep_path(monkeypatch):
     # every sphere row checks the Green-identity energy against the
-    # term-by-term i_grad: a 4% error in i_grad passes the 5% check, a 6%
-    # error fails the row with the check's message
+    # term-by-term i_grad: a 1e-13 relative error in i_grad passes the
+    # 1e-11 check, a 1e-10 or a 6% error fails the row with its message
     table = layer_ops._sphere_radial_table
     pr = TransmissionProblem(dim=3, geometry=(12, 1.0), s=scale_for_delta(1e-3, 0.01, 3),
                              delta=1e-3, eps_c=-2.0, omega0=1.0, a=(0.0, 0.0, 1.0),
                              z=(0.0, 0.0, 2.0))
-    for scale, fails in ((1.04, False), (1.06, True)):
+    for scale, fails in ((1 + 1e-13, False), (1 + 1e-10, True), (1.06, True)):
         def scaled(*args, scale=scale):
             i_mass, i_grad = table(*args)
             return i_mass, scale * i_grad
@@ -563,6 +563,55 @@ def test_coupling_frequency_order():
     assert order2 > 1.3
 
 
+# curves symmetric about the x-axis, each with an axial dipole on the axis
+_MIRROR_CASES = [
+    pytest.param("ellipse", {"a": 2.0, "b": 1.0}, (3.0, 0.0), 0.05, id="ellipse"),
+    pytest.param("kite", {}, (2.5, 0.0), 0.43, id="kite"),
+]
+
+
+def _parity_couplings(kind, params, z, omega, n=256):
+    """
+    (a_n, a_n0) of slots 1..11 split by the mode's parity under the
+    mirror t -> -t, i.e. node j -> N - j: (odd a_n, odd a_n0, even a_n).
+    """
+    nodes = quadrature_nodes(make_curve(kind, **params), n)
+    spectrum = spectrum_of(nodes)
+    mirror = -np.arange(n) % n
+    odd, even = [], []
+    for slot in range(1, 12):
+        phi = spectrum.densities[:, slot]
+        if np.linalg.norm(phi + phi[mirror]) < 1e-8 * np.linalg.norm(phi):
+            odd.append(slot)
+        else:
+            assert np.linalg.norm(phi - phi[mirror]) < 1e-8 * np.linalg.norm(phi)
+            even.append(slot)
+    dipole = (np.asarray(z), np.array([1.0, 0.0]))
+    a_odd, a0_odd = coupling_an(*dipole, odd, spectrum, omega)
+    a_even, _ = coupling_an(*dipole, even, spectrum, omega)
+    assert len(odd) >= 5 and np.abs(a_even).max() > 0.05
+    return a_odd, a0_odd, a_even
+
+
+@pytest.mark.parametrize("kind, params, z, omega", _MIRROR_CASES)
+def test_axial_dipole_leaves_odd_modes_quasi_statically(kind, params, z, omega):
+    # the selection rule: the field of an axial dipole on the axis is even,
+    # so its pairing with an odd mode vanishes; the surface term a_n0 is
+    # a mirror-symmetric trapezoid sum and keeps the rule to rounding
+    _, a0_odd, _ = _parity_couplings(kind, params, z, omega)
+    assert np.abs(a0_odd).max() <= 1e-14
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "Finding 1: the coupling's volume term omega^2 int_D F_z S[phi_n] is a "
+    "first-order quadrature on an interior grid that is not mirror-symmetric, "
+    "so an odd mode's |a_n| reads 3.6e-7 (ellipse) and 6.3e-5 (kite), not 0"))
+@pytest.mark.parametrize("kind, params, z, omega", _MIRROR_CASES)
+def test_axial_dipole_leaves_odd_modes(kind, params, z, omega):
+    a_odd, _, _ = _parity_couplings(kind, params, z, omega)
+    assert np.abs(a_odd).max() <= 1e-12
+
+
 def test_coupling_argument_guards():
     _, spec = _ellipse_spectrum(128)
     with pytest.raises(ValueError):
@@ -586,13 +635,17 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         TransmissionProblem(**{**ok, "z": np.array([1.0 + 0.5 * nodes.spacing, 0.0])})
     with pytest.raises(ValueError):
-        TransmissionProblem(**{**ok, "eps_c": 1.0})  # no contrast
-    with pytest.raises(ValueError):
         TransmissionProblem(**{**ok, "s": -0.1})
     ok3 = dict(dim=3, geometry=(8, 1.0), s=0.01, delta=0.01, eps_c=-2.0,
                omega0=1.0, a=np.array([0.0, 0.0, 1.0]),
                z=np.array([0.0, 0.0, 2.0]))
     TransmissionProblem(**ok3)
+    # no lossy interior wavenumber: refused here, not later in problem.kc
+    # outside a row's error path
+    for eps_c in (2.0, 1.0, 0.0, 1e-300):
+        for base in (ok, ok3):
+            with pytest.raises(ValueError, match="^eps_c must be negative"):
+                TransmissionProblem(**{**base, "eps_c": eps_c})
     with pytest.raises(ValueError):
         TransmissionProblem(**{**ok3, "z": np.array([0.5, 0.0, 2.0])})  # off axis
     with pytest.raises(ValueError):
