@@ -10,16 +10,16 @@ should agree to ten digits at the resolutions used here.
 import numpy as np
 
 from plasmonres.geometry import Sphere, make_curve, quadrature_nodes
-from plasmonres.layer_ops import assemble_S, assemble_Kstar, sphere_degree_index
-from plasmonres.np_spectrum import build_gram, np_eigendecomposition, sphere_spectrum
+from plasmonres.layer_ops import sphere_degree_index
+from plasmonres.np_spectrum import sphere_spectrum, spectrum_of
 
 
 def ellipse_table(a=2.0, b=1.0, n_nodes=256, n_pairs=6):
     nodes = quadrature_nodes(make_curve("ellipse", a=a, b=b), n_nodes)
-    gram, c0, patched = build_gram(assemble_S(nodes), nodes)
-    spec = np_eigendecomposition(assemble_Kstar(nodes), gram)
+    spec = spectrum_of(nodes)
     ratio = (a - b) / (a + b)
-    print(f"ellipse a={a} b={b}  ({n_nodes} nodes, c0={c0:.6f}, patched={patched})")
+    print(f"ellipse a={a} b={b}  ({n_nodes} nodes, c0={spec.c0:.6f}, "
+          f"patched={spec.c0_h == 0.0})")
     print(f"{'slot':>4} {'computed':>18} {'closed form':>18} {'error':>10}")
     print(f"{0:>4} {spec.lambdas[0]:>18.12f} {0.5:>18.12f} "
           f"{abs(spec.lambdas[0] - 0.5):>10.1e}")

@@ -46,10 +46,8 @@ from .layer_ops import (
     sphere_operators,
 )
 from .np_spectrum import (
-    GramOperator,
     NPSpectrum,
-    build_gram,
-    np_eigendecomposition,
+    spectrum_of,
     sphere_spectrum,
     coeffs_hat,
     coeffs_check,
@@ -105,10 +103,8 @@ __all__ = [
     "eval_potential",
     "eval_gradient",
     "sphere_operators",
-    "GramOperator",
     "NPSpectrum",
-    "build_gram",
-    "np_eigendecomposition",
+    "spectrum_of",
     "sphere_spectrum",
     "coeffs_hat",
     "coeffs_check",

@@ -125,9 +125,11 @@ def load_sweep_config(source):
     dict. Keys are the snake_case SweepConfig field names; geometry is
     an object like {"kind": "ellipse", "a": 2, "b": 1, "n": 256} or
     {"kind": "sphere", "radius": 1, "degree": 12}. Unknown keys, a dim,
-    points_per_decade, workers, n or degree that is not an integer, and a
+    points_per_decade, workers, n or degree that is not an integer, a
     float key, an entry of a or z, or a geometry radius, a or b that is
-    not a number (a bool is neither) raise ConfigError naming the key.
+    not a number (a bool is neither), a csv_path that is not a
+    non-empty string and a plot_path that is not a string raise
+    ConfigError naming the key.
     """
     if isinstance(source, dict):
         data = dict(source)
@@ -161,6 +163,10 @@ def load_sweep_config(source):
     for key, value in [*data.items(), *geom.items()]:
         if key in _INT_KEYS and not is_integer(value):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if not (isinstance(data["csv_path"], str) and data["csv_path"]):
+        raise ConfigError(f"csv_path must be a non-empty string, got {data['csv_path']!r}")
+    if not isinstance(data.get("plot_path", ""), str):
+        raise ConfigError(f"plot_path must be a string, got {data['plot_path']!r}")
     numbers = [(k, data[k]) for k in _FLOAT_KEYS if k in data]
     numbers += [(f"geometry {k}", geom[k]) for k in _GEOMETRY_FLOATS if k in geom]
     for key in ("a", "z"):
@@ -182,7 +188,7 @@ def load_sweep_config(source):
         z = np.asarray(data["z"], dtype=float)
         return SweepConfig(dim=dim, geometry=geometry, eps_c=float(data["eps_c"]),
                            omega0=float(data["omega0"]), a=a, z=z,
-                           csv_path=str(data["csv_path"]), **kwargs)
+                           csv_path=data["csv_path"], **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 

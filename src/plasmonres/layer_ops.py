@@ -86,7 +86,8 @@ __all__ = [
     "sphere_degree_index",
 ]
 
-# largest wavenumber-diameter product the node counts used here resolve
+# largest |k| times the bounding-box diagonal of the nodes that the
+# Helmholtz assemblers accept, at every node count
 _MAX_K_DIAM = 5.0
 
 # largest |k| r_max over a target set for which off-boundary potentials
@@ -101,14 +102,13 @@ class BoundaryOperator:
     A 2-D matrix is dense and acts on vectors of nodal density values
     (2D curves). A 1-D matrix is a diagonal: the operator acts on
     flattened spherical-harmonic coefficients (sphere) as
-    matrix * coefficients. kind names the operator, wavenumber is 0 for
-    static kernels, and nodes is the geometry: the NodeSet of a 2D
-    matrix, the Sphere of a sphere_operators diagonal. Matrices are
-    frozen after assembly and safe to share across threads.
+    matrix * coefficients. wavenumber is 0 for static kernels, and nodes
+    is the geometry: the NodeSet of a 2D matrix, the Sphere of a
+    sphere_operators diagonal. Matrices are frozen after assembly and
+    safe to share across threads.
     """
 
     matrix: np.ndarray
-    kind: str
     wavenumber: complex = 0.0
     nodes: object = None
 
@@ -139,8 +139,8 @@ def _check_wavenumber(nodes, k):
     diam = float(np.linalg.norm(hi - lo))
     if abs(k) * diam > _MAX_K_DIAM:
         raise ValueError(
-            f"|k| diam = {abs(k) * diam:.3g} exceeds {_MAX_K_DIAM}; "
-            "the node count cannot resolve this wavenumber"
+            f"|k| diam = {abs(k) * diam:.3g} exceeds {_MAX_K_DIAM} (diam is the "
+            "bounding-box diagonal of the boundary; the limit holds at every node count)"
         )
     return k
 
@@ -162,8 +162,7 @@ def assemble_S(nodes):
     m1 = np.broadcast_to(jac / (4.0 * np.pi), (n, n)).copy()
     m2 = (np.log(pw.r * pw.r) - pw.logsin) * jac / (4.0 * np.pi)
     np.fill_diagonal(m2, np.log(jac) * jac / (2.0 * np.pi))
-    return BoundaryOperator(_weighted_sum(pw, m1, m2), kind="S", wavenumber=0.0,
-                            nodes=nodes)
+    return BoundaryOperator(_weighted_sum(pw, m1, m2), wavenumber=0.0, nodes=nodes)
 
 
 def assemble_Kstar(nodes):
@@ -179,7 +178,7 @@ def assemble_Kstar(nodes):
     kern = pw.nu_dot / (2.0 * np.pi * pw.r * pw.r) * nodes.jacobians
     np.fill_diagonal(kern, nodes.curvatures * nodes.jacobians / (4.0 * np.pi))
     mat = (2.0 * np.pi / n) * kern
-    return BoundaryOperator(mat, kind="Kstar", wavenumber=0.0, nodes=nodes)
+    return BoundaryOperator(mat, wavenumber=0.0, nodes=nodes)
 
 
 def _distance_table(nodes, k, name, order):
@@ -212,8 +211,7 @@ def assemble_S_omega(nodes, k):
     m2 -= m1 * pw.logsin
     diag = (-0.25j + (EULER_GAMMA + np.log(k * jac / 2.0)) / (2.0 * np.pi)) * jac
     np.fill_diagonal(m2, diag)
-    return BoundaryOperator(_weighted_sum(pw, m1, m2), kind="S_omega", wavenumber=k,
-                            nodes=nodes)
+    return BoundaryOperator(_weighted_sum(pw, m1, m2), wavenumber=k, nodes=nodes)
 
 
 def assemble_Kstar_omega(nodes, k):
@@ -237,8 +235,7 @@ def assemble_Kstar_omega(nodes, k):
     m2 *= jac
     m2 -= m1 * pw.logsin
     np.fill_diagonal(m2, nodes.curvatures * jac / (4.0 * np.pi))
-    return BoundaryOperator(_weighted_sum(pw, m1, m2), kind="Kstar_omega", wavenumber=k,
-                            nodes=nodes)
+    return BoundaryOperator(_weighted_sum(pw, m1, m2), wavenumber=k, nodes=nodes)
 
 
 def eval_potential(nodes, density, k, points):
@@ -374,13 +371,13 @@ def sphere_operators(sphere, k=0.0, terms=None):
     deg = sphere_degree_index(L)
     s_diag = -R / (2.0 * deg + 1.0)
     kstar_diag = 1.0 / (2.0 * (2.0 * deg + 1.0))
-    s_op = BoundaryOperator(s_diag, kind="S", wavenumber=0.0, nodes=sphere)
-    kstar_op = BoundaryOperator(kstar_diag, kind="Kstar", wavenumber=0.0, nodes=sphere)
+    s_op = BoundaryOperator(s_diag, wavenumber=0.0, nodes=sphere)
+    kstar_op = BoundaryOperator(kstar_diag, wavenumber=0.0, nodes=sphere)
     if k == 0:
         return s_op, kstar_op
     jh, jhp = sph_jh_from(terms or sph_terms(np.arange(L + 1), k * R))
     sk_diag = -1j * k * R * R * jh[deg]
     kk_diag = -0.5j * k * k * R * R * jhp[deg]
-    sk_op = BoundaryOperator(sk_diag, kind="S_omega", wavenumber=k, nodes=sphere)
-    kk_op = BoundaryOperator(kk_diag, kind="Kstar_omega", wavenumber=k, nodes=sphere)
+    sk_op = BoundaryOperator(sk_diag, wavenumber=k, nodes=sphere)
+    kk_op = BoundaryOperator(kk_diag, wavenumber=k, nodes=sphere)
     return s_op, kstar_op, sk_op, kk_op

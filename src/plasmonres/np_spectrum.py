@@ -16,11 +16,13 @@ definite.
 
 Normalization bookkeeping: phi_0 is stored with |c_0 m_0| = 1 and
 m_0 = int phi_0 dsigma > 0, where c_0 here is the interior constant of
-S[phi_0] for the stored scaling (field c0_h). The reported c0 rescales
-phi_0 to unit mean, making it comparable with the classical value of
-S[1] (R ln R on a radius-R circle, -R on a radius-R sphere). When the
-reported c0 vanishes (within threshold) the stored scaling is m_0 = 1
-and the S~ patch sends phi_0 to the constant function m_0.
+S[phi_0] for the stored scaling (field c0_h). The reported c0 (field
+c0) rescales phi_0 to unit mean, making it comparable with the classical
+value of S[1] (R ln R on a radius-R circle, -R on a radius-R sphere).
+When the reported c0 vanishes (within threshold) the spectrum is
+patched: the stored scaling is m_0 = 1, c0_h is exactly 0, and the S~
+patch sends phi_0 to the constant function m_0: patched <=> c0_h == 0.
+spectrum_of is the one way to build a 2D spectrum.
 
 Everything is dimension-uniform: the sphere realization is diagonal over
 spherical-harmonic coefficients and produces the same NPSpectrum record
@@ -34,14 +36,10 @@ import numpy as np
 from scipy import linalg
 
 from .geometry import NodeSet, Sphere
-from .layer_ops import BoundaryOperator, assemble_Kstar, assemble_S, sphere_degree_index, \
-    sphere_operators, _require_2d
+from .layer_ops import assemble_Kstar, assemble_S, sphere_degree_index, sphere_operators
 
 __all__ = [
-    "GramOperator",
     "NPSpectrum",
-    "build_gram",
-    "np_eigendecomposition",
     "sphere_spectrum",
     "spectrum_of",
     "coeffs_hat",
@@ -58,26 +56,6 @@ _EXPANSION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class GramOperator:
-    """
-    Positive-definite Gram matrix of the H* inner product, together with
-    the equilibrium data the eigendecomposition and the closed-form
-    solvers need. c0 is the reported (unit-mean) interior constant, c0_h
-    the one for the stored phi0, ctilde0 the S~ image constant.
-    """
-
-    matrix: np.ndarray
-    phi0: np.ndarray
-    m0: float
-    c0: float
-    c0_h: float
-    ctilde0: float
-    patched: bool
-    s_matrix: np.ndarray
-    nodes: NodeSet
-
-
-@dataclass(frozen=True)
 class NPSpectrum:
     """
     H*-orthonormal eigendecomposition of the adjoint NP operator.
@@ -88,10 +66,12 @@ class NPSpectrum:
     signed value. wdiag are the diagonal surface quadrature weights of
     the trace pairing <phi, f> = (wdiag * f) @ phi: the arclength
     weights in 2D, ones over the sphere's surface-orthonormal
-    coefficients. stilde_traces holds S~[phi_n] as columns. geometry
-    is the NodeSet or Sphere the spectrum belongs to. On the sphere
-    densities, gram and stilde_traces are diagonal and stored as their
-    1-D diagonals.
+    coefficients. stilde_traces holds S~[phi_n] as columns. c0 is the
+    reported unit-mean interior constant of S[phi_0] (-R on the sphere),
+    c0_h the one of the stored phi_0; c0_h == 0 exactly when the
+    constant slot is patched. geometry is the NodeSet or Sphere the
+    spectrum belongs to. On the sphere densities, gram and stilde_traces
+    are diagonal and stored as their 1-D diagonals.
     """
 
     lambdas: np.ndarray
@@ -99,6 +79,7 @@ class NPSpectrum:
     gram: np.ndarray
     wdiag: np.ndarray
     m0: float
+    c0: float
     c0_h: float
     ctilde0: float
     stilde_traces: np.ndarray
@@ -114,81 +95,6 @@ class NPSpectrum:
         if self.densities.ndim == 1:
             return np.where(np.arange(self.n) == 0, self.densities, 0.0)
         return self.densities[:, 0]
-
-
-def build_gram(S, nodes):
-    """
-    Build the H* Gram matrix from an assembled single-layer operator.
-
-    Finds the equilibrium density by the bordered solve
-    [S, -1; w^T, 0][phi0; c] = [0; 1], reports c0 (unit-mean scaling),
-    decides the patch, rescales phi0 to |c0_h m0| = 1 (or m0 = 1 when
-    patched), and assembles
-
-        G = P^T M P + q q^T,   M = -(W S + S^T W)/2,
-        q = w / m0,            P = I - phi0 q^T,
-
-    which is symmetric positive definite, restricts to -W S on mean-zero
-    densities, and gives phi0 unit norm. Returns (G, c0, patched).
-    """
-    _require_2d(nodes)
-    sm = S.matrix if isinstance(S, BoundaryOperator) else np.asarray(S)
-    n = nodes.n
-    if sm.shape != (n, n):
-        raise ValueError("operator and node set sizes disagree")
-    w = nodes.weights
-    bordered = np.zeros((n + 1, n + 1))
-    bordered[:n, :n] = sm.real
-    bordered[:n, n] = -1.0
-    bordered[n, :n] = w
-    rhs = np.zeros(n + 1)
-    rhs[n] = 1.0
-    try:
-        sol = np.linalg.solve(bordered, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("equilibrium solve failed; boundary degenerate") from exc
-    phi0_raw, c_raw = sol[:n], sol[n]
-    resid = np.max(np.abs(sm.real @ phi0_raw - c_raw))
-    if resid > 1e-8 * (1.0 + abs(c_raw)):
-        raise RuntimeError(f"equilibrium residual {resid:.2e}; quadrature too coarse")
-    perimeter = nodes.perimeter
-    c0 = c_raw * perimeter
-    patched = abs(c0) < 1e-8 * (1.0 + perimeter)
-    if patched:
-        phi0 = phi0_raw
-        m0 = 1.0
-        c0_h = 0.0
-        ctilde0 = m0
-    else:
-        scale = np.sqrt(abs(c_raw))
-        phi0 = phi0_raw / scale
-        m0 = 1.0 / scale
-        c0_h = c_raw / scale
-        ctilde0 = c0_h
-    q = w / m0
-    m = -(w[:, None] * sm.real + sm.real.T * w[None, :]) / 2.0
-    proj = np.eye(n) - np.outer(phi0, q)
-    g = proj.T @ m @ proj + np.outer(q, q)
-    g = (g + g.T) / 2.0
-    try:
-        linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        smallest = linalg.eigvalsh(g)[0]
-        raise RuntimeError(
-            f"Gram matrix not positive definite (smallest eigenvalue {smallest:.3e})"
-        ) from exc
-    gram = GramOperator(
-        matrix=g,
-        phi0=phi0,
-        m0=m0,
-        c0=c0,
-        c0_h=c0_h,
-        ctilde0=ctilde0,
-        patched=patched,
-        s_matrix=sm,
-        nodes=nodes,
-    )
-    return gram, c0, patched
 
 
 def _orient_columns(v):
@@ -221,21 +127,75 @@ def _order_by_magnitude(lam):
     return np.array(out, dtype=int)
 
 
-def np_eigendecomposition(Kstar, G):
+def _gram(s, nodes):
     """
-    Solve the G-symmetric eigenproblem for K* and package the spectrum.
+    H* Gram matrix of the single-layer matrix s on a 2D NodeSet.
+
+    Finds the equilibrium density by the bordered solve
+    [S, -1; w^T, 0][phi0; c] = [0; 1], reports c0 (unit-mean scaling),
+    decides the patch, rescales phi0 to |c0_h m0| = 1 (or m0 = 1 when
+    patched), and assembles
+
+        G = P^T M P + q q^T,   M = -(W S + S^T W)/2,
+        q = w / m0,            P = I - phi0 q^T,
+
+    which is symmetric positive definite, restricts to -W S on mean-zero
+    densities, and gives phi0 unit norm. Returns (G, phi0, scalars), the
+    scalars being the NPSpectrum fields m0, c0, c0_h and ctilde0.
+    """
+    n = nodes.n
+    w = nodes.weights
+    bordered = np.zeros((n + 1, n + 1))
+    bordered[:n, :n] = s
+    bordered[:n, n] = -1.0
+    bordered[n, :n] = w
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
+    try:
+        sol = np.linalg.solve(bordered, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("equilibrium solve failed; boundary degenerate") from exc
+    phi0_raw, c_raw = sol[:n], sol[n]
+    resid = np.max(np.abs(s @ phi0_raw - c_raw))
+    if resid > 1e-8 * (1.0 + abs(c_raw)):
+        raise RuntimeError(f"equilibrium residual {resid:.2e}; quadrature too coarse")
+    perimeter = nodes.perimeter
+    c0 = c_raw * perimeter
+    if abs(c0) < 1e-8 * (1.0 + perimeter):
+        phi0, m0, c0_h, ctilde0 = phi0_raw, 1.0, 0.0, 1.0
+    else:
+        scale = np.sqrt(abs(c_raw))
+        phi0, m0, c0_h = phi0_raw / scale, 1.0 / scale, c_raw / scale
+        ctilde0 = c0_h
+    q = w / m0
+    m = -(w[:, None] * s + s.T * w[None, :]) / 2.0
+    proj = np.eye(n) - np.outer(phi0, q)
+    g = proj.T @ m @ proj + np.outer(q, q)
+    g = (g + g.T) / 2.0
+    try:
+        linalg.cholesky(g)
+    except np.linalg.LinAlgError as exc:
+        smallest = linalg.eigvalsh(g)[0]
+        raise RuntimeError(
+            f"Gram matrix not positive definite (smallest eigenvalue {smallest:.3e})"
+        ) from exc
+    return g, phi0, dict(m0=m0, c0=c0, c0_h=c0_h, ctilde0=ctilde0)
+
+
+def _planar_spectrum(nodes):
+    """
+    Solve the G-symmetric eigenproblem for K* on a 2D NodeSet.
 
     K* is self-adjoint in the G inner product, so G K* is symmetric up
     to quadrature error; an asymmetry beyond 1e-6 relative signals a
     broken symmetrization and raises. Eigenvectors come out
     G-orthonormal; the lambda_0 slot is replaced by the equilibrium
-    density stored in G so the spectral solvers see exactly the
-    normalization build_gram fixed.
+    density of _gram, so the spectral solvers see exactly the
+    normalization fixed there.
     """
-    km = Kstar.matrix if isinstance(Kstar, BoundaryOperator) else np.asarray(Kstar)
-    km = km.real
-    g = G.matrix
-    gk = g @ km
+    sm = assemble_S(nodes).matrix
+    g, phi0, scalars = _gram(sm, nodes)
+    gk = g @ assemble_Kstar(nodes).matrix
     asym = np.linalg.norm(gk - gk.T) / max(np.linalg.norm(gk), 1e-300)
     if asym > 1e-6:
         raise RuntimeError(
@@ -247,23 +207,12 @@ def np_eigendecomposition(Kstar, G):
     order = np.concatenate(([i0], rest[_order_by_magnitude(lam[rest])]))
     lam = lam[order]
     vec = vec[:, order]
-    vec[:, 0] = G.phi0
+    vec[:, 0] = phi0
     vec = _orient_columns(vec)
-    nodes = G.nodes
-    stilde = G.s_matrix.real @ vec
-    stilde[:, 0] = G.ctilde0
-    return NPSpectrum(
-        lambdas=lam,
-        densities=vec,
-        gram=g,
-        wdiag=nodes.weights,
-        m0=G.m0,
-        c0_h=G.c0_h,
-        ctilde0=G.ctilde0,
-        stilde_traces=stilde,
-        dim=2,
-        geometry=nodes,
-    )
+    stilde = sm @ vec
+    stilde[:, 0] = scalars["ctilde0"]
+    return NPSpectrum(lambdas=lam, densities=vec, gram=g, wdiag=nodes.weights,
+                      stilde_traces=stilde, dim=2, geometry=nodes, **scalars)
 
 
 def sphere_spectrum(sphere):
@@ -290,6 +239,7 @@ def sphere_spectrum(sphere):
         gram=gram,
         wdiag=np.ones(deg.size),
         m0=m0,
+        c0=-R,
         c0_h=c0_h,
         ctilde0=c0_h,
         stilde_traces=stilde,
@@ -311,8 +261,7 @@ def cluster_ids(lambdas):
 def spectrum_of(geometry):
     """NPSpectrum of a problem geometry: a 2D NodeSet or a Sphere (L, R)."""
     if isinstance(geometry, NodeSet):
-        gram, _, _ = build_gram(assemble_S(geometry), geometry)
-        return np_eigendecomposition(assemble_Kstar(geometry), gram)
+        return _planar_spectrum(geometry)
     return sphere_spectrum(geometry)
 
 

@@ -631,6 +631,7 @@ def coupling_an(z, a, slots, spectrum, omega, traces=None, bessel=None):
     fundamental solution). On the sphere, traces and bessel may be the
     dipole_traces and sphere_bessel of the problem with this dipole and
     omega, which the coupling then reuses; a 2D coupling ignores them.
+    A dipole inside the inclusion raises ValueError.
     """
     if omega <= 0 or omega > OMEGA_MAX:
         raise ValueError(f"omega must lie in (0, {OMEGA_MAX}]")
@@ -646,6 +647,8 @@ def _coupling_an_2d(z, a, slots, spectrum, omega):
     nodes = spectrum.geometry
     quad = nodes.interior
     z = np.asarray(z, dtype=float).reshape(2)
+    if _inside_polygon(z[None, :], nodes.points)[0]:
+        raise ValueError("dipole location lies inside the inclusion")
     a = np.asarray(a, dtype=float).reshape(2)
     a = a / np.linalg.norm(a)
     f_bdry, f_in, f_edge = (-(grad_gamma_helmholtz(p - z[None, :], omega, 2) @ a)

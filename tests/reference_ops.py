@@ -163,8 +163,8 @@ def assemble_R_Q(nodes, omega, d=2):
         r3 = (sw.matrix - s0.matrix) / omega
         q3 = (kw.matrix - k0.matrix) / omega**2
         return (
-            BoundaryOperator(r3, kind="R3", wavenumber=omega),
-            BoundaryOperator(q3, kind="Q3", wavenumber=omega),
+            BoundaryOperator(r3, wavenumber=omega),
+            BoundaryOperator(q3, wavenumber=omega),
         )
     if d != 2:
         raise ValueError("d must be 2 or 3")
@@ -186,8 +186,8 @@ def assemble_R_Q(nodes, omega, d=2):
         assemble_Kstar_omega(nodes, omega).matrix - assemble_Kstar(nodes).matrix
     ) / scale
     return (
-        BoundaryOperator(r2, kind="R2", wavenumber=omega, nodes=nodes),
-        BoundaryOperator(q2, kind="Q2", wavenumber=omega, nodes=nodes),
+        BoundaryOperator(r2, wavenumber=omega, nodes=nodes),
+        BoundaryOperator(q2, wavenumber=omega, nodes=nodes),
     )
 
 

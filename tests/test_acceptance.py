@@ -16,8 +16,6 @@ import pytest
 
 from plasmonres.geometry import Sphere, make_curve, quadrature_nodes
 from plasmonres.layer_ops import (
-    assemble_S,
-    assemble_Kstar,
     assemble_S_omega,
     assemble_Kstar_omega,
     InteriorKernels,
@@ -25,9 +23,8 @@ from plasmonres.layer_ops import (
     sphere_degree_index,
 )
 from plasmonres.np_spectrum import (
-    build_gram,
-    np_eigendecomposition,
     sphere_spectrum,
+    spectrum_of,
     coeffs_hat,
 )
 from plasmonres.specfun import hankel_first_kind, sph_terms
@@ -46,8 +43,7 @@ def ellipse_nodes():
 @pytest.fixture(scope="module")
 def ellipse_spectrum_timed(ellipse_nodes):
     t0 = time.perf_counter()
-    gram, c0, patched = build_gram(assemble_S(ellipse_nodes), ellipse_nodes)
-    spec = np_eigendecomposition(assemble_Kstar(ellipse_nodes), gram)
+    spec = spectrum_of(ellipse_nodes)
     return spec, time.perf_counter() - t0
 
 
@@ -108,8 +104,7 @@ def test_criterion_01_ellipse_eigenvalues(ellipse_spectrum_timed):
     assert err <= 1e-8
     assert elapsed <= 30.0
     nodes512 = quadrature_nodes(make_curve("ellipse", a=2.0, b=1.0), 512)
-    gram512, _, _ = build_gram(assemble_S(nodes512), nodes512)
-    spec512 = np_eigendecomposition(assemble_Kstar(nodes512), gram512)
+    spec512 = spectrum_of(nodes512)
     drift = float(np.max(np.abs(spec.lambdas[:9] - spec512.lambdas[:9])))
     assert drift <= 1e-8
     print(f"PASS criterion 01: ellipse first 8 nonzero eigenvalues err "
@@ -136,12 +131,11 @@ def test_criterion_02_sphere_spectrum_and_quadrature():
 
 def test_criterion_03_constant_mode_scale_split():
     nodes1 = quadrature_nodes(make_curve("circle", radius=1.0), 128)
-    _, c0_unit, patched_unit = build_gram(assemble_S(nodes1), nodes1)
-    assert patched_unit
+    assert spectrum_of(nodes1).c0_h == 0.0
     nodes2 = quadrature_nodes(make_curve("circle", radius=2.0), 128)
-    _, c0_two, patched_two = build_gram(assemble_S(nodes2), nodes2)
-    assert not patched_two
-    err = abs(c0_two - 2.0 * math.log(2.0))
+    spec_two = spectrum_of(nodes2)
+    assert spec_two.c0_h != 0.0
+    err = abs(spec_two.c0 - 2.0 * math.log(2.0))
     assert err <= 1e-8
     print(f"PASS criterion 03: unit circle patched, radius-2 c0 err "
           f"{err:.2e} <= 1e-8")
@@ -204,8 +198,7 @@ def test_criterion_07_direct_vs_spectral(sweep_3d_resonant, sweep_3d_off,
 @pytest.fixture(scope="module")
 def comparability_data():
     nodes = quadrature_nodes(make_curve("ellipse", a=2.0, b=1.0), 192)
-    gram, _, _ = build_gram(assemble_S(nodes), nodes)
-    spec = np_eigendecomposition(assemble_Kstar(nodes), gram)
+    spec = spectrum_of(nodes)
     rng = np.random.default_rng(2026)
     records = []
     for om in (0.1, 0.01):

@@ -27,6 +27,18 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
     assert (tmp_path / "sweep.csv").exists()
 
 
+def test_readme_public_names_are_exported():
+    # every name the README's public-names paragraph lists is importable
+    # from the package, so a removed name cannot linger there
+    import plasmonres
+
+    paragraph = re.search(r"^The public names are those of `plasmonres.__all__`.*?\n\n",
+                          README.read_text(), re.M | re.S).group(0)
+    names = re.findall(r"`([^`]+)`", paragraph)[1:]
+    assert len(names) > 30
+    assert [name for name in names if name not in plasmonres.__all__] == []
+
+
 def _load(name):
     spec = importlib.util.spec_from_file_location(name, DEMOS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)

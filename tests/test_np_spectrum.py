@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plasmonres import np_spectrum
 from plasmonres.geometry import Sphere, make_curve, quadrature_nodes
 from plasmonres.layer_ops import assemble_S, assemble_Kstar, sphere_degree_index, sphere_operators
 from plasmonres.np_spectrum import (
-    build_gram,
-    np_eigendecomposition,
     sphere_spectrum,
     spectrum_of,
     coeffs_hat,
@@ -30,16 +29,13 @@ C0_ELLIPSE = 0.6252127723586231
 
 def _spectrum_2d(kind, n, **params):
     nodes = quadrature_nodes(make_curve(kind, **params), n)
-    s = assemble_S(nodes)
-    gram, c0, patched = build_gram(s, nodes)
-    spec = np_eigendecomposition(assemble_Kstar(nodes), gram)
-    return nodes, spec, c0, patched
+    return nodes, spectrum_of(nodes)
 
 
 def test_ellipse_eigenvalues_closed_form():
     # the 2:1 ellipse has simple pairs -+ (1/2)(1/3)^n; the negative
     # member of each pair sorts first
-    _, spec, _, _ = _spectrum_2d("ellipse", 256, a=2.0, b=1.0)
+    _, spec = _spectrum_2d("ellipse", 256, a=2.0, b=1.0)
     lam = spec.lambdas
     assert abs(lam[0] - 0.5) < 1e-12
     for n in range(1, 5):
@@ -49,14 +45,14 @@ def test_ellipse_eigenvalues_closed_form():
 
 
 def test_ellipse_eigenvalues_resolution_drift():
-    _, s128, _, _ = _spectrum_2d("ellipse", 128, a=2.0, b=1.0)
-    _, s256, _, _ = _spectrum_2d("ellipse", 256, a=2.0, b=1.0)
+    _, s128 = _spectrum_2d("ellipse", 128, a=2.0, b=1.0)
+    _, s256 = _spectrum_2d("ellipse", 256, a=2.0, b=1.0)
     assert np.max(np.abs(s128.lambdas[:17] - s256.lambdas[:17])) < 1e-8
 
 
 def test_disk_spectrum_degenerate():
     # every non-constant mode of a disk sits at 0
-    _, spec, _, _ = _spectrum_2d("circle", 96, radius=1.0)
+    _, spec = _spectrum_2d("circle", 96, radius=1.0)
     assert abs(spec.lambdas[0] - 0.5) < 1e-12
     assert np.max(np.abs(spec.lambdas[1:])) < 1e-10
 
@@ -80,35 +76,42 @@ def _assert_contained(nodes, spec):
 @given(b=_MINOR, aspect=_ASPECT)
 def test_spectrum_containment_and_constant_mode(b, aspect):
     # lambda_0 = 1/2 and every other eigenvalue lies in (-1/2, 1/2)
-    _assert_contained(*_spectrum_2d("ellipse", 64, a=aspect * b, b=b)[:2])
+    _assert_contained(*_spectrum_2d("ellipse", 64, a=aspect * b, b=b))
 
 
 def test_spectrum_containment_on_the_kite():
-    _assert_contained(*_spectrum_2d("kite", 192)[:2])
+    _assert_contained(*_spectrum_2d("kite", 192))
 
 
 def test_constant_mode_scale_split():
     # unit circle: the geometric scale ln R vanishes, so the constant
     # slot is patched and carries a unit surrogate
-    _, spec1, c01, patched1 = _spectrum_2d("circle", 128, radius=1.0)
-    assert patched1
-    assert abs(c01) < 1e-12
+    _, spec1 = _spectrum_2d("circle", 128, radius=1.0)
+    assert abs(spec1.c0) < 1e-12
     assert spec1.c0_h == 0.0
     assert abs(spec1.m0 - 1.0) < 1e-12
     assert abs(spec1.ctilde0 - 1.0) < 1e-12
     # radius 2: both scales finite and tied by |c0_h m0| = 1
-    _, spec2, c02, patched2 = _spectrum_2d("circle", 128, radius=2.0)
-    assert not patched2
-    assert abs(c02 - C0_RADIUS2) < 1e-8
+    _, spec2 = _spectrum_2d("circle", 128, radius=2.0)
+    assert spec2.c0_h != 0.0
+    assert abs(spec2.c0 - C0_RADIUS2) < 1e-8
     assert abs(spec2.c0_h - C0H_RADIUS2) < 1e-10
     assert abs(abs(spec2.c0_h * spec2.m0) - 1.0) < 1e-10
-    _, _, c0e, patchede = _spectrum_2d("ellipse", 192, a=2.0, b=1.0)
-    assert not patchede
-    assert abs(c0e - C0_ELLIPSE) < 1e-8
+    _, spec_e = _spectrum_2d("ellipse", 192, a=2.0, b=1.0)
+    assert spec_e.c0_h != 0.0
+    assert abs(spec_e.c0 - C0_ELLIPSE) < 1e-8
+
+
+@pytest.mark.parametrize("degree, radius", [(4, 1.0), (8, 0.3), (12, 2.5), (40, 25.0)])
+def test_sphere_constant_mode_is_minus_radius(degree, radius):
+    # S[1] = -R on a radius-R sphere, never patched
+    spec = spectrum_of(Sphere(degree, radius))
+    assert spec.c0 == -radius
+    assert spec.c0_h != 0.0
 
 
 def test_basis_orthonormal_and_eigen_residual():
-    nodes, spec, _, _ = _spectrum_2d("ellipse", 128, a=2.0, b=1.0)
+    nodes, spec = _spectrum_2d("ellipse", 128, a=2.0, b=1.0)
     Phi, G = spec.densities, spec.gram
     assert np.linalg.norm(Phi.T @ G @ Phi - np.eye(nodes.n)) < 1e-10
     k_mat = assemble_Kstar(nodes).matrix
@@ -117,7 +120,7 @@ def test_basis_orthonormal_and_eigen_residual():
 
 
 def test_stilde_trace_columns():
-    nodes, spec, _, _ = _spectrum_2d("ellipse", 128, a=2.0, b=1.0)
+    nodes, spec = _spectrum_2d("ellipse", 128, a=2.0, b=1.0)
     s_mat = assemble_S(nodes).matrix
     st = spec.stilde_traces
     assert np.allclose(st[:, 0], spec.ctilde0 * np.ones(nodes.n), atol=1e-12)
@@ -129,8 +132,8 @@ def test_stilde_trace_columns():
 @given(b=_MINOR, aspect=_ASPECT, dilation=st.floats(min_value=0.1, max_value=10.0))
 def test_scale_covariance_of_eigenvalues(b, aspect, dilation):
     # the spectrum is invariant under dilation of the boundary
-    _, small, _, _ = _spectrum_2d("ellipse", 64, a=aspect * b, b=b)
-    _, large, _, _ = _spectrum_2d("ellipse", 64, a=aspect * b * dilation, b=b * dilation)
+    _, small = _spectrum_2d("ellipse", 64, a=aspect * b, b=b)
+    _, large = _spectrum_2d("ellipse", 64, a=aspect * b * dilation, b=b * dilation)
     assert np.max(np.abs(np.sort(small.lambdas) - np.sort(large.lambdas))) < 1e-9
 
 
@@ -139,14 +142,13 @@ def test_scale_covariance_of_eigenvalues(b, aspect, dilation):
 def test_kstar_is_self_adjoint_in_the_gram(b, aspect):
     # K* is self-adjoint in the H* inner product, whose discrete Gram is
     # G, so G K* is symmetric: <x, K* y>_G = <K* x, y>_G for all densities
-    nodes = quadrature_nodes(make_curve("ellipse", a=aspect * b, b=b), 64)
-    gram, _, _ = build_gram(assemble_S(nodes), nodes)
-    gk = gram.matrix @ assemble_Kstar(nodes).matrix
+    nodes, spec = _spectrum_2d("ellipse", 64, a=aspect * b, b=b)
+    gk = spec.gram @ assemble_Kstar(nodes).matrix
     assert np.linalg.norm(gk - gk.T) <= 1e-12 * np.linalg.norm(gk)
 
 
 def test_coeffs_hat_parseval_roundtrip():
-    nodes, spec, _, _ = _spectrum_2d("ellipse", 128, a=2.0, b=1.0)
+    nodes, spec = _spectrum_2d("ellipse", 128, a=2.0, b=1.0)
     rng = np.random.default_rng(7)
     coef = rng.standard_normal(nodes.n)
     phi = spec.densities @ coef
@@ -159,7 +161,7 @@ def test_coeffs_hat_parseval_roundtrip():
 
 
 def test_coeffs_check_expansion_and_guard():
-    nodes, spec, _, _ = _spectrum_2d("ellipse", 128, a=2.0, b=1.0)
+    nodes, spec = _spectrum_2d("ellipse", 128, a=2.0, b=1.0)
     rng = np.random.default_rng(11)
     coef = rng.standard_normal(24)
     f = spec.stilde_traces[:, :24] @ coef
@@ -175,13 +177,14 @@ def test_coeffs_check_expansion_and_guard():
         coeffs_check(f[:-1], spec)
 
 
-def test_eigendecomposition_symmetry_guard():
-    # feeding a mismatched Gram (wrong geometry) trips the symmetry check
-    nodes_a = quadrature_nodes(make_curve("ellipse", a=2.0, b=1.0), 96)
-    nodes_b = quadrature_nodes(make_curve("kite"), 96)
-    gram_b, _, _ = build_gram(assemble_S(nodes_b), nodes_b)
-    with pytest.raises(RuntimeError):
-        np_eigendecomposition(assemble_Kstar(nodes_a), gram_b)
+def test_eigendecomposition_symmetry_guard(monkeypatch):
+    # a K* that is not self-adjoint in the Gram (the kite's, at the same
+    # node count, against the ellipse's Gram) trips the symmetry check
+    nodes = quadrature_nodes(make_curve("ellipse", a=2.0, b=1.0), 96)
+    kite_kstar = assemble_Kstar(quadrature_nodes(make_curve("kite"), 96))
+    monkeypatch.setattr(np_spectrum, "assemble_Kstar", lambda _: kite_kstar)
+    with pytest.raises(RuntimeError, match="G K\\* asymmetry"):
+        spectrum_of(nodes)
 
 
 def test_sphere_spectrum_closed_form():

@@ -804,7 +804,8 @@ _CLI_ELLIPSE_SOLVE = ["solve", "--dim", "2", "--geometry", "ellipse:2,1", "--nod
 
 @pytest.mark.parametrize("solver", ("direct", "spectral"))
 def test_cli_solve_unresolved_wavenumber_exits_2(capsys, solver):
-    # |k| diam = 6 on the radius-6 circle is above what 128 nodes resolve
+    # |k| diam = 6 on the radius-6 circle (diam the bounding-box diagonal)
+    # is above the limit of 5, which holds at every node count
     rc = main(["solve", "--dim", "2", "--geometry", "circle:6", "--nodes", "128",
                "--eps-c", "-2", "--delta", "1e-3", "--scale", "0.5",
                "--dipole-a", "1,0", "--dipole-z", "9,0", "--solver", solver])
@@ -996,6 +997,26 @@ def test_cli_config_rejects_non_number_axes(tmp_path, axes):
               "csv_path": str(tmp_path / "x.csv")}
     with pytest.raises(ConfigError, match="^geometry (a|b) must be a number"):
         load_sweep_config(config)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("csv_path", 5), ("csv_path", True), ("csv_path", None), ("csv_path", ""),
+    ("csv_path", ["x.csv"]), ("plot_path", True), ("plot_path", 5), ("plot_path", None)])
+def test_cli_config_rejects_non_string_paths(tmp_path, capsys, monkeypatch, field, value):
+    # a path is a JSON string: 5 or true must not become a file named
+    # "5", nor open(True) the standard output as the SVG
+    monkeypatch.chdir(tmp_path)
+    config = {"dim": 3, "geometry": {"kind": "sphere", "radius": 1.0, "degree": 8},
+              "eps_c": -2.0, "omega0": 1.0, "a": [0, 0, 1], "z": [0, 0, 2],
+              "csv_path": "x.csv", field: value}
+    with pytest.raises(ConfigError, match=f"^{field} must be a "):
+        load_sweep_config(config)
+    Path("cfg.json").write_text(json.dumps(config))
+    assert main(["sweep", "--config", "cfg.json"]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{field} must be a " in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("command, geometry, named", [

@@ -17,16 +17,12 @@ from plasmonres.geometry import MIN_SPHERE_DEGREE, Sphere, make_curve, quadratur
 from plasmonres.layer_ops import (
     sphere_degree_index,
     sphere_operators,
-    assemble_S,
-    assemble_Kstar,
     assemble_S_omega,
     assemble_Kstar_omega,
     eval_potential,
     InteriorKernels,
 )
 from plasmonres.np_spectrum import (
-    build_gram,
-    np_eigendecomposition,
     sphere_spectrum,
     spectrum_of,
     coeffs_hat,
@@ -55,14 +51,12 @@ import reference_ops
 
 def _ellipse_spectrum(n=192):
     nodes = quadrature_nodes(make_curve("ellipse", a=2.0, b=1.0), n)
-    gram, _, _ = build_gram(assemble_S(nodes), nodes)
-    return nodes, np_eigendecomposition(assemble_Kstar(nodes), gram)
+    return nodes, spectrum_of(nodes)
 
 
 def _circle_spectrum(radius, n=128):
     nodes = quadrature_nodes(make_curve("circle", radius=radius), n)
-    gram, _, _ = build_gram(assemble_S(nodes), nodes)
-    return nodes, np_eigendecomposition(assemble_Kstar(nodes), gram)
+    return nodes, spectrum_of(nodes)
 
 
 def _energy_ops(nodes, kc):
@@ -621,6 +615,9 @@ def test_coupling_argument_guards():
     # slots are a sequence, never a bare int
     with pytest.raises(TypeError):
         coupling_an(np.array([3.0, 0.0]), np.array([1.0, 0.0]), 1, spec, 0.05)
+    # a dipole inside the inclusion is refused, as the 3D branch does
+    with pytest.raises(ValueError, match="inside the inclusion"):
+        coupling_an(np.array([0.0, 0.0]), np.array([1.0, 0.0]), [1, 2], spec, 0.05)
 
 
 def test_problem_validation():
