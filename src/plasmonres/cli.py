@@ -18,6 +18,7 @@ ignored so typos cannot silently change a run.
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -47,8 +48,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VALIDATION = 4
-
-_VALIDATE_SUITES = ("spectrum", "layer", "energy", "all")
 
 
 class ConfigError(ValueError):
@@ -102,9 +101,10 @@ def _parse_vec(text, dim):
 
 # ---------------------------------------------------------- JSON config
 
-_CONFIG_REQUIRED = ("dim", "geometry", "eps_c", "omega0", "a", "z", "csv_path")
-_CONFIG_OPTIONAL = ("eps_m", "delta_max", "delta_min", "points_per_decade",
-                    "coupling_c", "solver", "workers", "plot_path")
+# the SweepConfig fields; those without a default are required
+_FIELDS = dataclasses.fields(SweepConfig)
+_CONFIG_REQUIRED = tuple(f.name for f in _FIELDS if f.default is dataclasses.MISSING)
+_CONFIG_OPTIONAL = tuple(f.name for f in _FIELDS if f.default is not dataclasses.MISSING)
 _GEOMETRY_KEYS = {
     "circle": {"kind", "radius", "n"},
     "ellipse": {"kind", "a", "b", "n"},
@@ -251,22 +251,25 @@ def _suite_energy():
     # tied mode at small real wavenumber: energy must match the
     # quasi-static mode energy (1/2 - lambda_1) of a unit mode
     k_small = 0.005
-    ops = (*helmholtz_operators(nodes, k_small), InteriorKernels(nodes, k_small))
     phi1 = spec.densities[:, 1]
-    e_num = gradient_energy(phi1, k_small, ops)
+    e_num = gradient_energy(phi1, InteriorKernels(*helmholtz_operators(nodes, k_small)))
     e_ref = 0.5 - spec.lambdas[1]
     checks.append(_check("quasistatic_mode_energy", abs(e_num - e_ref) / e_ref, 1e-3))
     # boundary Green identity against independent interior quadrature
     problem = TransmissionProblem(dim=2, geometry=nodes, s=0.1, delta=0.05,
                                   eps_c=-2.0, omega0=1.0, a=[1.0, 0.0], z=[3.0, 0.0])
-    kc = problem.kc
-    ops_kc = helmholtz_operators(nodes, kc)
+    kernels = InteriorKernels(*helmholtz_operators(nodes, problem.kc))
     sol = solve_direct(problem, operators=(
-        *ops_kc, *helmholtz_operators(nodes, problem.omega)))
-    e_b = gradient_energy(sol.phi, kc, (*ops_kc, InteriorKernels(nodes, kc)))
-    e_i = interior_gradient_energy(sol.phi, kc, ops_kc)
+        kernels.s, kernels.kstar, *helmholtz_operators(nodes, problem.omega)))
+    e_b = gradient_energy(sol.phi, kernels)
+    e_i = interior_gradient_energy(sol.phi, kernels)
     checks.append(_check("green_identity_vs_interior", abs(e_b - e_i) / abs(e_i), 0.02))
     return checks
+
+
+# the check suites in the order "all" runs them
+_SUITES = {"spectrum": _suite_spectrum, "layer": _suite_layer, "energy": _suite_energy}
+_VALIDATE_SUITES = (*_SUITES, "all")
 
 
 def validate(suite):
@@ -277,15 +280,9 @@ def validate(suite):
     """
     if suite not in _VALIDATE_SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {_VALIDATE_SUITES}")
-    runners = {
-        "spectrum": _suite_spectrum,
-        "layer": _suite_layer,
-        "energy": _suite_energy,
-    }
-    names = [suite] if suite != "all" else ["spectrum", "layer", "energy"]
     checks = []
-    for name in names:
-        checks.extend(runners[name]())
+    for name in _SUITES if suite == "all" else (suite,):
+        checks.extend(_SUITES[name]())
     return {
         "suite": suite,
         "passed": all(c["passed"] for c in checks),

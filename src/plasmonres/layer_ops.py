@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .geometry import NodeSet, Sphere, TargetSet, log_weight_matrix
+from .geometry import NodeSet, Sphere, TargetSet
 from .specfun import (
     EULER_GAMMA,
     gamma_helmholtz_series,
@@ -74,7 +74,6 @@ from .specfun import (
 
 __all__ = [
     "BoundaryOperator",
-    "log_weight_matrix",
     "assemble_S",
     "assemble_Kstar",
     "assemble_S_omega",
@@ -288,10 +287,13 @@ def _potential_kernel(targets, k):
 @dataclass(eq=False)
 class InteriorKernels:
     """
-    The wavenumber-k interior data of gradient_energy, built on the first
-    call of tables(). On a NodeSet: _potential_kernel on the coarse grid
-    and the collar edge of nodes.interior. On a Sphere (a plain (L, R)
-    becomes one): per harmonic slot of degree n the radial integrals of
+    The input of the interior energies: the pair (S^k, K^k*) of one
+    geometry at one wavenumber k, as helmholtz_operators returns it (a
+    pair of two geometries or wavenumbers raises ValueError, anything
+    but BoundaryOperators TypeError), and its interior data, built on
+    the first call of tables(). On a NodeSet: _potential_kernel on the
+    coarse grid and the collar edge of nodes.interior. On a Sphere: per
+    harmonic slot of degree n the radial integrals of
     g_n(r) = j_n(k r)/j_n(k R),
 
         i_mass = int_0^R |g_n|^2 r^2 dr,
@@ -304,13 +306,19 @@ class InteriorKernels:
     spectral densities, so each is built once per point and freed with it.
     """
 
-    geometry: object
-    k: complex
+    s: BoundaryOperator
+    kstar: BoundaryOperator
     _tables: tuple = field(default=None, init=False, repr=False)
 
+    # the geometry and the wavenumber, read from the pair
+    geometry = property(lambda self: self.s.nodes)
+    k = property(lambda self: self.s.wavenumber)
+
     def __post_init__(self):
-        if not isinstance(self.geometry, NodeSet):
-            self.geometry = Sphere(*self.geometry)
+        if not all(isinstance(op, BoundaryOperator) for op in (self.s, self.kstar)):
+            raise TypeError("interior kernels take a (S^k, K^k*) BoundaryOperator pair")
+        if self.s.nodes != self.kstar.nodes or self.s.wavenumber != self.kstar.wavenumber:
+            raise ValueError("S^k and K^k* must share one geometry and one wavenumber")
 
     def tables(self):
         """(coarse, edge) kernel matrices, or the sphere's (i_mass, i_grad)."""

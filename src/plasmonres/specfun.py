@@ -19,6 +19,7 @@ from scipy import special
 
 __all__ = [
     "EULER_GAMMA",
+    "OMEGA_MAX",
     "gamma_laplace",
     "hankel_first_kind",
     "gamma_helmholtz",

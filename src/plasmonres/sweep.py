@@ -84,10 +84,13 @@ def scale_for_delta(delta, coupling_c, dim):
 
     3D is explicit, s = c delta. 2D solves s^2 |ln s| = c delta by
     fixed-point iteration, which contracts for s < 1/e; the root is
-    unique there and reached to 1e-12 relative.
+    unique there and reached to 1e-12 relative. Any other dim raises
+    ValueError.
     """
     if delta <= 0 or coupling_c <= 0:
         raise ValueError("delta and coupling_c must be positive")
+    if dim not in (2, 3):
+        raise ValueError("dim must be 2 or 3")
     if dim == 3:
         return coupling_c * delta
     target = coupling_c * delta
@@ -148,6 +151,9 @@ class SweepConfig:
             raise ValueError(f"solver must be one of {_SOLVERS}")
         if not 0 < self.coupling_c <= 0.1:
             raise ValueError("coupling_c must lie in (0, 0.1]")
+        for name in ("delta_max", "delta_min"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0 < self.delta_min < self.delta_max:
             raise ValueError("need 0 < delta_min < delta_max")
         if self.points_per_decade < 1:
@@ -302,8 +308,7 @@ def solve_point(problem, spectrum, solvers, operators=None):
         # Python's abs (numpy's array abs can differ in the last bit), so
         # that a cluster with one nonzero coupling reports its |a_n| exactly
         a_n_abs = math.hypot(*(abs(complex(an)) for an in a_n))
-        s_in, k_in = _operators(geometry, kc, kc_futures)
-        energy_ops = (s_in, k_in, InteriorKernels(geometry, kc))
+        kernels = InteriorKernels(*_operators(geometry, kc, kc_futures))
     except _ROW_ERRORS as exc:
         return ([_failed_row(problem, name) for name in solvers],
                 [exc.with_traceback(None)] * len(solvers))
@@ -314,12 +319,12 @@ def solve_point(problem, spectrum, solvers, operators=None):
         try:
             if name == "direct":
                 sol = solve_direct(problem, operators=(
-                    s_in, k_in, *_operators(geometry, om, om_futures, bessel.at_R)),
-                    traces=(f, g))
+                    kernels.s, kernels.kstar,
+                    *_operators(geometry, om, om_futures, bessel.at_R)), traces=(f, g))
             else:
                 sol = solve_spectral(coeffs_check(f, spectrum), coeffs_hat(g, spectrum),
                                      problem.eps_eff, problem.delta_eff, om, spectrum)
-            energy = gradient_energy(sol.phi, kc, energy_ops)
+            energy = gradient_energy(sol.phi, kernels)
             if not np.isfinite(energy) or energy <= 0:
                 raise RuntimeError(f"non-physical energy {energy!r}")
             phi0 = abs(coeffs_hat(sol.phi, spectrum)[0])

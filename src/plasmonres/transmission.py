@@ -59,7 +59,7 @@ from .layer_ops import (
     _potential_kernel,
     _require_2d,
 )
-from .np_spectrum import NPSpectrum, _matvec
+from .np_spectrum import _matvec
 from .specfun import (
     OMEGA_MAX,
     compute_kc,
@@ -159,13 +159,14 @@ class TransmissionProblem:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError("dim must be 2 or 3")
-        if not (self.s > 0 and self.delta > 0 and self.omega0 > 0):
-            raise ValueError("s, delta, omega0 must be positive")
         a = np.asarray(self.a, dtype=float).reshape(self.dim)
         z = np.asarray(self.z, dtype=float).reshape(self.dim)
-        for name, value in (("eps_c", self.eps_c), ("eps_m", self.eps_m), ("a", a), ("z", z)):
+        for name, value in (("s", self.s), ("delta", self.delta), ("omega0", self.omega0),
+                            ("eps_c", self.eps_c), ("eps_m", self.eps_m), ("a", a), ("z", z)):
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if not (self.s > 0 and self.delta > 0 and self.omega0 > 0):
+            raise ValueError("s, delta, omega0 must be positive")
         if not self.eps_c < 0:
             raise ValueError(f"eps_c must be negative, got {self.eps_c!r}")
         if self.eps_m <= 0:
@@ -518,16 +519,16 @@ def _collar_integral(nodes, b, f_bdry, f_edge):
     return np.sum(nodes.weights * 0.5 * b * (f_bdry + inner))
 
 
-def interior_gradient_energy(phi, kc, operators):
+def interior_gradient_energy(phi, kernels):
     """
     Ground-truth int |grad u|^2 over the inclusion by interior
     quadrature: a fine cell-centred grid away from the boundary plus a
     collar strip whose boundary values come from the jump relations
     (normal part) and spectral differentiation of the trace
-    (tangential part).
+    (tangential part). kernels is the InteriorKernels of a 2D boundary
+    at k_c; its tables are not used.
     """
-    s_op, k_op = operators[:2]
-    nodes = s_op.nodes
+    s_op, k_op, kc, nodes = kernels.s, kernels.kstar, kernels.k, kernels.geometry
     u_trace = s_op.matrix @ phi
     dnu = -0.5 * phi + k_op.matrix @ phi
     dtu = _fft_tangential_deriv(u_trace, nodes)
@@ -542,35 +543,28 @@ def interior_gradient_energy(phi, kc, operators):
     return e_bulk + float(_collar_integral(nodes, b, f_bdry, f_edge))
 
 
-def gradient_energy(phi, kc, operators):
+def gradient_energy(phi, kernels):
     """
     ||grad u||^2_{L^2} of the interior field u = S^{k_c}[phi].
 
-    operators is (S^{k_c}, K^{k_c}*, InteriorKernels) in both
+    kernels is the InteriorKernels of (S^{k_c}, K^{k_c}*) in both
     dimensions: the Nystrom pair of a 2D boundary or the diagonals of
-    sphere_operators, and the interior data of the same geometry at
-    k_c, which the energies of one grid point share. Any other form
-    raises TypeError, a holder of another geometry or wavenumber
-    ValueError. The value comes from the boundary Green identity; the
-    |u|^2 volume term it needs is a small correction of relative size
-    |k_c|^2 and is integrated on a coarse interior grid (2D) or per
-    radial mode from the holder's i_mass (sphere: a double series of the
-    k_c R terms at every |k_c| R, accurate to rounding on a sweep's k_c;
-    a k_c too near the real axis for its size raises ValueError). The
-    sphere route also cross-checks the identity against the volume
-    integral of |grad u|^2 per mode, the holder's i_grad, a term-by-term
-    series that does not come from the identity, and raises RuntimeError
-    on a relative disagreement beyond 1e-11.
+    sphere_operators, whose interior data the energies of one grid point
+    share; anything else raises TypeError. The value comes from the
+    boundary Green identity; the |u|^2 volume term it needs is a small
+    correction of relative size |k_c|^2 and is integrated on a coarse
+    interior grid (2D) or per radial mode from the kernels' i_mass
+    (sphere: a double series of the k_c R terms at every |k_c| R,
+    accurate to rounding on a sweep's k_c; a k_c too near the real axis
+    for its size raises ValueError). The sphere route also cross-checks
+    the identity against the volume integral of |grad u|^2 per mode, the
+    kernels' i_grad, a term-by-term series that does not come from the
+    identity, and raises RuntimeError on a relative disagreement beyond
+    1e-11.
     """
-    if (isinstance(operators, NPSpectrum) or len(operators) != 3
-            or not isinstance(operators[2], InteriorKernels)):
-        raise TypeError("energy operators must be (S^kc, K^kc*, InteriorKernels)")
-    s_op, k_op, kernels = operators
-    _require_wavenumber(s_op, kc)
-    _require_wavenumber(k_op, kc)
-    geometry = s_op.nodes
-    if kernels.geometry != geometry or kernels.k != kc:
-        raise ValueError("interior kernels do not match the operators")
+    if not isinstance(kernels, InteriorKernels):
+        raise TypeError("energy operators must be InteriorKernels(S^kc, K^kc*)")
+    s_op, k_op, kc, geometry = kernels.s, kernels.kstar, kernels.k, kernels.geometry
     if isinstance(geometry, NodeSet):
         u_trace = s_op.matrix @ phi
         dnu = -0.5 * phi + k_op.matrix @ phi

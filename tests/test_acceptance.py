@@ -202,13 +202,12 @@ def comparability_data():
     rng = np.random.default_rng(2026)
     records = []
     for om in (0.1, 0.01):
-        ops = (assemble_S_omega(nodes, om), assemble_Kstar_omega(nodes, om),
-               InteriorKernels(nodes, om))
+        ops = InteriorKernels(assemble_S_omega(nodes, om), assemble_Kstar_omega(nodes, om))
         for _ in range(20):
             coef = np.zeros(nodes.n)
             coef[:12] = rng.standard_normal(12)
             phi = spec.densities @ coef
-            energy = gradient_energy(phi, om, ops)
+            energy = gradient_energy(phi, ops)
             hat = coeffs_hat(phi, spec)
             grad2 = float(np.sum(np.abs(hat[1:]) ** 2))
             e_mean = (om * abs(np.log(om))) ** 2 * abs(hat[0]) ** 2

@@ -10,7 +10,8 @@ without the look-ahead operator pool. Nor does the import compute: it
 makes no LAPACK eigenvalue call. The checks run in a fresh interpreter,
 because the test process has already imported whatever other tests use.
 Every name a module lists in __all__ exists: perfbench's tracer wraps
-each of them, so a stale entry would break a traced benchmark run.
+each of them, so a stale entry would break a traced benchmark run. Each
+public name is listed by one layer, and the package exports it.
 """
 
 import importlib
@@ -103,3 +104,11 @@ def test_every_public_name_resolves():
         assert [name for name in names if not hasattr(module, name)] == [], module.__name__
         checked += len(names)
     assert checked > 50
+    # each public name has one owning layer, and the package exports it
+    # as that same object
+    layers = [module for module in modules[1:] if hasattr(module, "__all__")]
+    owned = [name for module in layers for name in module.__all__]
+    assert len(set(owned)) == len(owned)
+    for module in layers:
+        for name in module.__all__:
+            assert getattr(plasmonres, name) is getattr(module, name), name

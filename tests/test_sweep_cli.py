@@ -115,6 +115,10 @@ def test_scale_rule():
         scale_for_delta(10.0, 0.05, 2)  # target scale leaves s << 1
     with pytest.raises(ValueError):
         scale_for_delta(-1e-3, 0.01, 2)
+    # only 2D and 3D have a rule; dim 4 once returned the 2D root
+    for dim in (1, 4):
+        with pytest.raises(ValueError, match="dim must be 2 or 3"):
+            scale_for_delta(1e-3, 0.01, dim)
 
 
 def _sphere_config(tmp_path, **overrides):
@@ -669,9 +673,9 @@ def test_look_ahead_pool_closes_on_a_sweep_error(tmp_path, monkeypatch):
             return out
         monkeypatch.setattr(sweep_module, name, recording)
 
-    def failing(phi, kc, ops, _original=sweep_module.gradient_energy):
-        if kc != third.kc:
-            return _original(phi, kc, ops)
+    def failing(phi, kernels, _original=sweep_module.gradient_energy):
+        if kernels.k != third.kc:
+            return _original(phi, kernels)
         deadline = time.monotonic() + 60.0
         while len(ahead) < 4 and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -1056,10 +1060,16 @@ def test_cli_refuses_non_finite_geometry(tmp_path, capsys, command, geometry, na
     ("eps_c", "eps-c", float("nan")), ("eps_c", "eps-c", float("-inf")),
     ("eps_m", "eps-m", float("inf")), ("eps_m", "eps-m", float("nan")),
     ("a", "dipole-a", float("nan")), ("a", "dipole-a", float("-inf")),
-    ("z", "dipole-z", float("inf")), ("z", "dipole-z", float("nan"))])
+    ("z", "dipole-z", float("inf")), ("z", "dipole-z", float("nan")),
+    ("omega0", "omega0", float("inf")), ("omega0", "omega0", float("nan")),
+    ("delta", "delta", float("inf")), ("s", "scale", float("inf")),
+    ("s", "scale", float("nan")), ("delta_max", None, float("inf")),
+    ("delta_min", None, float("-inf"))])
 def test_cli_refuses_non_finite_physical_parameters(tmp_path, capsys, name, flag, bad):
-    # a non-finite contrast, background or dipole in a sweep config or
-    # the solve flags exits 2 naming the parameter, before any row
+    # a non-finite contrast, background, dipole, frequency, loss or scale
+    # in a sweep config (JSON Infinity and NaN) or the solve flags exits 2
+    # naming the parameter, before any row; delta and s are solve flags
+    # only, and the loss grid's ends sweep keys only
     csv_path = tmp_path / "x.csv"
     config = {"dim": 3, "geometry": {"kind": "sphere", "radius": 1.0, "degree": 8},
               "eps_c": -2.0, "eps_m": 1.0, "omega0": 1.0, "a": [0.0, 0.0, 1.0],
@@ -1070,13 +1080,17 @@ def test_cli_refuses_non_finite_physical_parameters(tmp_path, capsys, name, flag
     else:
         config[name] = bad
         value = repr(bad)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    # --flag=value, since argparse takes a lone -inf for an option
-    solve = _CLI_SPHERE_SOLVE + ["--eps-m", "1"]
-    at = solve.index("--" + flag)
-    solve = solve[:at] + solve[at + 2:] + [f"--{flag}={value}"]
-    for argv in (["sweep", "--config", str(path)], solve):
+    argvs = []
+    if name not in ("delta", "s"):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argvs.append(["sweep", "--config", str(path)])
+    if flag is not None:
+        # --flag=value, since argparse takes a lone -inf for an option
+        solve = _CLI_SPHERE_SOLVE + ["--eps-m", "1", "--omega0", "1"]
+        at = solve.index("--" + flag)
+        argvs.append(solve[:at] + solve[at + 2:] + [f"--{flag}={value}"])
+    for argv in argvs:
         assert main(argv) == EXIT_CONFIG
         out, err = capsys.readouterr()
         assert f"{name} must be finite" in err
@@ -1180,7 +1194,7 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     empty.write_text("")
     assert main(["plot", "--csv", str(empty),
                  "--output", str(tmp_path / "o.svg")]) == EXIT_CONFIG
-    monkeypatch.setattr(cli_module, "_suite_layer",
+    monkeypatch.setitem(cli_module._SUITES, "layer",
                         lambda: [{"name": "forced", "measured": 1.0,
                                   "tolerance": 0.1, "passed": False}])
     assert main(["validate", "layer"]) == EXIT_VALIDATION

@@ -59,14 +59,8 @@ def _circle_spectrum(radius, n=128):
     return nodes, spectrum_of(nodes)
 
 
-def _energy_ops(nodes, kc):
-    return (assemble_S_omega(nodes, kc), assemble_Kstar_omega(nodes, kc),
-            InteriorKernels(nodes, kc))
-
-
-def _sphere_energy_ops(spectrum, kc):
-    geometry = spectrum.geometry
-    return (*helmholtz_operators(geometry, kc), InteriorKernels(geometry, kc))
+def _energy_ops(geometry, kc):
+    return InteriorKernels(*helmholtz_operators(geometry, kc))
 
 
 def test_plasmon_contrast_map():
@@ -162,7 +156,7 @@ def test_direct_solve_residual_and_rotation_invariance():
                                  z=np.array(z))
         sol = solve_direct(pr)
         assert sol.residual < 1e-10
-        energies.append(gradient_energy(sol.phi, pr.kc, _energy_ops(nodes, pr.kc)))
+        energies.append(gradient_energy(sol.phi, _energy_ops(nodes, pr.kc)))
     assert abs(energies[0] - energies[1]) < 1e-12 * abs(energies[0])
 
 
@@ -180,8 +174,8 @@ def test_direct_vs_spectral_2d():
     ss = solve_spectral(coeffs_check(f, spec), coeffs_hat(g, spec),
                         pr.eps_eff, pr.delta_eff, pr.omega, spec)
     ops = _energy_ops(nodes, pr.kc)
-    e_d = np.sqrt(gradient_energy(sd.phi, pr.kc, ops))
-    e_s = np.sqrt(gradient_energy(ss.phi, pr.kc, ops))
+    e_d = np.sqrt(gradient_energy(sd.phi, ops))
+    e_s = np.sqrt(gradient_energy(ss.phi, ops))
     assert abs(e_d - e_s) / e_d < 10.0 * s * s * abs(np.log(s)) / delta
 
 
@@ -197,9 +191,9 @@ def test_direct_vs_spectral_3d():
     f, g = dipole_traces(pr)
     ss = solve_spectral(coeffs_check(f, sph), coeffs_hat(g, sph),
                         pr.eps_eff, pr.delta_eff, pr.omega, sph)
-    ops = _sphere_energy_ops(sph, pr.kc)
-    e_d = np.sqrt(gradient_energy(sd.phi, pr.kc, ops))
-    e_s = np.sqrt(gradient_energy(ss.phi, pr.kc, ops))
+    ops = _energy_ops(sph.geometry, pr.kc)
+    e_d = np.sqrt(gradient_energy(sd.phi, ops))
+    e_s = np.sqrt(gradient_energy(ss.phi, ops))
     assert abs(e_d - e_s) / e_d < 10.0 * s / delta
 
 
@@ -210,7 +204,7 @@ def test_quasistatic_mode_energy():
     k = 0.005
     ops = _energy_ops(nodes, k)
     for slot in (1, 2):
-        e = gradient_energy(spec.densities[:, slot], k, ops)
+        e = gradient_energy(spec.densities[:, slot], ops)
         assert abs(e - (0.5 - spec.lambdas[slot])) < 1e-3
 
 
@@ -221,8 +215,8 @@ def test_energy_interior_crosscheck():
                              z=np.array([3.0, 0.0]))
     sol = solve_direct(pr)
     ops = _energy_ops(nodes, pr.kc)
-    e_green = gradient_energy(sol.phi, pr.kc, ops)
-    e_interior = interior_gradient_energy(sol.phi, pr.kc, ops)
+    e_green = gradient_energy(sol.phi, ops)
+    e_interior = interior_gradient_energy(sol.phi, ops)
     assert abs(e_green - e_interior) < 0.02 * abs(e_interior)
 
 
@@ -270,43 +264,47 @@ def test_energy_sphere_route_self_checks():
                              eps_c=-2.0, omega0=1.0, a=np.array([0.0, 0.0, 1.0]),
                              z=np.array([0.0, 0.0, 2.0]))
     sol = solve_direct(pr)
-    e = gradient_energy(sol.phi, pr.kc, _sphere_energy_ops(sph, pr.kc))
+    e = gradient_energy(sol.phi, _energy_ops(sph.geometry, pr.kc))
     assert np.isfinite(e) and e > 0.0
 
 
 def test_energy_takes_one_operator_form_per_dimension():
-    # both dimensions take (S, K*, InteriorKernels); any other form, the
-    # bare pair, the bare spectrum and the sphere's former (spectrum, S,
-    # K*) included, raises TypeError, and a holder of another geometry or
-    # wavenumber than the operators raises ValueError
+    # both dimensions take InteriorKernels(S^k, K^k*); anything else, a
+    # tuple, the bare pair and the bare spectrum included, raises
+    # TypeError, and kernels of an S^k and a K^k* of two geometries or two
+    # wavenumbers cannot be built (ValueError)
     nodes, _ = _ellipse_spectrum(128)
     k = 0.01
     phi = np.cos(nodes.t)
     ops = _energy_ops(nodes, k)
-    assert gradient_energy(phi, k, ops) > 0.0
+    pair = (ops.s, ops.kstar)
+    assert gradient_energy(phi, ops) > 0.0
     sph = sphere_spectrum(Sphere(8, 1.0))
-    sph_ops = _sphere_energy_ops(sph, k)
+    sph_ops = _energy_ops(sph.geometry, k)
+    sph_pair = (sph_ops.s, sph_ops.kstar)
     coef = np.zeros(sph.n)
     coef[2] = 1.0
-    assert gradient_energy(coef, k, sph_ops) > 0.0
-    for bad in (ops[:2], sph, sph_ops[:2], (sph, *sph_ops[:2]), (*ops[:2], sph),
-                ops + (None,)):
+    assert gradient_energy(coef, sph_ops) > 0.0
+    for bad in (pair, sph, sph_pair, (sph, *sph_pair), (*pair, sph), (*pair, ops),
+                (ops,)):
         with pytest.raises(TypeError):
-            gradient_energy(phi if bad is not sph else coef, k, bad)
+            gradient_energy(phi if bad is not sph else coef, bad)
+    with pytest.raises(TypeError):
+        InteriorKernels(sph, sph_ops.kstar)
     other_nodes = quadrature_nodes(make_curve("ellipse", a=2.0, b=1.0), 128)
-    for density, pair, geometry, wavenumber in (
-            (phi, ops[:2], other_nodes, k), (phi, ops[:2], nodes, 2.0 * k),
-            (phi, ops[:2], (8, 1.0), k), (coef, sph_ops[:2], (8, 2.0), k),
-            (coef, sph_ops[:2], (9, 1.0), k), (coef, sph_ops[:2], (8, 1.0), 2.0 * k),
-            (coef, sph_ops[:2], nodes, k)):
-        with pytest.raises(ValueError, match="do not match"):
-            gradient_energy(density, k, (*pair, InteriorKernels(geometry, wavenumber)))
+    for s_op, geometry, wavenumber in (
+            (pair[0], other_nodes, k), (pair[0], nodes, 2.0 * k),
+            (pair[0], Sphere(8, 1.0), k), (sph_pair[0], Sphere(8, 2.0), k),
+            (sph_pair[0], Sphere(9, 1.0), k), (sph_pair[0], Sphere(8, 1.0), 2.0 * k),
+            (sph_pair[0], nodes, k)):
+        with pytest.raises(ValueError, match="one geometry and one wavenumber"):
+            InteriorKernels(s_op, helmholtz_operators(geometry, wavenumber)[1])
 
 
 def test_energy_zero_density():
     nodes, spec = _ellipse_spectrum(128)
     k = 0.01
-    assert gradient_energy(np.zeros(nodes.n), k, _energy_ops(nodes, k)) == 0.0
+    assert gradient_energy(np.zeros(nodes.n), _energy_ops(nodes, k)) == 0.0
 
 
 def test_constant_mode_energy_scales_like_omega_log():
@@ -318,7 +316,7 @@ def test_constant_mode_energy_scales_like_omega_log():
         fcheck[0] = 1.0
         sol = solve_spectral(fcheck, np.zeros(nodes.n), -2.0, 0.05, om, spec)
         kc = compute_kc(om, -2.0, 0.05)
-        e = gradient_energy(sol.phi, kc, _energy_ops(nodes, kc))
+        e = gradient_energy(sol.phi, _energy_ops(nodes, kc))
         phi0 = abs(coeffs_hat(sol.phi, spec)[0])
         assert abs(e) <= 0.1 * (om * abs(np.log(om))) ** 2 * phi0 ** 2
 
@@ -408,7 +406,7 @@ def test_sphere_bessel_shares_the_public_helpers_values(om, z0, radius, eps_c):
         assert np.array_equal(kk.matrix, -0.5j * k * k * radius * radius * jh_d[deg])
     # the energies' radial integrals: the double series of the k_c R terms
     # on both sides of the cut
-    i_mass, i_grad = InteriorKernels(Sphere(L, radius), pr.kc).tables()
+    i_mass, i_grad = _energy_ops(Sphere(L, radius), pr.kc).tables()
     mass, grad = sph_radial_from(n, pr.kc * radius)
     assert np.array_equal(i_mass, (radius ** 3 / (2 * n + 3) * mass)[deg])
     assert np.array_equal(i_grad, (radius * grad)[deg])
@@ -707,12 +705,13 @@ def test_geometry_constructors_refuse_invalid_parameters(build, named):
 
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf), ids=("nan", "inf", "-inf"))
-@pytest.mark.parametrize("name", ("eps_c", "eps_m", "a", "z"))
+@pytest.mark.parametrize("name", ("eps_c", "eps_m", "a", "z", "s", "delta", "omega0"))
 @pytest.mark.parametrize("dim", (2, 3))
 def test_problem_refuses_non_finite_parameters(dim, name, bad):
-    # a NaN passes every comparison, and an infinite contrast or dipole
-    # only fails inside a solve: each is refused where the problem is
-    # built, by a message that names the parameter
+    # a NaN passes every comparison, and an infinite contrast, dipole,
+    # scale, loss or frequency only fails inside a solve (delta = inf
+    # makes k_c NaN): each is refused where the problem is built, by a
+    # message that names the parameter
     if dim == 2:
         geometry = quadrature_nodes(make_curve("circle", radius=1.0), 64)
         a, z = (1.0, 0.0), (3.0, 0.0)
@@ -721,7 +720,7 @@ def test_problem_refuses_non_finite_parameters(dim, name, bad):
     ok = dict(dim=dim, geometry=geometry, s=1e-3, delta=1e-2, eps_c=-2.0, eps_m=1.0,
               omega0=1.0, a=a, z=z)
     TransmissionProblem(**ok)
-    value = bad if name.startswith("eps") else (bad,) + ok[name][1:]
+    value = (bad,) + ok[name][1:] if name in ("a", "z") else bad
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         TransmissionProblem(**{**ok, name: value})
 
