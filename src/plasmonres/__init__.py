@@ -8,7 +8,7 @@ The public surface is each layer's __all__, re-exported here in layer
 order; every name has one owning layer:
 
 geometry      boundary curves, quadrature nodes, interior grids
-specfun       fundamental solutions and stable Bessel helpers
+specfun       2D free-space kernels and stable Bessel helpers
 layer_ops     single/double layer potentials, static and Helmholtz
 np_spectrum   the spectral decomposition of the boundary operator
 transmission  the dipole transmission problem and its two solvers

@@ -267,7 +267,7 @@ def eval_gradient(nodes, density, k, points):
     if density.ndim > 2 or density.shape[:1] != (nodes.n,):
         raise ValueError(f"density must have shape ({nodes.n},) or ({nodes.n}, s)")
     dx = targets.points[:, None, :] - nodes.points[None, :, :]
-    gk = grad_gamma_laplace(dx, 2) if k == 0 else grad_gamma_helmholtz(dx, k, 2)
+    gk = grad_gamma_laplace(dx) if k == 0 else grad_gamma_helmholtz(dx, k)
     return np.einsum("mjd,j...->md...", gk, (density.T * nodes.weights).T)
 
 

@@ -1,15 +1,15 @@
 """
 Fundamental solutions and special functions.
 
-Covers the Laplace and Helmholtz free-space kernels in two and three
-dimensions, their gradients, the low-frequency expansion constant tau
-and series of the 2D Helmholtz kernel, and spherical Bessel utilities
+Covers the 2D free-space kernels (Hankel functions, the gradients of
+the Laplace and Helmholtz kernels, and the Helmholtz kernel's
+low-frequency constant tau and series) and spherical Bessel utilities,
 including cancellation-safe product forms needed on the sphere at very
-small wavenumbers.
+small wavenumbers. The sphere evaluates no free-space kernel: its
+operators and traces are series in spherical harmonics.
 
-Conventions: the Laplace fundamental solution is (1/2pi) ln|x| in 2D and
--1/(4pi|x|) in 3D; the outgoing Helmholtz fundamental solution is
--(i/4) H0(k|x|) in 2D and -exp(ik|x|)/(4pi|x|) in 3D.
+Conventions: the Laplace fundamental solution is (1/2pi) ln|x| and the
+outgoing Helmholtz fundamental solution is -(i/4) H0(k|x|), both in 2D.
 """
 
 from typing import NamedTuple
@@ -20,9 +20,7 @@ from scipy import special
 __all__ = [
     "EULER_GAMMA",
     "OMEGA_MAX",
-    "gamma_laplace",
     "hankel_first_kind",
-    "gamma_helmholtz",
     "gamma_helmholtz_series",
     "grad_gamma_laplace",
     "grad_gamma_helmholtz",
@@ -40,36 +38,15 @@ OMEGA_MAX = 0.5
 _SPH_SERIES_CUT = 0.5
 
 
-def _radii(x, d):
+def grad_gamma_laplace(x):
+    """Gradient of the 2D Laplace fundamental solution, shape (..., 2)."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != d:
-        raise ValueError(f"points must have trailing dimension {d}")
-    return np.sqrt(np.sum(x * x, axis=-1))
-
-
-def gamma_laplace(x, d):
-    """Laplace fundamental solution at points x, shape (..., d)."""
-    r = _radii(x, d)
-    if np.any(r == 0):
-        raise ValueError("fundamental solution is singular at x = 0")
-    if d == 2:
-        return np.log(r) / (2.0 * np.pi)
-    if d == 3:
-        return -1.0 / (4.0 * np.pi * r)
-    raise ValueError("d must be 2 or 3")
-
-
-def grad_gamma_laplace(x, d):
-    """Gradient of the Laplace fundamental solution, shape (..., d)."""
-    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != 2:
+        raise ValueError("points must have trailing dimension 2")
     r2 = np.sum(x * x, axis=-1)[..., None]
     if np.any(r2 == 0):
         raise ValueError("gradient is singular at x = 0")
-    if d == 2:
-        return x / (2.0 * np.pi * r2)
-    if d == 3:
-        return x / (4.0 * np.pi * r2 ** 1.5)
-    raise ValueError("d must be 2 or 3")
+    return x / (2.0 * np.pi * r2)
 
 
 def hankel_first_kind(n, z):
@@ -80,20 +57,6 @@ def hankel_first_kind(n, z):
     if np.any(z == 0):
         raise ValueError("Hankel function is singular at z = 0")
     return special.hankel1(n, z)
-
-
-def gamma_helmholtz(x, k, d):
-    """Outgoing Helmholtz fundamental solution at wavenumber k != 0."""
-    if k == 0:
-        raise ValueError("k must be nonzero; use gamma_laplace for the static kernel")
-    r = _radii(x, d)
-    if np.any(r == 0):
-        raise ValueError("fundamental solution is singular at x = 0")
-    if d == 2:
-        return -0.25j * special.hankel1(0, k * r)
-    if d == 3:
-        return -np.exp(1j * k * r) / (4.0 * np.pi * r)
-    raise ValueError("d must be 2 or 3")
 
 
 def gamma_helmholtz_series(log_r, r2, k):
@@ -132,21 +95,18 @@ def gamma_helmholtz_series(log_r, r2, k):
     return (np.asarray(log_r) / (2.0 * np.pi) + tau_kc(k)) * (1.0 + j0m1) - hsum
 
 
-def grad_gamma_helmholtz(x, k, d):
-    """Gradient of the Helmholtz fundamental solution, shape (..., d)."""
+def grad_gamma_helmholtz(x, k):
+    """Gradient of the 2D Helmholtz fundamental solution, shape (..., 2)."""
     if k == 0:
         raise ValueError("k must be nonzero")
     x = np.asarray(x, dtype=float)
-    r = _radii(x, d)
+    if x.shape[-1] != 2:
+        raise ValueError("points must have trailing dimension 2")
+    r = np.sqrt(np.sum(x * x, axis=-1))
     if np.any(r == 0):
         raise ValueError("gradient is singular at x = 0")
     rhat = x / r[..., None]
-    if d == 2:
-        radial = 0.25j * k * special.hankel1(1, k * r)
-    elif d == 3:
-        radial = np.exp(1j * k * r) * (1.0 - 1j * k * r) / (4.0 * np.pi * r * r)
-    else:
-        raise ValueError("d must be 2 or 3")
+    radial = 0.25j * k * special.hankel1(1, k * r)
     return radial[..., None] * rhat
 
 

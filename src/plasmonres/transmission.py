@@ -283,7 +283,7 @@ def dipole_traces(problem, bessel=None):
     om = problem.omega
     if problem.dim == 2:
         y = problem.geometry.points - problem.z[None, :]
-        grads = grad_gamma_helmholtz(y, om, 2)
+        grads = grad_gamma_helmholtz(y, om)
         f = -(grads @ problem.a)
         dnf = -_hessian_contract(y, om, problem.geometry.normals, problem.a)
         return f, dnf
@@ -645,7 +645,7 @@ def _coupling_an_2d(z, a, slots, spectrum, omega):
         raise ValueError("dipole location lies inside the inclusion")
     a = np.asarray(a, dtype=float).reshape(2)
     a = a / np.linalg.norm(a)
-    f_bdry, f_in, f_edge = (-(grad_gamma_helmholtz(p - z[None, :], omega, 2) @ a)
+    f_bdry, f_in, f_edge = (-(grad_gamma_helmholtz(p - z[None, :], omega) @ a)
                             for p in (nodes.points, quad.fine.points, quad.edge.points))
     kern_in = _potential_kernel(quad.fine, 0.0)
     kern_edge = _potential_kernel(quad.edge, 0.0)

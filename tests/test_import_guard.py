@@ -11,13 +11,16 @@ makes no LAPACK eigenvalue call. The checks run in a fresh interpreter,
 because the test process has already imported whatever other tests use.
 Every name a module lists in __all__ exists: perfbench's tracer wraps
 each of them, so a stale entry would break a traced benchmark run. Each
-public name is listed by one layer, and the package exports it.
+public name is listed by one layer, and the package exports it. Every
+name in specfun's __all__ has a caller in another module of the
+package, so a kernel that loses its last caller shows here.
 """
 
 import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -112,3 +115,14 @@ def test_every_public_name_resolves():
     for module in layers:
         for name in module.__all__:
             assert getattr(plasmonres, name) is getattr(module, name), name
+
+
+def test_every_kernel_has_a_caller():
+    # a kernel in specfun's __all__ that no other module of the package
+    # names has lost its last caller, and should go with it
+    specfun = plasmonres.specfun
+    package = Path(specfun.__file__).parent
+    others = "\n".join(path.read_text() for path in sorted(package.glob("*.py"))
+                       if path.name != "specfun.py")
+    assert [name for name in specfun.__all__
+            if not re.search(rf"\b{name}\b", others)] == []

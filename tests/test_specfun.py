@@ -16,8 +16,6 @@ from scipy import special
 from plasmonres.specfun import (
     EULER_GAMMA,
     OMEGA_MAX,
-    gamma_laplace,
-    gamma_helmholtz,
     gamma_helmholtz_series,
     grad_gamma_laplace,
     grad_gamma_helmholtz,
@@ -93,42 +91,30 @@ def test_hankel_wronskian():
         assert abs(wron - 2.0j / (np.pi * z)) < 1e-12
 
 
-def test_gamma_laplace_values():
-    x2 = np.array([[2.0, 0.0]])
-    assert abs(gamma_laplace(x2, 2)[0] - np.log(2.0) / (2.0 * np.pi)) < 1e-15
-    x3 = np.array([[0.0, 0.0, 2.0]])
-    assert abs(gamma_laplace(x3, 3)[0] + 1.0 / (8.0 * np.pi)) < 1e-15
-
-
-def test_gamma_helmholtz_3d_closed_form():
-    x = np.array([[1.0, 0.0, 0.0]])
-    val = gamma_helmholtz(x, 0.1, 3)[0]
-    assert abs(val - (-np.exp(0.1j) / (4.0 * np.pi))) < 1e-15
-
-
-def test_gamma_helmholtz_2d_matches_hankel():
-    x = np.array([[0.3, 0.4]])
-    val = gamma_helmholtz(x, 0.2, 2)[0]
-    assert abs(val - (-0.25j) * hankel_first_kind(0, 0.1)) < 1e-14
-
-
 def test_gradients_match_finite_differences():
+    # the differentiated kernels are the closed forms ln r / 2pi and
+    # -(i/4) H0(k r); the fourth-quadrant k is a sweep's k_c
     rng = np.random.default_rng(7)
-    for dim, k in [(2, 0.0), (2, 0.3), (3, 0.0), (3, 0.3)]:
-        x = rng.normal(size=(5, dim))
+    for k in (0.0, 0.3, compute_kc(0.3, -2.0, 1e-2)):
+        x = rng.normal(size=(5, 2))
         x /= np.linalg.norm(x, axis=1, keepdims=True) / 1.3
         if k == 0.0:
-            g = grad_gamma_laplace(x, dim)
-            f = lambda p: gamma_laplace(p, dim)
+            g = grad_gamma_laplace(x)
+            f = lambda p: np.log(np.linalg.norm(p, axis=-1)) / (2.0 * np.pi)
         else:
-            g = grad_gamma_helmholtz(x, k, dim)
-            f = lambda p: gamma_helmholtz(p, k, dim)
+            g = grad_gamma_helmholtz(x, k)
+            f = lambda p: -0.25j * special.hankel1(0, k * np.linalg.norm(p, axis=-1))
         h = 1e-6
-        for j in range(dim):
-            e = np.zeros(dim)
+        for j in range(2):
+            e = np.zeros(2)
             e[j] = h
             fd = (f(x + e) - f(x - e)) / (2.0 * h)
             assert np.allclose(g[:, j], fd, rtol=1e-7, atol=1e-9)
+    # the kernels are 2D only: a point in space is refused
+    off_plane = np.ones((3, 3))
+    for grad in (grad_gamma_laplace, lambda p: grad_gamma_helmholtz(p, 0.3)):
+        with pytest.raises(ValueError, match="trailing dimension 2"):
+            grad(off_plane)
 
 
 def test_tau_closed_form_and_oracle():
