@@ -398,9 +398,11 @@ def emit_plot(csv_path, svg_path):
                          f'stroke-width="1.5"/>')
         for x, y in coords:
             parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}"/>')
+        # the solver cell is free text: escaped, it cannot break the XML
+        label = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(f'<text x="{right - 8:.2f}" y="{top + 16 + 14 * i:.2f}" '
                      f'font-family="monospace" font-size="11" text-anchor="end" '
-                     f'fill="{color}">{name}</text>')
+                     f'fill="{color}">{label}</text>')
     parts.append(f'<text x="{left + 10:.2f}" y="{top + 16:.2f}" '
                  f'font-family="monospace" font-size="12">{slope_text}</text>')
     parts.append("</svg>")

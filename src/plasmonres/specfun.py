@@ -268,22 +268,6 @@ def sph_j_ratio_from(num, den):
     return value, np.where(n == 0, num.dj / den.j, ratio_d / (z_den * den.j))
 
 
-def sph_j_next_ratio_from(num, den, deg, size, c, w):
-    """
-    c j_{n+1}(z_num) / (w j_n(z_den)) at the one degree n = deg, from
-    SphTerms num and den (at one argument each) of the same kind, with
-    size = (z_num / z_den)^n from the caller. Series factors give it as
-    -c size A_n'(z_num) / (w A_n(z_den)), since A_{n+1}(z) = -(2n+3)
-    A_n'(z) / z; Bessel values take one more, j_{n+1}(z_num). The scale c
-    enters the numerator first and w the denominator, so a caller's
-    prefactors round as they would inline.
-    """
-    if den.series:
-        return -c * size * num.dj[deg] / (w * den.j[deg])
-    j_next = sph_terms(deg + 1, num.z, False).j[()]
-    return c * j_next / (w * den.j[deg])
-
-
 def sph_radial_from(n, z):
     """
     Per degree n, the radial integrals of g_n(x) = j_n(z x) / j_n(z) over

@@ -40,7 +40,7 @@ from .layer_ops import InteriorKernels, assemble_S_omega, assemble_Kstar_omega
 from .np_spectrum import spectrum_of, coeffs_hat, coeffs_check, cluster_ids
 from .transmission import TransmissionProblem, plasmon_lambda, dipole_traces, \
     solve_direct, solve_spectral, gradient_energy, coupling_an, helmholtz_operators, \
-    sphere_bessel
+    omega_terms
 
 # solve_point stays out of __all__: perfbench's tracer wraps every __all__
 # function, and a span per point would hide the spans it times below it
@@ -294,17 +294,18 @@ def solve_point(problem, spectrum, solvers, operators=None):
     solves fails every row, a_n_abs included. operators is what
     _start_operators returned for this problem, or None to assemble
     here; either way a k_c whose operators fail fails every row, an
-    omega only the direct row. A sphere point sums each Bessel series at
-    omega once (sphere_bessel) and hands it to every consumer; its
-    operators at k_c sum the third.
+    omega only the direct row. A sphere point sums three Bessel series:
+    the one at omega R once (omega_terms), which its traces and its
+    operators at omega share, the traces' own at omega z0, and its
+    operators' at k_c R. The coupling reads the traces.
     """
     geometry, kc, om = problem.geometry, problem.kc, problem.omega
     kc_futures, om_futures = operators or (None, None)
     try:
-        bessel = sphere_bessel(problem)
-        f, g = dipole_traces(problem, bessel)
+        at_omega = omega_terms(problem)
+        f, g = dipole_traces(problem, at_omega)
         cluster = _resonant_cluster(spectrum, problem.eps_eff)
-        a_n, _ = coupling_an(problem.z, problem.a, cluster, spectrum, om, (f, g), bessel)
+        a_n, _ = coupling_an(problem.z, problem.a, cluster, spectrum, om, (f, g))
         # Python's abs (numpy's array abs can differ in the last bit), so
         # that a cluster with one nonzero coupling reports its |a_n| exactly
         a_n_abs = math.hypot(*(abs(complex(an)) for an in a_n))
@@ -320,7 +321,7 @@ def solve_point(problem, spectrum, solvers, operators=None):
             if name == "direct":
                 sol = solve_direct(problem, operators=(
                     kernels.s, kernels.kstar,
-                    *_operators(geometry, om, om_futures, bessel.at_R)), traces=(f, g))
+                    *_operators(geometry, om, om_futures, at_omega)), traces=(f, g))
             else:
                 sol = solve_spectral(coeffs_check(f, spectrum), coeffs_hat(g, spectrum),
                                      problem.eps_eff, problem.delta_eff, om, spectrum)

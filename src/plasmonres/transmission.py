@@ -44,7 +44,6 @@ it is checked against in 2D.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -67,7 +66,6 @@ from .specfun import (
     tau_kc,
     hankel_first_kind,
     grad_gamma_helmholtz,
-    sph_j_next_ratio_from,
     sph_j_ratio_from,
     sph_jhp_from,
     sph_terms,
@@ -268,7 +266,7 @@ def _hessian_contract(y, k, nu, a):
     return (1j * k / 4.0) * (k * h0 * nyh * ayh + h1 * (nu_a - 2.0 * nyh * ayh) / rho)
 
 
-def dipole_traces(problem, bessel=None):
+def dipole_traces(problem, terms=None):
     """
     Boundary data (F_z, d_nu F_z) of the incident dipole field.
 
@@ -277,8 +275,8 @@ def dipole_traces(problem, bessel=None):
     spherical harmonics; only the m = 0 slots of the dipole axis are
     populated.  The 3D coefficients are evaluated through stable
     Bessel-product forms, so they remain accurate at frequencies where
-    raw spherical Hankel values overflow; bessel, when given, is the
-    problem's sphere_bessel, else they sum their own.
+    raw spherical Hankel values overflow; terms, when given, is the
+    problem's omega_terms, else they sum their own.
     """
     om = problem.omega
     if problem.dim == 2:
@@ -287,39 +285,20 @@ def dipole_traces(problem, bessel=None):
         f = -(grads @ problem.a)
         dnf = -_hessian_contract(y, om, problem.geometry.normals, problem.a)
         return f, dnf
-    sphere = problem.geometry
-    z0 = float(np.dot(problem.a, problem.z))
-    return _axial_traces(sphere, om, z0, bessel or _axial_bessel(sphere, om, z0))
+    return _axial_traces(problem.geometry, om, float(np.dot(problem.a, problem.z)), terms)
 
 
-class SphereBessel(NamedTuple):
+def omega_terms(problem):
     """
-    The spherical-Bessel data that a sphere problem's traces, coupling
-    and operators at omega share, over the degrees 0..L: sph_terms at
-    omega z0 and omega R, one series (or one set of Bessel values) each,
-    and the dipole factor j_n h_n'(omega z0). Empty for a 2D problem.
+    sph_terms of the degrees 0..L at omega R for a sphere problem, the
+    one series its traces and its operators at omega share; None in 2D.
     """
-
-    at_z0: object = None
-    at_R: object = None
-    jhp: object = None
-
-
-def sphere_bessel(problem):
-    """The SphereBessel of a problem, each series summed once, here."""
     if problem.dim == 2:
-        return SphereBessel()
-    return _axial_bessel(problem.geometry, problem.omega, float(np.dot(problem.a, problem.z)))
+        return None
+    return sph_terms(np.arange(problem.geometry.L + 1), problem.omega * problem.geometry.R)
 
 
-def _axial_bessel(sphere, om, z0):
-    """SphereBessel of an axial dipole at distance z0 from the centre."""
-    n = np.arange(sphere.L + 1)
-    at_z0 = sph_terms(n, om * z0)
-    return SphereBessel(at_z0, sph_terms(n, om * sphere.R), sph_jhp_from(at_z0))
-
-
-def _axial_traces(sphere, om, z0, bessel):
+def _axial_traces(sphere, om, z0, at_R=None):
     """
     dipole_traces of an axial dipole at distance z0 from the sphere's
     centre, from the outgoing addition theorem
@@ -327,16 +306,18 @@ def _axial_traces(sphere, om, z0, bessel):
         Gamma^om(x - z) = -i om sum_n j_n(om r) h_n(om z0) c_n Y_n0(xhat),
 
     differentiated in z0 (the same as -a . grad_x for an axial moment),
-    with c_n = sqrt((2n+1)/4pi) and j_n(om z0) h_n'(om z0) as the stable
-    Bessel product bessel.jhp.
+    with c_n = sqrt((2n+1)/4pi) and j_n(om z0) h_n'(om z0) as a stable
+    Bessel product. at_R is sph_terms at om R, or None to sum it here.
     """
     n = np.arange(sphere.L + 1)
     cn = np.sqrt((2 * n + 1) / (4.0 * math.pi))
-    ratio, ratio_d = sph_j_ratio_from(bessel.at_R, bessel.at_z0)
+    at_z0 = sph_terms(n, om * z0)
+    jhp = sph_jhp_from(at_z0)
+    ratio, ratio_d = sph_j_ratio_from(at_R or sph_terms(n, om * sphere.R), at_z0)
     f = np.zeros(n.size ** 2, dtype=complex)
     g = np.zeros(n.size ** 2, dtype=complex)
-    f[n * n + n] = -1j * om * om * cn * sphere.R * ratio * bessel.jhp
-    g[n * n + n] = -1j * om ** 3 * cn * sphere.R * ratio_d * bessel.jhp
+    f[n * n + n] = -1j * om * om * cn * sphere.R * ratio * jhp
+    g[n * n + n] = -1j * om ** 3 * cn * sphere.R * ratio_d * jhp
     return f, g
 
 
@@ -611,7 +592,7 @@ def _require_wavenumber(op, kc):
 # ---------------------------------------------------------------- coupling
 
 
-def coupling_an(z, a, slots, spectrum, omega, traces=None, bessel=None):
+def coupling_an(z, a, slots, spectrum, omega, traces=None):
     """
     Resonant couplings a_n(omega) of a unit dipole (a, z) to the modes n
     of a sequence of slots,
@@ -622,10 +603,14 @@ def coupling_an(z, a, slots, spectrum, omega, traces=None, bessel=None):
     identically.  Returns the arrays (a_n, a_n0), one entry per slot,
     with a_n0 = a . grad S[phi_n](z) the quasi-static value; a_n - a_n0
     vanishes quadratically in omega (up to the log factor of the 2D
-    fundamental solution). On the sphere, traces and bessel may be the
-    dipole_traces and sphere_bessel of the problem with this dipole and
-    omega, which the coupling then reuses; a 2D coupling ignores them.
-    A dipole inside the inclusion raises ValueError.
+    fundamental solution). A dipole inside the inclusion raises
+    ValueError. In 2D the volume term is integrated on the interior grid.
+    On the sphere Green's second identity (Delta S[phi_n] = 0, Delta F_z =
+    -omega^2 F_z, d_nu^- S[phi_n] = (lambda_n - 1/2) phi_n) turns it into
+    a boundary pairing: a_n = ghat(n) - (1/2 + lambda_n) fcheck(n), the
+    numerator of solve_spectral's mode n, from the dipole traces alone.
+    traces, when given, is the problem's dipole_traces, which a 2D
+    coupling ignores.
     """
     if omega <= 0 or omega > OMEGA_MAX:
         raise ValueError(f"omega must lie in (0, {OMEGA_MAX}]")
@@ -634,7 +619,7 @@ def coupling_an(z, a, slots, spectrum, omega, traces=None, bessel=None):
         raise ValueError("mode index must satisfy 1 <= n < spectrum.n")
     if spectrum.dim == 2:
         return _coupling_an_2d(z, a, slots, spectrum, omega)
-    return _coupling_an_3d(z, a, slots, spectrum, omega, traces, bessel)
+    return _coupling_an_3d(z, a, slots, spectrum, omega, traces)
 
 
 def _coupling_an_2d(z, a, slots, spectrum, omega):
@@ -666,7 +651,7 @@ def _coupling_an_2d(z, a, slots, spectrum, omega):
     return a_n, a_n0.astype(complex)
 
 
-def _coupling_an_3d(z, a, slots, spectrum, omega, traces, bessel):
+def _coupling_an_3d(z, a, slots, spectrum, omega, traces):
     radius = spectrum.geometry.R
     z = np.asarray(z, dtype=float).reshape(3)
     a = np.asarray(a, dtype=float).reshape(3)
@@ -674,43 +659,17 @@ def _coupling_an_3d(z, a, slots, spectrum, omega, traces, bessel):
     z0 = float(np.dot(a, z))
     if np.linalg.norm(z - z0 * a) > 1e-10 * (1.0 + abs(z0)) or z0 <= radius:
         raise ValueError("3D coupling requires z on the dipole axis, outside")
-    if traces is None or bessel is None:
-        bessel = _axial_bessel(spectrum.geometry, omega, z0)
-        traces = _axial_traces(spectrum.geometry, omega, z0, bessel)
-    a_n = np.zeros(len(slots), dtype=complex)
+    f, g = traces or _axial_traces(spectrum.geometry, omega, z0)
+    # ghat - (1/2 + lambda) fcheck on the diagonal spectrum, slots only;
+    # off-axis slots come out 0, as their traces are
+    beta, gram, lam = (v[slots] for v in (spectrum.densities, spectrum.gram, spectrum.lambdas))
+    a_n = beta * (gram * g[slots] + (0.5 + lam) * f[slots])
     a_n0 = np.zeros(len(slots), dtype=complex)
     for i, n in enumerate(slots):
         deg = math.isqrt(n)  # slots n^2 .. n^2 + 2n hold degree n
-        if n != deg * deg + deg:
-            # off-axis harmonics are orthogonal to an axial dipole
-            continue
-        beta = math.sqrt((2 * deg + 1) / radius)
-        cn = np.sqrt((2 * deg + 1) / (4.0 * math.pi))
-        surface = complex(traces[0][n] * beta)
-        radial = _coupling_radial(deg, radius, z0, omega, bessel)
-        vol = 1j * omega * omega * cn * beta / (2 * deg + 1) * radial
-        a_n[i] = surface + omega * omega * vol
-        a_n0[i] = ((deg + 1) * radius ** (deg + 1) * cn * beta
-                   / ((2 * deg + 1) * z0 ** (deg + 2)))
+        # off-axis harmonics are orthogonal to an axial dipole
+        if n == deg * deg + deg:
+            cn = np.sqrt((2 * deg + 1) / (4.0 * math.pi))
+            a_n0[i] = ((deg + 1) * radius ** (deg + 1) * cn * beta[i]
+                       / ((2 * deg + 1) * z0 ** (deg + 2)))
     return a_n, a_n0
-
-
-def _coupling_radial(deg, radius, z0, omega, bessel):
-    """
-    The coupling's radial integral at degree deg in closed form,
-
-        jhp int_0^R j_n(omega r) / j_n(omega z0) (r/R)^n r^2 dr
-            = jhp R^2 j_{n+1}(omega R) / (omega j_n(omega z0)),
-
-    with jhp = j_n h_n'(omega z0) and bessel the SphereBessel of the
-    axial dipole at z0, by sph_j_next_ratio_from. Below the cut
-    (|omega z0| < 0.5) that reads the series data at omega R and omega z0
-    and the size (R/z0)^n, raised here exactly in integers and rounded
-    once (the rounded R/z0 to the n-th power is off by n/2 ulp); above
-    it, one Bessel value j_{n+1}(omega R). Against 40-digit values at
-    degrees 0..40: within 8e-16 relative below the cut, 8e-14 above it.
-    """
-    (p_r, q_r), (p_z, q_z) = radius.as_integer_ratio(), z0.as_integer_ratio()
-    size = (p_r * q_z) ** deg / (q_r * p_z) ** deg
-    return sph_j_next_ratio_from(bessel.at_R, bessel.at_z0, deg, size,
-                                 bessel.jhp[deg] * radius * radius, omega)

@@ -16,9 +16,11 @@ computations of numbers the package produces another way.
   single and adjoint double layers (real_sph_harm,
   sphere_diagonal_by_quadrature), an independent route to the
   diagonals of sphere_operators.
-* Closed forms of the sphere's radial integrals in mpmath
-  (sphere_radial_integrals_mp, coupling_radial_mp), the references of
-  the package's series for the interior energy and the coupling.
+* Closed forms of the sphere's radial integrals in mpmath: the
+  energy's (sphere_radial_integrals_mp), the reference of the package's
+  series, and the coupling's, inside the whole coupling a_n by the
+  volume route (coupling_an_mp), the reference of the package's
+  boundary identity.
 * The sphere's transmission system as one dense 2(L+1)^2 matrix
   (dense_sphere_system), the oracle of the per-slot direct solve.
 
@@ -313,20 +315,44 @@ def sphere_radial_integrals_mp(n, k, radius, dps=50):
         return float(mp.re(i_mass)), float(i_grad)
 
 
-def coupling_radial_mp(n, omega, radius, z0, dps=50):
+def coupling_an_mp(n, omega, radius, z0, dps=50):
     """
-    int_0^R j_n(omega r) / j_n(omega z0) (r/R)^n r^2 dr as a float from
-    dps-digit mpmath, by d/dz (z^{n+1} j_{n+1}(z)) = z^{n+1} j_n(z):
-    R^2 j_{n+1}(omega R) / (omega j_n(omega z0)).
+    The coupling a_n of the unit axial dipole at distance z0 to the
+    sphere's degree-n pole mode beta_n Yhat_n0, beta_n = sqrt((2n+1)/R),
+    as a complex from dps-digit mpmath by the volume route
+
+        a_n = beta_n F_n + omega^2 int_D F_z S[phi_n] dV,
+
+    which shares nothing with the package's boundary identity. With
+    c_n = sqrt((2n+1)/4pi), the trace coefficient is
+    F_n = -i omega^2 c_n R j_n(omega R) h_n'(omega z0), and the volume
+    term is i omega^2 c_n beta_n / (2n+1) h_n'(omega z0) times the radial
+    integral int_0^R j_n(omega r) (r/R)^n r^2 dr, which
+    d/dz (z^{n+1} j_{n+1}(z)) = z^{n+1} j_n(z) closes as
+    R^2 j_{n+1}(omega R) / omega. Spherical Bessel values come from
+    mpmath's half-integer-order J and Y.
     """
     import mpmath
 
     mp = mpmath.mp
     with mpmath.workdps(dps):
         R, z0, om = mp.mpf(radius), mp.mpf(z0), mp.mpf(omega)
-        j_next = (om * R) ** (n + 1) / mp.fac2(2 * n + 3) * _mp_a(mp, n + 1, om * R)
-        j_z0 = (om * z0) ** n / mp.fac2(2 * n + 1) * _mp_a(mp, n, om * z0)
-        return float(R * R * j_next / (om * j_z0))
+
+        def sph(order, z):
+            # (j, y) of one order by J and Y of order + 1/2
+            c = mp.sqrt(mp.pi / (2 * z))
+            nu = order + mp.mpf(1) / 2
+            return c * mp.besselj(nu, z), c * mp.bessely(nu, z)
+
+        zz = om * z0
+        h_n, h_next = (mp.mpc(*sph(m, zz)) for m in (n, n + 1))
+        hp = n / zz * h_n - h_next  # h_n' = (n/z) h_n - h_{n+1}
+        cn = mp.sqrt((2 * n + 1) / (4 * mp.pi))
+        beta = mp.sqrt((2 * n + 1) / R)
+        surface = -1j * om ** 2 * cn * R * sph(n, om * R)[0] * hp * beta
+        radial = R * R * sph(n + 1, om * R)[0] / om
+        vol = 1j * om ** 2 * cn * beta / (2 * n + 1) * hp * radial
+        return complex(surface + om ** 2 * vol)
 
 
 def dense_sphere_system(problem):

@@ -13,9 +13,14 @@ Every name a module lists in __all__ exists: perfbench's tracer wraps
 each of them, so a stale entry would break a traced benchmark run. Each
 public name is listed by one layer, and the package exports it. Every
 name in specfun's __all__ has a caller in another module of the
-package, so a kernel that loses its last caller shows here.
+package, so a kernel that loses its last caller shows here, and every
+top-level function or class outside its module's __all__ is named by
+some code of the package beyond its own definition, so a private helper
+that loses its last caller shows too.
 """
 
+import ast
+from collections import Counter
 import importlib
 import json
 import os
@@ -126,3 +131,29 @@ def test_every_kernel_has_a_caller():
                        if path.name != "specfun.py")
     assert [name for name in specfun.__all__
             if not re.search(rf"\b{name}\b", others)] == []
+
+
+def _names(node):
+    """How often each name is read in the code under node (docstrings aside)."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+def test_every_private_definition_has_a_use():
+    # a top-level function or class that its module keeps out of __all__
+    # is reached only by name from inside the package; once no code but
+    # its own body names it, it is dead and should go with its last caller
+    package = Path(plasmonres.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    unused = []
+    for stem, tree in trees.items():
+        module = plasmonres if stem == "__init__" else importlib.import_module(
+            f"plasmonres.{stem}")
+        public = getattr(module, "__all__", ())
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name not in public
+                    and used[node.name] - _names(node)[node.name] <= 0):
+                unused.append(f"{stem}.{node.name}")
+    assert unused == []

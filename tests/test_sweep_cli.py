@@ -16,6 +16,7 @@ import tempfile
 import threading
 import time
 import weakref
+from xml.dom import minidom
 from concurrent.futures import ThreadPoolExecutor
 from importlib.metadata import EntryPoint
 from pathlib import Path
@@ -322,10 +323,11 @@ def test_a_n_abs_invariant_under_rotation_of_a_degenerate_cluster():
 
 @pytest.mark.parametrize("degree", [8, 40])
 def test_sphere_sweep_sums_three_bessel_series_per_point(tmp_path, monkeypatch, degree):
-    # each series is summed once per grid point and handed to every
-    # consumer: all degrees at omega z0, omega R and k_c R (value and
-    # derivative). The energies' radial integrals and the coupling's are
-    # closed forms of those terms, so no series runs over radii.
+    # each series is summed once per grid point: all degrees at omega z0
+    # (the traces), omega R (shared by the traces and the operators at
+    # omega) and k_c R (value and derivative). The energies' radial
+    # integrals are closed forms of the k_c R terms, and the coupling is
+    # a pairing of the traces, so no series runs over radii.
     calls = []
     series = specfun_module._sph_series
 
@@ -581,9 +583,9 @@ def test_sweep_builds_dipole_traces_once_per_point(tmp_path, monkeypatch, make, 
     problems = []
     original = transmission_module.dipole_traces
 
-    def counting(problem, *bessel):
+    def counting(problem, *terms):
         problems.append(problem)
-        return original(problem, *bessel)
+        return original(problem, *terms)
 
     for module in (sweep_module, transmission_module):
         monkeypatch.setattr(module, "dipole_traces", counting)
@@ -1241,6 +1243,25 @@ def test_plot_determinism_and_guards(tmp_path):
                          ",".join(["oops"] * len(CSV_COLUMNS)) + "\n")
     with pytest.raises(ValueError):
         emit_plot(str(malformed), str(tmp_path / "d.svg"))
+
+
+def test_plot_escapes_solver_names(tmp_path):
+    # a solver cell is free text; the SVG it lands in must stay
+    # well-formed XML and show the name as written
+    csv_path = tmp_path / "rows.csv"
+    names = ("a&b", "<x>")
+    with open(csv_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(CSV_COLUMNS)
+        for name in names:
+            for d, e in ((1e-2, 10.0), (1e-3, 100.0)):
+                w.writerow([repr(d), repr(1e-4), repr(1e-4), repr(e), repr(1.0),
+                            repr(0.5), name, repr(0.0), "1.000"])
+    svg = tmp_path / "rows.svg"
+    assert main(["plot", "--csv", str(csv_path), "--output", str(svg)]) == 0
+    texts = [node.firstChild.data
+             for node in minidom.parse(str(svg)).getElementsByTagName("text")]
+    assert all(name in texts for name in names)
 
 
 def test_python_m_entry_point():
