@@ -30,7 +30,7 @@ def main():
         dim=2, geometry=nodes, eps_c=-2.0, omega0=1.0,
         a=(1.0, 0.0), z=(3.0, 0.0), csv_path=csv_path,
         delta_max=1e-2, delta_min=1e-4, points_per_decade=4,
-        solver="both", workers=2,
+        solver="both",
     )
     result = run_sweep(config)
 

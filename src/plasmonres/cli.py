@@ -196,6 +196,9 @@ def load_sweep_config(source):
 # ----------------------------------------------------------- validation
 
 
+# The rounding-level checks are bounded at 100 times the larger of their
+# readings at 1 and 2 OpenBLAS threads, rounded up to one digit; the
+# quasi-static and interior checks measure discretisation gaps instead.
 def _check(name, measured, tolerance):
     return {
         "name": name,
@@ -213,11 +216,12 @@ def _suite_spectrum():
         v = 0.5 * (1.0 / 3.0) ** n
         expected.extend([-v, v])
     err = max(abs(spec.lambdas[i + 1] - expected[i]) for i in range(8))
-    checks.append(_check("ellipse_first8_eigenvalues", err, 1e-8))
-    checks.append(_check("ellipse_equilibrium_half", abs(spec.lambdas[0] - 0.5), 1e-10))
+    checks.append(_check("ellipse_first8_eigenvalues", err, 2e-14))
+    checks.append(_check("ellipse_equilibrium_half", abs(spec.lambdas[0] - 0.5), 3e-14))
     sph = sphere_spectrum(Sphere(12, 1.0))
     lam_err = max(abs(sph.lambdas[n * n + n] - 0.5 / (2 * n + 1)) for n in range(13))
-    checks.append(_check("sphere_eigenvalues_exact", lam_err, 1e-12))
+    # both sides are one correctly rounded division of the same number
+    checks.append(_check("sphere_eigenvalues_exact", lam_err, 0.0))
     return checks
 
 
@@ -229,18 +233,18 @@ def _suite_layer():
     k_mat = assemble_Kstar(nodes).matrix
     c3 = np.cos(3 * t)
     err_s = np.linalg.norm(s_mat @ c3 + c3 / 6.0) / np.linalg.norm(c3 / 6.0)
-    checks.append(_check("circle_S_cos3_eigenvalue", err_s, 1e-10))
+    checks.append(_check("circle_S_cos3_eigenvalue", err_s, 2e-13))
     err_k = np.linalg.norm(k_mat @ c3) / np.linalg.norm(c3)
-    checks.append(_check("circle_Kstar_cos3_null", err_k, 1e-10))
+    checks.append(_check("circle_Kstar_cos3_null", err_k, 3e-14))
     ones = np.ones(nodes.n)
     err_k0 = np.linalg.norm(k_mat @ ones - 0.5 * ones) / np.linalg.norm(ones)
-    checks.append(_check("circle_Kstar_equilibrium_half", err_k0, 1e-10))
+    checks.append(_check("circle_Kstar_equilibrium_half", err_k0, 4e-14))
     sk = assemble_S_omega(nodes, 0.5).matrix
     e1 = np.exp(1j * t)
     # unit-circle Helmholtz single layer on e^{it}: known Bessel product
     oracle = -0.5599752985327319 - 0.09219632837648107j
     err_sk = np.linalg.norm(sk @ e1 - oracle * e1) / (abs(oracle) * np.linalg.norm(e1))
-    checks.append(_check("circle_S_helmholtz_mode1", err_sk, 1e-8))
+    checks.append(_check("circle_S_helmholtz_mode1", err_sk, 3e-14))
     return checks
 
 

@@ -18,16 +18,14 @@ the contrast sits on a plasmon eigenvalue the field norm grows like
 -1; off resonance the norm stays bounded and the slope is flat. The
 verdict encodes which regime the data shows.
 
-Rows are assembled in grid order regardless of worker scheduling, and
-every numeric cell is written with shortest round-trip formatting, so
-a sweep writes byte-identical CSV on repeated runs apart from the
-wall_time_ms column.
+Rows are assembled in grid order, and every numeric cell is written
+with shortest round-trip formatting, so a sweep writes byte-identical
+CSV on repeated runs apart from the wall_time_ms column.
 """
 
 import contextlib
 import csv
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -84,9 +82,13 @@ def scale_for_delta(delta, coupling_c, dim):
 
     3D is explicit, s = c delta. 2D solves s^2 |ln s| = c delta by
     fixed-point iteration, which contracts for s < 1/e; the root is
-    unique there and reached to 1e-12 relative. Any other dim raises
+    unique there and reached to 1e-12 relative. A delta or coupling_c
+    that is not finite and positive, or any other dim, raises
     ValueError.
     """
+    if not (np.isfinite(delta) and np.isfinite(coupling_c)):
+        raise ValueError(f"delta and coupling_c must be finite, got {delta!r}, "
+                         f"{coupling_c!r}")
     if delta <= 0 or coupling_c <= 0:
         raise ValueError("delta and coupling_c must be positive")
     if dim not in (2, 3):
@@ -121,8 +123,9 @@ class SweepConfig:
     points per factor of 10. coupling_c must keep the scale in the
     s << delta regime, so it is capped at 0.1. dim, points_per_decade
     and workers must be integers (is_integer), never rounded to one.
-    plot_path is carried for front ends that render the CSV; run_sweep
-    itself only writes the CSV.
+    workers (at least 1) is accepted and kept but does not change how a
+    sweep runs (see run_sweep). plot_path is carried for front ends that
+    render the CSV; run_sweep itself only writes the CSV.
     """
 
     dim: int
@@ -232,14 +235,6 @@ class SweepResult:
 
 
 # -------------------------------------------------------- sweep driver
-
-
-def _cores():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _resonant_cluster(spectrum, eps_eff):
@@ -396,40 +391,28 @@ def run_sweep(config):
     """
     Execute the sweep, write the CSV, fit the blow-up rate, classify.
 
-    Points run on a worker pool of config.workers threads; results are
-    assembled in grid order so the output does not depend on
-    scheduling. A 2D sweep with workers=1 on a process with at least
-    two CPUs builds its points' S^k and K^k* on one pool of two threads
-    for the whole sweep, one point ahead (_solve_ahead); the operators
-    are those of the serial path, bit for bit. That is the one
-    configuration measured; with more points in flight the pool would
-    run beside other points' LU, so those sweeps, and the sphere,
-    assemble on the point's own thread.
+    Points run in grid order. A 2D sweep builds its points' S^k and K^k*
+    on one pool of two threads for the whole sweep, one point ahead
+    (_solve_ahead), whatever config.workers is and however many CPUs the
+    process has; the operators are those solve_point builds on its own,
+    bit for bit. A sphere point's operators are diagonals, so a sphere
+    sweep runs its points one after another on the calling thread.
     The slope is fitted over the valid rows of one solver (direct when
     available, else spectral) so mixed direct/spectral sweeps do not
     double-count grid points. More than 30% invalid rows forces the
     'inconclusive' verdict.
     """
-    grid = config.delta_grid()
     solvers = ("direct", "spectral") if config.solver == "both" else (config.solver,)
     spectrum = spectrum_of(config.geometry)
+    problems = [config.problem_at(float(d)) for d in config.delta_grid()]
     if config.dim == 2:
         # a boundary too coarse for its interior quadrature is left to
         # fail each point's rows with this error
         with contextlib.suppress(ValueError):
             config.geometry.interior
-
-    def point_rows(delta):
-        return solve_point(config.problem_at(float(delta)), spectrum, solvers)[0]
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            per_point = list(pool.map(point_rows, grid))
-    elif config.dim == 2 and _cores() >= 2:
-        per_point = _solve_ahead([config.problem_at(float(d)) for d in grid], spectrum,
-                                 solvers)
+        per_point = _solve_ahead(problems, spectrum, solvers)
     else:
-        per_point = [point_rows(d) for d in grid]
+        per_point = [solve_point(p, spectrum, solvers)[0] for p in problems]
     rows = tuple(r for point in per_point for r in point)
     _write_csv(config.csv_path, rows)
 

@@ -138,8 +138,11 @@ class TransmissionProblem:
     geometry is a NodeSet for dim = 2 and a Sphere for dim = 3; a plain
     (L, R) pair is turned into Sphere(L, R) here.
     In 3D the dipole must sit on the axis of its own moment (z parallel
-    to a); that is the configuration with closed-form traces, and every
-    reported quantity is rotation invariant so it loses no generality.
+    to a), the configuration with closed-form axisymmetric traces. That
+    is a restriction, not a choice of frame: a rotation can put z on an
+    axis, but it cannot make a moment with a part perpendicular to z
+    radial, and that tangential part reaches the m = +-1 slots. Such
+    dipoles raise ValueError.
 
     The dipole moment is normalised to |a| = 1 at construction.
     """
@@ -507,9 +510,12 @@ def interior_gradient_energy(phi, kernels):
     collar strip whose boundary values come from the jump relations
     (normal part) and spectral differentiation of the trace
     (tangential part). kernels is the InteriorKernels of a 2D boundary
-    at k_c; its tables are not used.
+    at k_c; its tables are not used. Anything else raises TypeError.
     """
-    s_op, k_op, kc, nodes = kernels.s, kernels.kstar, kernels.k, kernels.geometry
+    if not isinstance(kernels, InteriorKernels):
+        raise TypeError("energy operators must be InteriorKernels(S^kc, K^kc*)")
+    s_op, k_op, kc = kernels.s, kernels.kstar, kernels.k
+    nodes = _require_2d(kernels.geometry)
     u_trace = s_op.matrix @ phi
     dnu = -0.5 * phi + k_op.matrix @ phi
     dtu = _fft_tangential_deriv(u_trace, nodes)

@@ -5,10 +5,11 @@ What the package loads, and when.
 command-line run and every benchmark sample, so the heavy scipy
 subpackages the package does not use stay out of it. A sweep imports
 nothing on its own: a lazy import inside the sweep path would be paid
-inside the timed sweep; the sweep check covers a 2D sweep with and
-without the look-ahead operator pool. Nor does the import compute: it
-makes no LAPACK eigenvalue call. The checks run in a fresh interpreter,
-because the test process has already imported whatever other tests use.
+inside the timed sweep; the sweep check covers a 2D sweep, whose
+operators a pool of threads builds, and a sphere sweep. Nor does the
+import compute: it makes no LAPACK eigenvalue call. The checks run in
+a fresh interpreter, because the test process has already imported
+whatever other tests use.
 Every name a module lists in __all__ exists: perfbench's tracer wraps
 each of them, so a stale entry would break a traced benchmark run. Each
 public name is listed by one layer, and the package exports it. Every
@@ -40,20 +41,15 @@ _UNUSED_SUBPACKAGES = ("scipy.stats", "scipy.optimize", "scipy.interpolate",
 _SWEEP_SCRIPT = """
 import json, sys
 from plasmonres import SweepConfig, make_curve, quadrature_nodes, run_sweep
-from plasmonres import sweep
-# two CPUs whatever the machine: workers=1 gets the look-ahead operator pool,
-# workers=2 none
-sweep._cores = lambda: 2
 common = dict(eps_c=-2.0, omega0=1.0, delta_max=1e-2, delta_min=1e-4,
               points_per_decade=2)
 nodes = quadrature_nodes(make_curve("ellipse", a=2.0, b=1.0), 64)
-ellipses = [SweepConfig(dim=2, geometry=nodes, a=(1.0, 0.0), z=(3.0, 0.0),
-                        csv_path=path, workers=workers, **common)
-            for path, workers in ((sys.argv[1], 2), (sys.argv[3], 1))]
+ellipse = SweepConfig(dim=2, geometry=nodes, a=(1.0, 0.0), z=(3.0, 0.0),
+                      csv_path=sys.argv[1], **common)
 sphere = SweepConfig(dim=3, geometry=(8, 1.0), a=(0.0, 0.0, 1.0),
                      z=(0.0, 0.0, 2.0), csv_path=sys.argv[2], **common)
 before = set(sys.modules)
-verdicts = [run_sweep(config).verdict for config in (*ellipses, sphere)]
+verdicts = [run_sweep(config).verdict for config in (ellipse, sphere)]
 print(json.dumps({"verdicts": verdicts,
                   "imported": sorted(set(sys.modules) - before)}))
 """
@@ -90,9 +86,8 @@ def test_import_leaves_unused_scipy_subpackages_out():
 
 def test_run_sweep_imports_no_module(tmp_path):
     out = _fresh_python("-c", _SWEEP_SCRIPT, str(tmp_path / "ellipse.csv"),
-                        str(tmp_path / "sphere.csv"),
-                        str(tmp_path / "ellipse-pooled.csv"))
-    assert out["verdicts"] == ["resonant", "resonant", "resonant"]
+                        str(tmp_path / "sphere.csv"))
+    assert out["verdicts"] == ["resonant", "resonant"]
     assert out["imported"] == []
 
 

@@ -116,6 +116,11 @@ def test_scale_rule():
         scale_for_delta(10.0, 0.05, 2)  # target scale leaves s << 1
     with pytest.raises(ValueError):
         scale_for_delta(-1e-3, 0.01, 2)
+    # a non-finite input once came back as a nan or inf scale
+    for delta, c, dim in ((np.nan, 0.01, 2), (np.nan, 0.01, 3), (1e-3, np.nan, 2),
+                          (np.inf, 0.01, 3), (1e-3, np.inf, 3), (-np.inf, 0.01, 2)):
+        with pytest.raises(ValueError, match="finite"):
+            scale_for_delta(delta, c, dim)
     # only 2D and 3D have a rule; dim 4 once returned the 2D root
     for dim in (1, 4):
         with pytest.raises(ValueError, match="dim must be 2 or 3"):
@@ -421,7 +426,7 @@ def test_repeated_sweeps_retain_no_operators(tmp_path, monkeypatch):
         built.extend(weakref.ref(op) for op in out)
         return out
     monkeypatch.setattr(sweep_module, "helmholtz_operators", recording)
-    # the look-ahead pool of a serial 2D sweep calls the assemblers directly
+    # the look-ahead pool of a 2D sweep calls the assemblers directly
     for name in ("assemble_S_omega", "assemble_Kstar_omega"):
         def recording_one(*args, _original=getattr(sweep_module, name)):
             out = _original(*args)
@@ -524,12 +529,12 @@ def test_2d_sweep_builds_interior_kernels_once_per_point(tmp_path, monkeypatch,
     assert builds == [route] * (2 * len(grid))
 
 
-def _run_on_cores(monkeypatch, cfg, cores):
+def _run_watched(monkeypatch, cfg):
     """
-    run_sweep as if the process had `cores` CPUs. Returns the result
-    and, per point, the operator futures the look-ahead pool handed to
-    solve_point (None without a pool), and checks that no thread the
-    sweep started outlives it, also when it raises.
+    run_sweep on cfg. Returns the result and, per point, the operator
+    futures the look-ahead pool handed to solve_point (None without a
+    pool), and checks that no thread the sweep started outlives it,
+    also when it raises.
     """
     executors = []
     with monkeypatch.context() as m:
@@ -539,7 +544,6 @@ def _run_on_cores(monkeypatch, cfg, cores):
             executors.append(rest[0] if rest else None)
             return original(problem, spectrum, solvers, *rest)
 
-        m.setattr(sweep_module, "_cores", lambda: cores)
         m.setattr(sweep_module, "solve_point", recording)
         before = set(threading.enumerate())
         try:
@@ -551,35 +555,42 @@ def _run_on_cores(monkeypatch, cfg, cores):
 
 @pytest.mark.parametrize("make", (_ellipse_config, _kite_hankel_config))
 def test_pooled_and_serial_2d_sweeps_agree(tmp_path, monkeypatch, make):
-    # with a spare core the operators, and so their Bessel/Hankel
-    # tables, are built on the look-ahead pool's threads, otherwise on
-    # the point's thread; every cell but wall_time_ms is the same
+    # a 2D sweep builds its operators, and so their Bessel/Hankel tables,
+    # on the look-ahead pool's threads; solve_point on its own, the path
+    # of `plasmonres solve`, builds them on the caller's thread. Every
+    # cell but wall_time_ms is the same
     table = layer_ops._distance_table
-    paths = {}
-    for cores in (1, 2):
-        threads = []
+    threads = []
 
-        def tabulating(*args):
-            threads.append(threading.current_thread())
-            return table(*args)
+    def tabulating(*args):
+        threads.append(threading.current_thread())
+        return table(*args)
 
-        monkeypatch.setattr(layer_ops, "_distance_table", tabulating)
-        cfg = make(tmp_path, csv_path=str(tmp_path / f"cores{cores}.csv"))
-        result, executors = _run_on_cores(monkeypatch, cfg, cores)
-        assert result.invalid_fraction == 0.0
-        assert len(threads) == 8 * len(cfg.delta_grid())
-        pooled = cores == 2
-        assert all((ex is not None) == pooled for ex in executors)
-        assert all((t is threading.main_thread()) != pooled for t in threads)
-        paths[cores] = cfg.csv_path
-    assert _masked_csv(paths[1]) == _masked_csv(paths[2])
+    monkeypatch.setattr(layer_ops, "_distance_table", tabulating)
+    cfg = make(tmp_path, csv_path=str(tmp_path / "pooled.csv"))
+    result, executors = _run_watched(monkeypatch, cfg)
+    assert result.invalid_fraction == 0.0
+    points = len(cfg.delta_grid())
+    assert len(threads) == 8 * points
+    assert all(ex is not None for ex in executors)
+    assert all(t is not threading.main_thread() for t in threads)
+
+    threads.clear()
+    spectrum = spectrum_of(cfg.geometry)
+    rows = [row for d in cfg.delta_grid()
+            for row in sweep_module.solve_point(cfg.problem_at(float(d)), spectrum,
+                                                ("direct", "spectral"))[0]]
+    assert len(threads) == 8 * points
+    assert all(t is threading.main_thread() for t in threads)
+    serial = tmp_path / "serial.csv"
+    sweep_module._write_csv(str(serial), rows)
+    assert _masked_csv(cfg.csv_path) == _masked_csv(serial)
 
 
-@pytest.mark.parametrize("make, cores", [(_ellipse_config, 1), (_ellipse_config, 2),
-                                         (_sphere_config, 1)])
-def test_sweep_builds_dipole_traces_once_per_point(tmp_path, monkeypatch, make, cores):
+@pytest.mark.parametrize("make", (_ellipse_config, _sphere_config))
+def test_sweep_builds_dipole_traces_once_per_point(tmp_path, monkeypatch, make):
     # the direct solve and the spectral row of a grid point share one
-    # (F_z, d_nu F_z), on the look-ahead pool's path and without it
+    # (F_z, d_nu F_z), on the look-ahead pool's path (2D) and without it
     problems = []
     original = transmission_module.dipole_traces
 
@@ -590,7 +601,7 @@ def test_sweep_builds_dipole_traces_once_per_point(tmp_path, monkeypatch, make, 
     for module in (sweep_module, transmission_module):
         monkeypatch.setattr(module, "dipole_traces", counting)
     cfg = make(tmp_path)
-    result, _ = _run_on_cores(monkeypatch, cfg, cores)
+    result, _ = _run_watched(monkeypatch, cfg)
     assert result.invalid_fraction == 0.0
     assert [p.delta for p in problems] == [float(d) for d in cfg.delta_grid()]
 
@@ -609,11 +620,9 @@ def test_sphere_omega_failure_fails_only_the_direct_row():
     assert rows[0].a_n_abs == rows[1].a_n_abs > 0
 
 
-@pytest.mark.parametrize("cores", (1, 2))
 @pytest.mark.parametrize("stage", ("check", "table"))
 @pytest.mark.parametrize("failing", ("kc", "omega"))
-def test_wavenumber_failures_fail_their_rows(tmp_path, monkeypatch, failing, stage,
-                                             cores):
+def test_wavenumber_failures_fail_their_rows(tmp_path, monkeypatch, failing, stage):
     # a k_c that fails its resolution check or its tables fails both rows
     # of the point, an omega only the direct row; the other rows keep
     # their cells, and a wavenumber that fails its check is never tabulated
@@ -643,7 +652,7 @@ def test_wavenumber_failures_fail_their_rows(tmp_path, monkeypatch, failing, sta
     monkeypatch.setattr(layer_ops, "_check_wavenumber", checking)
     monkeypatch.setattr(layer_ops, "_distance_table", tabulating)
     cfg = _ellipse_config(tmp_path)
-    result, _ = _run_on_cores(monkeypatch, cfg, cores)
+    result, _ = _run_watched(monkeypatch, cfg)
     rows = _masked_csv(cfg.csv_path)[1:]
     expected = _masked_csv(reference.csv_path)[1:]
     assert len(rows) == len(expected) == 2 * len(grid)
@@ -685,20 +694,18 @@ def test_look_ahead_pool_closes_on_a_sweep_error(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sweep_module, "gradient_energy", failing)
     with pytest.raises(TypeError, match="synthetic") as excinfo:
-        _run_on_cores(monkeypatch, cfg, 2)
+        _run_watched(monkeypatch, cfg)
     assert len(ahead) == 4
     gc.collect()
     assert all(ref() is None for ref in ahead)
     assert excinfo.traceback
 
 
-@pytest.mark.parametrize("dim, workers, cores, pooled", [
-    (2, 1, 2, True), (2, 1, 8, True), (2, 1, 1, False), (2, 2, 2, False),
-    (2, 2, 8, False), (3, 1, 4, False)])
-def test_table_executor_only_in_serial_2d_sweeps(tmp_path, monkeypatch, dim,
-                                                 workers, cores, pooled):
-    # the look-ahead operator pool of two threads exists only for a 2D
-    # sweep with one point in flight on a process with at least two CPUs
+@pytest.mark.parametrize("dim, workers", [(2, 1), (2, 2), (2, 4), (3, 1)])
+def test_one_operator_pool_per_2d_sweep(tmp_path, monkeypatch, dim, workers):
+    # every 2D sweep opens one look-ahead operator pool of two threads,
+    # whatever workers is, and hands each point its operator futures; a
+    # sphere sweep opens no pool
     created = []
 
     class Recording(ThreadPoolExecutor):
@@ -708,12 +715,11 @@ def test_table_executor_only_in_serial_2d_sweeps(tmp_path, monkeypatch, dim,
 
     monkeypatch.setattr(sweep_module, "ThreadPoolExecutor", Recording)
     make = _ellipse_config if dim == 2 else _sphere_config
-    result, executors = _run_on_cores(monkeypatch, make(tmp_path, workers=workers),
-                                      cores)
+    result, executors = _run_watched(monkeypatch, make(tmp_path, workers=workers))
     assert result.invalid_fraction == 0.0
+    pooled = dim == 2
     assert all((ex is not None) == pooled for ex in executors)
-    expected = ([2] if pooled else []) + ([workers] if workers > 1 else [])
-    assert created == expected
+    assert created == ([2] if pooled else [])
 
 
 # ---------------------------------------------------------------- CLI

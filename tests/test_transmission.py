@@ -217,6 +217,12 @@ def test_energy_interior_crosscheck():
     e_green = gradient_energy(sol.phi, ops)
     e_interior = interior_gradient_energy(sol.phi, ops)
     assert abs(e_green - e_interior) < 0.02 * abs(e_interior)
+    # the interior quadrature is 2D only; a sphere's kernels once raised
+    # IndexError and None AttributeError
+    sph_ops = _energy_ops(Sphere(8, 1.0), pr.kc)
+    for bad in (sph_ops, None, (ops.s, ops.kstar)):
+        with pytest.raises(TypeError):
+            interior_gradient_energy(sol.phi, bad)
 
 
 def test_sphere_slot_solve_matches_dense_solve():
