@@ -587,10 +587,13 @@ def test_pooled_and_serial_2d_sweeps_agree(tmp_path, monkeypatch, make):
     assert _masked_csv(cfg.csv_path) == _masked_csv(serial)
 
 
-@pytest.mark.parametrize("make", (_ellipse_config, _sphere_config))
-def test_sweep_builds_dipole_traces_once_per_point(tmp_path, monkeypatch, make):
+@pytest.mark.parametrize("make, workers", [(_ellipse_config, 1), (_ellipse_config, 2),
+                                           (_sphere_config, 1)])
+def test_sweep_builds_dipole_traces_once_per_point(tmp_path, monkeypatch, make,
+                                                   workers):
     # the direct solve and the spectral row of a grid point share one
-    # (F_z, d_nu F_z), on the look-ahead pool's path (2D) and without it
+    # (F_z, d_nu F_z), on the look-ahead pool's path (2D, whatever
+    # workers is) and without it (3D)
     problems = []
     original = transmission_module.dipole_traces
 
@@ -600,7 +603,7 @@ def test_sweep_builds_dipole_traces_once_per_point(tmp_path, monkeypatch, make):
 
     for module in (sweep_module, transmission_module):
         monkeypatch.setattr(module, "dipole_traces", counting)
-    cfg = make(tmp_path)
+    cfg = make(tmp_path, workers=workers)
     result, _ = _run_watched(monkeypatch, cfg)
     assert result.invalid_fraction == 0.0
     assert [p.delta for p in problems] == [float(d) for d in cfg.delta_grid()]
@@ -620,12 +623,15 @@ def test_sphere_omega_failure_fails_only_the_direct_row():
     assert rows[0].a_n_abs == rows[1].a_n_abs > 0
 
 
+@pytest.mark.parametrize("workers", (1, 2))
 @pytest.mark.parametrize("stage", ("check", "table"))
 @pytest.mark.parametrize("failing", ("kc", "omega"))
-def test_wavenumber_failures_fail_their_rows(tmp_path, monkeypatch, failing, stage):
+def test_wavenumber_failures_fail_their_rows(tmp_path, monkeypatch, failing, stage,
+                                             workers):
     # a k_c that fails its resolution check or its tables fails both rows
     # of the point, an omega only the direct row; the other rows keep
-    # their cells, and a wavenumber that fails its check is never tabulated
+    # their cells, and a wavenumber that fails its check is never tabulated,
+    # whatever workers is
     reference = _ellipse_config(tmp_path, csv_path=str(tmp_path / "ref.csv"))
     run_sweep(reference)
     grid = reference.delta_grid()
@@ -651,7 +657,7 @@ def test_wavenumber_failures_fail_their_rows(tmp_path, monkeypatch, failing, sta
 
     monkeypatch.setattr(layer_ops, "_check_wavenumber", checking)
     monkeypatch.setattr(layer_ops, "_distance_table", tabulating)
-    cfg = _ellipse_config(tmp_path)
+    cfg = _ellipse_config(tmp_path, workers=workers)
     result, _ = _run_watched(monkeypatch, cfg)
     rows = _masked_csv(cfg.csv_path)[1:]
     expected = _masked_csv(reference.csv_path)[1:]
@@ -701,11 +707,15 @@ def test_look_ahead_pool_closes_on_a_sweep_error(tmp_path, monkeypatch):
     assert excinfo.traceback
 
 
-@pytest.mark.parametrize("dim, workers", [(2, 1), (2, 2), (2, 4), (3, 1)])
-def test_one_operator_pool_per_2d_sweep(tmp_path, monkeypatch, dim, workers):
+@pytest.mark.parametrize("dim, workers, cores", [
+    (2, 1, 1), (2, 1, 2), (2, 1, 8), (2, 2, 2), (2, 2, 8), (2, 4, 8), (3, 1, 4)])
+def test_one_operator_pool_per_2d_sweep(tmp_path, monkeypatch, dim, workers, cores):
     # every 2D sweep opens one look-ahead operator pool of two threads,
-    # whatever workers is, and hands each point its operator futures; a
-    # sphere sweep opens no pool
+    # whatever workers is and however many CPUs the process reports, and
+    # hands each point its operator futures; a sphere sweep opens no pool
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
     created = []
 
     class Recording(ThreadPoolExecutor):
