@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .geometry import Sphere, is_integer, make_curve, quadrature_nodes
+from .geometry import CURVE_PARAMS, Sphere, make_curve, quadrature_nodes
 from .layer_ops import InteriorKernels, assemble_S, assemble_Kstar, \
     assemble_S_omega
 from .np_spectrum import sphere_spectrum, spectrum_of, cluster_ids
@@ -56,67 +56,51 @@ class ConfigError(ValueError):
 
 # ------------------------------------------------------------ geometry
 
+# each geometry kind's parameters in `kind:v1,v2` order, with their
+# defaults; the sphere's radius is its R
+_KINDS = {**CURVE_PARAMS, "sphere": {"radius": 1.0}}
+
 
 def _parse_geometry_arg(text):
     """
     Parse a compact geometry string: 'circle:R', 'ellipse:A,B', 'kite',
-    'sphere:R'. Returns (kind, params dict).
+    'sphere:R', values in _KINDS order. Returns (kind, params dict); a
+    parameter left out is make_curve's or the sphere's to default or
+    refuse.
     """
     kind, _, rest = text.partition(":")
     kind = kind.strip()
+    if kind not in _KINDS:
+        raise ConfigError(f"unknown geometry kind {kind!r}")
+    names = list(_KINDS[kind])
+    values = rest.split(",") if rest else []
+    if len(values) > len(names):
+        raise ConfigError(f"bad geometry argument {text!r}: more values than the "
+                          f"parameters {names} of {kind}")
     try:
-        if kind in ("circle", "sphere"):
-            return kind, {"radius": float(rest) if rest else 1.0}
-        if kind == "ellipse":
-            a_str, b_str = rest.split(",")
-            return kind, {"a": float(a_str), "b": float(b_str)}
-        if kind == "kite":
-            if rest:
-                raise ValueError("kite takes no parameters")
-            return kind, {}
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad geometry argument {text!r}: {exc}") from exc
-    raise ConfigError(f"unknown geometry kind {kind!r}")
-
-
-def _build_geometry(dim, kind, params, nodes_n, degree):
-    """NodeSet (dim 2) or Sphere (dim 3) from parsed geometry."""
-    if (kind == "sphere") != (dim == 3):
-        raise ConfigError(f"a {kind!r} geometry does not fit dim {dim}: the sphere is "
-                          "the one 3D geometry")
-    if dim == 3:
-        return Sphere(degree, params.get("radius", 1.0))
-    return quadrature_nodes(make_curve(kind, **params), int(nodes_n))
-
-
-def _parse_vec(text, dim):
-    parts = text.split(",")
-    if len(parts) != dim:
-        raise ConfigError(f"expected {dim} comma-separated components, got {text!r}")
-    try:
-        return np.array([float(p) for p in parts])
+        return kind, {name: float(v) for name, v in zip(names, values)}
     except ValueError as exc:
-        raise ConfigError(f"bad vector {text!r}: {exc}") from exc
+        raise ConfigError(f"bad geometry argument {text!r}: {exc}") from exc
+
+
+def _build_geometry(kind, params, nodes_n, degree):
+    """Sphere of degree `degree` for a sphere, else the NodeSet of nodes_n nodes."""
+    if kind == "sphere":
+        return Sphere(degree, params.get("radius", _KINDS["sphere"]["radius"]))
+    return quadrature_nodes(make_curve(kind, **params), nodes_n)
+
+
+def _vector(text):
+    """argparse type of the dipole flags: '1,0' -> [1.0, 0.0]."""
+    return [float(p) for p in text.split(",")]
 
 
 # ---------------------------------------------------------- JSON config
 
-# the SweepConfig fields; those without a default are required
-_FIELDS = dataclasses.fields(SweepConfig)
-_CONFIG_REQUIRED = tuple(f.name for f in _FIELDS if f.default is dataclasses.MISSING)
-_CONFIG_OPTIONAL = tuple(f.name for f in _FIELDS if f.default is not dataclasses.MISSING)
-_GEOMETRY_KEYS = {
-    "circle": {"kind", "radius", "n"},
-    "ellipse": {"kind", "a", "b", "n"},
-    "kite": {"kind", "n"},
-    "sphere": {"kind", "radius", "degree"},
-}
-# keys read here that must be integers, never rounded to one; SweepConfig
-# checks its own (dim, read here first, included) and Sphere the degree
-_INT_KEYS = ("dim", "n")
-# keys that must be JSON numbers, as are the entries of a and z
-_FLOAT_KEYS = ("eps_c", "omega0", "eps_m", "delta_max", "delta_min", "coupling_c")
-_GEOMETRY_FLOATS = ("radius", "a", "b")
+# each SweepConfig field, True for those without a default: required keys
+_FIELDS = {f.name: f.default is dataclasses.MISSING for f in dataclasses.fields(SweepConfig)}
+_GEOMETRY_KEYS = {kind: {"kind", *params, "degree" if kind == "sphere" else "n"}
+                  for kind, params in _KINDS.items()}
 
 
 def load_sweep_config(source):
@@ -124,12 +108,11 @@ def load_sweep_config(source):
     Build a SweepConfig from a JSON file path or an already-parsed
     dict. Keys are the snake_case SweepConfig field names; geometry is
     an object like {"kind": "ellipse", "a": 2, "b": 1, "n": 256} or
-    {"kind": "sphere", "radius": 1, "degree": 12}. Unknown keys, a dim,
-    points_per_decade, workers, n or degree that is not an integer, a
-    float key, an entry of a or z, or a geometry radius, a or b that is
-    not a number (a bool is neither), a csv_path that is not a
-    non-empty string and a plot_path that is not a string raise
-    ConfigError naming the key.
+    {"kind": "sphere", "radius": 1, "degree": 12} (n 256, degree 12 by
+    default). Unknown or missing keys, another geometry shape, and a
+    null raise ConfigError naming the key. The values are checked by the
+    constructors that keep them, so Python and JSON refuse the same
+    ones; their ValueError or TypeError comes out as a ConfigError.
     """
     if isinstance(source, dict):
         data = dict(source)
@@ -142,11 +125,10 @@ def load_sweep_config(source):
         if not isinstance(data, dict):
             raise ConfigError("sweep config must be a JSON object")
 
-    allowed = set(_CONFIG_REQUIRED) | set(_CONFIG_OPTIONAL)
-    unknown = sorted(set(data) - allowed)
+    unknown = sorted(set(data) - set(_FIELDS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    missing = sorted(k for k in _CONFIG_REQUIRED if k not in data)
+    missing = sorted(k for k, required in _FIELDS.items() if required and k not in data)
     if missing:
         raise ConfigError(f"missing config keys: {', '.join(missing)}")
 
@@ -154,41 +136,18 @@ def load_sweep_config(source):
     if not isinstance(geom, dict) or "kind" not in geom:
         raise ConfigError("geometry must be an object with a 'kind' key")
     kind = geom["kind"]
-    if kind not in _GEOMETRY_KEYS:
+    if not (isinstance(kind, str) and kind in _GEOMETRY_KEYS):
         raise ConfigError(f"unknown geometry kind {kind!r}")
     bad = sorted(set(geom) - _GEOMETRY_KEYS[kind])
     if bad:
         raise ConfigError(f"unknown geometry keys for {kind}: {', '.join(bad)}")
-
-    for key, value in [*data.items(), *geom.items()]:
-        if key in _INT_KEYS and not is_integer(value):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if not (isinstance(data["csv_path"], str) and data["csv_path"]):
-        raise ConfigError(f"csv_path must be a non-empty string, got {data['csv_path']!r}")
-    if not isinstance(data.get("plot_path", ""), str):
-        raise ConfigError(f"plot_path must be a string, got {data['plot_path']!r}")
-    numbers = [(k, data[k]) for k in _FLOAT_KEYS if k in data]
-    numbers += [(f"geometry {k}", geom[k]) for k in _GEOMETRY_FLOATS if k in geom]
-    for key in ("a", "z"):
-        if not isinstance(data[key], (list, tuple)):
-            raise ConfigError(f"{key} must be a list of numbers, got {data[key]!r}")
-        numbers += [(key, v) for v in data[key]]
-    for key, value in numbers:
-        # an int or a float, numpy's too; a bool is neither
-        number = isinstance(value, (int, float, np.integer, np.floating))
-        if not number or isinstance(value, bool):
-            raise ConfigError(f"{key} must be a number, got {value!r}")
-    dim = int(data["dim"])
-    params = {k: geom[k] for k in geom if k in _GEOMETRY_FLOATS}
-    kwargs = {k: data[k] for k in _CONFIG_OPTIONAL if k in data}
+    for key, value in [*data.items(), *((f"geometry {k}", v) for k, v in geom.items())]:
+        if value is None:
+            raise ConfigError(f"{key} must be a value, not null")
+    params = {k: geom[k] for k in _KINDS[kind] if k in geom}
     try:
-        geometry = _build_geometry(dim, kind, params,
-                                   geom.get("n", 256), geom.get("degree", 12))
-        a = np.asarray(data["a"], dtype=float)
-        z = np.asarray(data["z"], dtype=float)
-        return SweepConfig(dim=dim, geometry=geometry, eps_c=float(data["eps_c"]),
-                           omega0=float(data["omega0"]), a=a, z=z,
-                           csv_path=data["csv_path"], **kwargs)
+        geometry = _build_geometry(kind, params, geom.get("n", 256), geom.get("degree", 12))
+        return SweepConfig(**{**data, "geometry": geometry})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -420,8 +379,7 @@ def emit_plot(csv_path, svg_path):
 
 def _cmd_spectrum(args):
     kind, params = _parse_geometry_arg(args.geometry)
-    dim = 3 if kind == "sphere" else 2
-    spec = spectrum_of(_build_geometry(dim, kind, params, args.nodes, args.degree))
+    spec = spectrum_of(_build_geometry(kind, params, args.nodes, args.degree))
     lam = spec.lambdas
     cluster = cluster_ids(lam)
     out = sys.stdout if args.output == "-" else open(args.output, "w", newline="")
@@ -438,15 +396,14 @@ def _cmd_spectrum(args):
 
 def _cmd_solve(args):
     kind, params = _parse_geometry_arg(args.geometry)
-    geometry = _build_geometry(args.dim, kind, params, args.nodes, args.degree)
-    a = _parse_vec(args.dipole_a, args.dim)
-    z = _parse_vec(args.dipole_z, args.dim)
-    problem = TransmissionProblem(dim=args.dim, geometry=geometry, s=args.scale,
-                                  delta=args.delta, eps_c=args.eps_c,
-                                  omega0=args.omega0, a=a, z=z, eps_m=args.eps_m)
+    geometry = _build_geometry(kind, params, args.nodes, args.degree)
+    problem = TransmissionProblem(dim=3 if kind == "sphere" else 2, geometry=geometry,
+                                  s=args.scale, delta=args.delta, eps_c=args.eps_c,
+                                  omega0=args.omega0, a=args.dipole_a, z=args.dipole_z,
+                                  eps_m=args.eps_m)
     selected = ("direct", "spectral") if args.solver == "both" else (args.solver,)
     rows, errors = solve_point(problem, spectrum_of(geometry), selected)
-    print(f"dim={args.dim} geometry={args.geometry} eps_c={args.eps_c!r} "
+    print(f"dim={problem.dim} geometry={args.geometry} eps_c={args.eps_c!r} "
           f"eps_m={args.eps_m!r} delta={args.delta!r} s={args.scale!r} "
           f"omega={problem.omega!r}")
     for row, error in zip(rows, errors):
@@ -508,8 +465,8 @@ def _build_parser():
     p_spec.set_defaults(func=_cmd_spectrum)
 
     p_solve = sub.add_parser("solve", help="single transmission solve")
-    p_solve.add_argument("--dim", type=int, choices=(2, 3), required=True)
-    p_solve.add_argument("--geometry", required=True)
+    p_solve.add_argument("--geometry", required=True,
+                         help="as for spectrum; a sphere solves in 3D, a curve in 2D")
     p_solve.add_argument("--nodes", type=int, default=256)
     p_solve.add_argument("--degree", type=int, default=12)
     p_solve.add_argument("--eps-c", type=float, required=True)
@@ -517,8 +474,9 @@ def _build_parser():
     p_solve.add_argument("--delta", type=float, required=True)
     p_solve.add_argument("--scale", type=float, required=True)
     p_solve.add_argument("--omega0", type=float, default=1.0)
-    p_solve.add_argument("--dipole-a", required=True, help="moment, e.g. 1,0")
-    p_solve.add_argument("--dipole-z", required=True, help="location, e.g. 3,0")
+    p_solve.add_argument("--dipole-a", type=_vector, required=True, help="moment, e.g. 1,0")
+    p_solve.add_argument("--dipole-z", type=_vector, required=True,
+                         help="location, e.g. 3,0")
     p_solve.add_argument("--solver", choices=("direct", "spectral", "both"),
                          default="both")
     p_solve.set_defaults(func=_cmd_solve)

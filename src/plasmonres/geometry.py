@@ -50,10 +50,27 @@ _POLYGON_NODES = 512
 # smallest spherical-harmonic truncation degree a sphere accepts
 MIN_SPHERE_DEGREE = 4
 
+# each curve kind's parameters, in the order `kind:v1,v2` lists them, with
+# their defaults; None marks a parameter make_curve requires
+CURVE_PARAMS = {"circle": {"radius": 1.0}, "ellipse": {"a": None, "b": None}, "kite": {}}
+
 
 def is_integer(value):
     """True for an int or numpy integer; a bool is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_number(value):
+    """True for an int or a float, numpy's too; a bool is neither."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
+def as_number(name, value):
+    """float(value) for a number (is_number), else ValueError naming it."""
+    if not is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -152,8 +169,9 @@ class NodeSet:
 class Sphere(namedtuple("Sphere", "L R")):
     """
     The radius-R sphere with spherical harmonics of degrees 0..L, checked
-    once, here: L an integer (is_integer) >= MIN_SPHERE_DEGREE and R finite
-    and positive, stored as (int, float). Every sphere routine trusts it.
+    once, here: L an integer (is_integer) >= MIN_SPHERE_DEGREE and R a
+    finite positive number (is_number), stored as (int, float). Every
+    sphere routine trusts it.
     """
 
     __slots__ = ()
@@ -162,7 +180,7 @@ class Sphere(namedtuple("Sphere", "L R")):
         if not (is_integer(L) and L >= MIN_SPHERE_DEGREE):
             raise ValueError(f"sphere degree must be an integer L >= {MIN_SPHERE_DEGREE}, "
                              f"got {L!r}")
-        R = float(R)
+        R = as_number("sphere radius", R)
         if not 0.0 < R < np.inf:
             raise ValueError(f"sphere radius must be finite and R > 0, got {R!r}")
         return super().__new__(cls, int(L), R)
@@ -302,34 +320,30 @@ class InteriorQuadrature:
 
 def make_curve(kind, **params):
     """
-    Construct a 2D boundary curve.
-
-    Parameters
-    ----------
-    kind : str
-        'circle' (radius), 'ellipse' (a, b with a >= b), or 'kite' (no
-        parameters; standard coefficients).
+    Construct a 2D boundary curve of a kind of CURVE_PARAMS: 'circle'
+    (radius, default 1), 'ellipse' (a >= b, both required), or 'kite' (no
+    parameters; standard coefficients). Parameters are numbers
+    (is_number), stored as floats; an unknown kind, an unexpected or
+    missing parameter, or one that is not a number raises ValueError
+    naming it.
     """
-    if kind == "circle":
-        radius = float(params.pop("radius", 1.0))
-        if params:
-            raise ValueError(f"unexpected parameters for circle: {sorted(params)}")
-        if not 0.0 < radius < np.inf:
-            raise ValueError(f"circle radius must be finite and positive, got {radius}")
-        return BoundaryCurve(kind, {"radius": radius})
-    if kind == "ellipse":
-        a = float(params.pop("a"))
-        b = float(params.pop("b"))
-        if params:
-            raise ValueError(f"unexpected parameters for ellipse: {sorted(params)}")
-        if not np.inf > a >= b > 0.0:
-            raise ValueError(f"ellipse requires finite a >= b > 0, got a={a}, b={b}")
-        return BoundaryCurve(kind, {"a": a, "b": b})
-    if kind == "kite":
-        if params:
-            raise ValueError(f"kite takes no parameters, got {sorted(params)}")
-        return BoundaryCurve(kind, {})
-    raise ValueError(f"unknown geometry kind {kind!r}")
+    if kind not in CURVE_PARAMS:
+        raise ValueError(f"unknown geometry kind {kind!r}")
+    defaults = CURVE_PARAMS[kind]
+    unexpected = sorted(set(params) - set(defaults))
+    if unexpected:
+        raise ValueError(f"unexpected parameters for {kind}: {unexpected}")
+    missing = [name for name, v in defaults.items() if v is None and name not in params]
+    if missing:
+        raise ValueError(f"missing parameters for {kind}: {missing}")
+    params = {name: as_number(f"{kind} {name}", value)
+              for name, value in {**defaults, **params}.items()}
+    if kind == "circle" and not 0.0 < params["radius"] < np.inf:
+        raise ValueError(f"circle radius must be finite and positive, got {params['radius']}")
+    if kind == "ellipse" and not np.inf > params["a"] >= params["b"] > 0.0:
+        raise ValueError(f"ellipse requires finite a >= b > 0, got a={params['a']}, "
+                         f"b={params['b']}")
+    return BoundaryCurve(kind, params)
 
 
 def quadrature_nodes(curve, n):
@@ -341,8 +355,11 @@ def quadrature_nodes(curve, n):
     curve : BoundaryCurve
         Boundary curve.
     n : int
-        Node count, even and >= 16.
+        Node count, an integer (is_integer, never rounded to one), even
+        and >= 16; else ValueError.
     """
+    if not is_integer(n):
+        raise ValueError(f"node count n must be an integer, got {n!r}")
     if n % 2 != 0 or n < 16:
         raise ValueError(f"node count must be even and >= 16, got {n}")
     t = 2.0 * np.pi * np.arange(n) / n

@@ -41,9 +41,9 @@ about 1e-5 of it, so the series route leaves the pinned cells in place.
 Their gradients (`eval_gradient`) sum the kernel gradient directly.
 
 The sphere needs no surface quadrature: all four operators are diagonal
-in the spherical-harmonic basis, and `sphere_operators` returns them
-stored as their 1-D diagonals (with cancellation-safe Bessel products at
-small wavenumber), never as dense matrices. The radial integrals of its
+in the spherical-harmonic basis, and `sphere_operators` returns the pair
+at one wavenumber stored as 1-D diagonals (with cancellation-safe Bessel
+products at small wavenumber), never as dense matrices. The radial integrals of its
 interior energy (`InteriorKernels`) are double series of the k R terms
 of j_n at every |k| R, refused where k is so near the real axis that
 the terms cancel (specfun.sph_radial_from).
@@ -367,7 +367,7 @@ def sphere_operators(sphere, k=0.0, terms=None):
         S^k  -> -i k R^2 j_n(kR) h_n(kR)
         K^k* -> -(i k^2 R^2 / 2) (j_n h_n)'(kR)
 
-    Returns (S, K*) for k = 0 and (S, K*, S^k, K^k*) otherwise. The
+    Returns the pair at k: (S, K*) for k = 0 and (S^k, K^k*) otherwise. The
     Bessel products are series-evaluated for |k|R < 0.5 where the raw
     h_n overflow; terms, when given, is sph_terms(np.arange(L + 1), k R).
     A plain (L, R) is checked as a Sphere.
@@ -377,15 +377,12 @@ def sphere_operators(sphere, k=0.0, terms=None):
     if abs(k) * R > 10.0:
         raise ValueError("|k| R must be <= 10")
     deg = sphere_degree_index(L)
-    s_diag = -R / (2.0 * deg + 1.0)
-    kstar_diag = 1.0 / (2.0 * (2.0 * deg + 1.0))
-    s_op = BoundaryOperator(s_diag, wavenumber=0.0, nodes=sphere)
-    kstar_op = BoundaryOperator(kstar_diag, wavenumber=0.0, nodes=sphere)
     if k == 0:
-        return s_op, kstar_op
-    jh, jhp = sph_jh_from(terms or sph_terms(np.arange(L + 1), k * R))
-    sk_diag = -1j * k * R * R * jh[deg]
-    kk_diag = -0.5j * k * k * R * R * jhp[deg]
-    sk_op = BoundaryOperator(sk_diag, wavenumber=k, nodes=sphere)
-    kk_op = BoundaryOperator(kk_diag, wavenumber=k, nodes=sphere)
-    return s_op, kstar_op, sk_op, kk_op
+        s_diag = -R / (2.0 * deg + 1.0)
+        kstar_diag = 1.0 / (2.0 * (2.0 * deg + 1.0))
+    else:
+        jh, jhp = sph_jh_from(terms or sph_terms(np.arange(L + 1), k * R))
+        s_diag = -1j * k * R * R * jh[deg]
+        kstar_diag = -0.5j * k * k * R * R * jhp[deg]
+    return (BoundaryOperator(s_diag, wavenumber=k, nodes=sphere),
+            BoundaryOperator(kstar_diag, wavenumber=k, nodes=sphere))

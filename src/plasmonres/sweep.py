@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtrit
 
-from .geometry import is_integer
+from .geometry import as_number, is_integer
 from .layer_ops import InteriorKernels, assemble_S_omega, assemble_Kstar_omega
 from .np_spectrum import spectrum_of, coeffs_hat, coeffs_check, cluster_ids
 from .transmission import TransmissionProblem, plasmon_lambda, dipole_traces, \
@@ -122,10 +122,14 @@ class SweepConfig:
     delta_max down to delta_min geometrically with points_per_decade
     points per factor of 10. coupling_c must keep the scale in the
     s << delta regime, so it is capped at 0.1. dim, points_per_decade
-    and workers must be integers (is_integer), never rounded to one.
-    workers (at least 1) is accepted and kept but does not change how a
-    sweep runs (see run_sweep). plot_path is carried for front ends that
-    render the CSV; run_sweep itself only writes the CSV.
+    and workers must be integers (is_integer), never rounded to one, and
+    delta_max, delta_min and coupling_c numbers (as_number). workers (at
+    least 1) is kept but does not change how a sweep runs (see
+    run_sweep). csv_path must be a non-empty str and plot_path a str or
+    None; plot_path is carried for front ends that render the CSV. The
+    problems at both ends of the grid check the rest, and the config
+    keeps the first one's geometry, eps_c, omega0, eps_m and z. Every
+    refusal is a ValueError naming the field.
     """
 
     dim: int
@@ -148,6 +152,12 @@ class SweepConfig:
         for name in ("dim", "points_per_decade", "workers"):
             if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("delta_max", "delta_min", "coupling_c"):
+            object.__setattr__(self, name, as_number(name, getattr(self, name)))
+        if not (isinstance(self.csv_path, str) and self.csv_path):
+            raise ValueError(f"csv_path must be a non-empty string, got {self.csv_path!r}")
+        if not (self.plot_path is None or isinstance(self.plot_path, str)):
+            raise ValueError(f"plot_path must be a string, got {self.plot_path!r}")
         if self.dim not in (2, 3):
             raise ValueError("dim must be 2 or 3")
         if self.solver not in _SOLVERS:
@@ -163,13 +173,14 @@ class SweepConfig:
             raise ValueError("points_per_decade must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
-        # building the extreme problems validates geometry, dipole
-        # placement, and the omega <= cap constraint over the whole grid;
-        # the config keeps the problem's geometry, a Sphere for an (L, R)
+        # building the extreme problems validates the physical values,
+        # geometry, dipole placement, and the omega <= cap constraint over
+        # the whole grid
         grid = self.delta_grid()
-        object.__setattr__(self, "geometry", self.problem_at(float(grid[0])).geometry)
+        first = self.problem_at(float(grid[0]))
+        for name in ("geometry", "eps_c", "omega0", "eps_m", "z"):
+            object.__setattr__(self, name, getattr(first, name))
+        object.__setattr__(self, "a", np.array(self.a, dtype=float))
         self.problem_at(float(grid[-1]))
 
     def delta_grid(self):
@@ -424,7 +435,7 @@ def run_sweep(config):
     slope = None
     interval = None
     try:
-        slope, interval = fit_blowup_rate(fit_rows)
+        slope, interval = fit_blowup_rate([(r.delta, r.energy_norm) for r in fit_rows])
     except ValueError:
         pass
 
@@ -444,27 +455,19 @@ def run_sweep(config):
                        verdict=verdict, csv_path=config.csv_path)
 
 
-def fit_blowup_rate(rows):
+def fit_blowup_rate(points):
     """
     OLS fit of log(energy_norm) against log(delta).
 
-    rows are SweepRow records or bare (delta, energy_norm) pairs; rows
-    with non-finite entries or residual above 1e-8 are dropped. Needs
-    at least 5 usable points spanning at least two decades of delta,
-    else ValueError. Returns (slope, (lo, hi)) where the interval is
-    the 95% Student-t band from the residual variance; an exact power
-    law therefore returns a zero-width interval.
+    points are (delta, energy_norm) pairs; pairs with an entry that is
+    not finite and positive are dropped. Needs at least 5 usable points
+    spanning at least two decades of delta, else ValueError. Returns
+    (slope, (lo, hi)) where the interval is the 95% Student-t band from
+    the residual variance; an exact power law therefore returns a
+    zero-width interval.
     """
-    pts = []
-    for r in rows:
-        if hasattr(r, "delta"):
-            d, e, resid = r.delta, r.energy_norm, r.residual
-        else:
-            d, e = r
-            resid = 0.0
-        if (np.isfinite(d) and d > 0 and np.isfinite(e) and e > 0
-                and np.isfinite(resid) and resid <= _FIT_RESIDUAL_TOL):
-            pts.append((float(d), float(e)))
+    pts = [(float(d), float(e)) for d, e in points
+           if np.isfinite(d) and d > 0 and np.isfinite(e) and e > 0]
     if len(pts) < _MIN_FIT_ROWS:
         raise ValueError(f"need at least {_MIN_FIT_ROWS} valid rows, got {len(pts)}")
     d = np.array([p[0] for p in pts])

@@ -47,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NodeSet, Sphere, interior_points, _inside_polygon
+from .geometry import NodeSet, Sphere, interior_points, as_number, is_integer, is_number, \
+    _inside_polygon
 from .layer_ops import (
     BoundaryOperator,
     InteriorKernels,
@@ -130,13 +131,23 @@ def plasmon_epsilon(lam):
     return eps.real if eps.imag == 0.0 else eps
 
 
+def _vector(name, value, dim):
+    """value as a float array of dim numbers (is_number), else ValueError."""
+    entries = value.tolist() if isinstance(value, np.ndarray) else value
+    if not (isinstance(entries, (list, tuple)) and len(entries) == dim
+            and all(map(is_number, entries))):
+        raise ValueError(f"{name} must be a vector of {dim} numbers, got {value!r}")
+    return np.array(entries, dtype=float)
+
+
 @dataclass(frozen=True)
 class TransmissionProblem:
     """
     Dipole-driven transmission problem for one inclusion.
 
     geometry is a NodeSet for dim = 2 and a Sphere for dim = 3; a plain
-    (L, R) pair is turned into Sphere(L, R) here.
+    (L, R) pair is turned into Sphere(L, R) here, and any other pairing
+    of dim and geometry raises ValueError.
     In 3D the dipole must sit on the axis of its own moment (z parallel
     to a), the configuration with closed-form axisymmetric traces. That
     is a restriction, not a choice of frame: a rotation can put z on an
@@ -144,7 +155,10 @@ class TransmissionProblem:
     radial, and that tangential part reaches the m = +-1 slots. Such
     dipoles raise ValueError.
 
-    The dipole moment is normalised to |a| = 1 at construction.
+    s, delta, omega0, eps_c and eps_m must be finite numbers (is_number,
+    so never a bool or a string) and a and z dim of them; each is stored
+    as float, else ValueError names it. The dipole moment is normalised
+    to |a| = 1 at construction.
     """
 
     dim: int
@@ -158,10 +172,15 @@ class TransmissionProblem:
     eps_m: float = 1.0
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
+        if not (is_integer(self.dim) and self.dim in (2, 3)):
             raise ValueError("dim must be 2 or 3")
-        a = np.asarray(self.a, dtype=float).reshape(self.dim)
-        z = np.asarray(self.z, dtype=float).reshape(self.dim)
+        if isinstance(self.geometry, NodeSet) != (self.dim == 2):
+            raise ValueError(f"a {type(self.geometry).__name__} geometry does not fit dim "
+                             f"{self.dim}: a NodeSet is 2D and a sphere 3D")
+        for name in ("s", "delta", "omega0", "eps_c", "eps_m"):
+            object.__setattr__(self, name, as_number(name, getattr(self, name)))
+        a = _vector("a", self.a, self.dim)
+        z = _vector("z", self.z, self.dim)
         for name, value in (("s", self.s), ("delta", self.delta), ("omega0", self.omega0),
                             ("eps_c", self.eps_c), ("eps_m", self.eps_m), ("a", a), ("z", z)):
             if not np.isfinite(value).all():
@@ -184,7 +203,7 @@ class TransmissionProblem:
         object.__setattr__(self, "a", a / na)
         object.__setattr__(self, "z", z)
         if self.dim == 2:
-            nodes = _require_2d(self.geometry)
+            nodes = self.geometry
             if _inside_polygon(z[None, :], nodes.points)[0]:
                 raise ValueError("dipole location lies inside the inclusion")
             gap = float(np.min(np.linalg.norm(nodes.points - z, axis=1)))
@@ -360,7 +379,7 @@ def helmholtz_operators(geometry, k, terms=None):
     """
     if isinstance(geometry, NodeSet):
         return assemble_S_omega(geometry, k), assemble_Kstar_omega(geometry, k)
-    return sphere_operators(geometry, k, terms)[2:]
+    return sphere_operators(geometry, k, terms)
 
 
 def _system_blocks(problem, operators, traces):

@@ -161,7 +161,8 @@ def assemble_R_Q(nodes, omega, d=2):
         raise ValueError(f"omega must lie in (0, {OMEGA_MAX}]")
     if d == 3:
         L, radius = nodes
-        s0, k0, sw, kw = sphere_operators(Sphere(L, radius), omega)
+        s0, k0 = sphere_operators(Sphere(L, radius))
+        sw, kw = sphere_operators(Sphere(L, radius), omega)
         r3 = (sw.matrix - s0.matrix) / omega
         q3 = (kw.matrix - k0.matrix) / omega**2
         return (

@@ -1,13 +1,17 @@
 """
-Smoke tests of the narrative demos and of the README's Python examples:
-each one runs at its defaults, so an example cannot stop working
-unnoticed.
+Smoke tests of the narrative demos and of the README's Python and
+command-line examples: each one runs at its defaults, or parses, so an
+example cannot stop working unnoticed.
 """
 
 import importlib.util
+import json
 import re
+import shlex
 import sys
 from pathlib import Path
+
+from plasmonres import cli
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 README = DEMOS.parent / "README.md"
@@ -25,6 +29,32 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
         exec(compile(block, str(README), "exec"), namespace)
     assert namespace["result"].verdict == "resonant"
     assert (tmp_path / "sweep.csv").exists()
+
+
+def _quickstart_blocks():
+    """The command-line quickstart's commands and its sweep.json."""
+    section = README.read_text().split("## Quickstart (command line)\n")[1]
+    commands, config = re.findall(r"^```(?:json)?\n(.*?)^```$", section, re.M | re.S)[:2]
+    return commands, config
+
+
+def test_readme_commands_parse():
+    # every command of the quickstart parses with the CLI's own parser,
+    # so a removed option cannot linger there
+    lines = _quickstart_blocks()[0].replace("\\\n", " ").splitlines()
+    assert len(lines) == 5
+    parser = cli._build_parser()
+    for line in lines:
+        prog, *argv = shlex.split(line)
+        assert prog == "plasmonres"
+        parser.parse_args(argv)
+
+
+def test_readme_sweep_json_loads(tmp_path):
+    # the quickstart's sweep.json is a config the reader accepts
+    config = json.loads(_quickstart_blocks()[1])
+    config.update(csv_path=str(tmp_path / "sweep.csv"), plot_path=str(tmp_path / "sweep.svg"))
+    assert cli.load_sweep_config(config).geometry == (12, 1.0)
 
 
 def test_readme_public_names_are_exported():

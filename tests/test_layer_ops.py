@@ -384,7 +384,8 @@ def test_helmholtz_potential_exterior_closed_form():
 
 
 def test_sphere_operator_diagonals():
-    s0, k0, sk, kk = sphere_operators(Sphere(8, 1.0), 0.5)
+    s0, k0 = sphere_operators(Sphere(8, 1.0))
+    sk, kk = sphere_operators(Sphere(8, 1.0), 0.5)
     deg = sphere_degree_index(8)
     s_diag = s0.matrix
     k_diag = k0.matrix
@@ -399,7 +400,7 @@ def test_sphere_operator_diagonals():
 
 
 def _sphere_kernels(sphere, k):
-    return layer_ops.InteriorKernels(*sphere_operators(sphere, k)[2:])
+    return layer_ops.InteriorKernels(*sphere_operators(sphere, k))
 
 
 # fourth-quadrant directions of the sweep's k_c (eps_c = -2) at delta = 1e-2
@@ -469,10 +470,7 @@ def test_sphere_diagonal_by_quadrature_spot_checks():
     # independent surface quadrature against the spectral diagonals at
     # (n, m) = (0,0), (1,0), (2,1), static and k = 0.5
     for k in (0.0, 0.5):
-        ops = sphere_operators(Sphere(8, 1.0), k) if k else sphere_operators(Sphere(8, 1.0))
-        s_op, k_op = ops[0], ops[1]
-        if k:
-            s_op, k_op = ops[2], ops[3]
+        s_op, k_op = sphere_operators(Sphere(8, 1.0), k)
         deg = sphere_degree_index(8)
         for n, m in ((0, 0), (1, 0), (2, 1)):
             slot = n * n + n + m

@@ -150,6 +150,12 @@ def test_sweep_config_validation(tmp_path):
         _sphere_config(tmp_path, workers=0)
     with pytest.raises(ValueError):
         _sphere_config(tmp_path, omega0=1e4)  # omega cap at the top of the grid
+    # an int csv_path is a file descriptor to open(): refused before
+    # run_sweep could write the CSV into it and close it
+    with open(tmp_path / "scratch.txt", "w") as fh:
+        with pytest.raises(ValueError, match="^csv_path must be a non-empty string"):
+            _sphere_config(tmp_path, csv_path=fh.fileno())
+        assert os.fstat(fh.fileno()).st_size == 0
 
 
 @pytest.mark.parametrize("degree", [1, MIN_SPHERE_DEGREE - 1])
@@ -763,7 +769,7 @@ def test_cli_spectrum_ellipse_simple(tmp_path):
 
 
 def test_cli_solve_both_routes(capsys):
-    rc = main(["solve", "--dim", "3", "--geometry", "sphere:1.0",
+    rc = main(["solve", "--geometry", "sphere:1.0",
                "--degree", "8", "--eps-c", "-2", "--delta", "1e-3",
                "--scale", "1e-5", "--omega0", "1.0",
                "--dipole-a", "0,0,1", "--dipole-z", "0,0,2",
@@ -803,7 +809,7 @@ def test_cli_solve_prints_the_sweep_row(tmp_path, capsys, monkeypatch, make, geo
         rows = [r for r in csv.DictReader(fh) if r["solver"] == solver]
     row = min(rows, key=lambda r: abs(np.log(float(r["delta"]) / 1e-3)))
     capsys.readouterr()
-    rc = main(["solve", "--dim", str(cfg.dim), *geometry,
+    rc = main(["solve", *geometry,
                "--eps-c", repr(cfg.eps_c), "--eps-m", repr(cfg.eps_m),
                "--omega0", repr(cfg.omega0),
                "--delta", repr(float(row["delta"])), "--scale", repr(float(row["s"])),
@@ -819,7 +825,7 @@ def test_cli_solve_prints_the_sweep_row(tmp_path, capsys, monkeypatch, make, geo
     assert repr(cli_rows[0].a_n_abs) == row["a_n_abs"]
 
 
-_CLI_ELLIPSE_SOLVE = ["solve", "--dim", "2", "--geometry", "ellipse:2,1", "--nodes", "64",
+_CLI_ELLIPSE_SOLVE = ["solve", "--geometry", "ellipse:2,1", "--nodes", "64",
                       "--eps-c", "-2", "--delta", "1e-3", "--scale", "1e-3",
                       "--dipole-a", "1,0", "--dipole-z", "3,0"]
 
@@ -828,7 +834,7 @@ _CLI_ELLIPSE_SOLVE = ["solve", "--dim", "2", "--geometry", "ellipse:2,1", "--nod
 def test_cli_solve_unresolved_wavenumber_exits_2(capsys, solver):
     # |k| diam = 6 on the radius-6 circle (diam the bounding-box diagonal)
     # is above the limit of 5, which holds at every node count
-    rc = main(["solve", "--dim", "2", "--geometry", "circle:6", "--nodes", "128",
+    rc = main(["solve", "--geometry", "circle:6", "--nodes", "128",
                "--eps-c", "-2", "--delta", "1e-3", "--scale", "0.5",
                "--dipole-a", "1,0", "--dipole-z", "9,0", "--solver", solver])
     assert rc == EXIT_CONFIG
@@ -889,7 +895,7 @@ def test_cli_solve_lossless_resonant_contrast(capsys, solver):
         assert float(line.split("residual=")[1]) <= 1e-8
 
 
-_CLI_SPHERE_SOLVE = ["solve", "--dim", "3", "--geometry", "sphere:1.0", "--degree", "8",
+_CLI_SPHERE_SOLVE = ["solve", "--geometry", "sphere:1.0", "--degree", "8",
                      "--eps-c", "-2", "--delta", "1e-3", "--scale", "1e-5",
                      "--dipole-a", "0,0,1", "--dipole-z", "0,0,2"]
 
@@ -959,13 +965,31 @@ def test_sweep_config_rejects_non_integer_counts(tmp_path, field, value):
         _sphere_config(tmp_path, **{field: value})
 
 
+def _build_owner(tmp_path, field, value):
+    """Pass value for a config key straight to the constructor that keeps it."""
+    if field == "n":
+        return quadrature_nodes(make_curve("ellipse", a=2.0, b=1.0), value)
+    if field == "degree":
+        return Sphere(value, 1.0)
+    if field == "radius":
+        return Sphere(8, value)
+    if field in ("eps_c", "omega0", "eps_m", "a", "z"):
+        return transmission_module.TransmissionProblem(**{
+            "dim": 3, "geometry": Sphere(8, 1.0), "s": 1e-4, "delta": 1e-2, "eps_c": -2.0,
+            "omega0": 1.0, "a": [0, 0, 1], "z": [0, 0, 2], field: value})
+    return _sphere_config(tmp_path, **{field: value})
+
+
 @pytest.mark.parametrize("field, value", [
     ("dim", 2.9), ("dim", "3"), ("dim", 3.0), ("dim", True),
     ("n", 64.8), ("n", "64"), ("degree", 12.7), ("degree", False),
     ("points_per_decade", 4.5), ("points_per_decade", "4"),
     ("workers", 1.9), ("workers", True)])
 def test_cli_config_rejects_non_integer_fields(tmp_path, field, value):
-    # an integer field is never rounded: 2.9 must not run as dim 2
+    # an integer field is never rounded: 2.9 must not run as dim 2, from
+    # JSON or from Python, where the constructor that keeps it refuses it
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        _build_owner(tmp_path, field, value)
     geometry = ({"kind": "ellipse", "a": 2.0, "b": 1.0, "n": 64} if field == "n"
                 else {"kind": "sphere", "radius": 1.0, "degree": 8})
     config = {"dim": 2 if field == "n" else 3, "geometry": geometry,
@@ -989,11 +1013,14 @@ def test_cli_config_rejects_non_integer_fields(tmp_path, field, value):
     ("eps_c", "-2", "eps_c"), ("omega0", True, "omega0"), ("eps_m", True, "eps_m"),
     ("eps_m", "1", "eps_m"), ("delta_max", True, "delta_max"),
     ("coupling_c", "0.01", "coupling_c"), ("a", [0, 0, True], "a"), ("z", [0, 0, "2"], "z"),
-    ("a", 1.0, "a"), ("radius", "1", "geometry radius"), ("radius", True, "geometry radius")])
+    ("a", 1.0, "a"), ("radius", "1", "sphere radius"), ("radius", True, "sphere radius")])
 def test_cli_config_rejects_non_numbers(tmp_path, capsys, field, value, named):
     # a float field, a dipole entry or a sphere radius must be a JSON
     # number: a string or a bool is refused naming the key, not read as
-    # 1.0 or failed inside numpy with a message about '<' or isfinite
+    # 1.0 or failed inside numpy with a message about '<' or isfinite;
+    # the constructor that keeps it refuses it from Python too
+    with pytest.raises(ValueError, match=f"^{named} must be a "):
+        _build_owner(tmp_path, field, value)
     config = {"dim": 3, "geometry": {"kind": "sphere", "radius": 1.0, "degree": 8},
               "eps_c": -2.0, "omega0": 1.0, "a": [0, 0, 1], "z": [0, 0, 2],
               "csv_path": str(tmp_path / "x.csv")}
@@ -1013,11 +1040,14 @@ def test_cli_config_rejects_non_numbers(tmp_path, capsys, field, value, named):
 
 @pytest.mark.parametrize("axes", [{"a": "2", "b": 1.0}, {"a": 2.0, "b": False}])
 def test_cli_config_rejects_non_number_axes(tmp_path, axes):
-    # an ellipse axis is named as the geometry's, apart from the dipole's a
+    # an ellipse axis is named as the ellipse's, apart from the dipole's a,
+    # by make_curve from JSON and from Python alike
+    with pytest.raises(ValueError, match="^ellipse (a|b) must be a number"):
+        make_curve("ellipse", **axes)
     config = {"dim": 2, "geometry": {"kind": "ellipse", "n": 64, **axes}, "eps_c": -2.0,
               "omega0": 1.0, "a": [1.0, 0.0], "z": [3.0, 0.0],
               "csv_path": str(tmp_path / "x.csv")}
-    with pytest.raises(ConfigError, match="^geometry (a|b) must be a number"):
+    with pytest.raises(ConfigError, match="^ellipse (a|b) must be a number"):
         load_sweep_config(config)
 
 
@@ -1026,8 +1056,13 @@ def test_cli_config_rejects_non_number_axes(tmp_path, axes):
     ("csv_path", ["x.csv"]), ("plot_path", True), ("plot_path", 5), ("plot_path", None)])
 def test_cli_config_rejects_non_string_paths(tmp_path, capsys, monkeypatch, field, value):
     # a path is a JSON string: 5 or true must not become a file named
-    # "5", nor open(True) the standard output as the SVG
+    # "5", nor open(True) the standard output as the SVG. SweepConfig
+    # refuses each from Python too, but for plot_path=None, its default:
+    # a JSON null is the reader's to refuse
     monkeypatch.chdir(tmp_path)
+    if (field, value) != ("plot_path", None):
+        with pytest.raises(ValueError, match=f"^{field} must be a "):
+            _build_owner(tmp_path, field, value)
     config = {"dim": 3, "geometry": {"kind": "sphere", "radius": 1.0, "degree": 8},
               "eps_c": -2.0, "omega0": 1.0, "a": [0, 0, 1], "z": [0, 0, 2],
               "csv_path": "x.csv", field: value}
@@ -1050,10 +1085,14 @@ def test_cli_config_rejects_non_string_paths(tmp_path, capsys, monkeypatch, fiel
     ("solve", "circle:nan", "circle radius"),
     ("solve", "ellipse:nan,1", "a=nan"),
     ("spectrum", "sphere:inf", "sphere radius"),
-    ("spectrum", "ellipse:inf,1", "a=inf")])
+    ("spectrum", "ellipse:inf,1", "a=inf"),
+    ("sweep", {"kind": "ellipse", "a": 2.0, "n": 64}, "missing parameters for ellipse: ['b']"),
+    ("sweep", {"kind": "ellipse", "b": 1.0, "n": 64}, "missing parameters for ellipse: ['a']"),
+    ("solve", "ellipse:2", "missing parameters for ellipse: ['b']")])
 def test_cli_refuses_non_finite_geometry(tmp_path, capsys, command, geometry, named):
     # Python's json reads NaN and Infinity: a geometry built from them
-    # exits 2 naming the parameter, before any row is written
+    # exits 2 naming the parameter, before any row is written; so does an
+    # ellipse without one of its axes, which once ended in a KeyError
     dim = 3 if "sphere" in str(geometry) else 2
     a, z = ("0,0,1", "0,0,2") if dim == 3 else ("1,0", "3,0")
     csv_path = tmp_path / "x.csv"
@@ -1065,7 +1104,7 @@ def test_cli_refuses_non_finite_geometry(tmp_path, capsys, command, geometry, na
             "csv_path": str(csv_path)}))
         argv = ["sweep", "--config", str(path)]
     elif command == "solve":
-        argv = ["solve", "--dim", str(dim), "--geometry", geometry, "--eps-c", "-2",
+        argv = ["solve", "--geometry", geometry, "--eps-c", "-2",
                 "--delta", "1e-2", "--scale", "1e-4", "--dipole-a", a, "--dipole-z", z]
     else:
         argv = ["spectrum", "--geometry", geometry]

@@ -405,7 +405,7 @@ def test_sphere_bessel_shares_the_public_helpers_values(om, z0, radius, eps_c):
         assert np.array_equal(mine, alone)
     for k, shared in ((complex(pr.kc), ()), (complex(om), (terms,))):
         jh, jh_d = sph_jh_from(sph_terms(n, k * radius))
-        _, _, sk, kk = sphere_operators(Sphere(L, radius), k, *shared)
+        sk, kk = sphere_operators(Sphere(L, radius), k, *shared)
         assert np.array_equal(sk.matrix, -1j * k * radius * radius * jh[deg])
         assert np.array_equal(kk.matrix, -0.5j * k * k * radius * radius * jh_d[deg])
     # the energies' radial integrals: the double series of the k_c R terms
@@ -743,10 +743,21 @@ _AXIS3 = np.array([0.0, 0.0, 1.0])
     (lambda: make_curve("ellipse", a=np.nan, b=1.0), "a=nan"),
     (lambda: make_curve("ellipse", a=np.inf, b=1.0), "a=inf"),
     (lambda: make_curve("ellipse", a=2.0, b=np.nan), "b=nan"),
+    (lambda: make_curve("ellipse", a=2.0), r"missing parameters for ellipse: \['b'\]"),
+    (lambda: quadrature_nodes(make_curve("circle"), 64.0), "node count n must be an integer"),
+    (lambda: TransmissionProblem(dim=3, geometry=quadrature_nodes(make_curve("circle"), 64),
+                                 s=1e-4, delta=1e-2, eps_c=-2.0, omega0=1.0, a=_AXIS3,
+                                 z=2.0 * _AXIS3),
+     "NodeSet geometry does not fit dim 3"),
+    (lambda: TransmissionProblem(dim=2, geometry=Sphere(8, 1.0), s=1e-4, delta=1e-2,
+                                 eps_c=-2.0, omega0=1.0, a=(1.0, 0.0), z=(3.0, 0.0)),
+     "Sphere geometry does not fit dim 2"),
 ])
 def test_geometry_constructors_refuse_invalid_parameters(build, named):
-    # non-finite and fractional parameters fail where the geometry is
-    # built, with a message that names the parameter, never as NaN rows
+    # non-finite, fractional and missing parameters fail where the
+    # geometry is built, and a geometry of the other dimension where the
+    # problem is, with a message that names the parameter, never as NaN
+    # rows or a KeyError
     with pytest.raises(ValueError, match=named):
         build()
 
