@@ -25,11 +25,10 @@ import sys
 import numpy as np
 
 from .geometry import CURVE_PARAMS, Sphere, make_curve, quadrature_nodes
-from .layer_ops import InteriorKernels, assemble_S, assemble_Kstar, \
-    assemble_S_omega
+from .layer_ops import assemble_S, assemble_Kstar, assemble_S_omega, helmholtz_operators
 from .np_spectrum import sphere_spectrum, spectrum_of, cluster_ids
 from .transmission import TransmissionProblem, solve_direct, gradient_energy, \
-    interior_gradient_energy, helmholtz_operators
+    interior_gradient_energy
 from .sweep import SweepConfig, run_sweep, fit_blowup_rate, solve_point
 
 __all__ = [
@@ -188,8 +187,8 @@ def _suite_layer():
     checks = []
     nodes = quadrature_nodes(make_curve("circle", radius=1.0), 128)
     t = nodes.t
-    s_mat = assemble_S(nodes).matrix
-    k_mat = assemble_Kstar(nodes).matrix
+    s_mat = assemble_S(nodes)
+    k_mat = assemble_Kstar(nodes)
     c3 = np.cos(3 * t)
     err_s = np.linalg.norm(s_mat @ c3 + c3 / 6.0) / np.linalg.norm(c3 / 6.0)
     checks.append(_check("circle_S_cos3_eigenvalue", err_s, 2e-13))
@@ -198,7 +197,7 @@ def _suite_layer():
     ones = np.ones(nodes.n)
     err_k0 = np.linalg.norm(k_mat @ ones - 0.5 * ones) / np.linalg.norm(ones)
     checks.append(_check("circle_Kstar_equilibrium_half", err_k0, 4e-14))
-    sk = assemble_S_omega(nodes, 0.5).matrix
+    sk = assemble_S_omega(nodes, 0.5)
     e1 = np.exp(1j * t)
     # unit-circle Helmholtz single layer on e^{it}: known Bessel product
     oracle = -0.5599752985327319 - 0.09219632837648107j
@@ -215,17 +214,16 @@ def _suite_energy():
     # quasi-static mode energy (1/2 - lambda_1) of a unit mode
     k_small = 0.005
     phi1 = spec.densities[:, 1]
-    e_num = gradient_energy(phi1, InteriorKernels(*helmholtz_operators(nodes, k_small)))
+    e_num = gradient_energy(phi1, helmholtz_operators(nodes, k_small))
     e_ref = 0.5 - spec.lambdas[1]
     checks.append(_check("quasistatic_mode_energy", abs(e_num - e_ref) / e_ref, 1e-3))
     # boundary Green identity against independent interior quadrature
     problem = TransmissionProblem(dim=2, geometry=nodes, s=0.1, delta=0.05,
                                   eps_c=-2.0, omega0=1.0, a=[1.0, 0.0], z=[3.0, 0.0])
-    kernels = InteriorKernels(*helmholtz_operators(nodes, problem.kc))
-    sol = solve_direct(problem, operators=(
-        kernels.s, kernels.kstar, *helmholtz_operators(nodes, problem.omega)))
-    e_b = gradient_energy(sol.phi, kernels)
-    e_i = interior_gradient_energy(sol.phi, kernels)
+    at_kc = helmholtz_operators(nodes, problem.kc)
+    sol = solve_direct(problem, operators=(at_kc, helmholtz_operators(nodes, problem.omega)))
+    e_b = gradient_energy(sol.phi, at_kc)
+    e_i = interior_gradient_energy(sol.phi, at_kc)
     checks.append(_check("green_identity_vs_interior", abs(e_b - e_i) / abs(e_i), 0.02))
     return checks
 

@@ -67,10 +67,13 @@ def is_number(value):
 
 
 def as_number(name, value):
-    """float(value) for a number (is_number), else ValueError naming it."""
+    """float(value) for a number (is_number) in float range, else ValueError naming it."""
     if not is_number(value):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a number within the float range") from None
 
 
 @dataclass(frozen=True)

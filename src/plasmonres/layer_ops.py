@@ -43,10 +43,13 @@ Their gradients (`eval_gradient`) sum the kernel gradient directly.
 The sphere needs no surface quadrature: all four operators are diagonal
 in the spherical-harmonic basis, and `sphere_operators` returns the pair
 at one wavenumber stored as 1-D diagonals (with cancellation-safe Bessel
-products at small wavenumber), never as dense matrices. The radial integrals of its
-interior energy (`InteriorKernels`) are double series of the k R terms
-of j_n at every |k| R, refused where k is so near the real axis that
-the terms cancel (specfun.sph_radial_from).
+products at small wavenumber), never as dense matrices. The radial
+integrals of its interior energy (`HelmholtzOperators.tables`) are
+double series of the k R terms of j_n at every |k| R, refused where k is
+so near the real axis that the terms cancel (specfun.sph_radial_from).
+Every operator is a read-only ndarray, safe to share across threads;
+the geometry and k of a pair (S^k, K^k*) live once, on its
+`HelmholtzOperators`.
 
 Operator conventions: the single layer is S[phi](x) = int Gamma(x-y)
 phi(y) dsigma(y); the adjoint NP operator K* has kernel d/dnu_x
@@ -73,14 +76,14 @@ from .specfun import (
 )
 
 __all__ = [
-    "BoundaryOperator",
     "assemble_S",
     "assemble_Kstar",
     "assemble_S_omega",
     "assemble_Kstar_omega",
     "eval_potential",
     "eval_gradient",
-    "InteriorKernels",
+    "HelmholtzOperators",
+    "helmholtz_operators",
     "sphere_operators",
     "sphere_degree_index",
 ]
@@ -93,34 +96,9 @@ _MAX_K_DIAM = 5.0
 # are summed from the low-frequency series of the kernel
 _SERIES_KR_MAX = 0.5
 
-@dataclass(frozen=True)
-class BoundaryOperator:
-    """
-    Discrete boundary operator.
-
-    A 2-D matrix is dense and acts on vectors of nodal density values
-    (2D curves). A 1-D matrix is a diagonal: the operator acts on
-    flattened spherical-harmonic coefficients (sphere) as
-    matrix * coefficients. wavenumber is 0 for static kernels, and nodes
-    is the geometry: the NodeSet of a 2D matrix, the Sphere of a
-    sphere_operators diagonal. Matrices are frozen after assembly and
-    safe to share across threads.
-    """
-
-    matrix: np.ndarray
-    wavenumber: complex = 0.0
-    nodes: object = None
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
-        if not (m.ndim == 1 or (m.ndim == 2 and m.shape[0] == m.shape[1])):
-            raise ValueError("operator matrix must be square or a 1-D diagonal")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n(self):
-        return self.matrix.shape[0]
+def _frozen(m):
+    m.flags.writeable = False
+    return m
 
 
 def _require_2d(nodes):
@@ -161,7 +139,7 @@ def assemble_S(nodes):
     m1 = np.broadcast_to(jac / (4.0 * np.pi), (n, n)).copy()
     m2 = (np.log(pw.r * pw.r) - pw.logsin) * jac / (4.0 * np.pi)
     np.fill_diagonal(m2, np.log(jac) * jac / (2.0 * np.pi))
-    return BoundaryOperator(_weighted_sum(pw, m1, m2), wavenumber=0.0, nodes=nodes)
+    return _frozen(_weighted_sum(pw, m1, m2))
 
 
 def assemble_Kstar(nodes):
@@ -176,8 +154,7 @@ def assemble_Kstar(nodes):
     pw = nodes.pairwise
     kern = pw.nu_dot / (2.0 * np.pi * pw.r * pw.r) * nodes.jacobians
     np.fill_diagonal(kern, nodes.curvatures * nodes.jacobians / (4.0 * np.pi))
-    mat = (2.0 * np.pi / n) * kern
-    return BoundaryOperator(mat, wavenumber=0.0, nodes=nodes)
+    return _frozen((2.0 * np.pi / n) * kern)
 
 
 def _distance_table(nodes, k, name, order):
@@ -210,7 +187,7 @@ def assemble_S_omega(nodes, k):
     m2 -= m1 * pw.logsin
     diag = (-0.25j + (EULER_GAMMA + np.log(k * jac / 2.0)) / (2.0 * np.pi)) * jac
     np.fill_diagonal(m2, diag)
-    return BoundaryOperator(_weighted_sum(pw, m1, m2), wavenumber=k, nodes=nodes)
+    return _frozen(_weighted_sum(pw, m1, m2))
 
 
 def assemble_Kstar_omega(nodes, k):
@@ -234,7 +211,7 @@ def assemble_Kstar_omega(nodes, k):
     m2 *= jac
     m2 -= m1 * pw.logsin
     np.fill_diagonal(m2, nodes.curvatures * jac / (4.0 * np.pi))
-    return BoundaryOperator(_weighted_sum(pw, m1, m2), wavenumber=k, nodes=nodes)
+    return _frozen(_weighted_sum(pw, m1, m2))
 
 
 def eval_potential(nodes, density, k, points):
@@ -285,15 +262,14 @@ def _potential_kernel(targets, k):
 
 
 @dataclass(eq=False)
-class InteriorKernels:
+class HelmholtzOperators:
     """
-    The input of the interior energies: the pair (S^k, K^k*) of one
-    geometry at one wavenumber k, as helmholtz_operators returns it (a
-    pair of two geometries or wavenumbers raises ValueError, anything
-    but BoundaryOperators TypeError), and its interior data, built on
-    the first call of tables(). On a NodeSet: _potential_kernel on the
-    coarse grid and the collar edge of nodes.interior. On a Sphere: per
-    harmonic slot of degree n the radial integrals of
+    The pair (S^k, K^k*) of one geometry at one wavenumber k (stored as
+    complex(k)), as helmholtz_operators builds it, which solve_direct
+    checks against its problem, and its interior data for the energies,
+    built on the first call of tables(). On a NodeSet: _potential_kernel
+    on the coarse grid and the collar edge of nodes.interior. On a
+    Sphere: per harmonic slot of degree n the radial integrals of
     g_n(r) = j_n(k r)/j_n(k R),
 
         i_mass = int_0^R |g_n|^2 r^2 dr,
@@ -302,23 +278,18 @@ class InteriorKernels:
     as double series of the terms of the j_n series at k R
     (_sphere_radial_table) at every |k| R.
 
-    A sweep keeps one per grid point for the energies of its direct and
-    spectral densities, so each is built once per point and freed with it.
+    A sweep keeps the pair at k_c per grid point for its direct solve and
+    both energies, so each is built once per point and freed with it.
     """
 
-    s: BoundaryOperator
-    kstar: BoundaryOperator
+    geometry: object
+    k: complex
+    s: np.ndarray
+    kstar: np.ndarray
     _tables: tuple = field(default=None, init=False, repr=False)
 
-    # the geometry and the wavenumber, read from the pair
-    geometry = property(lambda self: self.s.nodes)
-    k = property(lambda self: self.s.wavenumber)
-
     def __post_init__(self):
-        if not all(isinstance(op, BoundaryOperator) for op in (self.s, self.kstar)):
-            raise TypeError("interior kernels take a (S^k, K^k*) BoundaryOperator pair")
-        if self.s.nodes != self.kstar.nodes or self.s.wavenumber != self.kstar.wavenumber:
-            raise ValueError("S^k and K^k* must share one geometry and one wavenumber")
+        self.k = complex(self.k)
 
     def tables(self):
         """(coarse, edge) kernel matrices, or the sphere's (i_mass, i_grad)."""
@@ -332,6 +303,18 @@ class InteriorKernels:
         return self._tables
 
 
+def helmholtz_operators(geometry, k, terms=None):
+    """
+    HelmholtzOperators of (S^k, K^k*) on a NodeSet (Nystrom matrices) or
+    a Sphere (diagonals; a plain (L, R) is checked as a Sphere); terms is
+    sphere_operators' and has no use in 2D.
+    """
+    if isinstance(geometry, NodeSet):
+        return HelmholtzOperators(geometry, k, assemble_S_omega(geometry, k),
+                                  assemble_Kstar_omega(geometry, k))
+    return HelmholtzOperators(Sphere(*geometry), k, *sphere_operators(geometry, k, terms))
+
+
 # ---------------------------------------------------------------- sphere
 
 
@@ -342,7 +325,7 @@ def sphere_degree_index(L):
 
 def _sphere_radial_table(sphere, k):
     """
-    The (i_mass, i_grad) of InteriorKernels on a Sphere, one entry per
+    The sphere's (i_mass, i_grad) of HelmholtzOperators.tables, one per
     slot: R^3 / (2n+3) and R times the (mass, grad) of
     sph_radial_from(n, k R), which refuses (ValueError) a k too close to
     the real axis for its size. i_grad is the term-by-term volume
@@ -384,5 +367,4 @@ def sphere_operators(sphere, k=0.0, terms=None):
         jh, jhp = sph_jh_from(terms or sph_terms(np.arange(L + 1), k * R))
         s_diag = -1j * k * R * R * jh[deg]
         kstar_diag = -0.5j * k * k * R * R * jhp[deg]
-    return (BoundaryOperator(s_diag, wavenumber=k, nodes=sphere),
-            BoundaryOperator(kstar_diag, wavenumber=k, nodes=sphere))
+    return _frozen(s_diag), _frozen(kstar_diag)

@@ -171,15 +171,7 @@ def _gram(s, nodes):
     m = -(w[:, None] * s + s.T * w[None, :]) / 2.0
     proj = np.eye(n) - np.outer(phi0, q)
     g = proj.T @ m @ proj + np.outer(q, q)
-    g = (g + g.T) / 2.0
-    try:
-        linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        smallest = linalg.eigvalsh(g)[0]
-        raise RuntimeError(
-            f"Gram matrix not positive definite (smallest eigenvalue {smallest:.3e})"
-        ) from exc
-    return g, phi0, dict(m0=m0, c0=c0, c0_h=c0_h, ctilde0=ctilde0)
+    return (g + g.T) / 2.0, phi0, dict(m0=m0, c0=c0, c0_h=c0_h, ctilde0=ctilde0)
 
 
 def _planar_spectrum(nodes):
@@ -188,20 +180,25 @@ def _planar_spectrum(nodes):
 
     K* is self-adjoint in the G inner product, so G K* is symmetric up
     to quadrature error; an asymmetry beyond 1e-6 relative signals a
-    broken symmetrization and raises. Eigenvectors come out
+    broken symmetrization and raises, and so does a G that eigh cannot
+    factor (not positive definite). Eigenvectors come out
     G-orthonormal; the lambda_0 slot is replaced by the equilibrium
     density of _gram, so the spectral solvers see exactly the
     normalization fixed there.
     """
-    sm = assemble_S(nodes).matrix
+    sm = assemble_S(nodes)
     g, phi0, scalars = _gram(sm, nodes)
-    gk = g @ assemble_Kstar(nodes).matrix
+    gk = g @ assemble_Kstar(nodes)
     asym = np.linalg.norm(gk - gk.T) / max(np.linalg.norm(gk), 1e-300)
     if asym > 1e-6:
         raise RuntimeError(
             f"G K* asymmetry {asym:.2e}; K* is not self-adjoint in this Gram"
         )
-    lam, vec = linalg.eigh((gk + gk.T) / 2.0, g)
+    try:
+        lam, vec = linalg.eigh((gk + gk.T) / 2.0, g)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("Gram matrix not positive definite (smallest eigenvalue "
+                           f"{linalg.eigvalsh(g)[0]:.3e})") from exc
     i0 = int(np.argmax(lam))
     rest = np.delete(np.arange(lam.size), i0)
     order = np.concatenate(([i0], rest[_order_by_magnitude(lam[rest])]))
@@ -229,12 +226,12 @@ def sphere_spectrum(sphere):
     deg = sphere_degree_index(L)
     s, kstar = sphere_operators(sphere)
     beta = np.sqrt((2.0 * deg + 1.0) / R)
-    gram = -s.matrix
+    gram = -s
     m0 = np.sqrt(4.0 * np.pi * R)
     c0_h = -1.0 / m0
     stilde = -np.sqrt(gram)
     return NPSpectrum(
-        lambdas=kstar.matrix,
+        lambdas=kstar,
         densities=beta,
         gram=gram,
         wdiag=np.ones(deg.size),

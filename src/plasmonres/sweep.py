@@ -34,11 +34,11 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .geometry import as_number, is_integer
-from .layer_ops import InteriorKernels, assemble_S_omega, assemble_Kstar_omega
+from .layer_ops import HelmholtzOperators, assemble_S_omega, assemble_Kstar_omega, \
+    helmholtz_operators
 from .np_spectrum import spectrum_of, coeffs_hat, coeffs_check, cluster_ids
 from .transmission import TransmissionProblem, plasmon_lambda, dipole_traces, \
-    solve_direct, solve_spectral, gradient_energy, coupling_an, helmholtz_operators, \
-    omega_terms
+    solve_direct, solve_spectral, gradient_energy, coupling_an, omega_terms
 
 # solve_point stays out of __all__: perfbench's tracer wraps every __all__
 # function, and a span per point would hide the spans it times below it
@@ -120,8 +120,9 @@ class SweepConfig:
     geometry is a NodeSet (dim 2) or a Sphere (dim 3); a plain (L, R)
     pair becomes a Sphere, as in TransmissionProblem. The grid runs from
     delta_max down to delta_min geometrically with points_per_decade
-    points per factor of 10. coupling_c must keep the scale in the
-    s << delta regime, so it is capped at 0.1. dim, points_per_decade
+    points per factor of 10, at most 1000 as each is a full solve.
+    coupling_c must keep the scale in the s << delta regime, so it is
+    capped at 0.1. dim, points_per_decade
     and workers must be integers (is_integer), never rounded to one, and
     delta_max, delta_min and coupling_c numbers (as_number). workers (at
     least 1) is kept but does not change how a sweep runs (see
@@ -169,8 +170,9 @@ class SweepConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0 < self.delta_min < self.delta_max:
             raise ValueError("need 0 < delta_min < delta_max")
-        if self.points_per_decade < 1:
-            raise ValueError("points_per_decade must be at least 1")
+        if not 1 <= self.points_per_decade <= 1000:
+            raise ValueError(f"points_per_decade must be a count from 1 to 1000, got "
+                             f"{self.points_per_decade}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         # building the extreme problems validates the physical values,
@@ -281,10 +283,10 @@ def _start_operators(pool, problem, solvers):
 
 
 def _operators(geometry, k, futures, terms=None):
-    """(S^k, K^k*): the results of futures when given, else built here."""
+    """HelmholtzOperators at k: from the results of futures when given, else built here."""
     if futures is None:
         return helmholtz_operators(geometry, k, terms)
-    return tuple(f.result() for f in futures)
+    return HelmholtzOperators(geometry, k, *(f.result() for f in futures))
 
 
 def solve_point(problem, spectrum, solvers, operators=None):
@@ -315,7 +317,7 @@ def solve_point(problem, spectrum, solvers, operators=None):
         # Python's abs (numpy's array abs can differ in the last bit), so
         # that a cluster with one nonzero coupling reports its |a_n| exactly
         a_n_abs = math.hypot(*(abs(complex(an)) for an in a_n))
-        kernels = InteriorKernels(*_operators(geometry, kc, kc_futures))
+        at_kc = _operators(geometry, kc, kc_futures)
     except _ROW_ERRORS as exc:
         return ([_failed_row(problem, name) for name in solvers],
                 [exc.with_traceback(None)] * len(solvers))
@@ -326,12 +328,11 @@ def solve_point(problem, spectrum, solvers, operators=None):
         try:
             if name == "direct":
                 sol = solve_direct(problem, operators=(
-                    kernels.s, kernels.kstar,
-                    *_operators(geometry, om, om_futures, at_omega)), traces=(f, g))
+                    at_kc, _operators(geometry, om, om_futures, at_omega)), traces=(f, g))
             else:
                 sol = solve_spectral(coeffs_check(f, spectrum), coeffs_hat(g, spectrum),
                                      problem.eps_eff, problem.delta_eff, om, spectrum)
-            energy = gradient_energy(sol.phi, kernels)
+            energy = gradient_energy(sol.phi, at_kc)
             if not np.isfinite(energy) or energy <= 0:
                 raise RuntimeError(f"non-physical energy {energy!r}")
             phi0 = abs(coeffs_hat(sol.phi, spectrum)[0])

@@ -50,12 +50,9 @@ import numpy as np
 from .geometry import NodeSet, Sphere, interior_points, as_number, is_integer, is_number, \
     _inside_polygon
 from .layer_ops import (
-    BoundaryOperator,
-    InteriorKernels,
-    assemble_S_omega,
-    assemble_Kstar_omega,
+    HelmholtzOperators,
     eval_gradient,
-    sphere_operators,
+    helmholtz_operators,
     _potential_kernel,
     _require_2d,
 )
@@ -78,7 +75,6 @@ __all__ = [
     "plasmon_lambda",
     "plasmon_epsilon",
     "dipole_traces",
-    "helmholtz_operators",
     "assemble_system",
     "solve_direct",
     "solve_spectral",
@@ -132,12 +128,12 @@ def plasmon_epsilon(lam):
 
 
 def _vector(name, value, dim):
-    """value as a float array of dim numbers (is_number), else ValueError."""
+    """value as a float array of dim numbers (as_number), else ValueError."""
     entries = value.tolist() if isinstance(value, np.ndarray) else value
     if not (isinstance(entries, (list, tuple)) and len(entries) == dim
             and all(map(is_number, entries))):
         raise ValueError(f"{name} must be a vector of {dim} numbers, got {value!r}")
-    return np.array(entries, dtype=float)
+    return np.array([as_number(name, v) for v in entries])
 
 
 @dataclass(frozen=True)
@@ -359,9 +355,9 @@ def assemble_system(problem, operators=None, traces=None):
     be 2D (else TypeError): the sphere's blocks are diagonal, and
     solve_direct solves them slot by slot.
 
-    operators, when given, is the pre-assembled quadruple
-    (S^{k_c}, K^{k_c}*, S^omega, K^omega*) matching the problem, pairs
-    as helmholtz_operators builds them. Wavenumbers are checked. traces,
+    operators, when given, is (at_kc, at_omega), the helmholtz_operators
+    of the problem's geometry at k_c and omega; anything else raises
+    TypeError, and a pair of another geometry or k ValueError. traces,
     when given, is the problem's dipole_traces pair (F_z, d_nu F_z).
     """
     _require_2d(problem.geometry)
@@ -372,27 +368,22 @@ def assemble_system(problem, operators=None, traces=None):
     return a_mat, np.concatenate([f, g])
 
 
-def helmholtz_operators(geometry, k, terms=None):
-    """
-    (S^k, K^k*) on a NodeSet (Nystrom matrices) or a Sphere (diagonals);
-    terms is sphere_operators' and has no use in 2D.
-    """
-    if isinstance(geometry, NodeSet):
-        return assemble_S_omega(geometry, k), assemble_Kstar_omega(geometry, k)
-    return sphere_operators(geometry, k, terms)
-
-
 def _system_blocks(problem, operators, traces):
     """Blocks (A11, A12, A21, A22) and data (f, g); sphere blocks are 1-D."""
     om = problem.omega
     kc = problem.kc
     epsd = problem.eps_eff + 1j * problem.delta_eff
-    if operators is None:
-        operators = (*helmholtz_operators(problem.geometry, kc),
-                     *helmholtz_operators(problem.geometry, om))
-    for op, want in zip(operators, (kc, kc, om, om)):
-        _require_wavenumber(op, want)
-    s_in, k_in, s_out, k_out = (op.matrix for op in operators)
+    operators = operators or (helmholtz_operators(problem.geometry, kc),
+                              helmholtz_operators(problem.geometry, om))
+    for pair, k in zip(operators, (kc, om)):
+        if not isinstance(pair, HelmholtzOperators):
+            raise TypeError("operators must be HelmholtzOperators pairs (at k_c, at omega)")
+        if pair.geometry != problem.geometry:
+            raise ValueError("operators assembled on another geometry than the problem's")
+        if abs(pair.k - k) > 1e-12 * max(1.0, abs(k)):
+            raise ValueError(f"operators assembled at wavenumber {pair.k}, expected {k}")
+    at_kc, at_omega = operators
+    s_in, k_in, s_out, k_out = at_kc.s, at_kc.kstar, at_omega.s, at_omega.kstar
     eye = np.eye(s_in.shape[0]) if s_in.ndim == 2 else 1.0
     blocks = (s_in, -s_out, epsd * (-0.5 * eye + k_in), -(0.5 * eye + k_out))
     return blocks, traces or dipole_traces(problem)
@@ -421,7 +412,9 @@ def solve_direct(problem, operators=None, traces=None):
 
     Raises RuntimeError when the relative residual exceeds 1e-8, which
     only happens if the system is degenerate beyond its natural 1/delta
-    conditioning. operators and traces are as for assemble_system.
+    conditioning. operators and traces are as for assemble_system, in
+    both dimensions; a pair's geometry must be the problem's NodeSet
+    object or an equal Sphere, and its k within 1e-12 relative.
     """
     if problem.dim == 3:
         (a11, a12, a21, a22), (f, g) = _system_blocks(problem, operators, traces)
@@ -522,21 +515,22 @@ def _collar_integral(nodes, b, f_bdry, f_edge):
     return np.sum(nodes.weights * 0.5 * b * (f_bdry + inner))
 
 
-def interior_gradient_energy(phi, kernels):
+def interior_gradient_energy(phi, operators):
     """
     Ground-truth int |grad u|^2 over the inclusion by interior
     quadrature: a fine cell-centred grid away from the boundary plus a
     collar strip whose boundary values come from the jump relations
     (normal part) and spectral differentiation of the trace
-    (tangential part). kernels is the InteriorKernels of a 2D boundary
-    at k_c; its tables are not used. Anything else raises TypeError.
+    (tangential part). operators is the HelmholtzOperators of a 2D
+    boundary at k_c; its tables are not used. Anything else raises
+    TypeError.
     """
-    if not isinstance(kernels, InteriorKernels):
-        raise TypeError("energy operators must be InteriorKernels(S^kc, K^kc*)")
-    s_op, k_op, kc = kernels.s, kernels.kstar, kernels.k
-    nodes = _require_2d(kernels.geometry)
-    u_trace = s_op.matrix @ phi
-    dnu = -0.5 * phi + k_op.matrix @ phi
+    if not isinstance(operators, HelmholtzOperators):
+        raise TypeError("energy operators must be HelmholtzOperators at k_c")
+    kc = operators.k
+    nodes = _require_2d(operators.geometry)
+    u_trace = operators.s @ phi
+    dnu = -0.5 * phi + operators.kstar @ phi
     dtu = _fft_tangential_deriv(u_trace, nodes)
     quad = nodes.interior
     b = quad.collar
@@ -549,44 +543,43 @@ def interior_gradient_energy(phi, kernels):
     return e_bulk + float(_collar_integral(nodes, b, f_bdry, f_edge))
 
 
-def gradient_energy(phi, kernels):
+def gradient_energy(phi, operators):
     """
     ||grad u||^2_{L^2} of the interior field u = S^{k_c}[phi].
 
-    kernels is the InteriorKernels of (S^{k_c}, K^{k_c}*) in both
+    operators is the HelmholtzOperators of (S^{k_c}, K^{k_c}*) in both
     dimensions: the Nystrom pair of a 2D boundary or the diagonals of
     sphere_operators, whose interior data the energies of one grid point
     share; anything else raises TypeError. The value comes from the
     boundary Green identity; the |u|^2 volume term it needs is a small
     correction of relative size |k_c|^2 and is integrated on a coarse
-    interior grid (2D) or per radial mode from the kernels' i_mass
+    interior grid (2D) or per radial mode from the tables' i_mass
     (sphere: a double series of the k_c R terms at every |k_c| R,
     accurate to rounding on a sweep's k_c; a k_c too near the real axis
     for its size raises ValueError). The sphere route also cross-checks
     the identity against the volume integral of |grad u|^2 per mode, the
-    kernels' i_grad, a term-by-term series that does not come from the
+    tables' i_grad, a term-by-term series that does not come from the
     identity, and raises RuntimeError on a relative disagreement beyond
     1e-11.
     """
-    if not isinstance(kernels, InteriorKernels):
-        raise TypeError("energy operators must be InteriorKernels(S^kc, K^kc*)")
-    s_op, k_op, kc, geometry = kernels.s, kernels.kstar, kernels.k, kernels.geometry
+    if not isinstance(operators, HelmholtzOperators):
+        raise TypeError("energy operators must be HelmholtzOperators at k_c")
+    kc, geometry = operators.k, operators.geometry
+    u_trace = _matvec(operators.s, phi)
     if isinstance(geometry, NodeSet):
-        u_trace = s_op.matrix @ phi
-        dnu = -0.5 * phi + k_op.matrix @ phi
+        dnu = -0.5 * phi + operators.kstar @ phi
         e_b = float(np.real(np.sum(geometry.weights * u_trace * np.conj(dnu))))
         # int |u|^2: coarse grid plus boundary collar
         quad = geometry.interior
-        coarse, edge = kernels.tables()
+        coarse, edge = operators.tables()
         wphi = geometry.weights * phi
         v_bulk = float(np.sum(quad.coarse.weights * np.abs(coarse @ wphi) ** 2))
         v_collar = float(_collar_integral(geometry, quad.collar, np.abs(u_trace) ** 2,
                                           np.abs(edge @ wphi) ** 2))
         return e_b + np.real(kc * kc) * (v_bulk + v_collar)
-    u_trace = s_op.matrix * phi
-    dnu = (-0.5 + k_op.matrix) * phi
+    dnu = (-0.5 + operators.kstar) * phi
     e_b = float(np.real(np.sum(u_trace * np.conj(dnu))))
-    i_mass, i_grad = kernels.tables()
+    i_mass, i_grad = operators.tables()
     t2 = np.abs(u_trace) ** 2 / geometry.R ** 2
     vol = float(np.sum(t2 * i_mass))
     e_identity = e_b + np.real(kc * kc) * vol
@@ -602,15 +595,6 @@ def _check_energy_agreement(e_identity, e_exact):
         raise RuntimeError(
             f"energy cross-check failed: boundary identity {e_identity:.6g} vs "
             f"volume integral {e_exact:.6g} (relative gap {rel:.3g})"
-        )
-
-
-def _require_wavenumber(op, kc):
-    if not isinstance(op, BoundaryOperator):
-        raise TypeError("operators must be BoundaryOperator instances")
-    if abs(complex(op.wavenumber) - complex(kc)) > 1e-12 * max(1.0, abs(kc)):
-        raise ValueError(
-            f"operator assembled at wavenumber {op.wavenumber}, expected {kc}"
         )
 
 

@@ -33,13 +33,13 @@ from scipy import special
 
 from plasmonres.geometry import NodeSet, Sphere
 from plasmonres.layer_ops import (
-    BoundaryOperator,
     assemble_Kstar,
     assemble_Kstar_omega,
+    helmholtz_operators,
     sphere_operators,
 )
 from plasmonres.specfun import EULER_GAMMA, OMEGA_MAX, tau
-from plasmonres.transmission import dipole_traces, helmholtz_operators
+from plasmonres.transmission import dipole_traces
 
 # below this omega r the 2D remainder kernel is summed from its series
 _SERIES_CUT = 0.5
@@ -154,7 +154,8 @@ def assemble_R_Q(nodes, omega, d=2):
     R2 is assembled independently from the series remainder kernel with
     its own log splitting, so the d=2 closure above is a genuine
     two-route identity. Q2 is the operator difference quotient. For
-    d = 3 pass nodes = (L, R); the operators are 1-D diagonals.
+    d = 3 pass nodes = (L, R); the operators are 1-D diagonals. Returns
+    the pair of arrays (R, Q).
     """
     omega = float(omega)
     if not 0 < omega <= OMEGA_MAX:
@@ -163,12 +164,7 @@ def assemble_R_Q(nodes, omega, d=2):
         L, radius = nodes
         s0, k0 = sphere_operators(Sphere(L, radius))
         sw, kw = sphere_operators(Sphere(L, radius), omega)
-        r3 = (sw.matrix - s0.matrix) / omega
-        q3 = (kw.matrix - k0.matrix) / omega**2
-        return (
-            BoundaryOperator(r3, wavenumber=omega),
-            BoundaryOperator(q3, wavenumber=omega),
-        )
+        return (sw - s0) / omega, (kw - k0) / omega**2
     if d != 2:
         raise ValueError("d must be 2 or 3")
     if not isinstance(nodes, NodeSet):
@@ -185,13 +181,8 @@ def assemble_R_Q(nodes, omega, d=2):
     m2 = k2 * jac - m1 * pw.logsin
     np.fill_diagonal(m2, 0.0)
     r2 = pw.log_weights * m1 + (2.0 * np.pi / n) * m2
-    q2 = (
-        assemble_Kstar_omega(nodes, omega).matrix - assemble_Kstar(nodes).matrix
-    ) / scale
-    return (
-        BoundaryOperator(r2, wavenumber=omega, nodes=nodes),
-        BoundaryOperator(q2, wavenumber=omega, nodes=nodes),
-    )
+    q2 = (assemble_Kstar_omega(nodes, omega) - assemble_Kstar(nodes)) / scale
+    return r2, q2
 
 
 def real_sph_harm(n, m, points):
@@ -365,9 +356,9 @@ def dense_sphere_system(problem):
 
     every block the np.diag of its sphere_operators diagonal.
     """
-    s_in, k_in = (op.matrix for op in helmholtz_operators(problem.geometry, problem.kc))
-    s_out, k_out = (op.matrix for op in helmholtz_operators(problem.geometry,
-                                                            problem.omega))
+    at_kc = helmholtz_operators(problem.geometry, problem.kc)
+    at_omega = helmholtz_operators(problem.geometry, problem.omega)
+    s_in, k_in, s_out, k_out = at_kc.s, at_kc.kstar, at_omega.s, at_omega.kstar
     epsd = problem.eps_eff + 1j * problem.delta_eff
     a_mat = np.block([[np.diag(s_in), np.diag(-s_out)],
                       [np.diag(epsd * (-0.5 + k_in)), np.diag(-(0.5 + k_out))]])

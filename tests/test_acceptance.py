@@ -16,9 +16,7 @@ import pytest
 
 from plasmonres.geometry import Sphere, make_curve, quadrature_nodes
 from plasmonres.layer_ops import (
-    assemble_S_omega,
-    assemble_Kstar_omega,
-    InteriorKernels,
+    helmholtz_operators,
     sphere_operators,
     sphere_degree_index,
 )
@@ -122,7 +120,7 @@ def test_criterion_02_sphere_spectrum_and_quadrature():
     for n, m in ((0, 0), (1, 0), (2, 1)):
         slot = n * n + n + m
         quad = sphere_diagonal_by_quadrature(n, m, 1.0, 0.0, which="Kstar")
-        errs.append(abs(quad - k0.matrix[slot]))
+        errs.append(abs(quad - k0[slot]))
     err_quad = max(errs)
     assert err_quad <= 1e-8
     print(f"PASS criterion 02: sphere eigenvalues err {err_exact:.2e}, "
@@ -202,7 +200,7 @@ def comparability_data():
     rng = np.random.default_rng(2026)
     records = []
     for om in (0.1, 0.01):
-        ops = InteriorKernels(assemble_S_omega(nodes, om), assemble_Kstar_omega(nodes, om))
+        ops = helmholtz_operators(nodes, om)
         for _ in range(20):
             coef = np.zeros(nodes.n)
             coef[:12] = rng.standard_normal(12)

@@ -30,8 +30,10 @@ against another checkout of the package, its parent, with
 
 which sweeps each named pin (all when none is named) once with this
 tree's src/ and once with ROOT/src, prints every cell whose text
-differs, residual included and wall_time_ms left out, and exits 1 if
-any does.
+differs, residual included and wall_time_ms left out, then runs
+`python -m plasmonres validate all` in both trees with the pins' thread
+count and prints every check whose JSON differs. It exits 1 if any cell
+or check does.
 """
 
 import csv
@@ -131,15 +133,19 @@ def _run_pin(name, csv_path, threads=BLAS_THREADS, package_root=PACKAGE_ROOT):
     """
     config_path = Path(csv_path).with_suffix(".json")
     config_path.write_text(json.dumps(dict(PINS[name], csv_path=str(csv_path))))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [str(package_root), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "plasmonres", "sweep", "--config", str(config_path)],
-        capture_output=True, text=True, env=env, timeout=300)
+    proc = _cli(["sweep", "--config", str(config_path)], threads, package_root)
     assert proc.returncode == 0, proc.stderr
     config_path.unlink()
     return _read(csv_path)
+
+
+def _cli(args, threads, package_root):
+    """`python -m plasmonres ARGS` in a fresh interpreter, as _run_pin describes."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(package_root), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "plasmonres", *args],
+                          capture_output=True, text=True, env=env, timeout=300)
 
 
 @pytest.mark.parametrize("name, threads, ignored", RUNS)
@@ -178,6 +184,25 @@ def _differing_cells(root, names):
     return count
 
 
+def _validate_checks(package_root):
+    """{name: check} of `validate all` at BLAS_THREADS, failed checks included."""
+    proc = _cli(["validate", "all"], BLAS_THREADS, package_root)
+    assert proc.returncode in (0, plasmonres.EXIT_VALIDATION), proc.stderr
+    return {check["name"]: check for check in json.loads(proc.stdout)["checks"]}
+
+
+def _differing_checks(root):
+    """Print each `validate all` check whose JSON differs at root; count them."""
+    here, there = _validate_checks(PACKAGE_ROOT), _validate_checks(root / "src")
+    count = 0
+    for name in dict.fromkeys([*here, *there]):
+        if here.get(name) != there.get(name):
+            print(f"validate {name}: {here.get(name)}, at {root}: {there.get(name)}")
+            count += 1
+    print(f"validate all: {len(here)} checks here, {len(there)} at {root}")
+    return count
+
+
 if __name__ == "__main__":
     mode, names, root = sys.argv[1:2], sys.argv[2:], None
     if mode == ["--against"] and names:
@@ -188,7 +213,9 @@ if __name__ == "__main__":
     if root:
         count = _differing_cells(root, names or sorted(PINS))
         print(f"{count} differing cells")
-        sys.exit(1 if count else 0)
+        checks = _differing_checks(root)
+        print(f"{checks} differing validate checks")
+        sys.exit(1 if count or checks else 0)
     GOLDEN_DIR.mkdir(exist_ok=True)
     for pin in names or sorted(PINS):
         _run_pin(pin, GOLDEN_DIR / f"{pin}.csv")

@@ -17,6 +17,7 @@ from plasmonres.layer_ops import (
     assemble_Kstar_omega,
     eval_potential,
     eval_gradient,
+    helmholtz_operators,
     sphere_operators,
     sphere_degree_index,
 )
@@ -45,7 +46,7 @@ def test_static_single_layer_circle_fourier():
     for radius in (1.0, 2.0):
         nodes = _circle(128, radius)
         t = nodes.t
-        s_mat = assemble_S(nodes).matrix
+        s_mat = assemble_S(nodes)
         ones = np.ones(nodes.n)
         target = radius * np.log(radius) * ones
         assert np.linalg.norm(s_mat @ ones - target) < 1e-12 * max(1.0, abs(radius * np.log(radius))) * np.sqrt(nodes.n)
@@ -58,7 +59,7 @@ def test_static_single_layer_circle_fourier():
 def test_static_adjoint_double_layer_circle():
     nodes = _circle()
     t = nodes.t
-    k_mat = assemble_Kstar(nodes).matrix
+    k_mat = assemble_Kstar(nodes)
     ones = np.ones(nodes.n)
     assert np.linalg.norm(k_mat @ ones - 0.5 * ones) < 1e-12 * np.sqrt(nodes.n)
     for n in (1, 4):
@@ -68,7 +69,7 @@ def test_static_adjoint_double_layer_circle():
 
 def test_helmholtz_single_layer_circle_mode_oracle():
     nodes = _circle()
-    sk = assemble_S_omega(nodes, 0.5).matrix
+    sk = assemble_S_omega(nodes, 0.5)
     e1 = np.exp(1j * nodes.t)
     out = sk @ e1
     assert np.linalg.norm(out - SK_CIRCLE_MODE1 * e1) < 1e-8 * np.linalg.norm(e1)
@@ -79,7 +80,7 @@ def test_helmholtz_adjoint_circle_mode_two_routes():
     # Bessel-product derivative -(i pi k / 4) (J_n H_n)'(k)
     nodes = _circle()
     k = 0.5
-    kk = assemble_Kstar_omega(nodes, k).matrix
+    kk = assemble_Kstar_omega(nodes, k)
     for n in (1, 2, 5):
         mode = np.exp(1j * n * nodes.t)
         lam_matrix = (kk @ mode) / mode
@@ -107,8 +108,8 @@ def test_disk_helmholtz_operators_match_fourier_closed_forms(n_nodes, radius):
     nodes = _circle(n_nodes, radius)
     for k in _DISK_K:
         z = k * radius
-        sk = assemble_S_omega(nodes, k).matrix
-        kk = assemble_Kstar_omega(nodes, k).matrix
+        sk = assemble_S_omega(nodes, k)
+        kk = assemble_Kstar_omega(nodes, k)
         for n in range(21):
             mode = np.cos(n * nodes.t)
             jn, hn = special.jv(n, z), special.hankel1(n, z)
@@ -166,8 +167,8 @@ def test_distinct_distance_helmholtz_assembly_bit_identical(kind, params, n):
     nodes = quadrature_nodes(make_curve(kind, **params), n)
     for k in (0.3, compute_kc(0.3, -3.0, 1e-2)):
         s_full, k_full = _full_helmholtz_matrices(nodes, k)
-        assert np.array_equal(assemble_S_omega(nodes, k).matrix, s_full)
-        assert np.array_equal(assemble_Kstar_omega(nodes, k).matrix, k_full)
+        assert np.array_equal(assemble_S_omega(nodes, k), s_full)
+        assert np.array_equal(assemble_Kstar_omega(nodes, k), k_full)
 
 
 class _CountingSpecial:
@@ -238,8 +239,8 @@ def test_weighted_symmetry_and_plemelj():
     for kind, params in [("ellipse", {"a": 2.0, "b": 1.0}), ("kite", {})]:
         nodes = quadrature_nodes(make_curve(kind, **params), 192)
         w = nodes.weights
-        s_mat = assemble_S(nodes).matrix
-        k_mat = assemble_Kstar(nodes).matrix
+        s_mat = assemble_S(nodes)
+        k_mat = assemble_Kstar(nodes)
         ws = w[:, None] * s_mat
         assert np.linalg.norm(ws - ws.T) < 1e-12 * np.linalg.norm(ws)
         lhs = (k_mat.T * w[None, :] / w[:, None]) @ s_mat
@@ -249,7 +250,7 @@ def test_weighted_symmetry_and_plemelj():
 
 def test_helmholtz_weighted_symmetry():
     nodes = quadrature_nodes(make_curve("ellipse", a=2.0, b=1.0), 128)
-    sk = assemble_S_omega(nodes, 0.3).matrix
+    sk = assemble_S_omega(nodes, 0.3)
     ws = nodes.weights[:, None] * sk
     assert np.linalg.norm(ws - ws.T) < 1e-12 * np.linalg.norm(ws)
 
@@ -258,16 +259,16 @@ def test_low_frequency_remainder_closure_2d():
     # S^w = S + tau(w) <., 1> + w^2 ln w R2 with R2 assembled from the
     # series remainder kernel, a genuine second route
     nodes = quadrature_nodes(make_curve("ellipse", a=2.0, b=1.0), 128)
-    s0 = assemble_S(nodes).matrix
+    s0 = assemble_S(nodes)
     for om in (0.1, 0.01):
-        sw = assemble_S_omega(nodes, om).matrix
+        sw = assemble_S_omega(nodes, om)
         r2, q2 = assemble_R_Q(nodes, om)
         rank1 = tau(om) * np.outer(np.ones(nodes.n), nodes.weights)
-        recon = s0 + rank1 + om * om * np.log(om) * r2.matrix
+        recon = s0 + rank1 + om * om * np.log(om) * r2
         assert np.linalg.norm(recon - sw) < 1e-10 * np.linalg.norm(sw)
-        k0 = assemble_Kstar(nodes).matrix
-        kw = assemble_Kstar_omega(nodes, om).matrix
-        recon_k = k0 + om * om * np.log(om) * q2.matrix
+        k0 = assemble_Kstar(nodes)
+        kw = assemble_Kstar_omega(nodes, om)
+        recon_k = k0 + om * om * np.log(om) * q2
         assert np.linalg.norm(recon_k - kw) < 1e-12 * max(np.linalg.norm(kw), 1.0)
 
 
@@ -278,8 +279,8 @@ def test_remainder_norms_stable_across_frequency():
     norms_r, norms_q = [], []
     for om in (1e-1, 1e-2, 1e-3, 1e-4):
         r2, q2 = assemble_R_Q(nodes, om)
-        norms_r.append(np.linalg.norm(r2.matrix))
-        norms_q.append(np.linalg.norm(q2.matrix))
+        norms_r.append(np.linalg.norm(r2))
+        norms_q.append(np.linalg.norm(q2))
     assert max(norms_r) / min(norms_r) < 2.0
     assert max(norms_q) / min(norms_q) < 2.0
 
@@ -288,8 +289,8 @@ def test_remainder_stability_sphere():
     norms_r, norms_q = [], []
     for om in (1e-1, 1e-2, 1e-3, 1e-4):
         r3, q3 = assemble_R_Q((8, 1.0), om, d=3)
-        norms_r.append(np.linalg.norm(r3.matrix))
-        norms_q.append(np.linalg.norm(q3.matrix))
+        norms_r.append(np.linalg.norm(r3))
+        norms_q.append(np.linalg.norm(q3))
     assert max(norms_r) / min(norms_r) < 2.0
     assert max(norms_q) / min(norms_q) < 2.0
 
@@ -387,20 +388,16 @@ def test_sphere_operator_diagonals():
     s0, k0 = sphere_operators(Sphere(8, 1.0))
     sk, kk = sphere_operators(Sphere(8, 1.0), 0.5)
     deg = sphere_degree_index(8)
-    s_diag = s0.matrix
-    k_diag = k0.matrix
+    s_diag = s0
+    k_diag = k0
     assert np.allclose(s_diag, -1.0 / (2 * deg + 1), atol=1e-14)
     assert np.allclose(k_diag, 0.5 / (2 * deg + 1), atol=1e-14)
     idx_n1 = 1 + 1  # (n, m) = (1, 0) slot inside the n = 1 triple
-    assert abs(sk.matrix[idx_n1] - SK_SPHERE_N1) < 1e-12
+    assert abs(sk[idx_n1] - SK_SPHERE_N1) < 1e-12
     # scaling in R: S scales like R, K* is scale free
     s0b, k0b = sphere_operators(Sphere(8, 2.5))
-    assert np.allclose(s0b.matrix, 2.5 * s_diag, atol=1e-13)
-    assert np.allclose(k0b.matrix, k_diag, atol=1e-14)
-
-
-def _sphere_kernels(sphere, k):
-    return layer_ops.InteriorKernels(*sphere_operators(sphere, k))
+    assert np.allclose(s0b, 2.5 * s_diag, atol=1e-13)
+    assert np.allclose(k0b, k_diag, atol=1e-14)
 
 
 # fourth-quadrant directions of the sweep's k_c (eps_c = -2) at delta = 1e-2
@@ -426,7 +423,7 @@ def test_sphere_radial_integrals_mpmath(size, tol, rays):
     for radius in (1.0, 2.0):
         for ray in rays:
             k = size * ray / radius
-            i_mass, i_grad = _sphere_kernels(Sphere(L, radius), k).tables()
+            i_mass, i_grad = helmholtz_operators(Sphere(L, radius), k).tables()
             for n in range(L + 1):
                 want = reference_ops.sphere_radial_integrals_mp(n, k, radius)
                 for got, ref in zip((i_mass[pole[n]], i_grad[pole[n]]), want):
@@ -442,9 +439,9 @@ def test_sphere_radial_integrals_refuse_cancellation():
     pytest.importorskip("mpmath")
     sphere = Sphere(40, 1.0)
     with pytest.raises(ValueError, match=r"\|k R\| = 3\b"):
-        _sphere_kernels(sphere, 3.0).tables()
+        helmholtz_operators(sphere, 3.0).tables()
     k = 10.0 * np.exp(-0.25j * np.pi)
-    i_mass, i_grad = _sphere_kernels(sphere, k).tables()
+    i_mass, i_grad = helmholtz_operators(sphere, k).tables()
     for n in range(41):
         want = reference_ops.sphere_radial_integrals_mp(n, k, 1.0)
         for got, ref in zip((i_mass[n * n + n], i_grad[n * n + n]), want):
@@ -458,12 +455,29 @@ _BAD_SPHERE_PAIRS = [(8, -1.0), (2, 1.0), (8.5, 1.0)]
 @pytest.mark.parametrize("pair", _BAD_SPHERE_PAIRS)
 def test_sphere_operators_check_a_plain_pair(pair):
     # a plain (L, R) is checked as a Sphere, as TransmissionProblem does:
-    # unchecked, (8, -1.0) gives sign-flipped diagonals
+    # unchecked, (8, -1.0) gives sign-flipped diagonals; helmholtz_operators
+    # tags its pair with the Sphere
     pairs = zip(sphere_operators((8, 1.0), 0.5), sphere_operators(Sphere(8, 1.0), 0.5))
     for mine, want in pairs:
-        assert np.array_equal(mine.matrix, want.matrix) and mine.nodes == want.nodes
-    with pytest.raises(ValueError, match="sphere (degree|radius)"):
-        sphere_operators(pair, 0.5)
+        assert np.array_equal(mine, want)
+    ops = helmholtz_operators((8, 1.0), 0.5)
+    assert type(ops.geometry) is Sphere and ops.geometry == Sphere(8, 1.0)
+    for build in (sphere_operators, helmholtz_operators):
+        with pytest.raises(ValueError, match="sphere (degree|radius)"):
+            build(pair, 0.5)
+
+
+def test_operators_are_read_only():
+    # every assembler returns its operator read-only, so one shared by
+    # the sweep's threads and solves cannot be written through
+    nodes = _circle(32)
+    sphere = Sphere(8, 1.0)
+    for op in (assemble_S(nodes), assemble_Kstar(nodes), assemble_S_omega(nodes, 0.5),
+               assemble_Kstar_omega(nodes, 0.5), *sphere_operators(sphere),
+               *sphere_operators(sphere, 0.5)):
+        assert not op.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            op[0] = 0.0
 
 
 def test_sphere_diagonal_by_quadrature_spot_checks():
@@ -476,4 +490,4 @@ def test_sphere_diagonal_by_quadrature_spot_checks():
             slot = n * n + n + m
             for which, op in (("S", s_op), ("Kstar", k_op)):
                 quad = sphere_diagonal_by_quadrature(n, m, 1.0, k, which=which)
-                assert abs(quad - op.matrix[slot]) < 1e-8
+                assert abs(quad - op[slot]) < 1e-8

@@ -114,14 +114,14 @@ def test_basis_orthonormal_and_eigen_residual():
     nodes, spec = _spectrum_2d("ellipse", 128, a=2.0, b=1.0)
     Phi, G = spec.densities, spec.gram
     assert np.linalg.norm(Phi.T @ G @ Phi - np.eye(nodes.n)) < 1e-10
-    k_mat = assemble_Kstar(nodes).matrix
+    k_mat = assemble_Kstar(nodes)
     resid = k_mat @ Phi[:, 1:] - Phi[:, 1:] * spec.lambdas[1:][None, :]
     assert np.linalg.norm(resid) < 1e-8
 
 
 def test_stilde_trace_columns():
     nodes, spec = _spectrum_2d("ellipse", 128, a=2.0, b=1.0)
-    s_mat = assemble_S(nodes).matrix
+    s_mat = assemble_S(nodes)
     st = spec.stilde_traces
     assert np.allclose(st[:, 0], spec.ctilde0 * np.ones(nodes.n), atol=1e-12)
     for n in (1, 2, 5):
@@ -143,7 +143,7 @@ def test_kstar_is_self_adjoint_in_the_gram(b, aspect):
     # K* is self-adjoint in the H* inner product, whose discrete Gram is
     # G, so G K* is symmetric: <x, K* y>_G = <K* x, y>_G for all densities
     nodes, spec = _spectrum_2d("ellipse", 64, a=aspect * b, b=b)
-    gk = spec.gram @ assemble_Kstar(nodes).matrix
+    gk = spec.gram @ assemble_Kstar(nodes)
     assert np.linalg.norm(gk - gk.T) <= 1e-12 * np.linalg.norm(gk)
 
 
@@ -187,6 +187,22 @@ def test_eigendecomposition_symmetry_guard(monkeypatch):
         spectrum_of(nodes)
 
 
+def test_eigendecomposition_positive_definite_guard(monkeypatch):
+    # the generalized eigh factors G, so a G that is not positive definite
+    # raises RuntimeError with its smallest eigenvalue; K* = I keeps G K*
+    # symmetric so that the symmetry check passes it on
+    nodes = quadrature_nodes(make_curve("ellipse", a=2.0, b=1.0), 64)
+    flipped = np.ones(nodes.n)
+    flipped[3] = -1.0
+    gram = np_spectrum._gram
+    monkeypatch.setattr(np_spectrum, "_gram",
+                        lambda s, nodes: (np.diag(flipped), *gram(s, nodes)[1:]))
+    monkeypatch.setattr(np_spectrum, "assemble_Kstar", lambda nodes: np.eye(nodes.n))
+    with pytest.raises(RuntimeError, match=r"not positive definite \(smallest "
+                                           r"eigenvalue -1\.000e\+00\)"):
+        spectrum_of(nodes)
+
+
 def test_sphere_spectrum_closed_form():
     spec = sphere_spectrum(Sphere(10, 1.0))
     deg = sphere_degree_index(10)
@@ -204,7 +220,7 @@ def test_sphere_spectrum_closed_form():
 def test_sphere_spectrum_matches_operator_diagonal():
     spec = sphere_spectrum(Sphere(8, 1.0))
     _, k0 = sphere_operators(Sphere(8, 1.0))
-    assert np.max(np.abs(spec.lambdas[1:] - k0.matrix[1:])) < 1e-14
+    assert np.max(np.abs(spec.lambdas[1:] - k0[1:])) < 1e-14
 
 
 def test_sphere_minimum_degree_guard():

@@ -41,7 +41,7 @@ from plasmonres import layer_ops
 from plasmonres import specfun as specfun_module
 from plasmonres import transmission as transmission_module
 from plasmonres.geometry import MIN_SPHERE_DEGREE, Sphere, make_curve, quadrature_nodes
-from plasmonres.layer_ops import BoundaryOperator
+from plasmonres.layer_ops import HelmholtzOperators
 from plasmonres.cli import (
     main,
     validate,
@@ -359,7 +359,7 @@ def test_sphere_sweep_builds_diagonals_once_per_point(tmp_path, monkeypatch):
     # shared by the direct solve and both energies, and one radial table
     # at k_c for both energies; no Gauss-Legendre rule is ever built
     wavenumbers, tables, rules = [], [], []
-    original = transmission_module.sphere_operators
+    original = layer_ops.sphere_operators
     table = layer_ops._sphere_radial_table
     leggauss = np.polynomial.legendre.leggauss
 
@@ -375,7 +375,7 @@ def test_sphere_sweep_builds_diagonals_once_per_point(tmp_path, monkeypatch):
         rules.append(args)
         return leggauss(*args)
 
-    monkeypatch.setattr(transmission_module, "sphere_operators", counting)
+    monkeypatch.setattr(layer_ops, "sphere_operators", counting)
     monkeypatch.setattr(layer_ops, "_sphere_radial_table", tabulating)
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", rule)
     cfg = _sphere_config(tmp_path)
@@ -423,13 +423,13 @@ def test_ellipse_resonates_at_every_plasmon_contrast(aspect, mode):
 
 def test_repeated_sweeps_retain_no_operators(tmp_path, monkeypatch):
     # Two sweeps of one config in one process write identical cells,
-    # and every operator and interior-kernel holder a sweep builds is
+    # and every operator and HelmholtzOperators pair a sweep builds is
     # garbage once it returns: no module-level state holds on to one.
     built = []
 
     def recording(*args, _original=sweep_module.helmholtz_operators):
         out = _original(*args)
-        built.extend(weakref.ref(op) for op in out)
+        built.extend(weakref.ref(x) for x in (out, out.s, out.kstar))
         return out
     monkeypatch.setattr(sweep_module, "helmholtz_operators", recording)
     # the look-ahead pool of a 2D sweep calls the assemblers directly
@@ -440,11 +440,12 @@ def test_repeated_sweeps_retain_no_operators(tmp_path, monkeypatch):
             return out
         monkeypatch.setattr(sweep_module, name, recording_one)
 
-    def recording_kernels(*args, _original=sweep_module.InteriorKernels):
+    # and pairs their results
+    def recording_pair(*args, _original=sweep_module.HelmholtzOperators):
         out = _original(*args)
         built.append(weakref.ref(out))
         return out
-    monkeypatch.setattr(sweep_module, "InteriorKernels", recording_kernels)
+    monkeypatch.setattr(sweep_module, "HelmholtzOperators", recording_pair)
     for make in (_sphere_config, _ellipse_config):
         paths = [tmp_path / f"{make.__name__}-{i}.csv" for i in (1, 2)]
         for path in paths:
@@ -457,7 +458,7 @@ def test_repeated_sweeps_retain_no_operators(tmp_path, monkeypatch):
                if n == "plasmonres" or n.startswith("plasmonres.")]
     for module in modules:
         for value in vars(module).values():
-            assert not isinstance(value, BoundaryOperator)
+            assert not isinstance(value, HelmholtzOperators)
 
 
 @pytest.mark.parametrize("points_per_decade", (1, 4))
@@ -935,7 +936,7 @@ def test_solve_point_errors_hold_no_frames(tmp_path, monkeypatch):
 
     def recording(*args, _original=sweep_module.helmholtz_operators):
         out = _original(*args)
-        built.extend(weakref.ref(op) for op in out)
+        built.extend(weakref.ref(x) for x in (out, out.s, out.kstar))
         return out
 
     def singular(problem, operators, traces):
@@ -951,7 +952,7 @@ def test_solve_point_errors_hold_no_frames(tmp_path, monkeypatch):
     assert errors[0].__traceback__ is None
     assert np.isnan(rows[0].energy_norm) and rows[1].energy_norm > 0
     gc.collect()
-    assert len(built) == 4
+    assert len(built) == 6
     assert all(ref() is None for ref in built)
 
 
@@ -1013,12 +1014,17 @@ def test_cli_config_rejects_non_integer_fields(tmp_path, field, value):
     ("eps_c", "-2", "eps_c"), ("omega0", True, "omega0"), ("eps_m", True, "eps_m"),
     ("eps_m", "1", "eps_m"), ("delta_max", True, "delta_max"),
     ("coupling_c", "0.01", "coupling_c"), ("a", [0, 0, True], "a"), ("z", [0, 0, "2"], "z"),
-    ("a", 1.0, "a"), ("radius", "1", "sphere radius"), ("radius", True, "sphere radius")])
+    ("a", 1.0, "a"), ("radius", "1", "sphere radius"), ("radius", True, "sphere radius"),
+    ("eps_c", -10 ** 400, "eps_c"), ("a", [0, 0, 10 ** 400], "a"),
+    ("points_per_decade", 10 ** 400, "points_per_decade")])
 def test_cli_config_rejects_non_numbers(tmp_path, capsys, field, value, named):
     # a float field, a dipole entry or a sphere radius must be a JSON
     # number: a string or a bool is refused naming the key, not read as
     # 1.0 or failed inside numpy with a message about '<' or isfinite;
-    # the constructor that keeps it refuses it from Python too
+    # the constructor that keeps it refuses it from Python too. So is an
+    # integer too large for a float in a float field, a dipole entry or
+    # points_per_decade (at most 1000), which once ended the CLI in an
+    # OverflowError traceback
     with pytest.raises(ValueError, match=f"^{named} must be a "):
         _build_owner(tmp_path, field, value)
     config = {"dim": 3, "geometry": {"kind": "sphere", "radius": 1.0, "degree": 8},

@@ -16,10 +16,8 @@ from plasmonres.geometry import MIN_SPHERE_DEGREE, Sphere, make_curve, quadratur
 from plasmonres.layer_ops import (
     sphere_degree_index,
     sphere_operators,
-    assemble_S_omega,
-    assemble_Kstar_omega,
     eval_potential,
-    InteriorKernels,
+    helmholtz_operators,
 )
 from plasmonres.np_spectrum import (
     sphere_spectrum,
@@ -37,7 +35,6 @@ from plasmonres.transmission import (
     solve_direct,
     solve_spectral,
     gradient_energy,
-    helmholtz_operators,
     interior_gradient_energy,
     coupling_an,
 )
@@ -56,10 +53,6 @@ def _ellipse_spectrum(n=192):
 def _circle_spectrum(radius, n=128):
     nodes = quadrature_nodes(make_curve("circle", radius=radius), n)
     return nodes, spectrum_of(nodes)
-
-
-def _energy_ops(geometry, kc):
-    return InteriorKernels(*helmholtz_operators(geometry, kc))
 
 
 def test_plasmon_contrast_map():
@@ -155,7 +148,7 @@ def test_direct_solve_residual_and_rotation_invariance():
                                  z=np.array(z))
         sol = solve_direct(pr)
         assert sol.residual < 1e-10
-        energies.append(gradient_energy(sol.phi, _energy_ops(nodes, pr.kc)))
+        energies.append(gradient_energy(sol.phi, helmholtz_operators(nodes, pr.kc)))
     assert abs(energies[0] - energies[1]) < 1e-12 * abs(energies[0])
 
 
@@ -172,7 +165,7 @@ def test_direct_vs_spectral_2d():
     f, g = dipole_traces(pr)
     ss = solve_spectral(coeffs_check(f, spec), coeffs_hat(g, spec),
                         pr.eps_eff, pr.delta_eff, pr.omega, spec)
-    ops = _energy_ops(nodes, pr.kc)
+    ops = helmholtz_operators(nodes, pr.kc)
     e_d = np.sqrt(gradient_energy(sd.phi, ops))
     e_s = np.sqrt(gradient_energy(ss.phi, ops))
     assert abs(e_d - e_s) / e_d < 10.0 * s * s * abs(np.log(s)) / delta
@@ -190,7 +183,7 @@ def test_direct_vs_spectral_3d():
     f, g = dipole_traces(pr)
     ss = solve_spectral(coeffs_check(f, sph), coeffs_hat(g, sph),
                         pr.eps_eff, pr.delta_eff, pr.omega, sph)
-    ops = _energy_ops(sph.geometry, pr.kc)
+    ops = helmholtz_operators(sph.geometry, pr.kc)
     e_d = np.sqrt(gradient_energy(sd.phi, ops))
     e_s = np.sqrt(gradient_energy(ss.phi, ops))
     assert abs(e_d - e_s) / e_d < 10.0 * s / delta
@@ -201,7 +194,7 @@ def test_quasistatic_mode_energy():
     # k = 0.005 the Helmholtz correction sits at O(k^2 ln k)
     nodes, spec = _ellipse_spectrum()
     k = 0.005
-    ops = _energy_ops(nodes, k)
+    ops = helmholtz_operators(nodes, k)
     for slot in (1, 2):
         e = gradient_energy(spec.densities[:, slot], ops)
         assert abs(e - (0.5 - spec.lambdas[slot])) < 1e-3
@@ -213,13 +206,13 @@ def test_energy_interior_crosscheck():
                              eps_c=-2.0, omega0=1.0, a=np.array([1.0, 0.0]),
                              z=np.array([3.0, 0.0]))
     sol = solve_direct(pr)
-    ops = _energy_ops(nodes, pr.kc)
+    ops = helmholtz_operators(nodes, pr.kc)
     e_green = gradient_energy(sol.phi, ops)
     e_interior = interior_gradient_energy(sol.phi, ops)
     assert abs(e_green - e_interior) < 0.02 * abs(e_interior)
-    # the interior quadrature is 2D only; a sphere's kernels once raised
+    # the interior quadrature is 2D only; a sphere's operators once raised
     # IndexError and None AttributeError
-    sph_ops = _energy_ops(Sphere(8, 1.0), pr.kc)
+    sph_ops = helmholtz_operators(Sphere(8, 1.0), pr.kc)
     for bad in (sph_ops, None, (ops.s, ops.kstar)):
         with pytest.raises(TypeError):
             interior_gradient_energy(sol.phi, bad)
@@ -269,23 +262,24 @@ def test_energy_sphere_route_self_checks():
                              eps_c=-2.0, omega0=1.0, a=np.array([0.0, 0.0, 1.0]),
                              z=np.array([0.0, 0.0, 2.0]))
     sol = solve_direct(pr)
-    e = gradient_energy(sol.phi, _energy_ops(sph.geometry, pr.kc))
+    e = gradient_energy(sol.phi, helmholtz_operators(sph.geometry, pr.kc))
     assert np.isfinite(e) and e > 0.0
 
 
 def test_energy_takes_one_operator_form_per_dimension():
-    # both dimensions take InteriorKernels(S^k, K^k*); anything else, a
-    # tuple, the bare pair and the bare spectrum included, raises
-    # TypeError, and kernels of an S^k and a K^k* of two geometries or two
-    # wavenumbers cannot be built (ValueError)
+    # both dimensions take the HelmholtzOperators of helmholtz_operators,
+    # tagged once with the geometry and k (stored as complex); anything
+    # else, a tuple, the bare pair and the bare spectrum included, raises
+    # TypeError
     nodes, _ = _ellipse_spectrum(128)
     k = 0.01
     phi = np.cos(nodes.t)
-    ops = _energy_ops(nodes, k)
+    ops = helmholtz_operators(nodes, k)
+    assert ops.geometry is nodes and type(ops.k) is complex and ops.k == k
     pair = (ops.s, ops.kstar)
     assert gradient_energy(phi, ops) > 0.0
     sph = sphere_spectrum(Sphere(8, 1.0))
-    sph_ops = _energy_ops(sph.geometry, k)
+    sph_ops = helmholtz_operators(sph.geometry, k)
     sph_pair = (sph_ops.s, sph_ops.kstar)
     coef = np.zeros(sph.n)
     coef[2] = 1.0
@@ -294,22 +288,12 @@ def test_energy_takes_one_operator_form_per_dimension():
                 (ops,)):
         with pytest.raises(TypeError):
             gradient_energy(phi if bad is not sph else coef, bad)
-    with pytest.raises(TypeError):
-        InteriorKernels(sph, sph_ops.kstar)
-    other_nodes = quadrature_nodes(make_curve("ellipse", a=2.0, b=1.0), 128)
-    for s_op, geometry, wavenumber in (
-            (pair[0], other_nodes, k), (pair[0], nodes, 2.0 * k),
-            (pair[0], Sphere(8, 1.0), k), (sph_pair[0], Sphere(8, 2.0), k),
-            (sph_pair[0], Sphere(9, 1.0), k), (sph_pair[0], Sphere(8, 1.0), 2.0 * k),
-            (sph_pair[0], nodes, k)):
-        with pytest.raises(ValueError, match="one geometry and one wavenumber"):
-            InteriorKernels(s_op, helmholtz_operators(geometry, wavenumber)[1])
 
 
 def test_energy_zero_density():
     nodes, spec = _ellipse_spectrum(128)
     k = 0.01
-    assert gradient_energy(np.zeros(nodes.n), _energy_ops(nodes, k)) == 0.0
+    assert gradient_energy(np.zeros(nodes.n), helmholtz_operators(nodes, k)) == 0.0
 
 
 def test_constant_mode_energy_scales_like_omega_log():
@@ -321,7 +305,7 @@ def test_constant_mode_energy_scales_like_omega_log():
         fcheck[0] = 1.0
         sol = solve_spectral(fcheck, np.zeros(nodes.n), -2.0, 0.05, om, spec)
         kc = compute_kc(om, -2.0, 0.05)
-        e = gradient_energy(sol.phi, _energy_ops(nodes, kc))
+        e = gradient_energy(sol.phi, helmholtz_operators(nodes, kc))
         phi0 = abs(coeffs_hat(sol.phi, spec)[0])
         assert abs(e) <= 0.1 * (om * abs(np.log(om))) ** 2 * phi0 ** 2
 
@@ -406,11 +390,11 @@ def test_sphere_bessel_shares_the_public_helpers_values(om, z0, radius, eps_c):
     for k, shared in ((complex(pr.kc), ()), (complex(om), (terms,))):
         jh, jh_d = sph_jh_from(sph_terms(n, k * radius))
         sk, kk = sphere_operators(Sphere(L, radius), k, *shared)
-        assert np.array_equal(sk.matrix, -1j * k * radius * radius * jh[deg])
-        assert np.array_equal(kk.matrix, -0.5j * k * k * radius * radius * jh_d[deg])
+        assert np.array_equal(sk, -1j * k * radius * radius * jh[deg])
+        assert np.array_equal(kk, -0.5j * k * k * radius * radius * jh_d[deg])
     # the energies' radial integrals: the double series of the k_c R terms
     # on both sides of the cut
-    i_mass, i_grad = _energy_ops(Sphere(L, radius), pr.kc).tables()
+    i_mass, i_grad = helmholtz_operators(Sphere(L, radius), pr.kc).tables()
     mass, grad = sph_radial_from(n, pr.kc * radius)
     assert np.array_equal(i_mass, (radius ** 3 / (2 * n + 3) * mass)[deg])
     assert np.array_equal(i_grad, (radius * grad)[deg])
@@ -839,16 +823,50 @@ def test_solution_pair_rejects_non_finite():
 
 
 def test_assemble_system_wavenumber_guard():
+    # operators is the pair (at k_c, at omega) of HelmholtzOperators: a
+    # pair at another wavenumber raises ValueError, and a bare tuple of
+    # arrays or the four operators in a row TypeError
     nodes, _ = _circle_spectrum(1.0, 64)
     pr = TransmissionProblem(dim=2, geometry=nodes, s=0.1, delta=0.05,
                              eps_c=-2.0, omega0=1.0, a=np.array([1.0, 0.0]),
                              z=np.array([3.0, 0.0]))
-    wrong = assemble_S_omega(nodes, 0.9 * pr.omega)
-    good_kc_s = assemble_S_omega(nodes, pr.kc)
-    good_kc_k = assemble_Kstar_omega(nodes, pr.kc)
-    good_om_k = assemble_Kstar_omega(nodes, pr.omega)
-    with pytest.raises(ValueError):
-        assemble_system(pr, operators=(good_kc_s, good_kc_k, wrong, good_om_k))
+    at_kc, at_omega = helmholtz_operators(nodes, pr.kc), helmholtz_operators(nodes, pr.omega)
+    assert np.array_equal(assemble_system(pr, operators=(at_kc, at_omega))[0],
+                          assemble_system(pr)[0])
+    wrong = helmholtz_operators(nodes, 0.9 * pr.omega)
+    for solve in (assemble_system, solve_direct):
+        for operators in ((at_kc, wrong), (at_omega, at_omega)):
+            with pytest.raises(ValueError, match="wavenumber"):
+                solve(pr, operators=operators)
+        for operators in ((at_kc, (at_omega.s, at_omega.kstar)),
+                          (at_kc.s, at_kc.kstar, at_omega.s, at_omega.kstar)):
+            with pytest.raises(TypeError, match="HelmholtzOperators"):
+                solve(pr, operators=operators)
+
+
+def test_direct_solve_refuses_operators_of_another_geometry():
+    # the pair's geometry is checked as well as its k: unchecked, the
+    # circle's pairs below solved the ellipse problem to residual 7e-15
+    # with a phi 91% off, and the radius-2 sphere's pairs the radius-1
+    # problem to residual 4e-16
+    ellipse = quadrature_nodes(make_curve("ellipse", a=2.0, b=1.0), 64)
+    circle = quadrature_nodes(make_curve("circle", radius=1.0), 64)
+    pr = TransmissionProblem(dim=2, geometry=ellipse, s=0.1, delta=0.05, eps_c=-2.0,
+                             omega0=1.0, a=[1.0, 0.0], z=[3.0, 0.0])
+    sph = TransmissionProblem(dim=3, geometry=Sphere(8, 1.0), s=1e-3, delta=1e-2,
+                              eps_c=-2.0, omega0=1.0, a=[0.0, 0.0, 1.0], z=[0.0, 0.0, 3.0])
+    for problem, other, solvers in ((pr, circle, (assemble_system, solve_direct)),
+                                    (sph, Sphere(8, 2.0), (solve_direct,)),
+                                    (sph, circle, (solve_direct,))):
+        own = tuple(helmholtz_operators(problem.geometry, k)
+                    for k in (problem.kc, problem.omega))
+        assert np.array_equal(solve_direct(problem, operators=own).phi,
+                              solve_direct(problem).phi)
+        foreign = tuple(helmholtz_operators(other, k) for k in (problem.kc, problem.omega))
+        for solve in solvers:
+            for operators in (foreign, (own[0], foreign[1]), (foreign[0], own[1])):
+                with pytest.raises(ValueError, match="another geometry"):
+                    solve(problem, operators=operators)
 
 
 def test_dipole_traces_default_geometry():
