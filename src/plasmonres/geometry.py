@@ -50,6 +50,12 @@ _POLYGON_NODES = 512
 # smallest spherical-harmonic truncation degree a sphere accepts
 MIN_SPHERE_DEGREE = 4
 
+# largest node count and sphere degree: the first array each one sizes has
+# N^2 node pairs or (L + 1)^2 harmonic slots, kept to 2^24 entries, so that
+# one complex array of that size is 256 MiB
+MAX_NODES = 4096
+MAX_SPHERE_DEGREE = MAX_NODES - 1
+
 # each curve kind's parameters, in the order `kind:v1,v2` lists them, with
 # their defaults; None marks a parameter make_curve requires
 CURVE_PARAMS = {"circle": {"radius": 1.0}, "ellipse": {"a": None, "b": None}, "kite": {}}
@@ -128,13 +134,21 @@ class BoundaryCurve:
         return np.stack(comps[order], axis=-1)
 
 
+def read_only(*arrays):
+    """Mark each of arrays read-only; returns the first."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays[0]
+
+
 @dataclass(frozen=True, eq=False)
 class NodeSet:
     """
     Trapezoid quadrature nodes on a 2D boundary curve.
 
     weights carry the arclength measure: w_j = (2 pi / N) |x'(t_j)|, so
-    sum(w) approximates the perimeter to spectral accuracy.
+    sum(w) approximates the perimeter to spectral accuracy. The arrays
+    are read-only.
     """
 
     curve: BoundaryCurve
@@ -144,6 +158,9 @@ class NodeSet:
     weights: np.ndarray     # arclength weights, shape (N,)
     normals: np.ndarray     # outward unit normals, shape (N, 2)
     curvatures: np.ndarray  # signed curvature kappa(t_j), shape (N,)
+
+    def __post_init__(self):
+        read_only(self.t, self.points, self.jacobians, self.weights, self.normals, self.curvatures)
 
     @property
     def n(self):
@@ -172,9 +189,9 @@ class NodeSet:
 class Sphere(namedtuple("Sphere", "L R")):
     """
     The radius-R sphere with spherical harmonics of degrees 0..L, checked
-    once, here: L an integer (is_integer) >= MIN_SPHERE_DEGREE and R a
-    finite positive number (is_number), stored as (int, float). Every
-    sphere routine trusts it.
+    once, here: L an integer (is_integer) from MIN_SPHERE_DEGREE to
+    MAX_SPHERE_DEGREE and R a finite positive number (is_number), stored
+    as (int, float). Every sphere routine trusts it.
     """
 
     __slots__ = ()
@@ -183,6 +200,8 @@ class Sphere(namedtuple("Sphere", "L R")):
         if not (is_integer(L) and L >= MIN_SPHERE_DEGREE):
             raise ValueError(f"sphere degree must be an integer L >= {MIN_SPHERE_DEGREE}, "
                              f"got {L!r}")
+        if L > MAX_SPHERE_DEGREE:
+            raise ValueError(f"sphere degree must be at most {MAX_SPHERE_DEGREE}")
         R = as_number("sphere radius", R)
         if not 0.0 < R < np.inf:
             raise ValueError(f"sphere radius must be finite and R > 0, got {R!r}")
@@ -199,11 +218,6 @@ class InteriorPointSet:
     points: np.ndarray   # shape (M, 2)
     weights: np.ndarray  # cell areas, shape (M,)
     buffer: float
-
-
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -246,7 +260,7 @@ class PairwiseGeometry:
         r_index = np.zeros(r.shape, dtype=np.int32)
         r_index[upper] = r_index.T[upper] = inverse
         log_weights = log_weight_matrix(nodes.n)
-        _read_only(r, r_distinct, r_index, logsin, nu_dot, nu_dot_r, log_weights)
+        read_only(r, r_distinct, r_index, logsin, nu_dot, nu_dot_r, log_weights)
         return cls(r, r_distinct, r_index, logsin, nu_dot, nu_dot_r, log_weights)
 
 
@@ -286,10 +300,9 @@ class TargetSet:
                 "near-boundary evaluation is unsupported"
             )
         log_r = np.log(r)
-        _read_only(points, log_r, r2)
+        read_only(points, log_r, r2)
         if weights is not None:
-            weights = np.array(weights, dtype=float)
-            _read_only(weights)
+            weights = read_only(np.array(weights, dtype=float))
         return cls(points, weights, log_r, r2, float(r.max(initial=0.0)))
 
 
@@ -359,10 +372,12 @@ def quadrature_nodes(curve, n):
         Boundary curve.
     n : int
         Node count, an integer (is_integer, never rounded to one), even
-        and >= 16; else ValueError.
+        and from 16 to MAX_NODES; else ValueError.
     """
     if not is_integer(n):
         raise ValueError(f"node count n must be an integer, got {n!r}")
+    if n > MAX_NODES:
+        raise ValueError(f"node count n must be at most {MAX_NODES}")
     if n % 2 != 0 or n < 16:
         raise ValueError(f"node count must be even and >= 16, got {n}")
     t = 2.0 * np.pi * np.arange(n) / n

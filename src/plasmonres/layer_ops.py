@@ -48,8 +48,8 @@ integrals of its interior energy (`HelmholtzOperators.tables`) are
 double series of the k R terms of j_n at every |k| R, refused where k is
 so near the real axis that the terms cancel (specfun.sph_radial_from).
 Every operator is a read-only ndarray, safe to share across threads;
-the geometry and k of a pair (S^k, K^k*) live once, on its
-`HelmholtzOperators`.
+the geometry and k of a pair (S^k, K^k*) live once, on its frozen
+`HelmholtzOperators`, whose `tables` the sweep's thread alone builds.
 
 Operator conventions: the single layer is S[phi](x) = int Gamma(x-y)
 phi(y) dsigma(y); the adjoint NP operator K* has kernel d/dnu_x
@@ -59,12 +59,13 @@ derivatives of S[phi] are (+1/2 I + K*)phi outside and (-1/2 I + K*)phi
 inside.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
 
-from .geometry import NodeSet, Sphere, TargetSet
+from .geometry import NodeSet, Sphere, TargetSet, read_only
 from .specfun import (
     EULER_GAMMA,
     gamma_helmholtz_series,
@@ -95,11 +96,6 @@ _MAX_K_DIAM = 5.0
 # largest |k| r_max over a target set for which off-boundary potentials
 # are summed from the low-frequency series of the kernel
 _SERIES_KR_MAX = 0.5
-
-def _frozen(m):
-    m.flags.writeable = False
-    return m
-
 
 def _require_2d(nodes):
     if not isinstance(nodes, NodeSet):
@@ -139,7 +135,7 @@ def assemble_S(nodes):
     m1 = np.broadcast_to(jac / (4.0 * np.pi), (n, n)).copy()
     m2 = (np.log(pw.r * pw.r) - pw.logsin) * jac / (4.0 * np.pi)
     np.fill_diagonal(m2, np.log(jac) * jac / (2.0 * np.pi))
-    return _frozen(_weighted_sum(pw, m1, m2))
+    return read_only(_weighted_sum(pw, m1, m2))
 
 
 def assemble_Kstar(nodes):
@@ -154,7 +150,7 @@ def assemble_Kstar(nodes):
     pw = nodes.pairwise
     kern = pw.nu_dot / (2.0 * np.pi * pw.r * pw.r) * nodes.jacobians
     np.fill_diagonal(kern, nodes.curvatures * nodes.jacobians / (4.0 * np.pi))
-    return _frozen((2.0 * np.pi / n) * kern)
+    return read_only((2.0 * np.pi / n) * kern)
 
 
 def _distance_table(nodes, k, name, order):
@@ -187,7 +183,7 @@ def assemble_S_omega(nodes, k):
     m2 -= m1 * pw.logsin
     diag = (-0.25j + (EULER_GAMMA + np.log(k * jac / 2.0)) / (2.0 * np.pi)) * jac
     np.fill_diagonal(m2, diag)
-    return _frozen(_weighted_sum(pw, m1, m2))
+    return read_only(_weighted_sum(pw, m1, m2))
 
 
 def assemble_Kstar_omega(nodes, k):
@@ -211,7 +207,7 @@ def assemble_Kstar_omega(nodes, k):
     m2 *= jac
     m2 -= m1 * pw.logsin
     np.fill_diagonal(m2, nodes.curvatures * jac / (4.0 * np.pi))
-    return _frozen(_weighted_sum(pw, m1, m2))
+    return read_only(_weighted_sum(pw, m1, m2))
 
 
 def eval_potential(nodes, density, k, points):
@@ -261,13 +257,13 @@ def _potential_kernel(targets, k):
     return -0.25j * special.hankel1(0, k * np.sqrt(targets.r2))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HelmholtzOperators:
     """
     The pair (S^k, K^k*) of one geometry at one wavenumber k (stored as
     complex(k)), as helmholtz_operators builds it, which solve_direct
     checks against its problem, and its interior data for the energies,
-    built on the first call of tables(). On a NodeSet: _potential_kernel
+    tables, built on first use and kept. On a NodeSet: _potential_kernel
     on the coarse grid and the collar edge of nodes.interior. On a
     Sphere: per harmonic slot of degree n the radial integrals of
     g_n(r) = j_n(k r)/j_n(k R),
@@ -278,29 +274,27 @@ class HelmholtzOperators:
     as double series of the terms of the j_n series at k R
     (_sphere_radial_table) at every |k| R.
 
-    A sweep keeps the pair at k_c per grid point for its direct solve and
-    both energies, so each is built once per point and freed with it.
+    A sweep keeps the pair at k_c per grid point for its direct solve
+    and both energies, so each is built once per point and freed with
+    it, tables on the sweep's thread only: on Python 3.11 a
+    cached_property builds under one lock for the whole class.
     """
 
     geometry: object
     k: complex
     s: np.ndarray
     kstar: np.ndarray
-    _tables: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.k = complex(self.k)
+        object.__setattr__(self, "k", complex(self.k))
 
+    @cached_property
     def tables(self):
         """(coarse, edge) kernel matrices, or the sphere's (i_mass, i_grad)."""
-        if self._tables is None:
-            if isinstance(self.geometry, NodeSet):
-                quad = self.geometry.interior
-                self._tables = (_potential_kernel(quad.coarse, self.k),
-                                _potential_kernel(quad.edge, self.k))
-            else:
-                self._tables = _sphere_radial_table(self.geometry, self.k)
-        return self._tables
+        if isinstance(self.geometry, NodeSet):
+            quad = self.geometry.interior
+            return _potential_kernel(quad.coarse, self.k), _potential_kernel(quad.edge, self.k)
+        return _sphere_radial_table(self.geometry, self.k)
 
 
 def helmholtz_operators(geometry, k, terms=None):
@@ -367,4 +361,4 @@ def sphere_operators(sphere, k=0.0, terms=None):
         jh, jhp = sph_jh_from(terms or sph_terms(np.arange(L + 1), k * R))
         s_diag = -1j * k * R * R * jh[deg]
         kstar_diag = -0.5j * k * k * R * R * jhp[deg]
-    return _frozen(s_diag), _frozen(kstar_diag)
+    return read_only(s_diag), read_only(kstar_diag)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .geometry import NodeSet, Sphere
+from .geometry import NodeSet, Sphere, read_only
 from .layer_ops import assemble_Kstar, assemble_S, sphere_degree_index, sphere_operators
 
 __all__ = [
@@ -71,7 +71,8 @@ class NPSpectrum:
     c0_h the one of the stored phi_0; c0_h == 0 exactly when the
     constant slot is patched. geometry is the NodeSet or Sphere the
     spectrum belongs to. On the sphere densities, gram and stilde_traces
-    are diagonal and stored as their 1-D diagonals.
+    are diagonal and stored as their 1-D diagonals. The arrays are
+    read-only.
     """
 
     lambdas: np.ndarray
@@ -85,6 +86,9 @@ class NPSpectrum:
     stilde_traces: np.ndarray
     dim: int
     geometry: object
+
+    def __post_init__(self):
+        read_only(self.lambdas, self.densities, self.gram, self.wdiag, self.stilde_traces)
 
     @property
     def n(self):

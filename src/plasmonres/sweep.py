@@ -23,7 +23,6 @@ with shortest round-trip formatting, so a sweep writes byte-identical
 CSV on repeated runs apart from the wall_time_ms column.
 """
 
-import contextlib
 import csv
 import math
 import time
@@ -417,21 +416,15 @@ def run_sweep(config):
     solvers = ("direct", "spectral") if config.solver == "both" else (config.solver,)
     spectrum = spectrum_of(config.geometry)
     problems = [config.problem_at(float(d)) for d in config.delta_grid()]
-    if config.dim == 2:
-        # a boundary too coarse for its interior quadrature is left to
-        # fail each point's rows with this error
-        with contextlib.suppress(ValueError):
-            config.geometry.interior
-        per_point = _solve_ahead(problems, spectrum, solvers)
-    else:
-        per_point = [solve_point(p, spectrum, solvers)[0] for p in problems]
+    per_point = (_solve_ahead(problems, spectrum, solvers) if config.dim == 2
+                 else [solve_point(p, spectrum, solvers)[0] for p in problems])
     rows = tuple(r for point in per_point for r in point)
     _write_csv(config.csv_path, rows)
 
     fit_solver = "direct" if config.solver in ("direct", "both") else "spectral"
     fit_rows = [r for r in rows if r.solver == fit_solver and _row_valid(r)]
     n_valid = sum(_row_valid(r) for r in rows)
-    invalid_fraction = 1.0 - n_valid / len(rows)
+    invalid_fraction = (len(rows) - n_valid) / len(rows)
 
     slope = None
     interval = None

@@ -571,7 +571,7 @@ def gradient_energy(phi, operators):
         e_b = float(np.real(np.sum(geometry.weights * u_trace * np.conj(dnu))))
         # int |u|^2: coarse grid plus boundary collar
         quad = geometry.interior
-        coarse, edge = operators.tables()
+        coarse, edge = operators.tables
         wphi = geometry.weights * phi
         v_bulk = float(np.sum(quad.coarse.weights * np.abs(coarse @ wphi) ** 2))
         v_collar = float(_collar_integral(geometry, quad.collar, np.abs(u_trace) ** 2,
@@ -579,7 +579,7 @@ def gradient_energy(phi, operators):
         return e_b + np.real(kc * kc) * (v_bulk + v_collar)
     dnu = (-0.5 + operators.kstar) * phi
     e_b = float(np.real(np.sum(u_trace * np.conj(dnu))))
-    i_mass, i_grad = operators.tables()
+    i_mass, i_grad = operators.tables
     t2 = np.abs(u_trace) ** 2 / geometry.R ** 2
     vol = float(np.sum(t2 * i_mass))
     e_identity = e_b + np.real(kc * kc) * vol

@@ -278,7 +278,7 @@ def _mp_a(mp, n, z):
 
 def sphere_radial_integrals_mp(n, k, radius, dps=50):
     """
-    (i_mass, i_grad) of the sphere's InteriorKernels at degree n, as
+    (i_mass, i_grad) of a sphere pair's HelmholtzOperators.tables at degree n, as
     floats from dps-digit mpmath, by closed forms that share nothing with
     the package's term-by-term series. With g = j_n(k r)/j_n(k R) and
     z = k R, Green's identity for the radial mode u = g Y_n gives

@@ -1,9 +1,18 @@
 """Boundary curves, quadrature nodes, and interior grids."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from plasmonres.geometry import make_curve, quadrature_nodes, interior_points
+from plasmonres.geometry import (
+    MAX_NODES,
+    MAX_SPHERE_DEGREE,
+    Sphere,
+    make_curve,
+    quadrature_nodes,
+    interior_points,
+)
 
 # adaptive arclength quadrature of the 2:1 ellipse, frozen independently
 ELLIPSE_21_PERIMETER = 9.688448220547676
@@ -101,3 +110,40 @@ def test_interior_points_ellipse_inside():
     x, y = grid.points[:, 0], grid.points[:, 1]
     assert np.all((x / 2.0) ** 2 + y ** 2 < 1.0)
     assert grid.buffer == 0.08
+
+
+def test_node_arrays_are_read_only():
+    # a NodeSet is shared by the sweep's threads; its arrays are marked
+    # read-only when it is built, also when dataclasses.replace builds it
+    nodes = quadrature_nodes(make_curve("kite"), 32)
+    moved = dataclasses.replace(nodes, points=nodes.points + 1.0)
+    for record in (nodes, moved):
+        for name in ("t", "points", "jacobians", "weights", "normals", "curvatures"):
+            array = getattr(record, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+
+@pytest.mark.parametrize("n", [10 ** 400, 10 ** 5, MAX_NODES + 2])
+def test_node_count_cap(n):
+    # the first N x N array would be allocated far past the cap: refused
+    # by name before any array is built
+    with pytest.raises(ValueError, match=f"^node count n must be at most {MAX_NODES}$"):
+        quadrature_nodes(make_curve("circle"), n)
+
+
+@pytest.mark.parametrize("degree", [10 ** 400, 10 ** 5, MAX_SPHERE_DEGREE + 1])
+def test_sphere_degree_cap(degree):
+    with pytest.raises(ValueError,
+                       match=f"^sphere degree must be at most {MAX_SPHERE_DEGREE}$"):
+        Sphere(degree, 1.0)
+
+
+def test_sizes_up_to_the_caps_pass():
+    # the caps leave room for the largest sizes in use (n = 1024,
+    # degree 120); the constructors at the caps allocate O(N) only
+    for n in (1024, MAX_NODES):
+        assert quadrature_nodes(make_curve("circle"), n).n == n
+    for degree in (120, MAX_SPHERE_DEGREE):
+        assert Sphere(degree, 1.0).L == degree

@@ -33,7 +33,11 @@ tree's src/ and once with ROOT/src, prints every cell whose text
 differs, residual included and wall_time_ms left out, then runs
 `python -m plasmonres validate all` in both trees with the pins' thread
 count and prints every check whose JSON differs. It exits 1 if any cell
-or check does.
+or check does. With --floor after ROOT it also prints each differing
+cell's relative move beside its column's rounding floor from
+tests/golden/floor.json (written by tests/golden_floor.py; the sphere
+pins have none) and says whether every move lies within its floor; the
+exit status stays that of the byte comparison.
 """
 
 import csv
@@ -168,20 +172,52 @@ def test_cell_drift_comparator():
     assert len(cell_drift(pinned + pinned, pinned)) == 1
 
 
-def _differing_cells(root, names):
-    """Print each cell of the named pins whose text differs at root; count them."""
-    count = 0
+def relative_move(cell, pinned):
+    """|x - pin| / |pin| of two CSV cells, |x| where the pin is 0; 0 for two NaNs."""
+    x, y = float(cell), float(pinned)
+    if math.isnan(x) and math.isnan(y):
+        return 0.0
+    return abs(x - y) / abs(y) if y else abs(x)
+
+
+def _beside_floor(floors, name, key, cell, ref):
+    """
+    ('; move M, floor F', within) for a cell that differs from ref, the
+    note ending in ', OUTSIDE' when the move exceeds the column's floor
+    in floors or the column has none.
+    """
+    floor = floors.get(name, {}).get("columns", {}).get(key, {}).get("floor")
+    move = math.inf if key == "solver" or None in (cell, ref) else relative_move(cell, ref)
+    within = floor is not None and move <= floor
+    note = f"; move {move:.2e}, floor {'none' if floor is None else f'{floor:.2e}'}"
+    return note + ("" if within else ", OUTSIDE"), within
+
+
+def _differing_cells(root, names, floors=None):
+    """
+    Print each cell of the named pins whose text differs at root, with
+    its move and floor from floors ({pin: floor.json entry}) when given;
+    returns (cells, cells beyond their floor or with none).
+    """
+    count = outside = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             here = _run_pin(name, Path(tmp) / f"{name}.csv")
             there = _run_pin(name, Path(tmp) / f"{name}-root.csv", package_root=root / "src")
             for i, (row, ref) in enumerate(zip_longest(here, there, fillvalue={})):
                 for key in dict.fromkeys([*row, *ref]):
-                    if key not in IGNORED and row.get(key) != ref.get(key):
-                        print(f"{name} row {i} {key}: {row.get(key)}, at {root}: {ref.get(key)}")
-                        count += 1
+                    if key in IGNORED or row.get(key) == ref.get(key):
+                        continue
+                    line = f"{name} row {i} {key}: {row.get(key)}, at {root}: {ref.get(key)}"
+                    if floors is not None:
+                        note, within = _beside_floor(floors, name, key, row.get(key),
+                                                     ref.get(key))
+                        line += note
+                        outside += not within
+                    print(line)
+                    count += 1
             print(f"{name}: {len(here)} rows here, {len(there)} at {root}")
-    return count
+    return count, outside
 
 
 def _validate_checks(package_root):
@@ -207,12 +243,19 @@ if __name__ == "__main__":
     mode, names, root = sys.argv[1:2], sys.argv[2:], None
     if mode == ["--against"] and names:
         root, names = Path(names[0]).resolve(), names[1:]
+    floors = None
+    if root and names[:1] == ["--floor"]:
+        names = names[1:]
+        floors = json.loads((GOLDEN_DIR / "floor.json").read_text())
     if not (mode == ["--write"] or root) or not set(names) <= set(PINS):
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write [NAME ...]\n"
-                 "       PYTHONPATH=src python tests/test_golden.py --against ROOT [NAME ...]")
+                 "       PYTHONPATH=src python tests/test_golden.py --against ROOT "
+                 "[--floor] [NAME ...]")
     if root:
-        count = _differing_cells(root, names or sorted(PINS))
+        count, outside = _differing_cells(root, names or sorted(PINS), floors)
         print(f"{count} differing cells")
+        if floors is not None:
+            print(f"{count - outside} of them within their floors, {outside} not")
         checks = _differing_checks(root)
         print(f"{checks} differing validate checks")
         sys.exit(1 if count or checks else 0)

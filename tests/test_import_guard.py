@@ -17,11 +17,13 @@ name in specfun's __all__ has a caller in another module of the
 package, so a kernel that loses its last caller shows here, and every
 top-level function or class outside its module's __all__ is named by
 some code of the package beyond its own definition, so a private helper
-that loses its last caller shows too.
+that loses its last caller shows too. Every dataclass of the package is
+frozen: its records are shared by a sweep's threads and points.
 """
 
 import ast
 from collections import Counter
+import dataclasses
 import importlib
 import json
 import os
@@ -115,6 +117,19 @@ def test_every_public_name_resolves():
     for module in layers:
         for name in module.__all__:
             assert getattr(plasmonres, name) is getattr(module, name), name
+
+
+def test_every_dataclass_is_frozen():
+    # a sweep's records (nodes, spectrum, operator pairs, problems, rows)
+    # are read by its look-ahead pool's threads and by every point, so
+    # none of them can be rebound after it is built
+    modules = [importlib.import_module(f"plasmonres.{info.name}")
+               for info in pkgutil.iter_modules(plasmonres.__path__)]
+    classes = {value for module in modules for value in vars(module).values()
+               if dataclasses.is_dataclass(value) and isinstance(value, type)
+               and value.__module__.startswith("plasmonres.")}
+    assert len(classes) >= 13
+    assert sorted(c.__name__ for c in classes if not c.__dataclass_params__.frozen) == []
 
 
 def test_every_kernel_has_a_caller():

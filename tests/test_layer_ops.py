@@ -4,6 +4,8 @@ structure, low-frequency remainders, off-boundary evaluation, jump
 relations, and the sphere diagonals.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import special
@@ -423,7 +425,7 @@ def test_sphere_radial_integrals_mpmath(size, tol, rays):
     for radius in (1.0, 2.0):
         for ray in rays:
             k = size * ray / radius
-            i_mass, i_grad = helmholtz_operators(Sphere(L, radius), k).tables()
+            i_mass, i_grad = helmholtz_operators(Sphere(L, radius), k).tables
             for n in range(L + 1):
                 want = reference_ops.sphere_radial_integrals_mp(n, k, radius)
                 for got, ref in zip((i_mass[pole[n]], i_grad[pole[n]]), want):
@@ -439,9 +441,9 @@ def test_sphere_radial_integrals_refuse_cancellation():
     pytest.importorskip("mpmath")
     sphere = Sphere(40, 1.0)
     with pytest.raises(ValueError, match=r"\|k R\| = 3\b"):
-        helmholtz_operators(sphere, 3.0).tables()
+        helmholtz_operators(sphere, 3.0).tables
     k = 10.0 * np.exp(-0.25j * np.pi)
-    i_mass, i_grad = helmholtz_operators(sphere, k).tables()
+    i_mass, i_grad = helmholtz_operators(sphere, k).tables
     for n in range(41):
         want = reference_ops.sphere_radial_integrals_mp(n, k, 1.0)
         for got, ref in zip((i_mass[n * n + n], i_grad[n * n + n]), want):
@@ -478,6 +480,24 @@ def test_operators_are_read_only():
         assert not op.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             op[0] = 0.0
+
+
+@pytest.mark.parametrize("geometry", [_circle(32), Sphere(8, 1.0)], ids=["circle", "sphere"])
+def test_helmholtz_operators_are_frozen(geometry):
+    # the pair a sweep point shares between its solve and both energies
+    # cannot be rebound, its operators cannot be written, and its tables
+    # are built once, on first use
+    pair = helmholtz_operators(geometry, 0.5 - 0.01j)
+    assert pair.k == 0.5 - 0.01j
+    for name in ("geometry", "k", "s", "kstar"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pair, name, getattr(pair, name))
+    for op in (pair.s, pair.kstar):
+        with pytest.raises(ValueError, match="read-only"):
+            op[0] = 0.0
+    assert "tables" not in vars(pair)
+    assert pair.tables is pair.tables
+    assert len(pair.tables) == 2
 
 
 def test_sphere_diagonal_by_quadrature_spot_checks():

@@ -177,6 +177,36 @@ def test_coeffs_check_expansion_and_guard():
         coeffs_check(f[:-1], spec)
 
 
+def test_coeffs_check_guard_at_its_tolerance():
+    # on the sphere the S~ expansion is exact, so scaling the trace table
+    # by 1 + m misses every trace by m relative: 1e-5 is refused, 1e-7
+    # is within the documented 1e-6
+    import dataclasses
+    spec = sphere_spectrum(Sphere(8, 1.0))
+    f = np.random.default_rng(5).standard_normal(spec.n)
+    for miss, refused in ((1e-7, False), (1e-5, True)):
+        off = dataclasses.replace(spec, stilde_traces=(1.0 + miss) * spec.stilde_traces)
+        if refused:
+            with pytest.raises(RuntimeError, match="S~ expansion residual"):
+                coeffs_check(f, off)
+        else:
+            coeffs_check(f, off)
+
+
+@pytest.mark.parametrize("make", [lambda: _spectrum_2d("ellipse", 64, a=2.0, b=1.0)[1],
+                                  lambda: sphere_spectrum(Sphere(8, 1.0))],
+                         ids=["ellipse", "sphere"])
+def test_spectrum_arrays_are_read_only(make):
+    # a spectrum is shared by every point of a sweep and by the look-ahead
+    # pool's threads, so none of its arrays can be written through
+    spec = make()
+    for name in ("lambdas", "densities", "gram", "wdiag", "stilde_traces"):
+        array = getattr(spec, name)
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
 def test_eigendecomposition_symmetry_guard(monkeypatch):
     # a K* that is not self-adjoint in the Gram (the kite's, at the same
     # node count, against the ellipse's Gram) trips the symmetry check

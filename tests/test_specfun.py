@@ -370,6 +370,20 @@ def test_gamma_helmholtz_series_mpmath_oracle():
             assert abs(got - want) <= 1e-14 * abs(want)
 
 
+def test_gamma_helmholtz_series_few_ulp_at_the_cut():
+    # the docstring's accuracy, a few 1e-16 relative against mpmath, at
+    # |k| r = 0.5, where the potentials switch to Hankel values; the series
+    # must run until its terms fall below 1e-20 to get there
+    mpmath = pytest.importorskip("mpmath")
+    for k in (0.4, 0.4 * np.exp(-0.3j), compute_kc(0.4, -2.0, 1e-2), 0.7j):
+        r = np.array([0.5, 0.3]) / abs(k)
+        got = gamma_helmholtz_series(np.log(r), r * r, k)
+        with mpmath.workdps(40):
+            kk = mpmath.mpc(complex(k).real, complex(k).imag)
+            want = [complex(-0.25j * mpmath.hankel1(0, kk * mpmath.mpf(x))) for x in r]
+        assert np.all(np.abs(got - want) <= 5e-16 * np.abs(want))
+
+
 def test_expm1_over_z_mpmath_at_the_series_cut():
     # series below |z| = 0.25, exp(z) - 1 divided above, 1 at z = 0
     mpmath = pytest.importorskip("mpmath")

@@ -266,6 +266,49 @@ def test_sweep_invalid_fraction_forces_inconclusive(tmp_path, monkeypatch):
     assert result.verdict == "inconclusive"
 
 
+def _synthetic_sweep(tmp_path, monkeypatch, slope, failing=(), **overrides):
+    """
+    run_sweep on a sphere config whose points report energy_norm
+    delta**slope on every row, except the points with grid index in
+    failing, whose rows fail.
+    """
+    cfg = _sphere_config(tmp_path, **overrides)
+    grid = [float(d) for d in cfg.delta_grid()]
+
+    def synthetic(problem, spectrum, solvers):
+        if grid.index(problem.delta) in failing:
+            rows = [sweep_module._failed_row(problem, name) for name in solvers]
+        else:
+            rows = [sweep_module.SweepRow(problem.delta, problem.s, problem.omega,
+                                          problem.delta ** slope, 1.0, 1.0, name, 0.0, 0.0)
+                    for name in solvers]
+        return rows, [None] * len(solvers)
+
+    monkeypatch.setattr(sweep_module, "solve_point", synthetic)
+    return run_sweep(cfg)
+
+
+@pytest.mark.parametrize("slope, verdict", [(-1.151, "inconclusive"), (-1.149, "resonant"),
+                                            (-0.851, "resonant"), (-0.849, "inconclusive")])
+def test_verdict_at_the_edges_of_the_resonant_window(tmp_path, monkeypatch, slope, verdict):
+    # the window is [-1.15, -0.85]; an exact power law fits its own slope
+    result = _synthetic_sweep(tmp_path, monkeypatch, slope, delta_min=1e-5)
+    assert result.slope == pytest.approx(slope, abs=1e-12)
+    assert result.verdict == verdict
+
+
+@pytest.mark.parametrize("points_per_decade, failing, verdict", [
+    (3, (3, 4, 5), "resonant"),             # 3 of 10 rows: exactly 30%
+    (4, (3, 4, 5, 6), "inconclusive")])     # 4 of 13 rows: just above
+def test_invalid_fraction_at_its_bound(tmp_path, monkeypatch, points_per_decade, failing,
+                                       verdict):
+    # more than 30% invalid rows forces 'inconclusive'; 30% itself does not
+    result = _synthetic_sweep(tmp_path, monkeypatch, -1.0, failing, solver="spectral",
+                              delta_min=1e-5, points_per_decade=points_per_decade)
+    assert result.invalid_fraction == len(failing) / len(result.rows)
+    assert result.verdict == verdict
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sphere_slope_independent_of_degree(tmp_path):
     # the 3D blow-up rate and energies must not depend on the truncation
@@ -464,20 +507,58 @@ def test_repeated_sweeps_retain_no_operators(tmp_path, monkeypatch):
 @pytest.mark.parametrize("points_per_decade", (1, 4))
 def test_2d_sweep_builds_interior_grids_once(tmp_path, monkeypatch,
                                              points_per_decade):
-    calls = []
+    # the coarse and fine grids are built once per sweep, with no warm-up:
+    # point 0's coupling builds them on the sweep's thread after the pool
+    # has started the first operators
+    events = []
     original = geometry_module.interior_points
+    start = sweep_module._start_operators
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        events.append(("grid", threading.current_thread()))
         return original(*args, **kwargs)
+
+    def starting(*args):
+        events.append(("start", threading.current_thread()))
+        return start(*args)
 
     for module in (geometry_module, transmission_module):
         monkeypatch.setattr(module, "interior_points", counting)
+    monkeypatch.setattr(sweep_module, "_start_operators", starting)
     cfg = _ellipse_config(tmp_path, points_per_decade=points_per_decade)
+    assert "interior" not in vars(cfg.geometry)
     result = run_sweep(cfg)
     assert len(result.rows) == 2 * len(cfg.delta_grid())
     assert result.invalid_fraction == 0.0
-    assert len(calls) <= 2
+    assert [name for name, _ in events[:4]] == ["start", "start", "grid", "grid"]
+    assert [name for name, _ in events].count("grid") == 2
+    assert {thread for _, thread in events} == {threading.main_thread()}
+
+
+def test_2d_sweep_on_a_boundary_too_coarse_for_its_grids(tmp_path, monkeypatch):
+    # a boundary whose interior quadrature cannot be built fails every row
+    # of every point with the same ValueError: a failed build is not cached
+    def no_points(*args, **kwargs):
+        raise ValueError("no interior points at distance >= 1; buffer exceeds inradius")
+
+    for module in (geometry_module, transmission_module):
+        monkeypatch.setattr(module, "interior_points", no_points)
+    errors = []
+    original = sweep_module.solve_point
+
+    def recording(*args):
+        rows, errs = original(*args)
+        errors.extend(errs)
+        return rows, errs
+
+    monkeypatch.setattr(sweep_module, "solve_point", recording)
+    cfg = _ellipse_config(tmp_path)
+    result = run_sweep(cfg)
+    assert result.invalid_fraction == 1.0 and result.verdict == "inconclusive"
+    assert len(errors) == len(result.rows) == 2 * len(cfg.delta_grid())
+    assert all(isinstance(e, ValueError) and "buffer exceeds inradius" in str(e)
+               for e in errors)
+    assert "interior" not in vars(cfg.geometry)
 
 
 def _record_interior_kernels(monkeypatch):
@@ -1007,6 +1088,29 @@ def test_cli_config_rejects_non_integer_fields(tmp_path, field, value):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("field, value", [("n", 10 ** 400), ("n", 10 ** 5),
+                                          ("degree", 10 ** 400), ("degree", 10 ** 5)])
+def test_cli_config_caps_node_count_and_degree(tmp_path, capsys, field, value):
+    # 10**400 once failed inside numpy ("Maximum allowed size exceeded"),
+    # naming no key, and 10**5 would ask for N^2 or (L + 1)^2 entries at the
+    # first allocation; the constructor that keeps the count refuses both,
+    # naming it, before any array is built
+    geometry = ({"kind": "ellipse", "a": 2.0, "b": 1.0, "n": value} if field == "n"
+                else {"kind": "sphere", "radius": 1.0, "degree": value})
+    config = {"dim": 2 if field == "n" else 3, "geometry": geometry,
+              "eps_c": -2.0, "omega0": 1.0, "csv_path": str(tmp_path / "x.csv"),
+              "a": [1.0, 0.0] if field == "n" else [0.0, 0.0, 1.0],
+              "z": [3.0, 0.0] if field == "n" else [0.0, 0.0, 2.0]}
+    message = f"{field} must be at most "
+    with pytest.raises(ConfigError, match=message):
+        load_sweep_config(config)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 

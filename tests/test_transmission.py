@@ -11,6 +11,7 @@ import copy
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import linalg
 
 from plasmonres.geometry import MIN_SPHERE_DEGREE, Sphere, make_curve, quadrature_nodes
 from plasmonres.layer_ops import (
@@ -251,6 +252,41 @@ def test_slot_solver_pivots_like_lu():
     assert not np.all(np.isfinite(x))
 
 
+def test_slot_solver_ties_keep_the_first_row():
+    # where |Re| + |Im| of the two leading entries tie, getrf keeps the
+    # first row as the pivot, and so does the slot solver: bit for bit
+    # the elimination without a swap (a swap rounds differently)
+    rng = np.random.default_rng(11)
+    a11, a12, a22, f, g = (rng.standard_normal(64) + 1j * rng.standard_normal(64)
+                           for _ in range(5))
+    a21 = 1j * a11.conj()
+    assert np.array_equal(np.abs(a21.real) + np.abs(a21.imag),
+                          np.abs(a11.real) + np.abs(a11.imag))
+    for i in range(8):
+        _, piv = linalg.lu_factor([[a11[i], a12[i]], [a21[i], a22[i]]])
+        assert piv[0] == 0
+    x, y = transmission_module._solve_slots(a11, a12, a21, a22, f, g)
+    lower = a21 / a11
+    y_first = (g - lower * f) / (a22 - lower * a12)
+    assert np.array_equal(y, y_first)
+    assert np.array_equal(x, (f - a12 * y_first) / a11)
+
+
+def test_spectral_denominator_guard_at_its_bound():
+    # D_1 = 5e-14 (delta = 1.5e-13 at the plasmon contrast of lambda_1 =
+    # 1/6) is still solved; ten times smaller counts as the lossless
+    # resonance the guard (1e-14) refuses
+    sph = sphere_spectrum(Sphere(4, 1.0))
+    ones = np.ones(sph.n)
+    for delta, smallest in ((1.5e-13, 5e-14), (1.5e-14, 5e-15)):
+        dvals = transmission_module._denominators(sph.lambdas, -2.0, delta)
+        assert np.min(np.abs(dvals)) == pytest.approx(smallest, rel=1e-3)
+    sol = solve_spectral(ones, ones, -2.0, 1.5e-13, 0.01, sph)
+    assert np.all(np.isfinite(sol.phi))
+    with pytest.raises(RuntimeError, match="denominator vanishes"):
+        solve_spectral(ones, ones, -2.0, 1.5e-14, 0.01, sph)
+
+
 def test_energy_check_rejects_nan():
     with pytest.raises(RuntimeError):
         transmission_module._check_energy_agreement(1.0, float("nan"))
@@ -394,7 +430,7 @@ def test_sphere_bessel_shares_the_public_helpers_values(om, z0, radius, eps_c):
         assert np.array_equal(kk, -0.5j * k * k * radius * radius * jh_d[deg])
     # the energies' radial integrals: the double series of the k_c R terms
     # on both sides of the cut
-    i_mass, i_grad = helmholtz_operators(Sphere(L, radius), pr.kc).tables()
+    i_mass, i_grad = helmholtz_operators(Sphere(L, radius), pr.kc).tables
     mass, grad = sph_radial_from(n, pr.kc * radius)
     assert np.array_equal(i_mass, (radius ** 3 / (2 * n + 3) * mass)[deg])
     assert np.array_equal(i_grad, (radius * grad)[deg])
