@@ -2,28 +2,28 @@
 The rounding floor of the 2D golden pins: how far each pinned cell moves
 when nothing changes but rounding.
 
-Each 2D pin of test_golden.PINS is swept in this process K times (default
-5), each time with every node coordinate moved by -1, 0 or +1 ulp, drawn
-from numpy's default_rng(SEED + i) for run i; the curve's parameters,
-jacobians, normals, curvatures and weights stay as they are. Each pin is
-then swept once more through the command line in a fresh interpreter at
-each of 1 and 2 OpenBLAS threads (test_golden._run_pin). A cell's move is
-its relative distance to the pinned cell, |x - pin| / |pin| (|x| where the
-pin is 0). Per pin and column (wall_time_ms and solver aside, residual
-included) the floor is the largest move of any cell over all those runs.
+Every 2D pin of test_golden.PINS is swept in this process RUNS + 2 times,
+each time with its node coordinates moved by one ulp: in run i < RUNS
+every coordinate moves by -1, 0 or +1 ulp, drawn from numpy's
+default_rng(SEED + i); the last two runs move every coordinate by +1 ulp
+and by -1 ulp. The curve's parameters, jacobians, normals, curvatures and
+weights stay as they are. Each pin is then swept once more through the
+command line in a fresh interpreter at one OpenBLAS thread
+(test_golden._run_pin); the pins' own two threads are the unperturbed
+in-process sweep, which must reproduce every pin cell exactly (the
+script stops if it does not). A cell's move is test_golden.relative_move
+of it against the pinned cell. Per pin and column (wall_time_ms and
+solver aside, residual included) the floor is the largest move of any
+cell over all those runs.
 
-    PYTHONPATH=src python tests/golden_floor.py [--runs K] [--seed SEED] [NAME ...]
+    PYTHONPATH=src python tests/golden_floor.py
 
-sweeps the named 2D pins (all when none is named), prints per pin and
-column the range of the runs' largest moves under the ulp perturbation,
-the moves at 1 and 2 threads and the floor, and writes them, with K and
-SEED, to tests/golden/floor.json (the pins not named keep their entries),
-which `test_golden.py --against ROOT --floor` reads. The in-process sweeps run at two OpenBLAS threads, the pins'
-setting, and an unperturbed in-process sweep must reproduce every pin
-cell exactly; the script stops if it does not. The output depends on the
-seed only. This is tooling outside Tier-1: the 1e-12 byte pins stay, and
-the floor says why two discretisations one ulp apart cannot both meet
-them.
+prints per pin and column the range of the random runs' largest moves,
+the moves of the +1 ulp, -1 ulp and one-thread runs and the floor, and
+rewrites tests/golden/floor.json with them, which `test_golden.py
+--against ROOT` reads. The output is the same on every run. This is
+tooling outside Tier-1: the 1e-12 byte pins stay, and the floor says why
+two discretisations one ulp apart cannot both meet them.
 """
 
 import os
@@ -31,7 +31,6 @@ import os
 # before numpy is imported: the pins were written at two threads
 os.environ["OPENBLAS_NUM_THREADS"] = "2"
 
-import argparse
 import dataclasses
 import json
 import sys
@@ -42,16 +41,15 @@ import numpy as np
 
 from plasmonres.cli import load_sweep_config
 from plasmonres.sweep import run_sweep
-from test_golden import GOLDEN_DIR, IGNORED, PINS, _read, _run_pin, relative_move
+from test_golden import FLOOR_PATH, GOLDEN_DIR, IGNORED, PINS, _read, _run_pin, relative_move
 
-FLOOR_PATH = GOLDEN_DIR / "floor.json"
 PINS_2D = sorted(name for name, pin in PINS.items() if pin["dim"] == 2)
-BLAS_RUNS = (1, 2)
+RUNS = 5
+SEED = 0
 
 
-def move_ulps(points, rng):
-    """points with every coordinate moved by a random -1, 0 or +1 ulp."""
-    steps = rng.integers(-1, 2, size=points.shape)
+def move_ulps(points, steps):
+    """points with each coordinate moved by its step, -1, 0 or +1 ulp."""
     return np.where(steps == 0, points, np.nextafter(points, np.copysign(np.inf, steps)))
 
 
@@ -76,54 +74,44 @@ def _sweep_in_process(name, csv_path, points=None):
     return _read(csv_path)
 
 
-def pin_floor(name, runs, seed, tmp):
-    """
-    {"runs": runs, "seed": seed, "columns": {column: {"ulp": [lo, hi],
-    "blas1": m, "blas2": m, "floor": m}}} of one pin.
-    """
+def pin_floor(name, tmp):
+    """{"columns": {column: {"ulp": [lo, hi], "up": m, "down": m, "blas1": m, "floor": m}}}."""
     pinned = _read(GOLDEN_DIR / f"{name}.csv")
     if any(largest_moves(_sweep_in_process(name, tmp / "plain.csv"), pinned).values()):
         sys.exit(f"{name}: the unperturbed in-process sweep does not reproduce the pin")
-    nodes = load_sweep_config(dict(PINS[name], csv_path=str(tmp / "x.csv"))).geometry
-    ulp = [largest_moves(_sweep_in_process(
-        name, tmp / "ulp.csv", move_ulps(nodes.points, np.random.default_rng(seed + i))),
-        pinned) for i in range(runs)]
-    blas = {threads: largest_moves(_run_pin(name, tmp / f"blas{threads}.csv", threads), pinned)
-            for threads in BLAS_RUNS}
+    points = load_sweep_config(dict(PINS[name], csv_path=str(tmp / "x.csv"))).geometry.points
+    steps = [np.random.default_rng(SEED + i).integers(-1, 2, size=points.shape)
+             for i in range(RUNS)] + [np.ones(points.shape), -np.ones(points.shape)]
+    *ulp, up, down = [largest_moves(_sweep_in_process(name, tmp / "ulp.csv",
+                                                      move_ulps(points, s)), pinned)
+                      for s in steps]
+    blas1 = largest_moves(_run_pin(name, tmp / "blas1.csv", 1), pinned)
     columns = {}
-    for key in ulp[0]:
+    for key in up:
         moves = [run[key] for run in ulp]
-        columns[key] = {"ulp": [min(moves), max(moves)],
-                        **{f"blas{t}": blas[t][key] for t in BLAS_RUNS},
-                        "floor": max(moves + [blas[t][key] for t in BLAS_RUNS])}
-    return {"runs": runs, "seed": seed, "columns": columns}
+        columns[key] = {"ulp": [min(moves), max(moves)], "up": up[key], "down": down[key],
+                        "blas1": blas1[key],
+                        "floor": max(moves + [up[key], down[key], blas1[key]])}
+    return {"columns": columns}
 
 
 def print_table(floors):
-    print(f"{'pin':<20} {'column':<14} {'ulp moves':>21} {'blas1':>9} {'blas2':>9} "
-          f"{'floor':>9}")
+    print(f"{'pin':<20} {'column':<14} {'random ulp moves':>21} {'+1 ulp':>9} {'-1 ulp':>9} "
+          f"{'blas1':>9} {'floor':>9}")
     for name, pin in floors.items():
         for key, f in pin["columns"].items():
             lo, hi = f["ulp"]
-            print(f"{name:<20} {key:<14} {lo:9.2e} to {hi:9.2e} {f['blas1']:9.2e} "
-                  f"{f['blas2']:9.2e} {f['floor']:9.2e}")
+            print(f"{name:<20} {key:<14} {lo:9.2e} to {hi:9.2e} {f['up']:9.2e} "
+                  f"{f['down']:9.2e} {f['blas1']:9.2e} {f['floor']:9.2e}")
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=5, help="ulp-perturbed sweeps per pin")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the first run")
-    parser.add_argument("names", nargs="*", metavar="NAME", help=f"2D pins: {PINS_2D}")
-    args = parser.parse_args(argv)
-    if not set(args.names) <= set(PINS_2D) or args.runs < 1:
-        parser.error(f"NAME must be one of {PINS_2D}, and --runs at least 1")
+def main():
+    if sys.argv[1:]:
+        sys.exit("usage: PYTHONPATH=src python tests/golden_floor.py")
     with tempfile.TemporaryDirectory() as tmp:
-        floors = {name: pin_floor(name, args.runs, args.seed, Path(tmp))
-                  for name in args.names or PINS_2D}
+        floors = {name: pin_floor(name, Path(tmp)) for name in PINS_2D}
     print_table(floors)
-    # the pins not swept keep their floors
-    kept = json.loads(FLOOR_PATH.read_text()) if FLOOR_PATH.exists() else {}
-    FLOOR_PATH.write_text(json.dumps(dict(sorted({**kept, **floors}.items())), indent=1) + "\n")
+    FLOOR_PATH.write_text(json.dumps(floors, indent=1) + "\n")
     print(f"wrote {FLOOR_PATH}")
 
 

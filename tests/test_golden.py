@@ -33,11 +33,11 @@ tree's src/ and once with ROOT/src, prints every cell whose text
 differs, residual included and wall_time_ms left out, then runs
 `python -m plasmonres validate all` in both trees with the pins' thread
 count and prints every check whose JSON differs. It exits 1 if any cell
-or check does. With --floor after ROOT it also prints each differing
-cell's relative move beside its column's rounding floor from
+or check does. Beside each differing cell it prints the cell's
+relative move and its column's rounding floor from
 tests/golden/floor.json (written by tests/golden_floor.py; the sphere
-pins have none) and says whether every move lies within its floor; the
-exit status stays that of the byte comparison.
+pins have none) and marks the cells beyond their floor; the floor
+passes nothing, and the exit status is that of the byte comparison.
 """
 
 import csv
@@ -55,6 +55,7 @@ import pytest
 import plasmonres
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+FLOOR_PATH = GOLDEN_DIR / "floor.json"
 REL_TOL = 1e-12
 IGNORED = ("wall_time_ms",)
 BLAS_THREADS = 2
@@ -173,11 +174,29 @@ def test_cell_drift_comparator():
 
 
 def relative_move(cell, pinned):
-    """|x - pin| / |pin| of two CSV cells, |x| where the pin is 0; 0 for two NaNs."""
+    """
+    |x - pin| / |pin| of two CSV cells, |x| where the pin is 0; 0 for two
+    equal cells or two NaNs, inf when only one of them is finite.
+    """
     x, y = float(cell), float(pinned)
-    if math.isnan(x) and math.isnan(y):
+    if x == y or (math.isnan(x) and math.isnan(y)):
         return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
     return abs(x - y) / abs(y) if y else abs(x)
+
+
+def test_relative_move():
+    assert relative_move("3.0", "2.0") == 0.5
+    assert relative_move("-1e-3", "0.0") == 1e-3
+    assert relative_move("nan", "nan") == relative_move("inf", "inf") == 0.0
+    for cell, pinned in [("nan", "1.0"), ("1.0", "nan"), ("inf", "1.0"), ("1.0", "-inf")]:
+        assert relative_move(cell, pinned) == math.inf
+    # a NaN cell anywhere in a column is its largest move
+    assert max(relative_move(c, "1.0") for c in ["1.0", "nan", "1.5"]) == math.inf
+    note, within = _beside_floor({"p": {"columns": {"s": {"floor": 1e-10}}}}, "p", "s",
+                                 "nan", "1.0")
+    assert not within and note.endswith("OUTSIDE")
 
 
 def _beside_floor(floors, name, key, cell, ref):
@@ -193,12 +212,13 @@ def _beside_floor(floors, name, key, cell, ref):
     return note + ("" if within else ", OUTSIDE"), within
 
 
-def _differing_cells(root, names, floors=None):
+def _differing_cells(root, names):
     """
     Print each cell of the named pins whose text differs at root, with
-    its move and floor from floors ({pin: floor.json entry}) when given;
-    returns (cells, cells beyond their floor or with none).
+    its move and its floor from FLOOR_PATH when that exists; returns
+    (cells, cells beyond their floor or with none).
     """
+    floors = json.loads(FLOOR_PATH.read_text()) if FLOOR_PATH.exists() else {}
     count = outside = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
@@ -208,14 +228,11 @@ def _differing_cells(root, names, floors=None):
                 for key in dict.fromkeys([*row, *ref]):
                     if key in IGNORED or row.get(key) == ref.get(key):
                         continue
-                    line = f"{name} row {i} {key}: {row.get(key)}, at {root}: {ref.get(key)}"
-                    if floors is not None:
-                        note, within = _beside_floor(floors, name, key, row.get(key),
-                                                     ref.get(key))
-                        line += note
-                        outside += not within
-                    print(line)
+                    note, within = _beside_floor(floors, name, key, row.get(key), ref.get(key))
+                    print(f"{name} row {i} {key}: {row.get(key)}, at {root}: {ref.get(key)}"
+                          + note)
                     count += 1
+                    outside += not within
             print(f"{name}: {len(here)} rows here, {len(there)} at {root}")
     return count, outside
 
@@ -243,19 +260,12 @@ if __name__ == "__main__":
     mode, names, root = sys.argv[1:2], sys.argv[2:], None
     if mode == ["--against"] and names:
         root, names = Path(names[0]).resolve(), names[1:]
-    floors = None
-    if root and names[:1] == ["--floor"]:
-        names = names[1:]
-        floors = json.loads((GOLDEN_DIR / "floor.json").read_text())
     if not (mode == ["--write"] or root) or not set(names) <= set(PINS):
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write [NAME ...]\n"
-                 "       PYTHONPATH=src python tests/test_golden.py --against ROOT "
-                 "[--floor] [NAME ...]")
+                 "       PYTHONPATH=src python tests/test_golden.py --against ROOT [NAME ...]")
     if root:
-        count, outside = _differing_cells(root, names or sorted(PINS), floors)
-        print(f"{count} differing cells")
-        if floors is not None:
-            print(f"{count - outside} of them within their floors, {outside} not")
+        count, outside = _differing_cells(root, names or sorted(PINS))
+        print(f"{count} differing cells, {outside} of them beyond their floors or with none")
         checks = _differing_checks(root)
         print(f"{checks} differing validate checks")
         sys.exit(1 if count or checks else 0)
