@@ -46,8 +46,12 @@ def coupling_distance_law():
     print(f"{'degree':>7} {'a_n(z=2)':>14} {'a_n(z=4)':>14} {'ratio':>10} {'2^(n+2)':>9}")
     degrees = (1, 2, 3)
     pole_slots = [n * n + n for n in degrees]
-    _, near = coupling_an(2.0 * axis, axis, pole_slots, spectrum, 0.05)
-    _, far = coupling_an(4.0 * axis, axis, pole_slots, spectrum, 0.05)
+    quasi_static = []
+    for distance in (2.0, 4.0):
+        problem = TransmissionProblem(dim=3, geometry=SPHERE, s=0.05, delta=1e-2, eps_c=-2.0,
+                                      omega0=1.0, a=axis, z=distance * axis)
+        quasi_static.append(coupling_an(problem, pole_slots, spectrum)[1])
+    near, far = quasi_static
     for degree, a_near, a_far in zip(degrees, near, far):
         print(f"{degree:>7} {a_near.real:>14.6e} {a_far.real:>14.6e} "
               f"{(a_near / a_far).real:>10.4f} {2.0 ** (degree + 2):>9.1f}")

@@ -420,11 +420,11 @@ def _cmd_sweep(args):
     else:
         lo, hi = result.slope_interval
         slope_text = f"slope={result.slope:.4f} interval=[{lo:.4f},{hi:.4f}]"
-    print(f"rows={len(result.rows)} csv={result.csv_path} "
+    print(f"rows={len(result.rows)} csv={config.csv_path} "
           f"verdict={result.verdict} {slope_text} "
           f"invalid_fraction={result.invalid_fraction:.3f}")
     if config.plot_path:
-        emit_plot(result.csv_path, config.plot_path)
+        emit_plot(config.csv_path, config.plot_path)
         print(f"plot={config.plot_path}")
     return EXIT_OK
 

@@ -36,8 +36,8 @@ from .geometry import as_number, is_integer
 from .layer_ops import HelmholtzOperators, assemble_S_omega, assemble_Kstar_omega, \
     helmholtz_operators
 from .np_spectrum import spectrum_of, coeffs_hat, coeffs_check, cluster_ids
-from .transmission import TransmissionProblem, plasmon_lambda, dipole_traces, \
-    solve_direct, solve_spectral, gradient_energy, coupling_an, omega_terms
+from .transmission import TransmissionProblem, plasmon_lambda, solve_direct, \
+    solve_spectral, gradient_energy, coupling_an
 
 # solve_point stays out of __all__: perfbench's tracer wraps every __all__
 # function, and a span per point would hide the spans it times below it
@@ -243,7 +243,6 @@ class SweepResult:
     slope_interval: tuple
     invalid_fraction: float
     verdict: str
-    csv_path: str
 
 
 # -------------------------------------------------------- sweep driver
@@ -301,18 +300,18 @@ def solve_point(problem, spectrum, solvers, operators=None):
     solves fails every row, a_n_abs included. operators is what
     _start_operators returned for this problem, or None to assemble
     here; either way a k_c whose operators fail fails every row, an
-    omega only the direct row. A sphere point sums three Bessel series:
-    the one at omega R once (omega_terms), which its traces and its
+    omega only the direct row. Both rows and the coupling read the
+    problem's traces. A sphere point sums three Bessel series: the one at
+    omega R once (problem.omega_terms), which its traces and its
     operators at omega share, the traces' own at omega z0, and its
-    operators' at k_c R. The coupling reads the traces.
+    operators' at k_c R.
     """
     geometry, kc, om = problem.geometry, problem.kc, problem.omega
     kc_futures, om_futures = operators or (None, None)
     try:
-        at_omega = omega_terms(problem)
-        f, g = dipole_traces(problem, at_omega)
+        f, g = problem.traces
         cluster = _resonant_cluster(spectrum, problem.eps_eff)
-        a_n, _ = coupling_an(problem.z, problem.a, cluster, spectrum, om, (f, g))
+        a_n, _ = coupling_an(problem, cluster, spectrum)
         # Python's abs (numpy's array abs can differ in the last bit), so
         # that a cluster with one nonzero coupling reports its |a_n| exactly
         a_n_abs = math.hypot(*(abs(complex(an)) for an in a_n))
@@ -327,7 +326,7 @@ def solve_point(problem, spectrum, solvers, operators=None):
         try:
             if name == "direct":
                 sol = solve_direct(problem, operators=(
-                    at_kc, _operators(geometry, om, om_futures, at_omega)), traces=(f, g))
+                    at_kc, _operators(geometry, om, om_futures, problem.omega_terms)))
             else:
                 sol = solve_spectral(coeffs_check(f, spectrum), coeffs_hat(g, spectrum),
                                      problem.eps_eff, problem.delta_eff, om, spectrum)
@@ -407,7 +406,8 @@ def run_sweep(config):
     (_solve_ahead), whatever config.workers is and however many CPUs the
     process has; the operators are those solve_point builds on its own,
     bit for bit. A sphere point's operators are diagonals, so a sphere
-    sweep runs its points one after another on the calling thread.
+    sweep runs its points one after another on the calling thread, each
+    problem built as its point starts, so its cached data go with it.
     The slope is fitted over the valid rows of one solver (direct when
     available, else spectral) so mixed direct/spectral sweeps do not
     double-count grid points. More than 30% invalid rows forces the
@@ -415,8 +415,8 @@ def run_sweep(config):
     """
     solvers = ("direct", "spectral") if config.solver == "both" else (config.solver,)
     spectrum = spectrum_of(config.geometry)
-    problems = [config.problem_at(float(d)) for d in config.delta_grid()]
-    per_point = (_solve_ahead(problems, spectrum, solvers) if config.dim == 2
+    problems = (config.problem_at(float(d)) for d in config.delta_grid())
+    per_point = (_solve_ahead(list(problems), spectrum, solvers) if config.dim == 2
                  else [solve_point(p, spectrum, solvers)[0] for p in problems])
     rows = tuple(r for point in per_point for r in point)
     _write_csv(config.csv_path, rows)
@@ -446,7 +446,7 @@ def run_sweep(config):
     return SweepResult(config=config, rows=rows, slope=slope,
                        slope_interval=interval,
                        invalid_fraction=float(invalid_fraction),
-                       verdict=verdict, csv_path=config.csv_path)
+                       verdict=verdict)
 
 
 def fit_blowup_rate(points):

@@ -44,11 +44,12 @@ it is checked against in 2D.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import NodeSet, Sphere, interior_points, as_number, is_integer, is_number, \
-    _inside_polygon
+    read_only, _inside_polygon
 from .layer_ops import (
     HelmholtzOperators,
     eval_gradient,
@@ -144,17 +145,20 @@ class TransmissionProblem:
     geometry is a NodeSet for dim = 2 and a Sphere for dim = 3; a plain
     (L, R) pair is turned into Sphere(L, R) here, and any other pairing
     of dim and geometry raises ValueError.
-    In 3D the dipole must sit on the axis of its own moment (z parallel
-    to a), the configuration with closed-form axisymmetric traces. That
-    is a restriction, not a choice of frame: a rotation can put z on an
-    axis, but it cannot make a moment with a part perpendicular to z
-    radial, and that tangential part reaches the m = +-1 slots. Such
-    dipoles raise ValueError.
+    In 3D the dipole must sit on the axis of its own moment, on the side
+    it points to (z a positive multiple of a), the configuration with
+    closed-form axisymmetric traces. That is a restriction, not a choice
+    of frame: a rotation can put z on an axis, but it cannot make a
+    moment with a part perpendicular to z radial, and that tangential
+    part reaches the m = +-1 slots. Such dipoles raise ValueError.
 
     s, delta, omega0, eps_c and eps_m must be finite numbers (is_number,
     so never a bool or a string) and a and z dim of them; each is stored
     as float, else ValueError names it. The dipole moment is normalised
-    to |a| = 1 at construction.
+    to |a| = 1 at construction. Every consumer trusts these checks.
+
+    The problem owns its dipole data, built on first use and kept like
+    NodeSet.pairwise: traces, read-only, and on the sphere omega_terms.
     """
 
     dim: int
@@ -212,10 +216,9 @@ class TransmissionProblem:
             if not isinstance(self.geometry, Sphere):
                 object.__setattr__(self, "geometry", Sphere(*self.geometry))
             z0 = float(np.dot(self.a, z))
-            if np.linalg.norm(z - z0 * self.a) > 1e-10 * (1.0 + abs(z0)):
-                raise ValueError(
-                    "3D dipole must lie on the axis of its moment (z parallel to a)"
-                )
+            if not z0 > 0 or np.linalg.norm(z - z0 * self.a) > 1e-10 * (1.0 + z0):
+                raise ValueError("3D dipole must lie on the axis of its moment, on the "
+                                 "side it points to: z must be a positive multiple of a")
             if z0 < _SPHERE_MARGIN * self.geometry.R:
                 raise ValueError(
                     f"dipole distance {z0:.3g} too close to the sphere "
@@ -241,6 +244,23 @@ class TransmissionProblem:
     def kc(self):
         """Interior wavenumber (fourth quadrant for negative contrast)."""
         return compute_kc(self.omega, self.eps_eff, self.delta_eff)
+
+    @cached_property
+    def omega_terms(self):
+        """
+        sph_terms of the degrees 0..L at omega R for a sphere problem, the
+        one series its traces and its operators at omega share; None in 2D.
+        """
+        if self.dim == 2:
+            return None
+        return sph_terms(np.arange(self.geometry.L + 1), self.omega * self.geometry.R)
+
+    @cached_property
+    def traces(self):
+        """dipole_traces of the problem, (F_z, d_nu F_z), read-only."""
+        f, g = dipole_traces(self)
+        read_only(f, g)
+        return f, g
 
 
 @dataclass(frozen=True)
@@ -284,17 +304,24 @@ def _hessian_contract(y, k, nu, a):
     return (1j * k / 4.0) * (k * h0 * nyh * ayh + h1 * (nu_a - 2.0 * nyh * ayh) / rho)
 
 
-def dipole_traces(problem, terms=None):
+def dipole_traces(problem):
     """
-    Boundary data (F_z, d_nu F_z) of the incident dipole field.
+    Boundary data (F_z, d_nu F_z) of the incident dipole field, which
+    problem.traces keeps.
 
     2D: nodal traces on the quadrature nodes of the problem geometry.
-    3D: coefficient vectors over surface-orthonormal real
-    spherical harmonics; only the m = 0 slots of the dipole axis are
-    populated.  The 3D coefficients are evaluated through stable
-    Bessel-product forms, so they remain accurate at frequencies where
-    raw spherical Hankel values overflow; terms, when given, is the
-    problem's omega_terms, else they sum their own.
+    3D: coefficient vectors over surface-orthonormal real spherical
+    harmonics; only the m = 0 slots of the dipole axis are populated,
+    from the outgoing addition theorem for the axial dipole at distance
+    z0 = a . z,
+
+        Gamma^om(x - z) = -i om sum_n j_n(om r) h_n(om z0) c_n Y_n0(xhat),
+
+    differentiated in z0 (the same as -a . grad_x for an axial moment),
+    with c_n = sqrt((2n+1)/4pi) and j_n(om z0) h_n'(om z0) as a stable
+    Bessel product, so they remain accurate at frequencies where raw
+    spherical Hankel values overflow. The ratios' numerators are the
+    problem's omega_terms.
     """
     om = problem.omega
     if problem.dim == 2:
@@ -303,35 +330,12 @@ def dipole_traces(problem, terms=None):
         f = -(grads @ problem.a)
         dnf = -_hessian_contract(y, om, problem.geometry.normals, problem.a)
         return f, dnf
-    return _axial_traces(problem.geometry, om, float(np.dot(problem.a, problem.z)), terms)
-
-
-def omega_terms(problem):
-    """
-    sph_terms of the degrees 0..L at omega R for a sphere problem, the
-    one series its traces and its operators at omega share; None in 2D.
-    """
-    if problem.dim == 2:
-        return None
-    return sph_terms(np.arange(problem.geometry.L + 1), problem.omega * problem.geometry.R)
-
-
-def _axial_traces(sphere, om, z0, at_R=None):
-    """
-    dipole_traces of an axial dipole at distance z0 from the sphere's
-    centre, from the outgoing addition theorem
-
-        Gamma^om(x - z) = -i om sum_n j_n(om r) h_n(om z0) c_n Y_n0(xhat),
-
-    differentiated in z0 (the same as -a . grad_x for an axial moment),
-    with c_n = sqrt((2n+1)/4pi) and j_n(om z0) h_n'(om z0) as a stable
-    Bessel product. at_R is sph_terms at om R, or None to sum it here.
-    """
+    sphere = problem.geometry
     n = np.arange(sphere.L + 1)
     cn = np.sqrt((2 * n + 1) / (4.0 * math.pi))
-    at_z0 = sph_terms(n, om * z0)
+    at_z0 = sph_terms(n, om * float(np.dot(problem.a, problem.z)))
     jhp = sph_jhp_from(at_z0)
-    ratio, ratio_d = sph_j_ratio_from(at_R or sph_terms(n, om * sphere.R), at_z0)
+    ratio, ratio_d = sph_j_ratio_from(problem.omega_terms, at_z0)
     f = np.zeros(n.size ** 2, dtype=complex)
     g = np.zeros(n.size ** 2, dtype=complex)
     f[n * n + n] = -1j * om * om * cn * sphere.R * ratio * jhp
@@ -342,7 +346,7 @@ def _axial_traces(sphere, om, z0, at_R=None):
 # ----------------------------------------------------------------- solvers
 
 
-def assemble_system(problem, operators=None, traces=None):
+def assemble_system(problem, operators=None):
     """
     Full transmission system (A, b): find (phi, psi) with
 
@@ -357,24 +361,24 @@ def assemble_system(problem, operators=None, traces=None):
 
     operators, when given, is (at_kc, at_omega), the helmholtz_operators
     of the problem's geometry at k_c and omega; anything else raises
-    TypeError, and a pair of another geometry or k ValueError. traces,
-    when given, is the problem's dipole_traces pair (F_z, d_nu F_z).
+    TypeError, and a pair of another geometry or k ValueError. The data
+    are problem.traces.
     """
     _require_2d(problem.geometry)
-    blocks, (f, g) = _system_blocks(problem, operators, traces)
+    blocks, (f, g) = _system_blocks(problem, operators)
     m = blocks[0].shape[0]
     a_mat = np.empty((2 * m, 2 * m), dtype=np.result_type(*blocks))
     a_mat[:m, :m], a_mat[:m, m:], a_mat[m:, :m], a_mat[m:, m:] = blocks
     return a_mat, np.concatenate([f, g])
 
 
-def _system_blocks(problem, operators, traces):
+def _system_blocks(problem, operators):
     """Blocks (A11, A12, A21, A22) and data (f, g); sphere blocks are 1-D."""
     om = problem.omega
     kc = problem.kc
     epsd = problem.eps_eff + 1j * problem.delta_eff
     operators = operators or (helmholtz_operators(problem.geometry, kc),
-                              helmholtz_operators(problem.geometry, om))
+                              helmholtz_operators(problem.geometry, om, problem.omega_terms))
     for pair, k in zip(operators, (kc, om)):
         if not isinstance(pair, HelmholtzOperators):
             raise TypeError("operators must be HelmholtzOperators pairs (at k_c, at omega)")
@@ -386,7 +390,7 @@ def _system_blocks(problem, operators, traces):
     s_in, k_in, s_out, k_out = at_kc.s, at_kc.kstar, at_omega.s, at_omega.kstar
     eye = np.eye(s_in.shape[0]) if s_in.ndim == 2 else 1.0
     blocks = (s_in, -s_out, epsd * (-0.5 * eye + k_in), -(0.5 * eye + k_out))
-    return blocks, traces or dipole_traces(problem)
+    return blocks, problem.traces
 
 
 def _solve_slots(a11, a12, a21, a22, f, g):
@@ -404,7 +408,7 @@ def _solve_slots(a11, a12, a21, a22, f, g):
     return (pf - p12 * y) / p11, y
 
 
-def solve_direct(problem, operators=None, traces=None):
+def solve_direct(problem, operators=None):
     """
     Direct solve of the full Helmholtz transmission system: dense LU in
     2D, one pivoted 2x2 solve per harmonic slot on the sphere (whose
@@ -412,17 +416,17 @@ def solve_direct(problem, operators=None, traces=None):
 
     Raises RuntimeError when the relative residual exceeds 1e-8, which
     only happens if the system is degenerate beyond its natural 1/delta
-    conditioning. operators and traces are as for assemble_system, in
-    both dimensions; a pair's geometry must be the problem's NodeSet
-    object or an equal Sphere, and its k within 1e-12 relative.
+    conditioning. operators is as for assemble_system, in both
+    dimensions; a pair's geometry must be the problem's NodeSet object or
+    an equal Sphere, and its k within 1e-12 relative.
     """
     if problem.dim == 3:
-        (a11, a12, a21, a22), (f, g) = _system_blocks(problem, operators, traces)
+        (a11, a12, a21, a22), (f, g) = _system_blocks(problem, operators)
         phi, psi = _solve_slots(a11, a12, a21, a22, f, g)
         ax = np.concatenate([a11 * phi + a12 * psi, a21 * phi + a22 * psi])
         rhs = np.concatenate([f, g])
     else:
-        a_mat, rhs = assemble_system(problem, operators, traces)
+        a_mat, rhs = assemble_system(problem, operators)
         x = np.linalg.solve(a_mat, rhs)
         ax = a_mat @ x
         phi, psi = np.split(x, 2)
@@ -601,10 +605,11 @@ def _check_energy_agreement(e_identity, e_exact):
 # ---------------------------------------------------------------- coupling
 
 
-def coupling_an(z, a, slots, spectrum, omega, traces=None):
+def coupling_an(problem, slots, spectrum):
     """
-    Resonant couplings a_n(omega) of a unit dipole (a, z) to the modes n
-    of a sequence of slots,
+    Resonant couplings a_n(omega) of the problem's unit dipole (a, z) to
+    the modes n of a sequence of slots of spectrum, the NP spectrum of the
+    problem's geometry,
 
         a_n = <F_z, phi_n> + omega^2 int_D F_z S[phi_n] dV,
 
@@ -612,35 +617,32 @@ def coupling_an(z, a, slots, spectrum, omega, traces=None):
     identically.  Returns the arrays (a_n, a_n0), one entry per slot,
     with a_n0 = a . grad S[phi_n](z) the quasi-static value; a_n - a_n0
     vanishes quadratically in omega (up to the log factor of the 2D
-    fundamental solution). A dipole inside the inclusion raises
-    ValueError. In 2D the volume term is integrated on the interior grid.
-    On the sphere Green's second identity (Delta S[phi_n] = 0, Delta F_z =
-    -omega^2 F_z, d_nu^- S[phi_n] = (lambda_n - 1/2) phi_n) turns it into
-    a boundary pairing: a_n = ghat(n) - (1/2 + lambda_n) fcheck(n), the
-    numerator of solve_spectral's mode n, from the dipole traces alone.
-    traces, when given, is the problem's dipole_traces, which a 2D
-    coupling ignores.
+    fundamental solution). The problem has checked the dipole and omega;
+    a slot outside 1..spectrum.n - 1 or a spectrum of another geometry
+    (a NodeSet other than the problem's, or an unequal Sphere) raises
+    ValueError. F_z comes from problem.traces. In 2D the volume term is
+    integrated on the interior grid. On the sphere Green's second
+    identity (Delta S[phi_n] = 0, Delta F_z = -omega^2 F_z,
+    d_nu^- S[phi_n] = (lambda_n - 1/2) phi_n) turns it into a boundary
+    pairing: a_n = ghat(n) - (1/2 + lambda_n) fcheck(n), the numerator of
+    solve_spectral's mode n, from the dipole traces alone.
     """
-    if omega <= 0 or omega > OMEGA_MAX:
-        raise ValueError(f"omega must lie in (0, {OMEGA_MAX}]")
+    if spectrum.geometry != problem.geometry:
+        raise ValueError("spectrum of another geometry than the problem's")
     slots = [int(n) for n in slots]
     if not all(1 <= n < spectrum.n for n in slots):
         raise ValueError("mode index must satisfy 1 <= n < spectrum.n")
     if spectrum.dim == 2:
-        return _coupling_an_2d(z, a, slots, spectrum, omega)
-    return _coupling_an_3d(z, a, slots, spectrum, omega, traces)
+        return _coupling_an_2d(problem, slots, spectrum)
+    return _coupling_an_3d(problem, slots, spectrum)
 
 
-def _coupling_an_2d(z, a, slots, spectrum, omega):
-    nodes = spectrum.geometry
+def _coupling_an_2d(problem, slots, spectrum):
+    nodes, z, a, omega = problem.geometry, problem.z, problem.a, problem.omega
     quad = nodes.interior
-    z = np.asarray(z, dtype=float).reshape(2)
-    if _inside_polygon(z[None, :], nodes.points)[0]:
-        raise ValueError("dipole location lies inside the inclusion")
-    a = np.asarray(a, dtype=float).reshape(2)
-    a = a / np.linalg.norm(a)
-    f_bdry, f_in, f_edge = (-(grad_gamma_helmholtz(p - z[None, :], omega) @ a)
-                            for p in (nodes.points, quad.fine.points, quad.edge.points))
+    f_bdry = problem.traces[0]
+    f_in, f_edge = (-(grad_gamma_helmholtz(p - z[None, :], omega) @ a)
+                    for p in (quad.fine.points, quad.edge.points))
     kern_in = _potential_kernel(quad.fine, 0.0)
     kern_edge = _potential_kernel(quad.edge, 0.0)
     a_n = np.empty(len(slots), dtype=complex)
@@ -660,15 +662,10 @@ def _coupling_an_2d(z, a, slots, spectrum, omega):
     return a_n, a_n0.astype(complex)
 
 
-def _coupling_an_3d(z, a, slots, spectrum, omega, traces):
-    radius = spectrum.geometry.R
-    z = np.asarray(z, dtype=float).reshape(3)
-    a = np.asarray(a, dtype=float).reshape(3)
-    a = a / np.linalg.norm(a)
-    z0 = float(np.dot(a, z))
-    if np.linalg.norm(z - z0 * a) > 1e-10 * (1.0 + abs(z0)) or z0 <= radius:
-        raise ValueError("3D coupling requires z on the dipole axis, outside")
-    f, g = traces or _axial_traces(spectrum.geometry, omega, z0)
+def _coupling_an_3d(problem, slots, spectrum):
+    radius = problem.geometry.R
+    z0 = float(np.dot(problem.a, problem.z))
+    f, g = problem.traces
     # ghat - (1/2 + lambda) fcheck on the diagonal spectrum, slots only;
     # off-axis slots come out 0, as their traces are
     beta, gram, lam = (v[slots] for v in (spectrum.densities, spectrum.gram, spectrum.lambdas))

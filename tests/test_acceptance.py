@@ -26,7 +26,7 @@ from plasmonres.np_spectrum import (
     coeffs_hat,
 )
 from plasmonres.specfun import hankel_first_kind, sph_terms
-from plasmonres.transmission import coupling_an, gradient_energy
+from plasmonres.transmission import TransmissionProblem, coupling_an, gradient_energy
 from plasmonres.sweep import SweepConfig, run_sweep
 from reference_ops import sphere_diagonal_by_quadrature
 
@@ -258,7 +258,9 @@ def test_criterion_10_coupling_frequency_order():
     axis = np.array([0.0, 0.0, 1.0])
     gaps = []
     for om in (0.1, 0.05, 0.025):
-        (an,), (an0,) = coupling_an(2.0 * axis, axis, [2], sph, om)
+        problem = TransmissionProblem(dim=3, geometry=sph.geometry, s=om, delta=1e-2,
+                                      eps_c=-2.0, omega0=1.0, a=axis, z=2.0 * axis)
+        (an,), (an0,) = coupling_an(problem, [2], sph)
         gaps.append(abs(an - an0))
     orders = [np.log(gaps[i] / gaps[i + 1]) / np.log(2.0) for i in range(2)]
     order = min(orders)

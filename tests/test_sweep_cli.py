@@ -347,8 +347,8 @@ def test_sphere_a_n_abs_at_high_degree_resonance(degree):
         dim=3, geometry=(40, 1.0), s=scale_for_delta(1e-2, 0.01, 3), delta=1e-2,
         eps_c=eps, omega0=1.0, a=(0.0, 0.0, 1.0), z=(0.0, 0.0, 2.0))
     rows, _ = sweep_module.solve_point(problem, spectrum, ("spectral",))
-    (a_pole,), _ = transmission_module.coupling_an(
-        problem.z, problem.a, [degree * degree + degree], spectrum, problem.omega)
+    (a_pole,), _ = transmission_module.coupling_an(problem, [degree * degree + degree],
+                                                   spectrum)
     assert abs(a_pole) > 1e-4
     assert rows[0].a_n_abs == abs(a_pole)
 
@@ -679,22 +679,31 @@ def test_pooled_and_serial_2d_sweeps_agree(tmp_path, monkeypatch, make):
                                            (_sphere_config, 1)])
 def test_sweep_builds_dipole_traces_once_per_point(tmp_path, monkeypatch, make,
                                                    workers):
-    # the direct solve and the spectral row of a grid point share one
-    # (F_z, d_nu F_z), on the look-ahead pool's path (2D, whatever
-    # workers is) and without it (3D)
-    problems = []
-    original = transmission_module.dipole_traces
-
-    def counting(problem, *terms):
-        problems.append(problem)
-        return original(problem, *terms)
-
-    for module in (sweep_module, transmission_module):
-        monkeypatch.setattr(module, "dipole_traces", counting)
+    # the direct solve, the spectral row and the coupling of a grid point
+    # share one (F_z, d_nu F_z), on the look-ahead pool's path (2D,
+    # whatever workers is) and without it (3D); a 2D point evaluates F_z
+    # on its boundary nodes once, for the traces, and the coupling reads it
+    # from them
     cfg = make(tmp_path, workers=workers)
+    problems, on_nodes = [], []
+    original = transmission_module.dipole_traces
+    gradient = transmission_module.grad_gamma_helmholtz
+
+    def counting(problem):
+        problems.append(problem)
+        return original(problem)
+
+    def gradient_counting(y, k):
+        if cfg.dim == 2 and np.array_equal(y, cfg.geometry.points - cfg.z):
+            on_nodes.append(k)
+        return gradient(y, k)
+
+    monkeypatch.setattr(transmission_module, "dipole_traces", counting)
+    monkeypatch.setattr(transmission_module, "grad_gamma_helmholtz", gradient_counting)
     result, _ = _run_watched(monkeypatch, cfg)
     assert result.invalid_fraction == 0.0
     assert [p.delta for p in problems] == [float(d) for d in cfg.delta_grid()]
+    assert on_nodes == ([p.omega for p in problems] if cfg.dim == 2 else [])
 
 
 def test_sphere_omega_failure_fails_only_the_direct_row():
@@ -958,6 +967,15 @@ def test_cli_solve_dipole_in_quadrature_buffer_exits_2(capsys):
     assert "solver=" not in out
 
 
+def test_cli_solve_sphere_dipole_pointing_at_the_sphere_exits_2(capsys):
+    # a moment pointing from z = (0, 0, 2) at the sphere: the refusal names
+    # the restriction, not a distance of -2
+    assert main(_with(_CLI_SPHERE_SOLVE, dipole_a="0,0,-1")) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert "z must be a positive multiple of a" in err
+    assert "too close" not in err and "solver=" not in out
+
+
 @pytest.mark.parametrize("solver", ("direct", "spectral"))
 def test_cli_solve_lossless_resonant_contrast(capsys, solver):
     # delta = 1e-300 at eps_c = -2, the plasmon of slot 2 (lambda = 1/6):
@@ -1020,7 +1038,7 @@ def test_solve_point_errors_hold_no_frames(tmp_path, monkeypatch):
         built.extend(weakref.ref(x) for x in (out, out.s, out.kstar))
         return out
 
-    def singular(problem, operators, traces):
+    def singular(problem, operators):
         raise np.linalg.LinAlgError("singular matrix")
 
     monkeypatch.setattr(sweep_module, "helmholtz_operators", recording)
